@@ -3,7 +3,8 @@
 Each optimizer step allocates hundreds of MB of short-lived temporaries;
 with default thresholds glibc mmaps and munmaps them every step, paying a
 page-fault per touched page. Raising the mmap/trim thresholds keeps the
-blocks on the heap for reuse, roughly halving step time on this workload.
+blocks on the heap for reuse: two CNN2D training epochs took 20.2 s with
+the tuning and 22.3 s without, about 9% less (2-core box, OpenBLAS).
 """
 
 from __future__ import annotations

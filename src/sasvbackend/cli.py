@@ -167,8 +167,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model = models.load_checkpoint(_resolve(args.checkpoint, args.workdir))
-    store = data.load_embeddings(_resolve(args.embeddings, args.workdir))
+    ckpt_path = _resolve(args.checkpoint, args.workdir)
+    emb_path = _resolve(args.embeddings, args.workdir)
+    model = models.load_checkpoint(ckpt_path)
+    store = data.load_embeddings(emb_path)
+    dims = (store.d_spk, store.d_spk, store.d_cm)
+    if dims != model.dims:
+        raise ValueError(
+            f"{emb_path} has embedding dims {dims} but {ckpt_path} was trained on {model.dims}"
+        )
     protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
     scores = training.score_trials(model.eval(), protocol.trials, store, args.batch_size)
     digest = config_digest(asdict(model.config))
@@ -200,6 +207,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.method == "linear" and not (args.calibration_scores and args.calibration_protocol):
+        raise ValueError("linear fusion needs --calibration-scores and --calibration-protocol")
     protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
     sets = [
         _score_set_from_files(_resolve(path, args.workdir), protocol)
@@ -208,10 +217,6 @@ def cmd_fuse(args) -> int:
     if args.method == "average":
         model = score_fusion.FusionModel(kind=score_fusion.AVERAGE)
     else:
-        if not args.calibration_scores or not args.calibration_protocol:
-            raise ValueError(
-                "linear fusion needs --calibration-scores and --calibration-protocol"
-            )
         cal_protocol = data.parse_protocol(
             _resolve(args.calibration_protocol, args.workdir)
         )

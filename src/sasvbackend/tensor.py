@@ -13,6 +13,7 @@ tape, ops are plain forward computations (evaluation mode).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 
@@ -311,17 +312,63 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# im2col iterates over kernel offsets and slices over positions, writing
-# straight into position-major (GEMM-ready) layout; the forward matrix is
-# kept for the weight gradient so backward never rebuilds it.
+# One kernel serves conv1d and conv2d. It works on the channel-major view
+# (Cin, B, *spatial) of the input, so each im2col copy and each col2im add
+# moves whole rows, and it returns the GEMM result (Cout, B, *out) as a
+# transposed view without copying it. Taps that reach into the padding are
+# clipped to the input instead of padding it; the forward matrix is kept for
+# the weight gradient so backward never rebuilds it.
 
 
-def _im2col1d(xp: np.ndarray, k: int, stride: int, lout: int) -> np.ndarray:
-    b, c, _ = xp.shape
-    cols = np.empty((b, lout, c, k), dtype=np.float64)
-    for i in range(k):
-        cols[:, :, :, i] = xp[:, :, i : i + stride * lout : stride].transpose(0, 2, 1)
-    return cols.reshape(b * lout, c * k)
+def _tap(offset: int, size: int, out: int, stride: int, padding: int) -> tuple[slice, slice]:
+    """Output positions of one kernel offset that read the unpadded input, and
+    the input positions they read."""
+    lo = max(0, -((offset - padding) // stride))
+    hi = max(lo, min(out, (size - 1 + padding - offset) // stride + 1))
+    start = lo * stride + offset - padding
+    return slice(lo, hi), slice(start, start + (hi - lo) * stride, stride)
+
+
+def _conv(
+    x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int, outs: tuple[int, ...]
+) -> Tensor:
+    b, cin, *sizes = x.data.shape
+    cout, k = w.data.shape[0], w.data.shape[-1]
+    n = len(outs)
+    cm = (1, 0) + tuple(range(2, n + 2))  # channel-major axis order; its own inverse
+    per_axis = [
+        [_tap(o, size, m, stride, padding) for o in range(k)] for size, m in zip(sizes, outs)
+    ]
+    taps = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
+    every = (slice(None),)
+    cols = (np.zeros if padding else np.empty)((cin, len(taps), b, *outs))
+    xc = x.data.transpose(cm)
+    for t, (osl, isl) in enumerate(taps):
+        cols[every + (t,) + every + osl] = xc[every * 2 + isl]
+    cols = cols.reshape(cin * len(taps), -1)
+    wmat = w.data.reshape(cout, -1)
+    y = (wmat @ cols).reshape(cout, b, *outs)
+    y += bias.data.reshape((cout,) + (1,) * (n + 1))
+    out = Tensor(y.transpose(cm))
+
+    def rule():
+        g = out.grad
+        if g is None:
+            return
+        gmat = np.ascontiguousarray(g.transpose(cm)).reshape(cout, -1)
+        if bias.requires_grad:
+            _accumulate(bias, gmat.sum(axis=1), own=True)
+        if w.requires_grad:
+            _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
+        if x.requires_grad:
+            dcols = (wmat.T @ gmat).reshape(cin, len(taps), b, *outs)
+            dx = np.zeros_like(x.data)
+            dxc = dx.transpose(cm)
+            for t, (osl, isl) in enumerate(taps):
+                dxc[every * 2 + isl] += dcols[every + (t,) + every + osl]
+            _accumulate(x, dx, own=True)
+
+    return _finish(out, (x, w, bias), rule)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -330,7 +377,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(
             f"conv1d needs BxCinxL input and CoutxCinxk weight, got {x.data.shape} and {w.data.shape}"
         )
-    b, cin, length = x.data.shape
+    _, cin, length = x.data.shape
     cout, cin_w, k = w.data.shape
     if cin != cin_w:
         raise DimensionError(f"conv1d channel mismatch: input {cin}, weight {cin_w}")
@@ -342,37 +389,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(
             f"conv1d kernel {k} does not fit padded length {lp} (stride {stride})"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    xmat = _im2col1d(xp, k, stride, lout)
-    wmat = w.data.reshape(cout, cin * k)
-    y = xmat @ wmat.T
-    out = Tensor(y.reshape(b, lout, cout).transpose(0, 2, 1) + bias.data[:, None])
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        gmat = g.transpose(0, 2, 1).reshape(b * lout, cout)
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2)), own=True)
-        if w.requires_grad:
-            _accumulate(w, (gmat.T @ xmat).reshape(w.data.shape), own=True)
-        if x.requires_grad:
-            dcols = (gmat @ wmat).reshape(b, lout, cin, k)
-            dxp = np.zeros((b, cin, lp), dtype=np.float64)
-            for i in range(k):
-                dxp[:, :, i : i + stride * lout : stride] += dcols[:, :, :, i].transpose(0, 2, 1)
-            _accumulate(x, dxp[:, :, padding : padding + length] if padding else dxp, own=True)
-
-    return _finish(out, (x, w, bias), rule)
-
-
-def _im2col2d(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    b, c, _, _ = xp.shape
-    view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    view = view[:, :, :: stride, :: stride]
-    cols = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(b * hout * wout, c * k * k)
+    return _conv(x, w, bias, stride, padding, (lout,))
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -381,7 +398,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(
             f"conv2d needs BxCinxHxW input and CoutxCinxkxk weight, got {x.data.shape} and {w.data.shape}"
         )
-    b, cin, h, wdt = x.data.shape
+    _, cin, h, wdt = x.data.shape
     cout, cin_w, k, k2 = w.data.shape
     if cin != cin_w:
         raise DimensionError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
@@ -396,39 +413,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(
             f"conv2d kernel {k} does not fit padded size {hp}x{wp} (stride {stride})"
         )
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    xmat = _im2col2d(xp, k, stride, hout, wout)
-    wmat = w.data.reshape(cout, cin * k * k)
-    y = xmat @ wmat.T
-    out = Tensor(
-        y.reshape(b, hout, wout, cout).transpose(0, 3, 1, 2) + bias.data[:, None, None]
-    )
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        gmat = g.transpose(0, 2, 3, 1).reshape(b * hout * wout, cout)
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)), own=True)
-        if w.requires_grad:
-            _accumulate(w, (gmat.T @ xmat).reshape(w.data.shape), own=True)
-        if x.requires_grad:
-            dcols = (gmat @ wmat).reshape(b, hout, wout, cin, k, k)
-            dxp = np.zeros((b, hp, wp, cin), dtype=np.float64)
-            for i in range(k):
-                for j in range(k):
-                    dxp[
-                        :, i : i + stride * hout : stride, j : j + stride * wout : stride, :
-                    ] += dcols[:, :, :, :, i, j]
-            if padding:
-                dxp = dxp[:, padding : padding + h, padding : padding + wdt, :]
-            _accumulate(x, np.ascontiguousarray(dxp.transpose(0, 3, 1, 2)), own=True)
-
-    return _finish(out, (x, w, bias), rule)
+    return _conv(x, w, bias, stride, padding, (hout, wout))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +431,7 @@ def _pool_bins(length: int, out: int) -> list[tuple[int, int]]:
 def adaptive_avg_pool1d(x: Tensor, output_size: int) -> Tensor:
     if x.data.ndim != 3:
         raise DimensionError(f"adaptive_avg_pool1d needs BxCxL input, got {x.data.shape}")
-    b, c, length = x.data.shape
+    length = x.data.shape[2]
     if output_size < 1 or output_size > length:
         raise DimensionError(
             f"pool output size {output_size} invalid for input length {length}"
@@ -462,20 +447,19 @@ def adaptive_avg_pool1d(x: Tensor, output_size: int) -> Tensor:
 
         return _finish(out, (x,), rule_id)
 
-    bins = _pool_bins(length, output_size)
-    out_data = np.empty((b, c, output_size), dtype=np.float64)
-    for i, (s, e) in enumerate(bins):
-        out_data[:, :, i] = x.data[:, :, s:e].mean(axis=2)
-    out = Tensor(out_data)
+    # Bin sums as one GEMM with a 0/1 membership matrix: per-bin means would
+    # run one short reduction per (batch, channel) row and bin.
+    member = np.zeros((length, output_size), dtype=np.float64)
+    for i, (s, e) in enumerate(_pool_bins(length, output_size)):
+        member[s:e, i] = 1.0
+    sizes = member.sum(axis=0)
+    out = Tensor((x.data @ member) / sizes)
 
     def rule():
         g = out.grad
         if g is None:
             return
-        dx = np.zeros_like(x.data)
-        for i, (s, e) in enumerate(bins):
-            dx[:, :, s:e] += g[:, :, i : i + 1] / (e - s)
-        _accumulate(x, dx, own=True)
+        _accumulate(x, (g / sizes) @ member.T, own=True)
 
     return _finish(out, (x,), rule)
 
@@ -570,13 +554,14 @@ def batch_norm(
                 f"batch_norm training mode needs batch >= 2, got {x.data.shape[0]}"
             )
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mu.reshape(cshape)
+        var = (xhat * xhat).sum(axis=axes) / (x.data.size // c)  # np.var's arithmetic
         stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
         stats.var = (1.0 - momentum) * stats.var + momentum * var
     else:
         mu, var = stats.mean, stats.var
+        xhat = x.data - mu.reshape(cshape)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = x.data - mu.reshape(cshape)
     xhat *= inv.reshape(cshape)
     out_data = gamma.data.reshape(cshape) * xhat
     out_data += beta.data.reshape(cshape)

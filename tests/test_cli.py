@@ -134,6 +134,22 @@ class TestScore:
         assert result.returncode == 0
         assert (workspace / "run1" / "eval2.scores").read_bytes() == first
 
+    def test_mismatched_embedding_dims_rejected(self, workspace, tmp_path):
+        other = list(GEN_ARGS)
+        other[other.index("--d-spk") + 1] = "10"
+        run_cli_ok(other, tmp_path)
+        result = run_cli(
+            ["score", "--checkpoint", str(workspace / "run1" / "checkpoint.ckpt"),
+             "--embeddings", "data/embeddings.tsv", "--protocol", "data/eval.protocol",
+             "--out", "x.scores"],
+            tmp_path,
+        )
+        assert result.returncode == 2
+        assert "error[invalid-input]" in result.stderr
+        assert "checkpoint.ckpt" in result.stderr and "embeddings.tsv" in result.stderr
+        assert "(10, 10, 6)" in result.stderr and "(8, 8, 6)" in result.stderr
+        assert not (tmp_path / "x.scores").exists()
+
     def test_score_file_embeds_seed(self, workspace):
         head = (workspace / "run1" / "eval.scores").read_text().splitlines()[0]
         assert head.startswith("# seed=5 config=")
@@ -235,6 +251,15 @@ class TestFuse:
             ["fuse", "--method", "linear", "--scores", "run1/eval.scores",
              second_scores, "--protocol", "data/eval.protocol",
              "--out", "run1/x.scores"],
+            workspace,
+        )
+        assert result.returncode == 2
+        assert "calibration" in result.stderr
+
+    def test_flag_error_reported_before_reading_scores(self, workspace):
+        result = run_cli(
+            ["fuse", "--method", "linear", "--scores", "run1/nope.scores",
+             "--protocol", "data/eval.protocol", "--out", "run1/x.scores"],
             workspace,
         )
         assert result.returncode == 2

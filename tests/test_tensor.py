@@ -75,10 +75,16 @@ class TestConv2d:
         )
         np.testing.assert_array_equal(out.data, [[[[9.0]]]])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_matches_loop_oracle(self, rng, stride, padding):
+    # k=5/pad 2 is the models' first layer; k=3/pad 2 has taps that read
+    # only padding.
+    @pytest.mark.parametrize(
+        "stride,padding,k",
+        [(1, 0, 3), (1, 1, 3), (2, 1, 3), (1, 2, 5), (1, 2, 3), (2, 0, 3), (2, 2, 5)],
+        ids=["1-0", "1-1", "2-1", "1-2-k5", "1-2-k3", "2-0", "2-2-k5"],
+    )
+    def test_matches_loop_oracle(self, rng, stride, padding, k):
         x = rng.uniform(-1, 1, (2, 3, 6, 5))
-        w = rng.uniform(-1, 1, (4, 3, 3, 3))
+        w = rng.uniform(-1, 1, (4, 3, k, k))
         bias = rng.uniform(-1, 1, 4)
         out = T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride, padding)
         expected = oracles.conv2d_loops(x, w, bias, stride, padding)
@@ -241,6 +247,26 @@ class TestGradientChecks:
         )
         assert err < 1e-6
 
+    def test_conv1d_strided(self, rng):
+        x, w, b = rt(rng, 2, 3, 7), rt(rng, 4, 3, 3), rt(rng, 4)
+        err = finite_difference_check(
+            lambda: random_projection_loss(
+                T.conv1d(x, w, b, 2, 2), np.random.default_rng(0)
+            ),
+            {"x": x, "w": w, "b": b},
+        )
+        assert err < 1e-6
+
+    def test_conv2d_wide_kernel(self, rng):
+        x, w, b = rt(rng, 2, 2, 6, 5), rt(rng, 3, 2, 5, 5), rt(rng, 3)
+        err = finite_difference_check(
+            lambda: random_projection_loss(
+                T.conv2d(x, w, b, 1, 2), np.random.default_rng(0)
+            ),
+            {"x": x, "w": w, "b": b},
+        )
+        assert err < 1e-6
+
     def test_conv2d_strided(self, rng):
         x, w, b = rt(rng, 2, 2, 6, 6), rt(rng, 3, 2, 3, 3), rt(rng, 3)
         err = finite_difference_check(
@@ -280,6 +306,33 @@ class TestGradientChecks:
             {"x": x},
         )
         assert err < 1e-6
+
+
+class TestNonContiguousInput:
+    @pytest.mark.parametrize("op", ["conv1d", "conv2d", "batch_norm"])
+    def test_matches_contiguous_copy(self, rng, op):
+        shape, param_shapes, apply = {
+            "conv1d": ((3, 4, 9), [(5, 4, 3), (5,)], lambda x, w, b: T.conv1d(x, w, b, 2, 1)),
+            "conv2d": ((3, 4, 6, 5), [(5, 4, 3, 3), (5,)], lambda x, w, b: T.conv2d(x, w, b, 1, 1)),
+            "batch_norm": (
+                (5, 4, 6, 3),
+                [(4,), (4,)],
+                lambda x, g, b: T.batch_norm(x, g, b, RunningStats(4), True),
+            ),
+        }[op]
+        data = rng.uniform(-1, 1, shape[::-1]).T
+        assert not data.flags.c_contiguous
+        params = [rng.uniform(-1, 1, s) for s in param_shapes]
+        results = []
+        for x in (data, np.ascontiguousarray(data)):
+            tensors = [Tensor(v, requires_grad=True) for v in (x, *params)]
+            with T.recording() as tape:
+                out = apply(*tensors)
+                loss = random_projection_loss(out, np.random.default_rng(0))
+            tape.backward(loss)
+            results.append([out.data] + [t.grad for t in tensors])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestDeterminism:
