@@ -32,6 +32,17 @@ def _resolve(path: str, workdir: str | None) -> str:
     return path
 
 
+def _parse_bool(text: str) -> bool:
+    flags = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+    if text.lower() not in flags:
+        raise ValueError(f"expected one of true/false/yes/no/1/0, got {text!r}")
+    return flags[text.lower()]
+
+
+# Casts from the (string) type annotations of the config dataclasses.
+_CASTS = {"int": int, "float": float, "bool": _parse_bool, "str": str, "str | None": str}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative training run, parsed from a key=value run file."""
@@ -54,7 +65,7 @@ class ExperimentConfig:
     @classmethod
     def parse(cls, path: str, workdir: str | None = None) -> "ExperimentConfig":
         values = {}
-        casts = {f.name: f.type for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -63,21 +74,15 @@ class ExperimentConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in casts:
+                if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value
+                try:
+                    values[key] = _CASTS[types[key]](value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         for required in ("model", "embeddings", "train_protocol", "out_dir"):
             if required not in values:
                 raise ValueError(f"{path}: missing required key {required!r}")
-        for key in ("seed", "epochs", "batch_size"):
-            if key in values:
-                values[key] = int(values[key])
-        for key in ("lr0", "weight_decay", "schedule_decay",
-                    "class_weight_negative", "class_weight_positive"):
-            if key in values:
-                values[key] = float(values[key])
-        if "select_best" in values:
-            values["select_best"] = values["select_best"].lower() in ("1", "true", "yes")
         cfg = cls(**values)
         for key in ("embeddings", "train_protocol", "dev_protocol", "out_dir"):
             value = getattr(cfg, key)
@@ -104,12 +109,14 @@ class ExperimentConfig:
 def _score_set_from_files(score_path: str, protocol: data.Protocol) -> metrics.ScoreSet:
     ids, scores = metrics.read_score_file(score_path)
     labels_by_id = dict(zip(protocol.trial_ids(), protocol.labels()))
-    missing = [tid for tid in ids if tid not in labels_by_id]
-    if missing:
-        raise ValueError(
-            f"{score_path}: trial ids not in protocol: {missing[:5]}"
-            f"{'...' if len(missing) > 5 else ''}"
-        )
+    scored = set(ids)
+    for problem, bad in (
+        ("trial ids not in protocol", [tid for tid in ids if tid not in labels_by_id]),
+        ("protocol trials have no score", [tid for tid in labels_by_id if tid not in scored]),
+    ):
+        if bad:
+            raise ValueError(f"{score_path}: {len(bad)} {problem}: {bad[:5]}"
+                             f"{'...' if len(bad) > 5 else ''}")
     return metrics.ScoreSet(ids, scores, [labels_by_id[tid] for tid in ids])
 
 
@@ -258,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-dir", required=True)
     for field in fields(data.SynthConfig):
         flag = "--" + field.name.replace("_", "-")
-        kind = float if field.type == "float" else int
-        gen.add_argument(flag, type=kind, default=None)
+        gen.add_argument(flag, type=_CASTS[field.type], default=None)
     gen.set_defaults(func=cmd_gen_data)
 
     train = sub.add_parser("train", help="train a model from a key=value run file")

@@ -10,6 +10,10 @@ header are treated as comments):
 * Protocol file: one trial per line,
   ``enroll_ids(comma-joined)<TAB>test_id<TAB>label`` with label one of
   target / nontarget / spoof.
+
+The store keeps one matrix per embedding kind. ``compile_trials`` turns a
+trial list into row indices once (``TrialRows``); ``fusion.fuse_batch``
+then gathers whole batches from those rows.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,61 +82,66 @@ class Protocol:
         return [t.label for t in self.trials]
 
 
+_KIND_NAMES = {"spk": "speaker", "cm": "CM"}
+
+
 class EmbeddingStore:
-    """Utterance id -> (speaker embedding, CM embedding), with fixed dims."""
+    """Utterance id -> (speaker embedding, CM embedding), with fixed dims.
+
+    Each kind ("spk", "cm") is one float64 matrix, grown geometrically on
+    ``add`` (capacity stays untouched, so not resident, until written), and
+    an id -> row dict in insertion order.
+    """
 
     def __init__(self, d_spk: int, d_cm: int):
         if d_spk < 1 or d_cm < 1:
             raise ValueError(f"embedding dims must be positive, got {d_spk}, {d_cm}")
         self.d_spk = int(d_spk)
         self.d_cm = int(d_cm)
-        self._spk: dict[str, np.ndarray] = {}
-        self._cm: dict[str, np.ndarray] = {}
+        self._rows: dict[str, dict[str, int]] = {"spk": {}, "cm": {}}
+        self._data = {"spk": np.empty((0, self.d_spk)), "cm": np.empty((0, self.d_cm))}
 
     def __len__(self) -> int:
-        return len(self._spk.keys() | self._cm.keys())
-
-    def ids(self) -> list[str]:
-        seen = dict.fromkeys(self._spk)
-        seen.update(dict.fromkeys(self._cm))
-        return list(seen)
+        return len(self._rows["spk"].keys() | self._rows["cm"].keys())
 
     def add(self, utt_id: str, spk=None, cm=None) -> None:
         if spk is None and cm is None:
             raise ValueError(f"{utt_id}: nothing to add")
-        if spk is not None:
-            vec = self._check(utt_id, spk, self.d_spk, "spk")
-            if utt_id in self._spk:
-                raise ValueError(f"duplicate speaker embedding for {utt_id!r}")
-            self._spk[utt_id] = vec
-        if cm is not None:
-            vec = self._check(utt_id, cm, self.d_cm, "cm")
-            if utt_id in self._cm:
-                raise ValueError(f"duplicate CM embedding for {utt_id!r}")
-            self._cm[utt_id] = vec
+        for kind, vec in (("spk", spk), ("cm", cm)):
+            if vec is None:
+                continue
+            data, rows = self._data[kind], self._rows[kind]
+            arr = np.asarray(vec, dtype=np.float64)
+            if arr.shape != (data.shape[1],):
+                raise ValueError(f"{utt_id}: {kind} embedding has shape {arr.shape}, "
+                                 f"expected ({data.shape[1]},)")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{utt_id}: {kind} embedding contains non-finite values")
+            if utt_id in rows:
+                raise ValueError(f"duplicate {_KIND_NAMES[kind]} embedding for {utt_id!r}")
+            n = len(rows)
+            if n == len(data):
+                grown = np.empty((max(64, 2 * n), data.shape[1]))
+                grown[:n] = data
+                data = self._data[kind] = grown
+            data[n] = arr
+            rows[utt_id] = n
 
-    @staticmethod
-    def _check(utt_id, vec, dim, kind) -> np.ndarray:
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.shape != (dim,):
-            raise ValueError(
-                f"{utt_id}: {kind} embedding has shape {arr.shape}, expected ({dim},)"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{utt_id}: {kind} embedding contains non-finite values")
-        return arr
+    def matrix(self, kind: str) -> np.ndarray:
+        """The stored vectors of one kind, one row each."""
+        return self._data[kind][: len(self._rows[kind])]
+
+    def row(self, kind: str, utt_id: str) -> int:
+        try:
+            return self._rows[kind][utt_id]
+        except KeyError:
+            raise KeyError(f"no {_KIND_NAMES[kind]} embedding stored for {utt_id!r}") from None
 
     def spk(self, utt_id: str) -> np.ndarray:
-        try:
-            return self._spk[utt_id]
-        except KeyError:
-            raise KeyError(f"no speaker embedding stored for {utt_id!r}") from None
+        return self.matrix("spk")[self.row("spk", utt_id)]
 
     def cm(self, utt_id: str) -> np.ndarray:
-        try:
-            return self._cm[utt_id]
-        except KeyError:
-            raise KeyError(f"no CM embedding stored for {utt_id!r}") from None
+        return self.matrix("cm")[self.row("cm", utt_id)]
 
 
 def save_embeddings(store: EmbeddingStore, path: str, comments: tuple[str, ...] = ()) -> None:
@@ -140,10 +149,9 @@ def save_embeddings(store: EmbeddingStore, path: str, comments: tuple[str, ...] 
         fh.write(f"#EMB v1 d_spk={store.d_spk} d_cm={store.d_cm}\n")
         for comment in comments:
             fh.write(f"# {comment}\n")
-        for utt_id, vec in store._spk.items():
-            fh.write(f"{utt_id}\tspk\t{','.join(format_float(x) for x in vec)}\n")
-        for utt_id, vec in store._cm.items():
-            fh.write(f"{utt_id}\tcm\t{','.join(format_float(x) for x in vec)}\n")
+        for kind in ("spk", "cm"):
+            for utt_id, vec in zip(store._rows[kind], store.matrix(kind)):
+                fh.write(f"{utt_id}\t{kind}\t{','.join(map(format_float, vec.tolist()))}\n")
 
 
 def load_embeddings(path: str) -> EmbeddingStore:
@@ -168,8 +176,7 @@ def load_embeddings(path: str) -> EmbeddingStore:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed float payload") from None
             try:
-                store.add(utt_id, spk=vec if kind == "spk" else None,
-                          cm=vec if kind == "cm" else None)
+                store.add(utt_id, **{kind: vec})
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return store
@@ -200,12 +207,40 @@ def parse_protocol(path: str, partition: str = "eval") -> Protocol:
     return Protocol(trials, partition)
 
 
-def trial_embeddings(store: EmbeddingStore, trial: Trial):
-    """Resolve a trial against the store; enrollment embeddings are averaged."""
-    from .fusion import TrialEmbeddings
+@dataclass(frozen=True)
+class TrialRows:
+    """Trials as store rows: ``enroll`` (N, E) speaker rows padded with row 0
+    up to the largest enrollment count E, the real ``count``, the test
+    speaker and CM rows and the labels. Indexing selects trials."""
 
-    enroll = np.mean([store.spk(e) for e in trial.enroll_ids], axis=0)
-    return TrialEmbeddings(enroll, store.spk(trial.test_id), store.cm(trial.test_id))
+    enroll: np.ndarray
+    count: np.ndarray
+    test_spk: np.ndarray
+    test_cm: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def __getitem__(self, idx) -> "TrialRows":
+        return TrialRows(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+
+def compile_trials(store: EmbeddingStore, trials) -> TrialRows:
+    """Resolve every id of a trial list to its store row, trial by trial, so
+    an unknown id raises the store's KeyError here; TrialRows pass through."""
+    if isinstance(trials, TrialRows):
+        return trials
+    enroll, test_spk, test_cm = [], [], []
+    for t in trials:
+        enroll.append([store.row("spk", e) for e in t.enroll_ids])
+        test_spk.append(store.row("spk", t.test_id))
+        test_cm.append(store.row("cm", t.test_id))
+    count = np.array([len(r) for r in enroll], dtype=np.intp)
+    width = max(count, default=1)
+    padded = np.array([r + [0] * (width - len(r)) for r in enroll], dtype=np.intp)
+    return TrialRows(padded.reshape(len(enroll), width), count, np.array(test_spk, dtype=np.intp),
+                     np.array(test_cm, dtype=np.intp), np.array([t.label for t in trials]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +289,10 @@ class SynthConfig:
             raise ValueError("spoof_shift and spoof_spk_noise must be >= 0")
 
     def speakers_for(self, partition: str) -> int:
-        return {
-            "train": self.train_speakers,
-            "dev": self.dev_speakers,
-            "eval": self.eval_speakers,
-        }[partition]
+        return getattr(self, f"{partition}_speakers")
 
     def trials_for(self, partition: str) -> int:
-        return {
-            "train": self.train_trials_per_label,
-            "dev": self.dev_trials_per_label,
-            "eval": self.eval_trials_per_label,
-        }[partition]
+        return getattr(self, f"{partition}_trials_per_label")
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[EmbeddingStore, dict[str, Protocol]]:

@@ -1,21 +1,25 @@
-"""Trial-level embedding fusion.
+"""Batch embedding fusion.
 
-A trial carries three vectors: the (averaged) enrollment speaker embedding,
-the test speaker embedding and the test countermeasure embedding. Three
-fusion modes turn them into a model input:
+A trial carries three vectors: the mean enrollment speaker embedding, the
+test speaker embedding and the test countermeasure embedding.
+``fuse_batch`` gathers them for a batch of compiled trials
+(``data.TrialRows``) from the store's matrices and fuses the whole batch
+into one C-contiguous float64 array with a leading batch axis:
 
-* ``concat``: flat concatenation, length d+b+q (DNN models).
-* ``stack1d``: zero-pad to the common length D = max(d,b,q) and stack as
-  three channels, shape 3xD (1D CNN models).
-* ``circ2d``: circulant matrix of each padded vector, stacked as three
-  channels, shape 3xDxD (2D CNN models).
+* ``concat``: flat concatenation, shape Bx(d+b+q) (DNN models).
+* ``stack1d``: right zero-padding to D = max(d,b,q), stacked as three
+  channels, shape Bx3xD (1D CNN models).
+* ``circ2d``: the circulant matrix of each padded vector, shape Bx3xDxD
+  (2D CNN models).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .data import EmbeddingStore, TrialRows
 
 CONCAT = "concat"
 STACK1D = "stack1d"
@@ -24,46 +28,12 @@ CIRC2D = "circ2d"
 MODES = (CONCAT, STACK1D, CIRC2D)
 
 
-def _as_embedding(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-@dataclass(frozen=True)
-class TrialEmbeddings:
-    """Per-trial embeddings; enroll_spk is the mean over enrollment utterances."""
-
-    enroll_spk: np.ndarray
-    test_spk: np.ndarray
-    test_cm: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "enroll_spk", _as_embedding(self.enroll_spk, "enroll_spk"))
-        object.__setattr__(self, "test_spk", _as_embedding(self.test_spk, "test_spk"))
-        object.__setattr__(self, "test_cm", _as_embedding(self.test_cm, "test_cm"))
-
-
-@dataclass(frozen=True)
-class FusedInput:
-    mode: str
-    tensor: np.ndarray
-
-
-def concat(te: TrialEmbeddings) -> FusedInput:
-    """[enroll_spk | test_spk | test_cm], order fixed."""
-    return FusedInput(CONCAT, np.concatenate([te.enroll_spk, te.test_spk, te.test_cm]))
-
-
-def pad_to_common(te: TrialEmbeddings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-pad each vector with zeros to D = max of the three lengths."""
-    d = max(te.enroll_spk.size, te.test_spk.size, te.test_cm.size)
-    return tuple(
-        np.pad(v, (0, d - v.size)) for v in (te.enroll_spk, te.test_spk, te.test_cm)
-    )
+@lru_cache(maxsize=None)
+def _circulant_index(n: int) -> np.ndarray:
+    """DxD table (j - i) mod D, read-only because it is shared."""
+    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    idx.setflags(write=False)
+    return idx
 
 
 def circulant(v: np.ndarray) -> np.ndarray:
@@ -75,30 +45,31 @@ def circulant(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"circulant needs a non-empty vector, got shape {v.shape}")
-    n = v.size
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return v[idx]
+    return np.take(v, _circulant_index(v.size))
 
 
-def stack_1d(te: TrialEmbeddings) -> FusedInput:
-    return FusedInput(STACK1D, np.stack(pad_to_common(te)))
-
-
-def stack_circulant_2d(te: TrialEmbeddings) -> FusedInput:
-    return FusedInput(CIRC2D, np.stack([circulant(v) for v in pad_to_common(te)]))
-
-
-_FUSE = {CONCAT: concat, STACK1D: stack_1d, CIRC2D: stack_circulant_2d}
-
-
-def fuse(te: TrialEmbeddings, mode: str) -> FusedInput:
-    if mode not in _FUSE:
+def fuse_batch(store: EmbeddingStore, rows: TrialRows, mode: str) -> np.ndarray:
+    """Fuse the compiled trials ``rows`` of ``store`` into one batch."""
+    if mode not in MODES:
         raise ValueError(f"unknown fusion mode {mode!r}, expected one of {MODES}")
-    return _FUSE[mode](te)
-
-
-def fuse_batch(tes: list[TrialEmbeddings], mode: str) -> np.ndarray:
-    """Fuse a list of trials into one batch array (leading batch axis)."""
-    if not tes:
+    if len(rows) == 0:
         raise ValueError("cannot fuse an empty batch")
-    return np.stack([fuse(te, mode).tensor for te in tes])
+    spk = store.matrix("spk")
+    enroll = spk[rows.enroll]
+    # a sum over padded slots; -0.0 is the exact additive identity, so the
+    # pads change no bit whether a reduction starts from +0.0 or its first term
+    enroll[np.arange(rows.enroll.shape[1]) >= rows.count[:, None]] = -0.0
+    vectors = (
+        enroll.sum(axis=1) / rows.count[:, None],
+        spk[rows.test_spk],
+        store.matrix("cm")[rows.test_cm],
+    )
+    if mode == CONCAT:
+        return np.hstack(vectors)
+    common = max(store.d_spk, store.d_cm)
+    stacked = np.zeros((len(rows), 3, common))
+    for channel, v in enumerate(vectors):
+        stacked[:, channel, : v.shape[1]] = v
+    if mode == STACK1D:
+        return stacked
+    return np.take(stacked, _circulant_index(common), axis=2)

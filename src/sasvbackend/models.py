@@ -26,7 +26,7 @@ start at zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -73,22 +73,18 @@ class ModelConfig:
             raise ValueError("at least one DNN layer is required")
 
 
-def _cfg(**kw) -> ModelConfig:
-    return ModelConfig(**kw)
-
-
 # Attention sits after the third conv block (index 2) in every attention
 # preset; the 1D pool target of 16 mirrors the 2D preset's 16x16.
 PRESETS: dict[str, ModelConfig] = {
-    "Extend512_DNN": _cfg(
+    "Extend512_DNN": ModelConfig(
         name="Extend512_DNN", fusion_mode=fusion.CONCAT, dnn_nodes=(512, 256, 128, 64)
     ),
-    "Extend1024_DNN": _cfg(
+    "Extend1024_DNN": ModelConfig(
         name="Extend1024_DNN",
         fusion_mode=fusion.CONCAT,
         dnn_nodes=(1024, 512, 256, 128, 64),
     ),
-    "CNN1D": _cfg(
+    "CNN1D": ModelConfig(
         name="CNN1D",
         fusion_mode=fusion.STACK1D,
         conv_channels=(256, 128, 64),
@@ -96,7 +92,7 @@ PRESETS: dict[str, ModelConfig] = {
         pool_size=(16,),
         dnn_nodes=(512, 256, 64),
     ),
-    "CNN1D_SE": _cfg(
+    "CNN1D_SE": ModelConfig(
         name="CNN1D_SE",
         fusion_mode=fusion.STACK1D,
         conv_channels=(256, 128, 64),
@@ -106,7 +102,7 @@ PRESETS: dict[str, ModelConfig] = {
         attention_kind=att.SE1D,
         attention_position=2,
     ),
-    "CNN1D_PA": _cfg(
+    "CNN1D_PA": ModelConfig(
         name="CNN1D_PA",
         fusion_mode=fusion.STACK1D,
         conv_channels=(256, 128, 64),
@@ -116,7 +112,7 @@ PRESETS: dict[str, ModelConfig] = {
         attention_kind=att.PA,
         attention_position=2,
     ),
-    "CNN2D": _cfg(
+    "CNN2D": ModelConfig(
         name="CNN2D",
         fusion_mode=fusion.CIRC2D,
         conv_channels=(32, 64, 128, 256),
@@ -124,7 +120,7 @@ PRESETS: dict[str, ModelConfig] = {
         pool_size=(16, 16),
         dnn_nodes=(256, 128, 64),
     ),
-    "CNN2D_SE": _cfg(
+    "CNN2D_SE": ModelConfig(
         name="CNN2D_SE",
         fusion_mode=fusion.CIRC2D,
         conv_channels=(32, 64, 128, 256),
@@ -134,7 +130,7 @@ PRESETS: dict[str, ModelConfig] = {
         attention_kind=att.SE2D,
         attention_position=2,
     ),
-    "CNN2D_VSE": _cfg(
+    "CNN2D_VSE": ModelConfig(
         name="CNN2D_VSE",
         fusion_mode=fusion.CIRC2D,
         conv_channels=(32, 64, 128, 256),
@@ -247,9 +243,6 @@ class Model:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -257,13 +250,17 @@ class Model:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
+    def _state(self) -> dict[str, np.ndarray]:
+        """All learnable arrays and BN buffers by checkpoint name, not copied."""
+        out = {name: p.data for name, p in self.params.items()}
+        for name, st in self.bn_stats.items():
+            out[f"{name}.running_mean"] = st.mean
+            out[f"{name}.running_var"] = st.var
+        return out
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of all learnable arrays and BN buffers, for snapshots."""
-        out = {name: p.data.copy() for name, p in self.params.items()}
-        for name, st in self.bn_stats.items():
-            out[f"{name}.running_mean"] = st.mean.copy()
-            out[f"{name}.running_var"] = st.var.copy()
-        return out
+        return {name: arr.copy() for name, arr in self._state().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
@@ -350,28 +347,51 @@ def save_checkpoint(model: Model, path: str) -> None:
             fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
 
 
+def _check_keys(path: str, what: str, got: dict, expected) -> None:
+    missing, unknown = sorted(set(expected) - set(got)), sorted(set(got) - set(expected))
+    if missing or unknown:
+        raise ValueError(f"{path}: {what} has missing keys {missing}, unknown keys {unknown}")
+
+
 def load_checkpoint(path: str) -> Model:
+    """Read a checkpoint; every header field, the config and the array
+    manifest are checked against the model they build, and any mismatch is
+    a ValueError naming the file."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    header = json.loads(header_line.decode())
-    if header.get("format") != CHECKPOINT_FORMAT:
+    try:
+        header = json.loads(header_line.decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: checkpoint header is not UTF-8 JSON: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    cfg_dict = dict(header["config"])
-    for key in ("conv_channels", "conv_kernels", "pool_size", "dnn_nodes"):
-        cfg_dict[key] = tuple(cfg_dict[key])
-    config = ModelConfig(**cfg_dict)
-    model = Model(config, tuple(header["dims"]), header["seed"])
-    counts = [int(np.prod(e["shape"])) if e["shape"] else 1 for e in header["arrays"]]
-    if len(blob) != 8 * sum(counts):
+    _check_keys(path, "checkpoint header", header,
+                ("arrays", "config", "dims", "format", "seed", "version"))
+    cfg_dict = header["config"] if isinstance(header["config"], dict) else {}
+    _check_keys(path, "checkpoint config", cfg_dict, [f.name for f in fields(ModelConfig)])
+    try:
+        cfg_dict = dict(cfg_dict)
+        for key in ("conv_channels", "conv_kernels", "pool_size", "dnn_nodes"):
+            cfg_dict[key] = tuple(cfg_dict[key])
+        model = Model(ModelConfig(**cfg_dict), tuple(header["dims"]), header["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: checkpoint config, dims or seed build no model: {exc}") from None
+    state = model._state()
+    expected = [{"name": n, "shape": list(a.shape)} for n, a in state.items()]
+    if header["arrays"] != expected:
+        got = header["arrays"] if isinstance(header["arrays"], list) else []
+        bad = [e["name"] for e in expected if e not in got] or "extra or reordered entries"
+        raise ValueError(f"{path}: checkpoint array manifest does not match the model: {bad}")
+    if len(blob) != 8 * sum(a.size for a in state.values()):
         raise ValueError(f"{path}: checkpoint payload size mismatch")
     arrays = {}
     offset = 0
-    for entry, count in zip(header["arrays"], counts):
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(tuple(entry["shape"]))
-        offset += count * 8
+    for name, arr in state.items():
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset
+                                     ).reshape(arr.shape)
+        offset += arr.size * 8
     model.load_state_arrays(arrays)
     return model

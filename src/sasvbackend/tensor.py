@@ -26,10 +26,8 @@ __all__ = [
     "RunningStats",
     "recording",
     "active_tape",
-    "backward",
     "add",
     "mul",
-    "scale",
     "matmul",
     "linear",
     "conv1d",
@@ -143,10 +141,6 @@ def recording(tape: Tape | None = None):
         stack.pop()
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    tape.backward(loss)
-
-
 def _finish(out: Tensor, inputs: tuple[Tensor, ...], rule) -> Tensor:
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -213,19 +207,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape), own=True)
 
     return _finish(out, (a, b), rule)
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(x.data * s)
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g * s, own=True)
-
-    return _finish(out, (x,), rule)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

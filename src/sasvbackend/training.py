@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from ._mem import tune_malloc
-from .data import EmbeddingStore, Trial, trial_embeddings
+from .data import EmbeddingStore, Trial, TrialRows, compile_trials
 from .fusion import fuse_batch
 from .metrics import ScoreSet, evaluate
 from .models import Model
@@ -94,14 +94,6 @@ class Adam:
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def adam_step(named_params, state: Adam, lr: float, weight_decay: float = 0.0) -> Adam:
-    """Functional wrapper over Adam.step for callers that hold state separately."""
-    if state is None:
-        state = Adam(named_params)
-    state.step(lr, weight_decay)
-    return state
-
-
 @dataclass
 class EpochLog:
     epoch: int
@@ -142,27 +134,28 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
     return chunks
 
 
-def score_trials(model: Model, trials: list[Trial], store: EmbeddingStore,
+def score_trials(model: Model, trials: list[Trial] | TrialRows, store: EmbeddingStore,
                  batch_size: int = 256) -> np.ndarray:
     """Per-trial target probabilities in protocol order (eval mode)."""
     mode = model.config.fusion_mode
+    rows = compile_trials(store, trials)
     was_training = model.training
     model.eval()
-    out = np.empty(len(trials))
-    for i in range(0, len(trials), batch_size):
-        chunk = trials[i : i + batch_size]
-        batch = fuse_batch([trial_embeddings(store, t) for t in chunk], mode)
-        out[i : i + len(chunk)] = model.score_batch(batch, mode)
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), batch_size):
+        batch = fuse_batch(store, rows[i : i + batch_size], mode)
+        out[i : i + len(batch)] = model.score_batch(batch, mode)
     if was_training:
         model.train()
     return out
 
 
-def evaluate_trials(model: Model, trials: list[Trial], store: EmbeddingStore,
+def evaluate_trials(model: Model, trials: list[Trial] | TrialRows, store: EmbeddingStore,
                     batch_size: int = 256):
-    scores = score_trials(model, trials, store, batch_size)
-    ids = [f"t{i:06d}" for i in range(len(trials))]
-    return evaluate(ScoreSet(ids, scores, [t.label for t in trials]))
+    rows = compile_trials(store, trials)
+    scores = score_trials(model, rows, store, batch_size)
+    ids = [f"t{i:06d}" for i in range(len(rows))]
+    return evaluate(ScoreSet(ids, scores, rows.labels.tolist()))
 
 
 def fit(
@@ -190,7 +183,8 @@ def fit(
         select_best = dev_trials is not None
 
     mode = model.config.fusion_mode
-    embeddings = [trial_embeddings(store, t) for t in train_trials]
+    train_rows = compile_trials(store, train_trials)
+    dev_rows = compile_trials(store, dev_trials) if dev_trials is not None else None
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.named_parameters())
     result = FitResult()
@@ -205,7 +199,7 @@ def fit(
         total = 0.0
         last_lr = lr_at(step, cfg)
         for idx in _batches(n, cfg.batch_size, perm):
-            batch = fuse_batch([embeddings[i] for i in idx], mode)
+            batch = fuse_batch(store, train_rows[idx], mode)
             model.zero_grads()
             with T.recording() as tape:
                 logits = model.forward(batch, mode)
@@ -222,8 +216,8 @@ def fit(
             step += 1
 
         log = EpochLog(epoch=epoch, mean_loss=total / n, lr=last_lr)
-        if dev_trials is not None:
-            report = evaluate_trials(model, dev_trials, store, cfg.batch_size)
+        if dev_rows is not None:
+            report = evaluate_trials(model, dev_rows, store, cfg.batch_size)
             log.dev_sasv = report.sasv_eer
             log.dev_spf = report.spf_eer
             log.dev_sv = report.sv_eer

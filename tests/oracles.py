@@ -172,6 +172,24 @@ def circulant_loops(v):
     return out
 
 
+def fuse_trials_loop(spk, cm, trials, mode):
+    """Per-trial fusion of (enroll_ids, test_id) pairs over id -> vector
+    dicts: np.mean over the enrollment vectors, then concatenation, right
+    zero-padding and circulant matrices one trial at a time."""
+    out = []
+    for enroll_ids, test_id in trials:
+        vecs = [np.mean([spk[e] for e in enroll_ids], axis=0), spk[test_id], cm[test_id]]
+        if mode == "concat":
+            out.append(np.concatenate(vecs))
+            continue
+        common = max(v.size for v in vecs)
+        padded = [np.concatenate([v, np.zeros(common - v.size)]) for v in vecs]
+        if mode == "circ2d":
+            padded = [circulant_loops(v) for v in padded]
+        out.append(np.stack(padded))
+    return np.stack(out)
+
+
 def sigmoid_scalar(z):
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))

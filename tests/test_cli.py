@@ -121,6 +121,79 @@ class TestTrain:
         assert result.returncode == 2
         assert "learning_rate" in result.stderr
 
+    @pytest.mark.parametrize("line, expected", [
+        ("select_best=ture", "'ture'"),
+        ("epochs=abc", "'abc'"),
+    ])
+    def test_bad_value_cites_file_and_line(self, tmp_path, line, expected):
+        (tmp_path / "bad.cfg").write_text(
+            "model=CNN1D\nembeddings=e.tsv\ntrain_protocol=t.protocol\nout_dir=o\n"
+            f"{line}\n"
+        )
+        result = run_cli(["train", "--run-file", "bad.cfg"], tmp_path)
+        assert result.returncode == 2
+        assert "error[invalid-input]" in result.stderr
+        assert "bad.cfg:5:" in result.stderr and expected in result.stderr
+
+    def test_bool_values(self, tmp_path):
+        base = "model=CNN1D\nembeddings=e.tsv\ntrain_protocol=t.protocol\nout_dir=o\n"
+        for e in ("e.tsv", "t.protocol"):
+            (tmp_path / e).write_text("")
+        for text, flag in (("TRUE", True), ("yes", True), ("1", True),
+                           ("false", False), ("No", False), ("0", False)):
+            (tmp_path / "run.cfg").write_text(base + f"select_best={text}\nepochs=7\n")
+            cfg = cli.ExperimentConfig.parse(str(tmp_path / "run.cfg"), str(tmp_path))
+            assert cfg.select_best is flag and cfg.epochs == 7
+
+
+def rewrite_checkpoint(src, dst, edit_header=None, raw_header=None):
+    """Copy a checkpoint with its JSON header edited in place or replaced."""
+    header, blob = src.read_bytes().split(b"\n", 1)
+    if edit_header is not None:
+        payload = json.loads(header)
+        edit_header(payload)
+        header = json.dumps(payload).encode()
+    dst.write_bytes((raw_header if raw_header is not None else header) + b"\n" + blob)
+
+
+class TestCheckpointHeader:
+    def _score(self, workspace, tmp_path, **kw):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(workspace / "run1" / "checkpoint.ckpt", bad, **kw)
+        result = run_cli(
+            ["score", "--checkpoint", str(bad),
+             "--embeddings", str(workspace / "data" / "embeddings.tsv"),
+             "--protocol", str(workspace / "data" / "eval.protocol"), "--out", "x.scores"],
+            tmp_path,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "error[invalid-input]" in result.stderr and "bad.ckpt" in result.stderr
+        assert not (tmp_path / "x.scores").exists()
+        return result.stderr
+
+    def test_missing_header_key(self, workspace, tmp_path):
+        stderr = self._score(workspace, tmp_path, edit_header=lambda h: h.pop("dims"))
+        assert "missing keys ['dims']" in stderr
+
+    def test_unknown_config_key(self, workspace, tmp_path):
+        stderr = self._score(
+            workspace, tmp_path, edit_header=lambda h: h["config"].update(dropout=0.5))
+        assert "unknown keys ['dropout']" in stderr
+
+    def test_non_utf8_header(self, workspace, tmp_path):
+        stderr = self._score(workspace, tmp_path, raw_header=b"\xff\xfe{}")
+        assert "UTF-8" in stderr
+
+    def test_dropped_array_entry(self, workspace, tmp_path):
+        stderr = self._score(workspace, tmp_path, edit_header=lambda h: h["arrays"].pop())
+        assert "array manifest" in stderr and "['head.b']" in stderr
+
+    def test_wrong_array_shape(self, workspace, tmp_path):
+        def widen(h):
+            h["arrays"][0]["shape"][0] += 1
+        stderr = self._score(workspace, tmp_path, edit_header=widen)
+        assert "array manifest" in stderr and "['fc0.w']" in stderr
+
 
 class TestScore:
     def test_rescoring_is_byte_identical(self, workspace):
@@ -202,6 +275,20 @@ class TestEval:
         assert f"{GOLDEN_EERS['spf']:.3f}" in result.stdout
         assert f"{GOLDEN_EERS['sv']:.3f}" in result.stdout
 
+    def test_partial_score_file_rejected(self, workspace, tmp_path):
+        lines = (workspace / "run1" / "eval.scores").read_text().splitlines(keepends=True)
+        (tmp_path / "part.scores").write_text("".join(lines[:9]))  # comment + 8 trials
+        result = run_cli(
+            ["eval", "--scores", str(tmp_path / "part.scores"),
+             "--protocol", str(workspace / "data" / "eval.protocol")],
+            tmp_path,
+        )
+        assert result.returncode == 2
+        assert "error[invalid-input]" in result.stderr and "part.scores" in result.stderr
+        assert "82 protocol trials have no score" in result.stderr
+        assert "t000008" in result.stderr
+        assert "SASV-EER" not in result.stdout
+
     def test_missing_score_file_gives_categorized_error(self, workspace):
         result = run_cli(
             ["eval", "--scores", "nope.scores", "--protocol", "data/eval.protocol"],
@@ -255,6 +342,23 @@ class TestFuse:
         )
         assert result.returncode == 2
         assert "calibration" in result.stderr
+
+    def test_partial_calibration_file_rejected(self, workspace, second_scores):
+        lines = (workspace / "run1" / "eval.scores").read_text().splitlines(keepends=True)
+        (workspace / "run1" / "cal_part.scores").write_text("".join(lines[:-1]))
+        result = run_cli(
+            ["fuse", "--method", "linear",
+             "--scores", "run1/eval.scores", second_scores,
+             "--protocol", "data/eval.protocol",
+             "--calibration-scores", "run1/eval.scores", "run1/cal_part.scores",
+             "--calibration-protocol", "data/eval.protocol",
+             "--out", "run1/fpart.scores"],
+            workspace,
+        )
+        assert result.returncode == 2
+        assert "cal_part.scores" in result.stderr
+        assert "1 protocol trials have no score" in result.stderr
+        assert not (workspace / "run1" / "fpart.scores").exists()
 
     def test_flag_error_reported_before_reading_scores(self, workspace):
         result = run_cli(

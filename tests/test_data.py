@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sasvbackend import data, models, training
+from sasvbackend import data, fusion, models, training
 from sasvbackend.data import (
     EmbeddingStore,
     Protocol,
@@ -11,8 +11,8 @@ from sasvbackend.data import (
     load_embeddings,
     parse_protocol,
     save_embeddings,
+    compile_trials,
     save_protocol,
-    trial_embeddings,
 )
 
 
@@ -155,8 +155,9 @@ class TestTrialEmbeddings:
         store.add("e1", spk=e1)
         store.add("e2", spk=e2)
         store.add("t", spk=rng.normal(size=3), cm=rng.normal(size=2))
-        te = trial_embeddings(store, Trial(("e1", "e2"), "t", "target"))
-        np.testing.assert_allclose(te.enroll_spk, (e1 + e2) / 2)
+        rows = compile_trials(store, [Trial(("e1", "e2"), "t", "target")])
+        fused = fusion.fuse_batch(store, rows, fusion.CONCAT)
+        np.testing.assert_allclose(fused[0, :3], (e1 + e2) / 2)
 
 
 class TestGenerator:
@@ -198,8 +199,9 @@ class TestGenerator:
     def test_every_trial_resolvable(self):
         store, protocols = generate_synthetic(SynthConfig(seed=4))
         for protocol in protocols.values():
-            for trial in protocol.trials:
-                trial_embeddings(store, trial)
+            rows = compile_trials(store, protocol.trials)
+            assert len(rows) == len(protocol)
+            assert np.all(rows.count == [len(t.enroll_ids) for t in protocol.trials])
 
     def test_single_utterance_config_rejected(self):
         with pytest.raises(ValueError, match="utterances_per_speaker"):

@@ -4,7 +4,7 @@ import pytest
 import oracles
 
 from sasvbackend import attention as att
-from sasvbackend import fusion, metrics, models
+from sasvbackend import data, fusion, metrics, models
 from sasvbackend.models import ModelConfig, PRESETS, build
 
 CHALLENGE_DIMS = (192, 192, 160)
@@ -37,14 +37,14 @@ GOLDEN_PARAM_COUNTS = {
 
 
 def random_trial_batch(rng, n, mode, dims=DESK_DIMS):
-    d, b, q = dims
-    tes = [
-        fusion.TrialEmbeddings(
-            rng.normal(size=d), rng.normal(size=b), rng.normal(size=q)
-        )
-        for _ in range(n)
-    ]
-    return fusion.fuse_batch(tes, mode)
+    d, _, q = dims
+    store = data.EmbeddingStore(d, q)
+    trials = []
+    for i in range(n):
+        store.add(f"e{i}", spk=rng.normal(size=d))
+        store.add(f"t{i}", spk=rng.normal(size=d), cm=rng.normal(size=q))
+        trials.append(data.Trial((f"e{i}",), f"t{i}", "target"))
+    return fusion.fuse_batch(store, data.compile_trials(store, trials), mode)
 
 
 class TestPresetFidelity:

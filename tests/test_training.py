@@ -206,6 +206,23 @@ class TestFit:
         line = result.logs[0].format_line()
         assert "epoch=1" in line and "dev_sasv=" in line
 
+    def test_unknown_dev_id_raises_before_any_step(self, monkeypatch):
+        store, protos = tiny_synth(seed=4)
+        dev = protos["dev"].trials + [data.Trial(("ghost",), protos["dev"].trials[0].test_id,
+                                                 "target")]
+        model = models.build(TINY_DNN, (8, 8, 6), seed=4)
+        before = model.state_arrays()
+
+        def no_step(self, *args, **kwargs):
+            raise AssertionError("optimizer stepped before the dev ids were resolved")
+
+        monkeypatch.setattr(training.Adam, "step", no_step)
+        with pytest.raises(KeyError, match="no speaker embedding stored for 'ghost'"):
+            fit(model, protos["train"].trials, TrainConfig(batch_size=16, epochs=2), store,
+                dev_trials=dev)
+        after = model.state_arrays()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
     def test_synthetic_workload_reaches_low_eer(self):
         """End-to-end: the generator's default-style workload is learnable
         to SASV-EER <= 2% held out."""
@@ -223,6 +240,11 @@ class TestFit:
 
 
 class TestScoreTrials:
+    def test_empty_trial_list_gives_no_scores(self):
+        store, _ = tiny_synth(seed=2)
+        model = models.build(TINY_DNN, (8, 8, 6), seed=2).eval()
+        assert training.score_trials(model, [], store).shape == (0,)
+
     def test_scores_align_with_protocol_order(self, rng):
         store, protos = tiny_synth(seed=2)
         model = models.build(TINY_DNN, (8, 8, 6), seed=2).eval()
