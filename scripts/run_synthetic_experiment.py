@@ -12,7 +12,6 @@ import time
 from dataclasses import asdict, fields
 
 from sasvbackend import data, models, training
-from sasvbackend._mem import tune_malloc
 from sasvbackend.cli import config_digest
 from sasvbackend.metrics import write_score_file
 
@@ -27,17 +26,18 @@ def main():
     parser.add_argument("--use-dev", action="store_true",
                         help="score dev each epoch and keep the best-dev checkpoint")
     for field in fields(data.SynthConfig):
+        if field.name == "seed":  # --seed above seeds the generator too
+            continue
         kind = float if field.type == "float" else int
         parser.add_argument(f"--{field.name.replace('_', '-')}", type=kind, default=None)
     args = parser.parse_args()
 
-    tune_malloc()
     synth_kwargs = {
         f.name: getattr(args, f.name)
         for f in fields(data.SynthConfig)
-        if getattr(args, f.name) is not None
+        if f.name != "seed" and getattr(args, f.name) is not None
     }
-    synth_kwargs.setdefault("seed", args.seed)
+    synth_kwargs["seed"] = args.seed
     cfg = data.SynthConfig(**synth_kwargs)
     print(f"generating synthetic workload (config {config_digest(asdict(cfg))})")
     store, protocols = data.generate_synthetic(cfg)

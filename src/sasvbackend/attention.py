@@ -3,7 +3,9 @@
 Four kinds are available:
 
 * ``SE1D`` / ``SE2D``: squeeze-and-excitation channel gating with a
-  bottleneck of reduction ratio r (ReLU between the two linear maps).
+  bottleneck of reduction ratio r (ReLU between the two linear maps). One
+  block, ``se_attention``, serves both; the kind fixes the input rank
+  (BxCxF or BxCxHxW) and the squeeze averages over every axis after C.
 * ``PA``: parallel attention. Two pooled views of a BxCxF tensor, one over
   channels and one over features, each pass through their own two-layer
   sigmoid bottleneck; both gates multiply the original tensor with
@@ -115,28 +117,27 @@ def parallel_attention(t: Tensor, params: AttentionParams) -> Tensor:
     return out
 
 
-def se_attention_1d(t: Tensor, params: AttentionParams) -> Tensor:
-    """Channel gate for BxCxF: squeeze over F, bottleneck, sigmoid, rescale."""
-    _check_kind(params, SE1D)
-    if t.data.ndim != 3:
-        raise T.DimensionError(f"SE1D needs BxCxF input, got {t.shape}")
-    b, c, _ = t.shape
-    w = params.weights
-    squeeze = T.mean(t, axis=2)
-    gate = T.sigmoid(T.matmul(T.relu(T.matmul(squeeze, w["wa"])), w["wb"]))
-    return T.mul(t, T.reshape(gate, (b, c, 1)))
+_SE_INPUT = {SE1D: (3, "BxCxF"), SE2D: (4, "BxCxHxW")}
 
 
-def se_attention_2d(t: Tensor, params: AttentionParams) -> Tensor:
-    """Channel gate for BxCxHxW with the squeeze averaging over HxW."""
-    _check_kind(params, SE2D)
-    if t.data.ndim != 4:
-        raise T.DimensionError(f"SE2D needs BxCxHxW input, got {t.shape}")
-    b, c, _, _ = t.shape
+def se_attention(t: Tensor, params: AttentionParams) -> Tensor:
+    """Channel gate for SE1D (BxCxF) and SE2D (BxCxHxW) input.
+
+    The squeeze averages over each trailing axis in turn, last axis first;
+    a bottleneck, a ReLU and a sigmoid turn it into one gate per channel,
+    which rescales the input.
+    """
+    if params.kind not in _SE_INPUT:
+        raise ValueError(f"expected {SE1D} or {SE2D} params, got {params.kind}")
+    rank, layout = _SE_INPUT[params.kind]
+    if t.data.ndim != rank:
+        raise T.DimensionError(f"{params.kind} needs {layout} input, got {t.shape}")
     w = params.weights
-    squeeze = T.mean(T.mean(t, axis=3), axis=2)
+    squeeze = t
+    for axis in range(rank - 1, 1, -1):
+        squeeze = T.mean(squeeze, axis=axis)
     gate = T.sigmoid(T.matmul(T.relu(T.matmul(squeeze, w["wa"])), w["wb"]))
-    return T.mul(t, T.reshape(gate, (b, c, 1, 1)))
+    return T.mul(t, T.reshape(gate, t.shape[:2] + (1,) * (rank - 2)))
 
 
 def _axis_gate(pooled: Tensor, wa: Tensor, wout: Tensor) -> Tensor:
@@ -164,8 +165,8 @@ def vse_attention(t: Tensor, params: AttentionParams) -> Tensor:
 
 _APPLY = {
     PA: parallel_attention,
-    SE1D: se_attention_1d,
-    SE2D: se_attention_2d,
+    SE1D: se_attention,
+    SE2D: se_attention,
     VSE: vse_attention,
 }
 

@@ -1,13 +1,21 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written as plain index loops (or scalar
-arithmetic) so it shares no code path with the package. Slow and obvious on
-purpose.
+The tests and ``selftest`` both import this module, so each reference exists
+once. Everything here is deliberately written as plain index loops (or
+scalar arithmetic) so it shares no code path with what it checks. Slow and
+obvious on purpose. The one exception is ``finite_difference_check``: it
+needs the tape to obtain the gradients under test, but its numeric side
+only re-evaluates the forward pass.
+
+Only ``math``, ``numpy`` and ``sasvbackend.tensor`` are imported: ``selftest``
+must run without the test extras.
 """
 
 import math
 
 import numpy as np
+
+from . import tensor as T
 
 
 def matmul_loops(a, b):
@@ -135,15 +143,15 @@ def adam_sequence_loops(param0, grads, lrs, weight_decay,
 
 
 def eer_bruteforce(pos, neg):
-    """EER by evaluating FAR/FRR at every midpoint between consecutive
-    distinct scores (plus outer sentinels) and interpolating the crossing."""
+    """EER by evaluating FAR/FRR (accept when score >= threshold) at every
+    distinct score and above the top one, and interpolating the crossing.
+
+    Every threshold in (a, b] between consecutive distinct scores a < b gives
+    the counts of b, so b stands for the gap; a midpoint would round onto a
+    when a and b are adjacent floats (0.0 and 5e-324)."""
     pos = [float(x) for x in pos]
     neg = [float(x) for x in neg]
-    distinct = sorted(set(pos) | set(neg))
-    thresholds = [distinct[0] - 1.0]
-    for a, b in zip(distinct, distinct[1:]):
-        thresholds.append((a + b) / 2.0)
-    thresholds.append(distinct[-1] + 1.0)
+    thresholds = sorted(set(pos) | set(neg)) + [math.inf]
 
     points = []
     for t in thresholds:
@@ -279,3 +287,44 @@ def vse_reference(t, wa, wh, ww):
                         t[bi, ci, hi, wi] * gates_h[hi][ci] * gates_w[wi][ci]
                     )
     return out
+
+
+def finite_difference_check(make_loss, tensors, h=1e-6):
+    """Worst relative error between tape gradients and central differences.
+
+    `tensors` maps names to the tensors to check; `make_loss` must rebuild the
+    scalar loss from their current data. Relative error uses
+    max(1, |analytic|, |numeric|) as denominator.
+    """
+    for t in tensors.values():
+        t.zero_grad()
+    with T.recording() as tape:
+        loss = make_loss()
+    tape.backward(loss)
+    worst = 0.0
+    for name, t in tensors.items():
+        assert t.grad is not None, f"{name} missing gradient after backward"
+        analytic = t.grad.copy()
+        numeric = np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        nflat = numeric.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = make_loss().item()
+            flat[i] = orig - h
+            down = make_loss().item()
+            flat[i] = orig
+            nflat[i] = (up - down) / (2 * h)
+        err = np.abs(analytic - numeric) / np.maximum(
+            1.0, np.maximum(np.abs(analytic), np.abs(numeric))
+        )
+        worst = max(worst, float(err.max()))
+    return worst
+
+
+def random_projection_loss(out, rng):
+    """Project an op output to a scalar with fixed random coefficients so the
+    finite-difference check exercises every output element."""
+    proj = T.Tensor(rng.uniform(-1.0, 1.0, out.shape))
+    return T.sum_all(T.mul(out, proj))

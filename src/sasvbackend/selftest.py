@@ -1,234 +1,120 @@
-"""Built-in oracle and invariant checks, runnable from the CLI.
+"""Built-in checks behind the `selftest` command: a table of ``(name, check)``.
 
-Each check recomputes an operation through an independent, deliberately
-naive route (index loops, scalar math, midpoint threshold sweeps) and
-compares against the library path. Exit status communicates the verdict so
-the suite can gate deployments without a test harness installed.
+Each check compares library calls with their reference in :mod:`sasvbackend.oracles`
+on seeded cases and returns ``(ok, detail)``; ``batch-norm-moments`` is an invariant
+with no oracle. A check that raises has failed. No test harness is needed.
 """
 
-from __future__ import annotations
-
-import math
 import time
 
 import numpy as np
 
 from . import attention as att
-from . import fusion, metrics
+from . import fusion, metrics, oracles, training
 from . import tensor as T
-from ._mem import tune_malloc
 from .tensor import RunningStats, Tensor
-from .training import Adam, weighted_cross_entropy
 
 
-def _fd_gradcheck(make_loss, tensors, h=1e-6):
-    for t in tensors:
-        t.zero_grad()
-    with T.recording() as tape:
-        loss = make_loss()
-    tape.backward(loss)
-    worst = 0.0
-    for t in tensors:
-        analytic = t.grad.copy()
-        flat = t.data.reshape(-1)
-        nflat = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = make_loss().item()
-            flat[i] = orig - h
-            down = make_loss().item()
-            flat[i] = orig
-            nflat[i] = (up - down) / (2 * h)
-        numeric = nflat.reshape(t.data.shape)
-        err = np.abs(analytic - numeric) / np.maximum(
-            1.0, np.maximum(np.abs(analytic), np.abs(numeric))
-        )
-        worst = max(worst, float(err.max()))
-    return worst
-
-
-def _projected(out, rng):
-    return T.sum_all(T.mul(out, Tensor(rng.uniform(-1, 1, out.shape))))
+def _worst(pairs, tol, label="max deviation"):
+    worst = max(float(np.max(np.abs(np.subtract(got, ref)))) for got, ref in pairs)
+    return worst < tol, f"{label} {worst:.3g}"
 
 
 def check_layer_gradients():
     rng = np.random.default_rng(0)
-    worst = 0.0
-
-    x = Tensor(rng.uniform(-1, 1, (2, 3, 6)), requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, (4, 3, 3)), requires_grad=True)
-    b = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-    worst = max(worst, _fd_gradcheck(
-        lambda: _projected(T.conv1d(x, w, b, 1, 1), np.random.default_rng(1)), [x, w, b]))
-
-    x2 = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)), requires_grad=True)
-    w2 = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
-    b2 = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-    worst = max(worst, _fd_gradcheck(
-        lambda: _projected(T.conv2d(x2, w2, b2, 1, 1), np.random.default_rng(1)), [x2, w2, b2]))
-
-    xb = Tensor(rng.uniform(-1, 1, (4, 3, 5)), requires_grad=True)
-    gm = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
-    bt = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-    stats = RunningStats(3)
-    worst = max(worst, _fd_gradcheck(
-        lambda: _projected(T.batch_norm(xb, gm, bt, stats.copy(), True),
-                           np.random.default_rng(1)), [xb, gm, bt]))
-
-    xp = Tensor(rng.uniform(-1, 1, (2, 3, 10)), requires_grad=True)
-    worst = max(worst, _fd_gradcheck(
-        lambda: _projected(T.adaptive_avg_pool1d(xp, 3), np.random.default_rng(1)), [xp]))
-
+    cases = [  # (op, shapes of its random inputs, further tensors to check)
+        (lambda x, w, b: T.conv1d(x, w, b, 1, 1), [(2, 3, 6), (4, 3, 3), 4], {}),
+        (lambda x, w, b: T.conv2d(x, w, b, 1, 1), [(2, 2, 5, 5), (3, 2, 3, 3), 3], {}),
+        (lambda x, g, b: T.batch_norm(x, g, b, RunningStats(3), True), [(4, 3, 5), 3, 3], {}),
+        (lambda x: T.adaptive_avg_pool1d(x, 3), [(2, 3, 10)], {}),
+        (lambda x: T.adaptive_avg_pool2d(x, (2, 3)), [(2, 2, 5, 7)], {}),
+    ]
     for kind, shape in ((att.PA, (2, 3, 4)), (att.SE1D, (2, 3, 4)),
                         (att.SE2D, (2, 3, 3, 4)), (att.VSE, (2, 3, 3, 4))):
-        params = att.AttentionParams.init(
-            kind, np.random.default_rng(5), channels=3, features=4, reduction=2)
-        xa = Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
-        tensors = [xa] + [wt for _, wt in params.named_weights()]
-        worst = max(worst, _fd_gradcheck(
-            lambda: _projected(att.apply_attention(xa, params),
-                               np.random.default_rng(1)), tensors))
-
+        p = att.AttentionParams.init(kind, rng, channels=3, features=4, reduction=2)
+        cases.append((lambda x, p=p: att.apply_attention(x, p), [shape], p.weights))
+    worst = 0.0
+    for op, shapes, fixed in cases:
+        ts = [Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in shapes]
+        worst = max(worst, oracles.finite_difference_check(
+            lambda: oracles.random_projection_loss(op(*ts), np.random.default_rng(1)),
+            {**{f"arg{i}": t for i, t in enumerate(ts)}, **fixed}))
     return worst < 1e-6, f"max relative gradient error {worst:.3g}"
 
 
-def check_conv_oracle():
+def check_conv(conv, oracle, x_shape):
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(5):
-        x = rng.uniform(-1, 1, (2, 3, 8))
-        w = rng.uniform(-1, 1, (4, 3, 3))
-        b = rng.uniform(-1, 1, 4)
-        got = T.conv1d(Tensor(x), Tensor(w), Tensor(b), 1, 1).data
-        ref = np.zeros_like(got)
-        for bi in range(2):
-            for co in range(4):
-                for lo in range(8):
-                    acc = b[co]
-                    for ci in range(3):
-                        for ki in range(3):
-                            src = lo + ki - 1
-                            if 0 <= src < 8:
-                                acc += x[bi, ci, src] * w[co, ci, ki]
-                    ref[bi, co, lo] = acc
-        worst = max(worst, float(np.abs(got - ref).max()))
-    return worst < 1e-12, f"max deviation {worst:.3g}"
+    w_shape = (4, x_shape[1]) + (3,) * (len(x_shape) - 2)
+    cases = [(*(rng.uniform(-1, 1, s) for s in (x_shape, w_shape, 4)), st, pad)
+             for st, pad in ((1, 1), (1, 0), (2, 1), (2, 2), (1, 2))]
+    return _worst(((conv(Tensor(x), Tensor(w), Tensor(b), st, pad).data,
+                    oracle(x, w, b, st, pad)) for x, w, b, st, pad in cases), 1e-12)
 
 
-def check_circulant_properties():
+def check_circulant():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(1, 32))
-        v = rng.normal(size=n)
+    for v in (rng.normal(size=int(rng.integers(1, 32))) for _ in range(20)):
         mat = fusion.circulant(v)
-        for i in range(n):
-            if not np.array_equal(np.roll(mat[i], 1), mat[(i + 1) % n]):
-                return False, f"row rotation broken at D={n}"
-            for j in range(n):
-                if mat[i, j] != v[(j - i) % n]:
-                    return False, f"index structure broken at D={n}"
-        if not np.allclose(mat.sum(axis=1), v.sum(), atol=1e-9):
-            return False, f"row sums broken at D={n}"
-    return True, "rotation, index structure and row sums hold"
+        if not (np.array_equal(mat, oracles.circulant_loops(v))
+                and np.allclose(mat.sum(axis=1), v.sum(), atol=1e-9)):
+            return False, f"loop oracle or row sums broken at D={v.size}"
+    return True, "matches the loop oracle and row sums hold"
 
 
-def check_eer_oracle():
+def check_eer():
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(40):
-        n_pos = int(rng.integers(1, 80))
-        n_neg = int(rng.integers(1, 80))
-        scores = np.round(rng.uniform(0, 1, n_pos + n_neg), int(rng.integers(1, 4)))
-        pos, neg = scores[:n_pos], scores[n_pos:]
-        got, _ = metrics.eer(pos, neg)
-        distinct = sorted(set(pos.tolist()) | set(neg.tolist()))
-        thresholds = [distinct[0] - 1.0]
-        thresholds += [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
-        thresholds.append(distinct[-1] + 1.0)
-        prev = None
-        ref = None
-        for t in thresholds:
-            far = float(np.mean(neg >= t))
-            frr = float(np.mean(pos < t))
-            if far - frr <= 0:
-                if far == frr:
-                    ref = far
-                else:
-                    pf, pr = prev
-                    frac = (pf - pr) / ((pf - pr) - (far - frr))
-                    ref = pf + frac * (far - pf)
-                break
-            prev = (far, frr)
-        worst = max(worst, abs(got - ref))
-    return worst < 1e-9, f"max |library - bruteforce| = {worst:.3g}"
+    cases = [np.split(np.round(rng.uniform(0, 1, n_pos + n_neg), rng.integers(1, 4)), [n_pos])
+             for n_pos, n_neg in rng.integers(1, 80, (40, 2))]
+    return _worst(((metrics.eer(pos, neg)[0], oracles.eer_bruteforce(pos, neg))
+                   for pos, neg in cases), 1e-9, "max |library - bruteforce| =")
 
 
-def check_adam_oracle():
+def check_adam():
     rng = np.random.default_rng(4)
-    p0 = rng.uniform(-1, 1, 4)
+    p0, grads = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (5, 4))
     p = Tensor(p0.copy(), requires_grad=True)
-    state = Adam([("p", p)])
-    ref = p0.copy()
-    m = np.zeros(4)
-    v = np.zeros(4)
-    for t in range(1, 6):
-        g = rng.uniform(-1, 1, 4)
+    state = training.Adam([("p", p)])
+    for g in grads:
         p.grad = g.copy()
         state.step(lr=1e-2, weight_decay=1e-3)
-        gd = g + 1e-3 * ref
-        m = 0.9 * m + 0.1 * gd
-        v = 0.999 * v + 0.001 * gd * gd
-        ref = ref - 1e-2 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-    worst = float(np.abs(p.data - ref).max())
-    return worst < 1e-12, f"max deviation {worst:.3g}"
+    return _worst([(p.data, oracles.adam_sequence_loops(p0, grads, [1e-2] * 5, 1e-3))], 1e-12)
 
 
-def check_cross_entropy_oracle():
+def check_cross_entropy():
     rng = np.random.default_rng(5)
-    logits = rng.uniform(-8, 8, (16, 2))
-    labels = rng.integers(0, 2, 16)
-    got = weighted_cross_entropy(Tensor(logits), labels, (0.1, 0.9)).item()
-    total = 0.0
-    for i in range(16):
-        mx = max(logits[i])
-        logz = mx + math.log(math.exp(logits[i, 0] - mx) + math.exp(logits[i, 1] - mx))
-        total += (0.1, 0.9)[labels[i]] * (logz - logits[i, labels[i]])
-    ref = total / 16
-    return abs(got - ref) < 1e-12, f"deviation {abs(got - ref):.3g}"
+    z, y, w = rng.uniform(-8, 8, (16, 2)), rng.integers(0, 2, 16), (0.1, 0.9)
+    return _worst([(training.weighted_cross_entropy(Tensor(z), y, w).item(),
+                    oracles.weighted_ce_loop(z, y, w))], 1e-12, "deviation")
 
 
 def check_batch_norm_moments():
-    rng = np.random.default_rng(6)
-    x = rng.uniform(-1, 1, (8, 4, 6))
-    out = T.batch_norm(
-        Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), RunningStats(4), True
-    ).data
-    mean = np.abs(out.mean(axis=(0, 2))).max()
-    var = out.var(axis=(0, 2))
-    expected = x.var(axis=(0, 2)) / (x.var(axis=(0, 2)) + 1e-5)
-    var_err = np.abs(var - expected).max()
+    x = np.random.default_rng(6).uniform(-1, 1, (8, 4, 6))
+    out = T.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), RunningStats(4), True)
+    mean, var = np.abs(out.data.mean(axis=(0, 2))).max(), x.var(axis=(0, 2))
+    var_err = np.abs(out.data.var(axis=(0, 2)) - var / (var + 1e-5)).max()
     return mean < 1e-9 and var_err < 1e-6, f"|mean|={mean:.2g}, var deviation={var_err:.2g}"
 
 
 CHECKS = [
     ("layer-gradients-vs-finite-differences", check_layer_gradients),
-    ("conv1d-vs-loop-oracle", check_conv_oracle),
-    ("circulant-algebra", check_circulant_properties),
-    ("eer-vs-exhaustive-threshold-oracle", check_eer_oracle),
-    ("adam-vs-scalar-reference", check_adam_oracle),
-    ("weighted-cross-entropy-vs-loop", check_cross_entropy_oracle),
+    ("conv1d-vs-loop-oracle", lambda: check_conv(T.conv1d, oracles.conv1d_loops, (2, 3, 8))),
+    ("conv2d-vs-loop-oracle", lambda: check_conv(T.conv2d, oracles.conv2d_loops, (2, 3, 6, 5))),
+    ("circulant-algebra", check_circulant),
+    ("eer-vs-exhaustive-threshold-oracle", check_eer),
+    ("adam-vs-scalar-reference", check_adam),
+    ("weighted-cross-entropy-vs-loop", check_cross_entropy),
     ("batch-norm-moments", check_batch_norm_moments),
 ]
 
 
 def run(out=print) -> bool:
-    tune_malloc()
     all_ok = True
     for name, fn in CHECKS:
         start = time.perf_counter()
-        ok, detail = fn()
-        all_ok &= ok
-        status = "ok" if ok else "FAIL"
-        out(f"{status:4s} {name} ({detail}, {time.perf_counter() - start:.2f}s)")
+        try:
+            ok, detail = fn()
+        except Exception as exc:  # a crashing check is a failed check
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        all_ok &= bool(ok)
+        out(f"{'ok' if ok else 'FAIL':4s} {name} ({detail}, {time.perf_counter() - start:.2f}s)")
     return all_ok

@@ -409,6 +409,39 @@ def _pool_bins(length: int, out: int) -> list[tuple[int, int]]:
     return [(i * length // out, -((-(i + 1) * length) // out)) for i in range(out)]
 
 
+def _pool(x: Tensor, outs: tuple[int, ...]) -> Tensor:
+    """Adaptive average pooling of the trailing ``len(outs)`` axes.
+
+    Each axis whose size changes is pooled by one GEMM with a 0/1 membership
+    matrix (bin sums) divided by the bin sizes; per-bin means would run one
+    short reduction per row and bin. Axes that keep their size are skipped,
+    so pooling to the input size is a copy.
+    """
+    steps = []
+    data = x.data
+    for axis, out_size in zip(range(-len(outs), 0), outs):
+        length = data.shape[axis]
+        if out_size == length:
+            continue
+        member = np.zeros((length, out_size), dtype=np.float64)
+        for i, (s, e) in enumerate(_pool_bins(length, out_size)):
+            member[s:e, i] = 1.0
+        sizes = member.sum(axis=0)
+        data = np.moveaxis((np.moveaxis(data, axis, -1) @ member) / sizes, -1, axis)
+        steps.append((axis, member, sizes))
+    out = Tensor(data if steps else data.copy())
+
+    def rule():
+        g = out.grad
+        if g is None:
+            return
+        for axis, member, sizes in reversed(steps):
+            g = np.moveaxis((np.moveaxis(g, axis, -1) / sizes) @ member.T, -1, axis)
+        _accumulate(x, g, own=True)
+
+    return _finish(out, (x,), rule)
+
+
 def adaptive_avg_pool1d(x: Tensor, output_size: int) -> Tensor:
     if x.data.ndim != 3:
         raise DimensionError(f"adaptive_avg_pool1d needs BxCxL input, got {x.data.shape}")
@@ -417,75 +450,19 @@ def adaptive_avg_pool1d(x: Tensor, output_size: int) -> Tensor:
         raise DimensionError(
             f"pool output size {output_size} invalid for input length {length}"
         )
-    if output_size == length:
-        out = Tensor(x.data.copy())
-
-        def rule_id():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(x, g, own=True)
-
-        return _finish(out, (x,), rule_id)
-
-    # Bin sums as one GEMM with a 0/1 membership matrix: per-bin means would
-    # run one short reduction per (batch, channel) row and bin.
-    member = np.zeros((length, output_size), dtype=np.float64)
-    for i, (s, e) in enumerate(_pool_bins(length, output_size)):
-        member[s:e, i] = 1.0
-    sizes = member.sum(axis=0)
-    out = Tensor((x.data @ member) / sizes)
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, (g / sizes) @ member.T, own=True)
-
-    return _finish(out, (x,), rule)
+    return _pool(x, (output_size,))
 
 
 def adaptive_avg_pool2d(x: Tensor, output_size: tuple[int, int]) -> Tensor:
     if x.data.ndim != 4:
         raise DimensionError(f"adaptive_avg_pool2d needs BxCxHxW input, got {x.data.shape}")
-    b, c, h, w = x.data.shape
+    _, _, h, w = x.data.shape
     oh, ow = output_size
     if oh < 1 or ow < 1 or oh > h or ow > w:
         raise DimensionError(
             f"pool output size {output_size} invalid for input size {h}x{w}"
         )
-    if (oh, ow) == (h, w):
-        out = Tensor(x.data.copy())
-
-        def rule_id():
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(x, g, own=True)
-
-        return _finish(out, (x,), rule_id)
-
-    hbins = _pool_bins(h, oh)
-    wbins = _pool_bins(w, ow)
-    out_data = np.empty((b, c, oh, ow), dtype=np.float64)
-    for i, (hs, he) in enumerate(hbins):
-        for j, (ws, we) in enumerate(wbins):
-            out_data[:, :, i, j] = x.data[:, :, hs:he, ws:we].mean(axis=(2, 3))
-    out = Tensor(out_data)
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        dx = np.zeros_like(x.data)
-        for i, (hs, he) in enumerate(hbins):
-            for j, (ws, we) in enumerate(wbins):
-                dx[:, :, hs:he, ws:we] += g[:, :, i : i + 1, j : j + 1] / (
-                    (he - hs) * (we - ws)
-                )
-        _accumulate(x, dx, own=True)
-
-    return _finish(out, (x,), rule)
+    return _pool(x, (oh, ow))
 
 
 # ---------------------------------------------------------------------------
@@ -574,14 +551,22 @@ def batch_norm(
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    factor = np.where(x.data >= 0, 1.0, slope)
-    out = Tensor(x.data * factor)
+    # The factor (slope or 1.0) is looked up from the sign of x.data in the
+    # forward and again in the backward, so no float factor array is kept.
+    # np.multiply, not `*`: numpy may write `a * temporary` into the temporary,
+    # which changes the product's memory layout and the bits of later GEMMs.
+    factors = np.array([slope, 1.0])
+
+    def factor() -> np.ndarray:
+        return factors[(x.data >= 0).view(np.uint8)]
+
+    out = Tensor(np.multiply(x.data, factor()))
 
     def rule():
         g = out.grad
         if g is None:
             return
-        _accumulate(x, g * factor, own=True)
+        _accumulate(x, np.multiply(g, factor()), own=True)
 
     return _finish(out, (x,), rule)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sasvbackend._mem import tune_malloc
-from sasvbackend import tensor as T
 
 tune_malloc()
 
@@ -10,43 +9,3 @@ tune_malloc()
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def finite_difference_check(make_loss, tensors, h=1e-6):
-    """Worst relative error between tape gradients and central differences.
-
-    `make_loss` must rebuild the scalar loss from the tensors' current data;
-    relative error uses max(1, |analytic|, |numeric|) as denominator.
-    """
-    for t in tensors.values():
-        t.zero_grad()
-    with T.recording() as tape:
-        loss = make_loss()
-    tape.backward(loss)
-    worst = 0.0
-    for t in tensors.values():
-        assert t.grad is not None, "parameter missing gradient after backward"
-        analytic = t.grad.copy()
-        numeric = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = make_loss().item()
-            flat[i] = orig - h
-            down = make_loss().item()
-            flat[i] = orig
-            nflat[i] = (up - down) / (2 * h)
-        err = np.abs(analytic - numeric) / np.maximum(
-            1.0, np.maximum(np.abs(analytic), np.abs(numeric))
-        )
-        worst = max(worst, float(err.max()))
-    return worst
-
-
-def random_projection_loss(out, rng):
-    """Project an op output to a scalar with fixed random coefficients so the
-    finite-difference check exercises every output element."""
-    proj = T.Tensor(rng.uniform(-1.0, 1.0, out.shape))
-    return T.sum_all(T.mul(out, proj))

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-import oracles
-from conftest import finite_difference_check, random_projection_loss
-
 from sasvbackend import attention as att
+from sasvbackend import oracles
 from sasvbackend import tensor as T
+from sasvbackend.oracles import finite_difference_check, random_projection_loss
 from sasvbackend.tensor import Tensor
 
 
@@ -90,41 +89,54 @@ class TestParallelAttention:
 class TestSqueezeExcitation:
     def test_se1d_zero_input(self, rng):
         params = make_params(att.SE1D, rng, channels=3)
-        out = att.se_attention_1d(Tensor(np.zeros((2, 3, 5))), params)
+        out = att.se_attention(Tensor(np.zeros((2, 3, 5))), params)
         np.testing.assert_array_equal(out.data, np.zeros((2, 3, 5)))
 
     def test_se1d_zero_weights_halve_input(self, rng):
         params = zero_weights(make_params(att.SE1D, rng, channels=3))
         x = rng.uniform(-1, 1, (2, 3, 5))
-        out = att.se_attention_1d(Tensor(x), params)
+        out = att.se_attention(Tensor(x), params)
         np.testing.assert_allclose(out.data, 0.5 * x, atol=1e-12)
 
     def test_se1d_matches_loop_reference(self, rng):
         params = make_params(att.SE1D, rng, channels=5, reduction=2)
         x = rng.uniform(-1, 1, (3, 5, 7))
-        out = att.se_attention_1d(Tensor(x), params)
+        out = att.se_attention(Tensor(x), params)
         w = params.weights
         expected = oracles.se1d_reference(x, w["wa"].data, w["wb"].data)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_se2d_zero_input(self, rng):
         params = make_params(att.SE2D, rng, channels=3)
-        out = att.se_attention_2d(Tensor(np.zeros((2, 3, 4, 5))), params)
+        out = att.se_attention(Tensor(np.zeros((2, 3, 4, 5))), params)
         np.testing.assert_array_equal(out.data, np.zeros((2, 3, 4, 5)))
 
     def test_se2d_saturated_gate_passes_input_through(self, rng):
         params = saturate_se_gate(make_params(att.SE2D, rng, channels=4))
         x = rng.uniform(0.1, 1.0, (2, 4, 3, 3))
-        out = att.se_attention_2d(Tensor(x), params)
+        out = att.se_attention(Tensor(x), params)
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_se2d_matches_loop_reference(self, rng):
         params = make_params(att.SE2D, rng, channels=4, reduction=2)
         x = rng.uniform(-1, 1, (2, 4, 3, 5))
-        out = att.se_attention_2d(Tensor(x), params)
+        out = att.se_attention(Tensor(x), params)
         w = params.weights
         expected = oracles.se2d_reference(x, w["wa"].data, w["wb"].data)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,shape,layout", [
+        (att.SE1D, (2, 3, 4, 5), "BxCxF"), (att.SE2D, (2, 3, 5), "BxCxHxW"),
+    ])
+    def test_wrong_rank_rejected(self, rng, kind, shape, layout):
+        params = make_params(kind, rng, channels=3)
+        with pytest.raises(T.DimensionError, match=f"{kind} needs {layout} input"):
+            att.se_attention(Tensor(np.zeros(shape)), params)
+
+    def test_kind_mismatch_raises(self, rng):
+        params = make_params(att.VSE, rng, channels=3)
+        with pytest.raises(ValueError, match="expected SE1D or SE2D"):
+            att.se_attention(Tensor(np.zeros((2, 3, 4, 5))), params)
 
 
 class TestVseAttention:

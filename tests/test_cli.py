@@ -387,3 +387,27 @@ class TestSelftest:
         assert result.returncode == 0
         lines = [l for l in result.stdout.splitlines() if l.startswith("ok")]
         assert len(lines) == len(cli.selftest.CHECKS)
+
+    def test_imports_without_test_extras(self, tmp_path):
+        code = ("import sys, sasvbackend.oracles, sasvbackend.selftest; "
+                "print(sorted({'pytest', 'hypothesis'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=CLI_ENV,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
+class TestSyntheticExperimentScript:
+    def test_tiny_run_prints_eer_table(self, tmp_path):
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "run_synthetic_experiment.py")
+        result = subprocess.run(
+            [sys.executable, script, "--model", "Extend512_DNN", "--epochs", "1",
+             "--seed", "3", "--train-speakers", "4", "--dev-speakers", "2",
+             "--eval-speakers", "3", "--utterances-per-speaker", "3", "--d-spk", "6",
+             "--d-cm", "4", "--train-trials-per-label", "12", "--dev-trials-per-label", "4",
+             "--eval-trials-per-label", "12"],
+            cwd=tmp_path, env=CLI_ENV, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "SASV-EER" in result.stdout

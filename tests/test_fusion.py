@@ -4,9 +4,7 @@ from hypothesis import given, settings
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 
-import oracles
-
-from sasvbackend import fusion
+from sasvbackend import fusion, oracles
 from sasvbackend.data import EmbeddingStore, Trial, compile_trials
 
 

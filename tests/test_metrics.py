@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-import oracles
-
-from sasvbackend import metrics
+from sasvbackend import metrics, oracles
 from sasvbackend.metrics import EerReport, ScoreSet
 
 

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-import oracles
-
 from sasvbackend import attention as att
-from sasvbackend import data, fusion, metrics, models
+from sasvbackend import data, fusion, metrics, models, oracles
 from sasvbackend.models import ModelConfig, PRESETS, build
 
 CHALLENGE_DIMS = (192, 192, 160)

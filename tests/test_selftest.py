@@ -1,0 +1,61 @@
+import numpy as np
+import pytest
+
+from sasvbackend import fusion, metrics, selftest, training
+from sasvbackend import tensor as T
+
+
+def _transposed_circulant(orig):
+    return lambda v: orig(v).T
+
+
+def _offset_eer(orig):
+    def eer(pos, neg):
+        value, threshold = orig(pos, neg)
+        return value + 1e-6, threshold
+    return eer
+
+
+def _doubled_adam_step(orig):
+    return lambda self, lr, weight_decay=0.0: orig(self, 2 * lr, weight_decay)
+
+
+def _conv_without_bias(orig):
+    return lambda x, w, bias, stride=1, padding=0: orig(
+        x, w, T.Tensor(np.zeros_like(bias.data)), stride, padding)
+
+
+def _scaled_ce_weights(orig):
+    return lambda logits, labels, weights: orig(logits, labels, [1.01 * v for v in weights])
+
+
+BREAKS = {
+    "circulant-algebra": (fusion, "circulant", _transposed_circulant),
+    "eer-vs-exhaustive-threshold-oracle": (metrics, "eer", _offset_eer),
+    "adam-vs-scalar-reference": (training.Adam, "step", _doubled_adam_step),
+    "conv1d-vs-loop-oracle": (T, "conv1d", _conv_without_bias),
+    "conv2d-vs-loop-oracle": (T, "conv2d", _conv_without_bias),
+    "weighted-cross-entropy-vs-loop": (training, "weighted_cross_entropy", _scaled_ce_weights),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKS))
+def test_broken_library_call_fails_its_check(monkeypatch, name):
+    owner, attr, breaker = BREAKS[name]
+    monkeypatch.setattr(owner, attr, breaker(getattr(owner, attr)))
+    lines = []
+    assert selftest.run(out=lines.append) is False
+    assert any(line.startswith(f"FAIL {name} (") for line in lines), lines
+
+
+def test_check_names():
+    assert [name for name, _ in selftest.CHECKS] == [
+        "layer-gradients-vs-finite-differences",
+        "conv1d-vs-loop-oracle",
+        "conv2d-vs-loop-oracle",
+        "circulant-algebra",
+        "eer-vs-exhaustive-threshold-oracle",
+        "adam-vs-scalar-reference",
+        "weighted-cross-entropy-vs-loop",
+        "batch-norm-moments",
+    ]

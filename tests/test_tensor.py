@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-import oracles
-from conftest import finite_difference_check, random_projection_loss
-
+from sasvbackend import oracles
 from sasvbackend import tensor as T
+from sasvbackend.oracles import finite_difference_check, random_projection_loss
 from sasvbackend.tensor import DimensionError, RunningStats, Tensor
 
 
@@ -117,10 +116,22 @@ class TestAdaptivePool:
             out.data, oracles.adaptive_pool2d_loops(x, 3, 4), atol=1e-12
         )
 
+    @pytest.mark.parametrize("size", [(7, 4), (3, 9), (7, 9)], ids=["w-only", "h-only", "same"])
+    def test_2d_pools_only_changed_axes(self, rng, size):
+        x = rng.uniform(-1, 1, (2, 2, 7, 9))
+        out = T.adaptive_avg_pool2d(Tensor(x), size)
+        np.testing.assert_allclose(out.data, oracles.adaptive_pool2d_loops(x, *size), atol=1e-12)
+
     @pytest.mark.parametrize("size", [0, 11])
     def test_bad_output_size(self, size):
         with pytest.raises(DimensionError):
             T.adaptive_avg_pool1d(Tensor(np.ones((1, 1, 10))), size)
+
+    @pytest.mark.parametrize("size", [(0, 3), (3, 0), (7, 3), (3, 6)],
+                             ids=["h-zero", "w-zero", "h-too-big", "w-too-big"])
+    def test_bad_output_size_2d(self, size):
+        with pytest.raises(DimensionError, match="invalid for input size 6x5"):
+            T.adaptive_avg_pool2d(Tensor(np.ones((1, 1, 6, 5))), size)
 
 
 class TestBatchNorm:
@@ -294,6 +305,17 @@ class TestGradientChecks:
         err = finite_difference_check(
             lambda: random_projection_loss(
                 T.adaptive_avg_pool1d(x, 3), np.random.default_rng(0)
+            ),
+            {"x": x},
+        )
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("size", [(3, 4), (7, 4), (3, 9)], ids=["hw", "w-only", "h-only"])
+    def test_pooling_2d(self, rng, size):
+        x = rt(rng, 2, 2, 7, 9)
+        err = finite_difference_check(
+            lambda: random_projection_loss(
+                T.adaptive_avg_pool2d(x, size), np.random.default_rng(0)
             ),
             {"x": x},
         )

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-import oracles
-
-from sasvbackend import data, fusion, models, training
+from sasvbackend import data, fusion, models, oracles, training
 from sasvbackend import tensor as T
 from sasvbackend.models import ModelConfig
 from sasvbackend.tensor import Tensor
