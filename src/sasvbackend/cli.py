@@ -12,9 +12,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from . import data, metrics, models, score_fusion, selftest, training
 from ._mem import tune_malloc
@@ -39,8 +42,16 @@ def _parse_bool(text: str) -> bool:
     return flags[text.lower()]
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # Casts from the (string) type annotations of the config dataclasses.
-_CASTS = {"int": int, "float": float, "bool": _parse_bool, "str": str, "str | None": str}
+_CASTS = {"int": int, "float": finite_float, "bool": _parse_bool, "str": str,
+          "str | None": str}
 
 
 @dataclass
@@ -66,32 +77,34 @@ class ExperimentConfig:
     def parse(cls, path: str, workdir: str | None = None) -> "ExperimentConfig":
         values = {}
         types = {f.name: f.type for f in fields(cls)}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in types:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = _CASTS[types[key]](value)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+
+        def entry(line):
+            if "=" not in line:
+                raise ValueError("expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in types:
+                raise ValueError(f"unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"duplicate key {key!r}")
+            try:
+                values[key] = _CASTS[types[key]](value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+
+        data.read_lines(path, entry, strip=True)
         for required in ("model", "embeddings", "train_protocol", "out_dir"):
             if required not in values:
                 raise ValueError(f"{path}: missing required key {required!r}")
-        cfg = cls(**values)
         for key in ("embeddings", "train_protocol", "dev_protocol", "out_dir"):
-            value = getattr(cfg, key)
-            if value is not None:
-                setattr(cfg, key, _resolve(value, workdir))
-        for key in ("embeddings", "train_protocol", "dev_protocol"):
-            value = getattr(cfg, key)
-            if value is not None and not os.path.exists(value):
-                raise FileNotFoundError(f"run file references missing path: {value}")
+            if key in values:
+                value = values[key] = _resolve(values[key], workdir)
+                if key != "out_dir" and not os.path.exists(value):
+                    raise FileNotFoundError(f"{path}: run file references missing path: {value}")
+        cfg = cls(**values)
+        try:
+            cfg.train_config()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cfg
 
     def train_config(self) -> training.TrainConfig:
@@ -185,6 +198,8 @@ def cmd_score(args) -> int:
         )
     protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
     scores = training.score_trials(model.eval(), protocol.trials, store, args.batch_size)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{ckpt_path}: model gives non-finite scores")
     digest = config_digest(asdict(model.config))
     metrics.write_score_file(
         protocol.trial_ids(),

@@ -1,12 +1,15 @@
 """Embedding storage, trial protocols, and the synthetic workload generator.
 
-File formats (tab-separated, UTF-8, lines starting with ``#`` after the
-header are treated as comments):
+Every text input (embeddings, protocols, score files, run files) goes
+through ``read_lines``, so all four formats share one convention: UTF-8,
+lines end at ``\n`` (a trailing ``\r`` is dropped), blank lines and lines
+starting with ``#`` are skipped, and every error names the input as
+``path:line: message``.
 
-* Embedding file: header ``#EMB v1 d_spk=<int> d_cm=<int>``, then one line
-  per stored vector: ``utt_id<TAB>spk|cm<TAB>comma-separated floats``.
-  Floats are written with 17 significant digits so 64-bit values round-trip
-  exactly.
+* Embedding file: header ``#EMB v1 d_spk=<int> d_cm=<int>`` on line 1, then
+  one line per stored vector: ``utt_id<TAB>spk|cm<TAB>comma-separated
+  floats``. Floats are written with 17 significant digits so 64-bit values
+  round-trip exactly.
 * Protocol file: one trial per line,
   ``enroll_ids(comma-joined)<TAB>test_id<TAB>label`` with label one of
   target / nontarget / spoof.
@@ -37,7 +40,7 @@ def atomic_write(path: str, mode: str = "w"):
     """Write to a temp file and rename on success, so readers never see
     a truncated artifact."""
     tmp = f"{path}.tmp"
-    fh = open(tmp, mode)
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
     try:
         yield fh
         fh.close()
@@ -47,6 +50,26 @@ def atomic_write(path: str, mode: str = "w"):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def read_lines(path: str, parse_line, *, header=None, strip: bool = False) -> list:
+    """``[parse_line(line) ...]`` over a UTF-8 text file, skipping blank and
+    ``#`` lines (after a whitespace strip when ``strip`` is set); ``header``
+    gets line 1 whatever it holds. A ValueError raised while decoding or
+    parsing line N comes out as ``path:N: message``."""
+    lineno, out = 1, []
+    with open(path, "rb") as fh:
+        try:
+            if header is not None:
+                header(fh.readline().decode("utf-8").rstrip("\r\n"))
+            for lineno, raw in enumerate(fh, start=1 if header is None else 2):
+                line = raw.decode("utf-8")
+                line = line.strip() if strip else line.rstrip("\r\n")
+                if line and not line.startswith("#"):
+                    out.append(parse_line(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 def format_float(x: float) -> str:
@@ -155,30 +178,29 @@ def save_embeddings(store: EmbeddingStore, path: str, comments: tuple[str, ...] 
 
 
 def load_embeddings(path: str) -> EmbeddingStore:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        m = _EMB_HEADER.match(header)
+    store = None
+
+    def header(line):
+        nonlocal store
+        m = _EMB_HEADER.match(line)
         if not m:
-            raise ValueError(f"{path}:1: bad embedding header {header!r}")
+            raise ValueError(f"bad embedding header {line!r}")
         store = EmbeddingStore(int(m.group(1)), int(m.group(2)))
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            utt_id, kind, payload = parts
-            if kind not in ("spk", "cm"):
-                raise ValueError(f"{path}:{lineno}: unknown embedding kind {kind!r}")
-            try:
-                vec = np.array([float(x) for x in payload.split(",")])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed float payload") from None
-            try:
-                store.add(utt_id, **{kind: vec})
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+    def record(line):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError("expected 3 tab-separated fields")
+        utt_id, kind, payload = parts
+        if kind not in ("spk", "cm"):
+            raise ValueError(f"unknown embedding kind {kind!r}")
+        try:
+            vec = np.array([float(x) for x in payload.split(",")])
+        except ValueError:
+            raise ValueError("malformed float payload") from None
+        store.add(utt_id, **{kind: vec})
+
+    read_lines(path, record, header=header)
     return store
 
 
@@ -190,21 +212,18 @@ def save_protocol(protocol: Protocol, path: str, comments: tuple[str, ...] = ())
             fh.write(f"{','.join(t.enroll_ids)}\t{t.test_id}\t{t.label}\n")
 
 
+def _trial(line: str) -> Trial:
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValueError("expected 3 tab-separated fields")
+    enroll, test_id, label = parts
+    if label not in LABELS:
+        raise ValueError(f"unknown label token {label!r}")
+    return Trial(tuple(enroll.split(",")), test_id, label)
+
+
 def parse_protocol(path: str, partition: str = "eval") -> Protocol:
-    trials = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            enroll, test_id, label = parts
-            if label not in LABELS:
-                raise ValueError(f"{path}:{lineno}: unknown label token {label!r}")
-            trials.append(Trial(tuple(enroll.split(",")), test_id, label))
-    return Protocol(trials, partition)
+    return Protocol(read_lines(path, _trial), partition)
 
 
 @dataclass(frozen=True)

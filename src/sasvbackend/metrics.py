@@ -16,11 +16,12 @@ Three task metrics share the kernel and differ only in partitioning:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABELS, atomic_write, format_float
+from .data import LABELS, atomic_write, format_float, read_lines
 
 
 @dataclass
@@ -181,6 +182,8 @@ def write_score_file(trial_ids, scores, path: str, comments: tuple[str, ...] = (
     scores = np.asarray(scores, dtype=np.float64)
     if len(trial_ids) != scores.size:
         raise ValueError("trial id / score count mismatch")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"{path}: scores contain non-finite values")
     with atomic_write(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
@@ -189,22 +192,24 @@ def write_score_file(trial_ids, scores, path: str, comments: tuple[str, ...] = (
 
 
 def read_score_file(path: str) -> tuple[list[str], np.ndarray]:
-    ids: list[str] = []
-    values: list[float] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected trial_id<TAB>score")
-            try:
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed score {parts[1]!r}") from None
-            ids.append(parts[0])
-    return ids, np.array(values, dtype=np.float64)
+    scores: dict[str, float] = {}
+
+    def record(line):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError("expected trial_id<TAB>score")
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise ValueError(f"malformed score {parts[1]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError("scores contain non-finite values")
+        if parts[0] in scores:
+            raise ValueError("duplicate trial ids in score set")
+        scores[parts[0]] = value
+
+    read_lines(path, record)
+    return list(scores), np.array(list(scores.values()), dtype=np.float64)
 
 
 def write_det_file(points, path: str) -> None:

@@ -377,7 +377,7 @@ def load_checkpoint(path: str) -> Model:
         for key in ("conv_channels", "conv_kernels", "pool_size", "dnn_nodes"):
             cfg_dict[key] = tuple(cfg_dict[key])
         model = Model(ModelConfig(**cfg_dict), tuple(header["dims"]), header["seed"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise ValueError(f"{path}: checkpoint config, dims or seed build no model: {exc}") from None
     state = model._state()
     expected = [{"name": n, "shape": list(a.shape)} for n, a in state.items()]
@@ -393,5 +393,7 @@ def load_checkpoint(path: str) -> Model:
         arrays[name] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset
                                      ).reshape(arr.shape)
         offset += arr.size * 8
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: checkpoint array {name!r} has non-finite values")
     model.load_state_arrays(arrays)
     return model

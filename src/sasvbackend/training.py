@@ -137,6 +137,8 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
 def score_trials(model: Model, trials: list[Trial] | TrialRows, store: EmbeddingStore,
                  batch_size: int = 256) -> np.ndarray:
     """Per-trial target probabilities in protocol order (eval mode)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     mode = model.config.fusion_mode
     rows = compile_trials(store, trials)
     was_training = model.training

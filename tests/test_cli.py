@@ -62,6 +62,12 @@ def run_cli_ok(args, cwd):
     assert result.returncode == 0, f"{args[0]} exited {result.returncode}: {result.stderr}"
 
 
+def run_main(args, capsys):
+    """cli.main in-process, for checks that stop before any heavy work."""
+    code = cli.main([str(a) for a in args])
+    return code, capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One generated dataset + trained run shared by the read-only tests."""
@@ -146,6 +152,55 @@ class TestTrain:
             assert cfg.select_best is flag and cfg.epochs == 7
 
 
+class TestRunFileChecks:
+    BASE = "model=CNN1D\nembeddings=e.tsv\ntrain_protocol=t.protocol\nout_dir=o\n"
+
+    def _train(self, tmp_path, capsys, text):
+        for name in ("e.tsv", "t.protocol"):
+            (tmp_path / name).write_text("")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, stderr = run_main(["--workdir", tmp_path, "train", "--run-file", cfg], capsys)
+        assert not (tmp_path / "o").exists()
+        return code, stderr.replace(str(cfg), "run.cfg")
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        code, stderr = self._train(tmp_path, capsys, self.BASE + "train_protocol=e.tsv\n")
+        assert code == 2
+        assert "error[invalid-input]: run.cfg:5: duplicate key 'train_protocol'" in stderr
+
+    @pytest.mark.parametrize("line, message", [
+        ("epochs=0", "epochs must be >= 1"),
+        ("batch_size=1", "batch_size must be >= 2"),
+        ("lr0=-1", "lr0 must be positive"),
+    ])
+    def test_train_config_error_names_run_file(self, tmp_path, capsys, line, message):
+        code, stderr = self._train(tmp_path, capsys, self.BASE + line + "\n")
+        assert code == 2
+        assert f"error[invalid-input]: run.cfg: {message}" in stderr
+
+    @pytest.mark.parametrize("line", ["lr0=nan", "weight_decay=inf", "class_weight_positive=-Infinity"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, line):
+        code, stderr = self._train(tmp_path, capsys, self.BASE + line + "\n")
+        key, value = line.split("=")
+        assert code == 2
+        assert f"run.cfg:5: {key}: expected a finite number, got '{value}'" in stderr
+
+    def test_missing_path_names_run_file(self, tmp_path, capsys):
+        text = self.BASE.replace("t.protocol", "nope.protocol")
+        code, stderr = self._train(tmp_path, capsys, text)
+        assert code == 3
+        assert "error[missing-file]: run.cfg: run file references missing path:" in stderr
+        assert "nope.protocol" in stderr
+
+    def test_non_finite_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["gen-data", "--out-dir", str(tmp_path / "d"), "--sigma-between", "inf"])
+        assert exit_info.value.code == 2
+        assert "--sigma-between" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
 def rewrite_checkpoint(src, dst, edit_header=None, raw_header=None):
     """Copy a checkpoint with its JSON header edited in place or replaced."""
     header, blob = src.read_bytes().split(b"\n", 1)
@@ -188,6 +243,12 @@ class TestCheckpointHeader:
         stderr = self._score(workspace, tmp_path, edit_header=lambda h: h["arrays"].pop())
         assert "array manifest" in stderr and "['head.b']" in stderr
 
+    @pytest.mark.parametrize("dims", [[10**12, 10**12, 6], [float("inf"), 8, 6]],
+                             ids=["huge", "infinite"])
+    def test_impossible_model_dims(self, workspace, tmp_path, dims):
+        stderr = self._score(workspace, tmp_path, edit_header=lambda h: h.update(dims=dims))
+        assert "checkpoint config, dims or seed build no model" in stderr
+
     def test_wrong_array_shape(self, workspace, tmp_path):
         def widen(h):
             h["arrays"][0]["shape"][0] += 1
@@ -222,6 +283,43 @@ class TestScore:
         assert "checkpoint.ckpt" in result.stderr and "embeddings.tsv" in result.stderr
         assert "(10, 10, 6)" in result.stderr and "(8, 8, 6)" in result.stderr
         assert not (tmp_path / "x.scores").exists()
+
+    def _score(self, workspace, tmp_path, capsys, checkpoint, *extra):
+        out = tmp_path / "x.scores"
+        code, stderr = run_main(
+            ["score", "--checkpoint", checkpoint,
+             "--embeddings", workspace / "data" / "embeddings.tsv",
+             "--protocol", workspace / "data" / "eval.protocol", "--out", out, *extra],
+            capsys,
+        )
+        assert code == 2 and "error[invalid-input]" in stderr
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        return stderr
+
+    @pytest.mark.parametrize("batch_size", ["-1", "0"])
+    def test_batch_size_below_one_rejected(self, workspace, tmp_path, capsys, batch_size):
+        stderr = self._score(workspace, tmp_path, capsys, workspace / "run1" / "checkpoint.ckpt",
+                             "--batch-size", batch_size)
+        assert f"batch_size must be >= 1, got {batch_size}" in stderr
+
+    def test_non_finite_checkpoint_payload_rejected(self, workspace, tmp_path, capsys):
+        header, blob = (workspace / "run1" / "checkpoint.ckpt").read_bytes().split(b"\n", 1)
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(header + b"\n" + np.array([np.nan]).tobytes() + blob[8:])
+        stderr = self._score(workspace, tmp_path, capsys, bad)
+        assert f"{bad}: checkpoint array 'fc0.w' has non-finite values" in stderr
+
+    def test_checkpoint_that_overflows_rejected(self, workspace, tmp_path, capsys):
+        """Finite weights near the float64 limit give non-finite scores; the
+        error names the checkpoint and no score file is written."""
+        header, blob = (workspace / "run1" / "checkpoint.ckpt").read_bytes().split(b"\n", 1)
+        weights = np.frombuffer(blob, dtype="<f8").copy()
+        weights[: 22 * 512] = np.where(np.arange(22 * 512) % 2, -1.7e308, 1.7e308)
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(header + b"\n" + weights.tobytes())
+        with np.errstate(over="ignore", invalid="ignore"):
+            stderr = self._score(workspace, tmp_path, capsys, bad)
+        assert f"{bad}: model gives non-finite scores" in stderr
 
     def test_score_file_embeds_seed(self, workspace):
         head = (workspace / "run1" / "eval.scores").read_text().splitlines()[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sasvbackend import data, fusion, models, training
+from sasvbackend import cli, data, fusion, metrics, models, training
 from sasvbackend.data import (
     EmbeddingStore,
     Protocol,
@@ -103,6 +103,62 @@ class TestEmbeddingFiles:
         assert len(load_embeddings(str(path))) == 1
 
 
+class TestLineReader:
+    """One reader serves every text format: UTF-8, blank and # lines skipped,
+    errors prefixed with path:line."""
+
+    FORMATS = {
+        "embeddings": ("#EMB v1 d_spk=2 d_cm=2\nu1\tspk\t1.0,2.0\n", data.load_embeddings),
+        "protocol": ("u1\tu9\ttarget\nu2\tu8\tspoof\n", parse_protocol),
+        "scores": ("t0\t0.5\nt1\t0.25\n", metrics.read_score_file),
+        "run file": ("model=CNN1D\nepochs=3\n", cli.ExperimentConfig.parse),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_non_utf8_byte_cites_file_and_line(self, tmp_path, fmt):
+        text, read = self.FORMATS[fmt]
+        path = tmp_path / "input"
+        path.write_bytes(text.encode() + b"# seed=1\n\nx\xffy\n")
+        with pytest.raises(ValueError) as err:
+            read(str(path))
+        lineno = text.count("\n") + 3
+        assert str(err.value).startswith(f"{path}:{lineno}: 'utf-8' codec can't decode")
+
+    def test_crlf_lines_read_like_lf(self, tmp_path):
+        path = tmp_path / "p.protocol"
+        path.write_bytes(b"# seed=1\r\nu1,u2\tu9\ttarget\r\n\r\nu3\tu8\tspoof\r\n")
+        assert parse_protocol(str(path)).trials == [
+            Trial(("u1", "u2"), "u9", "target"), Trial(("u3",), "u8", "spoof")]
+
+    def test_indented_comment_is_a_comment_only_in_run_files(self, tmp_path):
+        path = tmp_path / "p.protocol"
+        path.write_text("u1\tu9\ttarget\n  # note\n")
+        with pytest.raises(ValueError, match=f"^{path}:2: expected 3 tab-separated fields$"):
+            parse_protocol(str(path))
+
+    def test_header_is_line_one_even_though_it_starts_with_hash(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("#EMB v1 d_spk=0 d_cm=2\n")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == f"{path}:1: embedding dims must be positive, got 0, 2"
+
+    def test_empty_embeddings_file_has_a_bad_header(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == f"{path}:1: bad embedding header ''"
+
+    def test_non_ascii_ids_round_trip(self, tmp_path):
+        store = EmbeddingStore(2, 2)
+        store.add("spk\u00e9-utt\u4e00", spk=np.ones(2), cm=np.zeros(2))
+        path = tmp_path / "emb.tsv"
+        save_embeddings(store, str(path))
+        assert "spk\u00e9-utt\u4e00".encode("utf-8") in path.read_bytes()
+        assert np.array_equal(load_embeddings(str(path)).cm("spk\u00e9-utt\u4e00"), np.zeros(2))
+
+
 class TestProtocolFiles:
     def test_single_enrollment(self, tmp_path):
         path = tmp_path / "p.protocol"
@@ -142,6 +198,13 @@ class TestProtocolFiles:
         save_protocol(protocol, str(path), comments=("seed=0 config=abc",))
         loaded = parse_protocol(str(path))
         assert loaded.trials == protocol.trials
+
+    def test_empty_test_id_cites_file_and_line(self, tmp_path):
+        path = tmp_path / "p.protocol"
+        path.write_text("u1\tu9\ttarget\nu2\t\tspoof\n")
+        with pytest.raises(ValueError) as err:
+            parse_protocol(str(path))
+        assert str(err.value) == f"{path}:2: trial needs enrollment ids and a test id"
 
     def test_trial_ids_are_stable(self):
         protocol = Protocol([Trial(("a",), "x", "target")] , "eval")

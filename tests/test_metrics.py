@@ -236,6 +236,27 @@ class TestScoreFiles:
         with pytest.raises(ValueError, match="2"):
             metrics.read_score_file(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_cites_file_and_line(self, tmp_path, value):
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"# seed=1\nt0\t0.5\nt1\t{value}\n")
+        with pytest.raises(ValueError) as err:
+            metrics.read_score_file(str(path))
+        assert str(err.value) == f"{path}:3: scores contain non-finite values"
+
+    def test_duplicate_trial_id_cites_file_and_line(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("t0\t0.5\nt1\t0.25\nt0\t0.5\n")
+        with pytest.raises(ValueError) as err:
+            metrics.read_score_file(str(path))
+        assert str(err.value) == f"{path}:3: duplicate trial ids in score set"
+
+    def test_write_rejects_non_finite_before_creating_a_file(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        with pytest.raises(ValueError, match=f"^{path}: scores contain non-finite"):
+            metrics.write_score_file(["t0", "t1"], [0.5, np.nan], str(path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_det_file_written(self, tmp_path, rng):
         points = metrics.det_points(rng.normal(size=10), rng.normal(size=10))
         path = tmp_path / "det.tsv"
