@@ -98,8 +98,12 @@ class ExperimentConfig:
         for key in ("embeddings", "train_protocol", "dev_protocol", "out_dir"):
             if key in values:
                 value = values[key] = _resolve(values[key], workdir)
-                if key != "out_dir" and not os.path.exists(value):
+                if key == "out_dir":
+                    continue
+                if not os.path.exists(value):
                     raise FileNotFoundError(f"{path}: run file references missing path: {value}")
+                if os.path.isdir(value):
+                    raise IsADirectoryError(f"{path}: run file references a directory: {value}")
         cfg = cls(**values)
         try:
             cfg.train_config()
@@ -153,7 +157,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = ExperimentConfig.parse(args.run_file, args.workdir)
+    cfg = ExperimentConfig.parse(_resolve(args.run_file, args.workdir), args.workdir)
     digest = config_digest(asdict(cfg))
     store = data.load_embeddings(cfg.embeddings)
     train_protocol = data.parse_protocol(cfg.train_protocol, partition="train")
@@ -197,7 +201,15 @@ def cmd_score(args) -> int:
             f"{emb_path} has embedding dims {dims} but {ckpt_path} was trained on {model.dims}"
         )
     protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
-    scores = training.score_trials(model.eval(), protocol.trials, store, args.batch_size)
+    try:
+        scores = training.score_trials(model.eval(), protocol.trials, store, args.batch_size)
+    except MemoryError as exc:
+        # numpy's allocation error carries the shape and dtype it asked for.
+        shape, dtype = getattr(exc, "shape", None), getattr(exc, "dtype", None)
+        asked = (f"; numpy asked for {math.prod(shape) * dtype.itemsize} bytes"
+                 f" (array of shape {shape})" if shape is not None and dtype is not None else "")
+        raise MemoryError(f"scoring {len(protocol)} trials at --batch-size {args.batch_size} "
+                          f"ran out of memory{asked}; use a smaller --batch-size") from None
     if not np.isfinite(scores).all():
         raise ValueError(f"{ckpt_path}: model gives non-finite scores")
     digest = config_digest(asdict(model.config))
@@ -319,10 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_CATEGORIES = (
     (FileNotFoundError, "missing-file", 3),
+    (OSError, "file-access", 3),
     (DimensionError, "dimension", 2),
     (ValueError, "invalid-input", 2),
     (KeyError, "missing-id", 4),
     (RuntimeError, "runtime", 5),
+    (MemoryError, "out-of-memory", 5),
 )
 
 

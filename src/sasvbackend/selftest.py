@@ -71,7 +71,8 @@ def check_eer():
 
 def check_adam():
     rng = np.random.default_rng(4)
-    p0, grads = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (5, 4))
+    n = training.Adam.BLOCK + 3  # crosses a block boundary of the blocked update
+    p0, grads = rng.uniform(-1, 1, n), rng.uniform(-1, 1, (5, n))
     p = Tensor(p0.copy(), requires_grad=True)
     state = training.Adam([("p", p)])
     for g in grads:

@@ -7,8 +7,11 @@ set of reshapes/reductions used to compose attention blocks.
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
-accumulates gradients into every tensor that requires them. With no active
-tape, ops are plain forward computations (evaluation mode).
+accumulates gradients into every tensor that requires them. Each rule is
+popped off the tape before it runs, so the arrays it saved and the output
+gradient it consumed are freed as soon as it returns, not at the end of the
+pass. With no active tape, ops are plain forward computations (evaluation
+mode).
 """
 
 from __future__ import annotations
@@ -99,7 +102,11 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss)=1 and replay rules in reverse order.
 
-        The tape is cleared afterwards so a session can reuse it.
+        Each rule is popped before it runs: once it returns, nothing holds its
+        closure, so its saved arrays and the gradient of its output are freed
+        at once. The peak is then the live frontier of the backward pass, not
+        every activation and gradient of the step. The tape ends empty, so a
+        session can reuse it.
         """
         if loss.data.size != 1:
             raise DimensionError(
@@ -108,9 +115,8 @@ class Tape:
         if not self._rules:
             raise ValueError("backward on an empty tape")
         loss.grad = np.ones_like(loss.data)
-        for rule in reversed(self._rules):
-            rule()
-        self._rules.clear()
+        while self._rules:
+            self._rules.pop()()
 
 
 # The active-tape stack is thread-local so independent sessions can run in
@@ -298,7 +304,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # moves whole rows, and it returns the GEMM result (Cout, B, *out) as a
 # transposed view without copying it. Taps that reach into the padding are
 # clipped to the input instead of padding it; the forward matrix is kept for
-# the weight gradient so backward never rebuilds it.
+# the weight gradient so backward never rebuilds it, and once dW is taken the
+# input gradient's columns are written into the same buffer.
 
 
 def _tap(offset: int, size: int, out: int, stride: int, padding: int) -> tuple[slice, slice]:
@@ -342,7 +349,8 @@ def _conv(
         if w.requires_grad:
             _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
         if x.requires_grad:
-            dcols = (wmat.T @ gmat).reshape(cin, len(taps), b, *outs)
+            # The rule runs once, so cols is dead after dW: reuse it for dcols.
+            dcols = np.matmul(wmat.T, gmat, out=cols).reshape(cin, len(taps), b, *outs)
             dx = np.zeros_like(x.data)
             dxc = dx.transpose(cm)
             for t, (osl, isl) in enumerate(taps):

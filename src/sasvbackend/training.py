@@ -69,29 +69,62 @@ def weighted_cross_entropy(logits: Tensor, labels, class_weights) -> Tensor:
 class Adam:
     """Adam (beta1=0.9, beta2=0.999, eps=1e-8) with bias correction and
     L2-coupled weight decay: decay is added to the gradient before the
-    moment updates."""
+    moment updates.
+
+    ``step`` walks each parameter's flat data, gradient and moments in
+    blocks of ``BLOCK`` elements with two scratch blocks and in-place
+    ufuncs, so every block stays in cache instead of each operation making
+    a full pass over memory. Per element it keeps the vectorised formula's
+    operation order, so the result is bit-identical to it:
+    ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``; ``v = b2*v + ((1-b2)*g)*g``;
+    ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
+    """
+
+    BLOCK = 1 << 15
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.named_params = list(named_params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for _, p in self.named_params]
-        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
+        self.m = [np.zeros(p.data.shape) for _, p in self.named_params]
+        self.v = [np.zeros(p.data.shape) for _, p in self.named_params]
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        scratch_a, scratch_b = np.empty((2, self.BLOCK))
         for (name, p), m, v in zip(self.named_params, self.m, self.v):
             if p.grad is None:
                 raise ValueError(f"parameter {name!r} has no gradient")
-            g = p.grad + weight_decay * p.data if weight_decay else p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if p.grad.shape != p.data.shape:
+                raise T.DimensionError(
+                    f"parameter {name!r} has shape {p.data.shape} but its gradient {p.grad.shape}"
+                )
+            p.data = np.ascontiguousarray(p.data)
+            flat_p, flat_g = p.data.reshape(-1), np.ravel(p.grad)
+            flat_m, flat_v = m.reshape(-1), v.reshape(-1)
+            for s in range(0, flat_p.size, self.BLOCK):
+                blk = slice(s, s + self.BLOCK)
+                pb, mb, vb = flat_p[blk], flat_m[blk], flat_v[blk]
+                a, b = scratch_a[: pb.size], scratch_b[: pb.size]
+                g = flat_g[blk]
+                if weight_decay:
+                    np.multiply(weight_decay, pb, out=a)
+                    g = np.add(g, a, out=a)
+                mb *= b1
+                mb += np.multiply(1.0 - b1, g, out=b)
+                vb *= b2
+                np.multiply(1.0 - b2, g, out=b)
+                vb += np.multiply(b, g, out=b)
+                np.divide(mb, c1, out=a)
+                np.multiply(lr, a, out=a)
+                np.divide(vb, c2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                pb -= np.divide(a, b, out=a)
 
 
 @dataclass

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import sasvbackend
-from sasvbackend import cli, data, metrics
+from sasvbackend import cli, data, metrics, training
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
 
 GEN_ARGS = [
     "gen-data", "--out-dir", "data",
@@ -193,6 +198,11 @@ class TestRunFileChecks:
         assert "error[missing-file]: run.cfg: run file references missing path:" in stderr
         assert "nope.protocol" in stderr
 
+    def test_directory_path_names_run_file(self, tmp_path, capsys):
+        code, stderr = self._train(tmp_path, capsys, self.BASE.replace("e.tsv", "."))
+        assert code == 3
+        assert f"error[file-access]: run.cfg: run file references a directory: {tmp_path}" in stderr
+
     def test_non_finite_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["gen-data", "--out-dir", str(tmp_path / "d"), "--sigma-between", "inf"])
@@ -320,6 +330,40 @@ class TestScore:
         with np.errstate(over="ignore", invalid="ignore"):
             stderr = self._score(workspace, tmp_path, capsys, bad)
         assert f"{bad}: model gives non-finite scores" in stderr
+
+    def test_directory_embeddings_path_is_categorized(self, workspace, tmp_path, capsys):
+        code, stderr = run_main(
+            ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt",
+             "--embeddings", workspace / "data",
+             "--protocol", workspace / "data" / "eval.protocol", "--out", tmp_path / "x.scores"],
+            capsys,
+        )
+        assert code == 3
+        assert "error[file-access]" in stderr and str(workspace / "data") in stderr
+        assert not (tmp_path / "x.scores").exists()
+
+    @pytest.mark.parametrize("error, detail", [
+        (_ArrayMemoryError((128, 9, 256, 64, 64), np.dtype(np.float64)),
+         "; numpy asked for 9663676416 bytes (array of shape (128, 9, 256, 64, 64))"),
+        (MemoryError(), ""),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_names_batch_size(self, workspace, tmp_path, capsys, monkeypatch,
+                                            error, detail):
+        def exhausted(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(training, "score_trials", exhausted)
+        code, stderr = run_main(
+            ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt",
+             "--embeddings", workspace / "data" / "embeddings.tsv",
+             "--protocol", workspace / "data" / "eval.protocol", "--out", tmp_path / "x.scores",
+             "--batch-size", "128"],
+            capsys,
+        )
+        n_trials = len(data.parse_protocol(str(workspace / "data" / "eval.protocol")))
+        assert code == 5
+        assert (f"error[out-of-memory]: scoring {n_trials} trials at --batch-size 128 "
+                f"ran out of memory{detail}; use a smaller --batch-size") in stderr
+        assert not (tmp_path / "x.scores").exists()
 
     def test_score_file_embeds_seed(self, workspace):
         head = (workspace / "run1" / "eval.scores").read_text().splitlines()[0]
@@ -477,6 +521,15 @@ class TestWorkdir:
         )
         assert result.returncode == 0
         assert "SASV-EER" in result.stdout
+
+    def test_run_file_resolves_against_workdir(self, workspace, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "w"
+        shutil.copytree(workspace / "data", root / "data")
+        (root / "run.cfg").write_text(RUN_FILE.replace("epochs=3", "epochs=1"))
+        monkeypatch.chdir(tmp_path)
+        code, stderr = run_main(["--workdir", root, "train", "--run-file", "run.cfg"], capsys)
+        assert code == 0, stderr
+        assert (root / "run1" / "checkpoint.ckpt").exists()
 
 
 class TestSelftest:

@@ -117,6 +117,40 @@ class TestAdam:
         with pytest.raises(ValueError, match="no gradient"):
             Adam([("p", p)]).step(lr=1e-3)
 
+    @staticmethod
+    def _vectorised_steps(p0, grads, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+        """The whole-array Adam update that the blocked step must match bit for bit."""
+        p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+        for t, grad in enumerate(grads, start=1):
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            g = grad + weight_decay * p if weight_decay else grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        return p
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["1", "block-1", "block", "block+1", "3block+7"])
+    def test_blocked_step_is_bit_identical_to_vectorised(self, rng, blocks, extra, weight_decay):
+        n = blocks * Adam.BLOCK + extra
+        p0, grads = rng.uniform(-1, 1, n), rng.uniform(-1, 1, (5, n))
+        p = Tensor(p0.copy(), requires_grad=True)
+        state = Adam([("p", p)])
+        for g in grads:
+            p.grad = g.copy()
+            state.step(lr=1e-2, weight_decay=weight_decay)
+        expected = self._vectorised_steps(p0, grads, 1e-2, weight_decay)
+        assert p.data.tobytes() == expected.tobytes()
+
+    def test_gradient_shape_mismatch_raises(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        p.grad = np.ones(6)
+        with pytest.raises(T.DimensionError, match="gradient"):
+            Adam([("p", p)]).step(lr=1e-3)
+
 
 class TestLrSchedule:
     def test_initial_rate(self):
