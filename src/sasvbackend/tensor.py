@@ -12,6 +12,15 @@ popped off the tape before it runs, so the arrays it saved and the output
 gradient it consumed are freed as soon as it returns, not at the end of the
 pass. With no active tape, ops are plain forward computations (evaluation
 mode).
+
+Layout rule: the bytes of a result depend on the memory layout of the arrays
+it was reduced from, not only on their values (numpy sums in memory order,
+and a GEMM blocks by layout). So every op returns its output in the layout
+the whole-array formula would give it (a conv output is a channel-major
+view, an elementwise op keeps its input's layout), and every reduction sees
+an operand of that same layout. Ops that walk an array in cache-sized
+pieces (``batch_norm``) cut it into slices of two or more channels, which
+numpy reduces in the same order as the whole array.
 """
 
 from __future__ import annotations
@@ -329,10 +338,16 @@ def _conv(
     ]
     taps = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
     every = (slice(None),)
-    cols = (np.zeros if padding else np.empty)((cin, len(taps), b, *outs))
+    cols = np.empty((cin, len(taps), b, *outs))
     xc = x.data.transpose(cm)
     for t, (osl, isl) in enumerate(taps):
         cols[every + (t,) + every + osl] = xc[every * 2 + isl]
+        # Zero what the copy left out: per axis, the strips before and after
+        # its output slice, within the slices of the axes before it.
+        for d, (s, m) in enumerate(zip(osl, outs)):
+            for strip in (slice(0, s.start), slice(s.stop, m)):
+                if strip.start < strip.stop:
+                    cols[every + (t,) + every + osl[:d] + (strip,)] = 0.0
     cols = cols.reshape(cin * len(taps), -1)
     wmat = w.data.reshape(cout, -1)
     y = (wmat @ cols).reshape(cout, b, *outs)
@@ -423,7 +438,9 @@ def _pool(x: Tensor, outs: tuple[int, ...]) -> Tensor:
     Each axis whose size changes is pooled by one GEMM with a 0/1 membership
     matrix (bin sums) divided by the bin sizes; per-bin means would run one
     short reduction per row and bin. Axes that keep their size are skipped,
-    so pooling to the input size is a copy.
+    so pooling to the input size is a C-ordered copy. Returning the input
+    instead saves nothing: every model flattens the pooled array next, and
+    flattening a channel-major conv output copies it there.
     """
     steps = []
     data = x.data
@@ -491,6 +508,21 @@ class RunningStats:
         return fresh
 
 
+def _channel_blocks(c: int, n: int) -> list[slice]:
+    """Channel slices of about 32k elements each (``n`` per channel).
+
+    Every block holds at least two channels: numpy reduces a slice of two or
+    more channels in the same order as the whole array, but a one-channel
+    slice in a different one, so a trailing single channel joins the block
+    before it.
+    """
+    step = max(2, 32768 // n)
+    starts = list(range(0, c, step))
+    if len(starts) > 1 and c - starts[-1] == 1:
+        starts.pop()
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [c])]
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -504,6 +536,9 @@ def batch_norm(
 
     Training mode uses batch moments (biased variance) and updates the
     running buffers in place; eval mode normalizes with the buffers.
+    Forward and backward walk the channels in blocks (``_channel_blocks``)
+    that stay in cache across their several passes; each block runs the
+    whole-array formulas on slices ``[:, blk]``.
     """
     if x.data.ndim < 2:
         raise DimensionError(f"batch_norm needs a BxCx... input, got {x.data.shape}")
@@ -512,43 +547,65 @@ def batch_norm(
         raise DimensionError(
             f"batch_norm gamma/beta must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}"
         )
+    if training and x.data.shape[0] < 2:
+        raise DimensionError(
+            f"batch_norm training mode needs batch >= 2, got {x.data.shape[0]}"
+        )
     axes = (0,) + tuple(range(2, x.data.ndim))
-    cshape = (1, c) + (1,) * (x.data.ndim - 2)
+    n = x.data.size // c
+    blocks = _channel_blocks(c, n)
+
+    def cs(v: np.ndarray) -> np.ndarray:  # per-channel values, shaped to broadcast
+        return v.reshape((1, -1) + (1,) * (x.data.ndim - 2))
+
     if training:
-        if x.data.shape[0] < 2:
-            raise DimensionError(
-                f"batch_norm training mode needs batch >= 2, got {x.data.shape[0]}"
-            )
-        mu = x.data.mean(axis=axes)
-        xhat = x.data - mu.reshape(cshape)
-        var = (xhat * xhat).sum(axis=axes) / (x.data.size // c)  # np.var's arithmetic
-        stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
-        stats.var = (1.0 - momentum) * stats.var + momentum * var
+        mu, var = np.empty(c), np.empty(c)
     else:
         mu, var = stats.mean, stats.var
-        xhat = x.data - mu.reshape(cshape)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv.reshape(cshape)
-    out_data = gamma.data.reshape(cshape) * xhat
-    out_data += beta.data.reshape(cshape)
+    inv = np.empty(c)
+    xhat = np.empty_like(x.data)
+    out_data = np.empty_like(x.data)
+    for blk in blocks:
+        xb, hb, ob = x.data[:, blk], xhat[:, blk], out_data[:, blk]
+        if training:
+            mu[blk] = xb.mean(axis=axes)
+        np.subtract(xb, cs(mu[blk]), out=hb)
+        if training:  # x*x goes through the output block, which is rewritten below
+            var[blk] = np.multiply(hb, hb, out=ob).sum(axis=axes) / n  # np.var's arithmetic
+        inv[blk] = 1.0 / np.sqrt(var[blk] + eps)
+        hb *= cs(inv[blk])
+        np.multiply(cs(gamma.data[blk]), hb, out=ob)
+        ob += cs(beta.data[blk])
+    if training:
+        stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
+        stats.var = (1.0 - momentum) * stats.var + momentum * var
     out = Tensor(out_data)
 
     def rule():
         g = out.grad
         if g is None:
             return
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=axes), own=True)
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=axes), own=True)
-        if x.requires_grad:
-            gg = g * gamma.data.reshape(cshape)
+        dbeta, dgamma = np.empty(c), np.empty(c)
+        # empty_like keeps x's layout, so a conv's rule reads dx without a copy.
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        for blk in blocks:
+            gb, hb = g[:, blk], xhat[:, blk]
+            if beta.requires_grad:
+                dbeta[blk] = gb.sum(axis=axes)
+            if gamma.requires_grad:
+                dgamma[blk] = (gb * hb).sum(axis=axes)
+            if dx is None:
+                continue
+            gg = gb * cs(gamma.data[blk])  # in g's layout, as the reductions expect
             if training:
-                mean_gg = gg.mean(axis=axes).reshape(cshape)
-                mean_ggx = (gg * xhat).mean(axis=axes).reshape(cshape)
-                dx = inv.reshape(cshape) * (gg - mean_gg - xhat * mean_ggx)
-            else:
-                dx = gg * inv.reshape(cshape)
+                mean_gg = cs(gg.mean(axis=axes))
+                mean_ggx = cs((gg * hb).mean(axis=axes))
+                gg -= mean_gg
+                gg -= np.multiply(hb, mean_ggx)
+            np.multiply(cs(inv[blk]), gg, out=dx[:, blk])
+        _accumulate(beta, dbeta, own=True)
+        _accumulate(gamma, dgamma, own=True)
+        if dx is not None:
             _accumulate(x, dx, own=True)
 
     return _finish(out, (x, gamma, beta), rule)
@@ -559,22 +616,25 @@ def batch_norm(
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    # The factor (slope or 1.0) is looked up from the sign of x.data in the
-    # forward and again in the backward, so no float factor array is kept.
+    """max(x, slope*x), which equals x*(1 if x >= 0 else slope) bit for bit,
+    signed zeros, NaNs and subnormals included, only for 0 < slope <= 1 (at
+    slope 0, inf*0 would turn +inf into NaN)."""
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
     # np.multiply, not `*`: numpy may write `a * temporary` into the temporary,
     # which changes the product's memory layout and the bits of later GEMMs.
-    factors = np.array([slope, 1.0])
-
-    def factor() -> np.ndarray:
-        return factors[(x.data >= 0).view(np.uint8)]
-
-    out = Tensor(np.multiply(x.data, factor()))
+    # The scaled copy is in x's layout, and the max is written over it.
+    scaled = np.multiply(x.data, slope)
+    out = Tensor(np.maximum(x.data, scaled, out=scaled))
 
     def rule():
         g = out.grad
         if g is None:
             return
-        _accumulate(x, np.multiply(g, factor()), own=True)
+        # The factor (slope or 1.0) is looked up from the sign of x.data, so
+        # no float factor array is kept.
+        factor = np.array([slope, 1.0])[(x.data >= 0).view(np.uint8)]
+        _accumulate(x, np.multiply(g, factor), own=True)
 
     return _finish(out, (x,), rule)
 

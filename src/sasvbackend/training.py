@@ -169,7 +169,13 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
 
 def score_trials(model: Model, trials: list[Trial] | TrialRows, store: EmbeddingStore,
                  batch_size: int = 256) -> np.ndarray:
-    """Per-trial target probabilities in protocol order (eval mode)."""
+    """Per-trial target probabilities in protocol order (eval mode).
+
+    The bytes of the scores depend on ``batch_size``, not only on the model
+    and the trials: BLAS blocks a GEMM by its size, so a CNN2D_SE scored at
+    batch 1 differs from batch 90 by up to 4.4e-16. Scores are reproducible
+    bit for bit only at the same batch size.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     mode = model.config.fusion_mode

@@ -13,6 +13,29 @@ def rt(rng, *shape):
     return Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
 
 
+def in_layout(a, order):
+    """A copy of ``a`` stored C-ordered, channel-major (how a conv returns its
+    output) or Fortran-ordered."""
+    if order == "C":
+        return np.ascontiguousarray(a)
+    if order == "F":
+        return np.asfortranarray(a)
+    cm = (1, 0) + tuple(range(2, a.ndim))
+    return np.ascontiguousarray(a.transpose(cm)).transpose(cm)
+
+
+def layout(a):
+    """The strides of the axes longer than one; a length-1 axis's stride is
+    arbitrary."""
+    return tuple(st for st, n in zip(a.strides, a.shape) if n > 1)
+
+
+def backward_from(tape, out, g):
+    """Replay ``tape`` with ``g`` as the gradient of ``out``."""
+    tape.record(lambda: setattr(out, "grad", g))
+    tape.backward(Tensor(0.0))
+
+
 class TestMatmul:
     def test_identity(self):
         out = T.matmul(Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]))
@@ -33,6 +56,21 @@ class TestMatmul:
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+# (stride, padding, k) cases checked against the loop oracles. With k=3 and
+# padding 2, the first and last taps read only padding.
+CONV1D_CASES = [(1, 0, 3), (1, 1, 3), (2, 1, 3), (3, 2, 3), (1, 2, 5), (1, 2, 3), (2, 2, 5)]
+CONV1D_IDS = ["1-0", "1-1", "2-1", "3-2", "1-2-k5", "1-2-k3", "2-2-k5"]
+CONV2D_CASES = [(1, 0, 3), (1, 1, 3), (2, 1, 3), (1, 2, 5), (1, 2, 3), (2, 0, 3), (2, 2, 5)]
+CONV2D_IDS = ["1-0", "1-1", "2-1", "1-2-k5", "1-2-k3", "2-0", "2-2-k5"]
+
+
+def conv_case(rng, ndim, k):
+    """Input, weight and bias for one oracle case (BxCinx10 or BxCinx6x5)."""
+    x = rng.uniform(-1, 1, (2, 3, 10) if ndim == 1 else (2, 3, 6, 5))
+    w = rng.uniform(-1, 1, (4, 3) + (k,) * ndim)
+    return x, w, rng.uniform(-1, 1, 4)
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         x = Tensor([[[1.0, 2.0, 3.0]]])
@@ -46,11 +84,9 @@ class TestConv1d:
         out = T.conv1d(x, w, Tensor([0.0]), padding=1)
         np.testing.assert_array_equal(out.data, [[[0.0, 0.0, 0.0]]])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 2)])
-    def test_matches_loop_oracle(self, rng, stride, padding):
-        x = rng.uniform(-1, 1, (2, 3, 10))
-        w = rng.uniform(-1, 1, (4, 3, 3))
-        bias = rng.uniform(-1, 1, 4)
+    @pytest.mark.parametrize("stride,padding,k", CONV1D_CASES, ids=CONV1D_IDS)
+    def test_matches_loop_oracle(self, rng, stride, padding, k):
+        x, w, bias = conv_case(rng, 1, k)
         out = T.conv1d(Tensor(x), Tensor(w), Tensor(bias), stride, padding)
         expected = oracles.conv1d_loops(x, w, bias, stride, padding)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -76,17 +112,10 @@ class TestConv2d:
         )
         np.testing.assert_array_equal(out.data, [[[[9.0]]]])
 
-    # k=5/pad 2 is the models' first layer; k=3/pad 2 has taps that read
-    # only padding.
-    @pytest.mark.parametrize(
-        "stride,padding,k",
-        [(1, 0, 3), (1, 1, 3), (2, 1, 3), (1, 2, 5), (1, 2, 3), (2, 0, 3), (2, 2, 5)],
-        ids=["1-0", "1-1", "2-1", "1-2-k5", "1-2-k3", "2-0", "2-2-k5"],
-    )
+    # k=5/pad 2 is the models' first layer.
+    @pytest.mark.parametrize("stride,padding,k", CONV2D_CASES, ids=CONV2D_IDS)
     def test_matches_loop_oracle(self, rng, stride, padding, k):
-        x = rng.uniform(-1, 1, (2, 3, 6, 5))
-        w = rng.uniform(-1, 1, (4, 3, k, k))
-        bias = rng.uniform(-1, 1, 4)
+        x, w, bias = conv_case(rng, 2, k)
         out = T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride, padding)
         expected = oracles.conv2d_loops(x, w, bias, stride, padding)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -94,6 +123,46 @@ class TestConv2d:
     def test_non_square_kernel_rejected(self):
         with pytest.raises(DimensionError, match="square"):
             T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 2))), Tensor([0.0]))
+
+
+class TestIm2colIsFullyWritten:
+    """``_conv`` takes its im2col buffer from ``np.empty`` and zeroes only the
+    strips that each tap's copy leaves out. With every uninitialised array
+    filled with NaN, any position left unwritten would poison the output."""
+
+    @staticmethod
+    def _nan_filled(alloc):
+        def make(*args, **kwargs):
+            out = alloc(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+        return make
+
+    @staticmethod
+    def _run(op, x, w, bias, stride, padding):
+        tensors = [Tensor(v, requires_grad=True) for v in (x, w, bias)]
+        with T.recording() as tape:
+            out = op(*tensors, stride, padding)
+            loss = random_projection_loss(out, np.random.default_rng(0))
+        tape.backward(loss)
+        return [out.data] + [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("ndim,stride,padding,k",
+                             [(1, *c) for c in CONV1D_CASES] + [(2, *c) for c in CONV2D_CASES],
+                             ids=[f"1d-{i}" for i in CONV1D_IDS] + [f"2d-{i}" for i in CONV2D_IDS])
+    def test_matches_oracle_with_nan_filled_buffers(self, rng, monkeypatch, ndim, stride, padding, k):
+        x, w, bias = conv_case(rng, ndim, k)
+        op, loops = (T.conv1d, oracles.conv1d_loops) if ndim == 1 else (T.conv2d, oracles.conv2d_loops)
+        expected = loops(x, w, bias, stride, padding)
+        clean = self._run(op, x, w, bias, stride, padding)
+        monkeypatch.setattr(np, "empty", self._nan_filled(np.empty))
+        monkeypatch.setattr(np, "empty_like", self._nan_filled(np.empty_like))
+        assert np.isnan(np.empty(3)).all()
+        dirty = self._run(op, x, w, bias, stride, padding)
+        np.testing.assert_allclose(dirty[0], expected, atol=1e-12)
+        for got, want in zip(dirty, clean):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAdaptivePool:
@@ -170,6 +239,73 @@ class TestBatchNorm:
         expected = (x - stats.mean[None, :, None]) / np.sqrt(stats.var + 1e-5)[None, :, None]
         np.testing.assert_allclose(out.data, expected)
 
+    @staticmethod
+    def _whole_array(x, gamma, beta, mean, var, training, g, momentum=0.1, eps=1e-5):
+        """The whole-array batch norm that the blocked one must match byte for
+        byte: output, running mean and variance, and dx, dgamma, dbeta."""
+        c = x.shape[1]
+        axes = (0,) + tuple(range(2, x.ndim))
+        cshape = (1, c) + (1,) * (x.ndim - 2)
+        if training:
+            mu = x.mean(axis=axes)
+            xhat = x - mu.reshape(cshape)
+            batch_var = (xhat * xhat).sum(axis=axes) / (x.size // c)
+            mean = (1.0 - momentum) * mean + momentum * mu
+            var, batch_var = (1.0 - momentum) * var + momentum * batch_var, batch_var
+        else:
+            batch_var = var
+            xhat = x - mean.reshape(cshape)
+        inv = 1.0 / np.sqrt(batch_var + eps)
+        xhat *= inv.reshape(cshape)
+        out = gamma.reshape(cshape) * xhat
+        out += beta.reshape(cshape)
+        gg = g * gamma.reshape(cshape)
+        if training:
+            mean_gg = gg.mean(axis=axes).reshape(cshape)
+            mean_ggx = (gg * xhat).mean(axis=axes).reshape(cshape)
+            dx = inv.reshape(cshape) * (gg - mean_gg - xhat * mean_ggx)
+        else:
+            dx = gg * inv.reshape(cshape)
+        return out, mean, var, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    # 16384 elements per channel give blocks of two channels: 3 channels run
+    # as one block of 3 and 5 as 2+3 (a trailing single channel joins the
+    # block before it). 10240 per channel give blocks of three, so 7 runs as
+    # 3+4. Channel counts 1 and 2 are one block.
+    @pytest.mark.parametrize("shape", [(8, 1, 2048), (8, 2, 2048), (8, 3, 2048), (8, 5, 2048),
+                                       (4, 5, 64, 64), (8, 7, 1280), (16384, 3), (4, 3, 5)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_blocked_is_byte_identical_to_whole_array(self, rng, shape, training):
+        c = shape[1]
+        base, upstream = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.uniform(-1, 1, c)
+        mean, var = rng.uniform(-0.1, 0.1, c), rng.uniform(0.5, 1.5, c)
+        for x_order in ("C", "CM", "F"):
+            for g_order in ("C", "CM"):
+                x, g = in_layout(base, x_order), in_layout(upstream, g_order)
+                want = self._whole_array(x, gamma, beta, mean, var, training, g)
+                stats = RunningStats(c)
+                stats.mean, stats.var = mean.copy(), var.copy()
+                tensors = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+                with T.recording() as tape:
+                    out = T.batch_norm(*tensors, stats, training)
+                backward_from(tape, out, g)
+                got = (out.data, stats.mean, stats.var) + tuple(t.grad for t in tensors)
+                case = f"x {x_order}, g {g_order}"
+                for name, a, b in zip(("out", "mean", "var", "dx", "dgamma", "dbeta"), got, want):
+                    assert a.tobytes() == b.tobytes(), f"{name} bytes differ ({case})"
+                assert layout(out.data) == layout(want[0]), case
+                assert layout(tensors[0].grad) == layout(x), case
+
+    def test_channel_blocks(self):
+        assert T._channel_blocks(1, 16384) == [slice(0, 1)]
+        assert T._channel_blocks(5, 16384) == [slice(0, 2), slice(2, 5)]
+        assert T._channel_blocks(6, 16384) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        assert T._channel_blocks(7, 10240) == [slice(0, 3), slice(3, 7)]
+        assert T._channel_blocks(9, 100) == [slice(0, 9)]
+        assert T._channel_blocks(4, 10**6) == [slice(0, 2), slice(2, 4)]
+
     def test_batch_of_one_rejected_in_training(self):
         with pytest.raises(DimensionError, match="batch"):
             T.batch_norm(
@@ -182,6 +318,37 @@ class TestActivations:
     def test_leaky_relu_negative_slope(self):
         out = T.leaky_relu(Tensor([-1.0]), slope=0.01)
         np.testing.assert_allclose(out.data, [-0.01])
+
+    @staticmethod
+    def _leaky_relu_factor_form(x, slope):
+        """The factor-lookup leaky_relu that the max form must match byte for byte."""
+        return np.multiply(x, np.array([slope, 1.0])[(x >= 0).view(np.uint8)])
+
+    @pytest.mark.parametrize("shape", [(6, 7), (3, 4, 5), (2, 3, 4, 5)], ids=["2d", "3d", "4d"])
+    @pytest.mark.parametrize("slope", [0.01, 0.5, 1.0])
+    def test_leaky_relu_is_byte_identical_to_factor_form(self, rng, shape, slope):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                   1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308]
+        base = rng.uniform(-1, 1, shape)
+        base.reshape(-1)[: len(special)] = special
+        rng.shuffle(base.reshape(-1))
+        for order in ("C", "CM", "F"):
+            x = in_layout(base, order)
+            g = in_layout(rng.uniform(-1, 1, shape), "C")
+            xt = Tensor(x, requires_grad=True)
+            with T.recording() as tape:
+                out = T.leaky_relu(xt, slope)
+            backward_from(tape, out, g)
+            want = self._leaky_relu_factor_form(x, slope)
+            assert out.data.tobytes() == want.tobytes(), order
+            assert out.data.strides == x.strides, order
+            assert xt.grad.tobytes() == (g * np.where(x >= 0, 1.0, slope)).tobytes(), order
+
+    @pytest.mark.parametrize("slope", [0.0, -0.01, 1.5, np.nan, np.inf])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        # At slope 0 the max form would give max(+inf, inf*0) = NaN.
+        with pytest.raises(ValueError, match="slope"):
+            T.leaky_relu(Tensor([1.0, -1.0]), slope)
 
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
@@ -395,6 +562,35 @@ class TestNonContiguousInput:
             results.append([out.data] + [t.grad for t in tensors])
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestLayout:
+    """Score bytes depend on the memory layout of intermediate arrays (see
+    the tensor module docstring), and a gradient in another layout than its
+    conv output costs the conv's rule a full copy."""
+
+    @pytest.mark.parametrize("ndim", [1, 2], ids=["conv1d", "conv2d"])
+    @pytest.mark.parametrize("g_order", ["C", "CM"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batch_norm_dx_keeps_conv_output_layout(self, rng, ndim, g_order, training):
+        spatial = (12,) if ndim == 1 else (6, 5)
+        x, w, bias = rt(rng, 4, 3, *spatial), rt(rng, 5, 3, *(3,) * ndim), rt(rng, 5)
+        gamma, beta = rt(rng, 5), rt(rng, 5)
+        conv = T.conv1d if ndim == 1 else T.conv2d
+        with T.recording() as tape:
+            y = conv(x, w, bias, 1, 1)
+            out = T.batch_norm(y, gamma, beta, RunningStats(5), training)
+        assert not y.data.flags.c_contiguous
+        backward_from(tape, out, in_layout(rng.uniform(-1, 1, out.shape), g_order))
+        assert y.grad.strides == y.data.strides
+
+    @pytest.mark.parametrize("ndim", [1, 2], ids=["conv1d", "conv2d"])
+    def test_leaky_relu_keeps_conv_output_layout(self, rng, ndim):
+        spatial = (12,) if ndim == 1 else (6, 5)
+        conv = T.conv1d if ndim == 1 else T.conv2d
+        y = conv(rt(rng, 4, 3, *spatial), rt(rng, 5, 3, *(3,) * ndim), rt(rng, 5), 1, 1)
+        assert not y.data.flags.c_contiguous
+        assert T.leaky_relu(y).data.strides == y.data.strides
 
 
 class TestDeterminism:
