@@ -217,7 +217,7 @@ def cmd_score(args) -> int:
         protocol.trial_ids(),
         scores,
         _resolve(args.out, args.workdir),
-        comments=(f"seed={model.seed} config={digest}",),
+        comments=(f"seed={model.seed} config={digest} batch_size={args.batch_size}",),
     )
     print(f"scored {len(protocol)} trials -> {args.out}")
     return 0

@@ -17,7 +17,8 @@ CNN2D_VSE       circ2d   as CNN2D            VSE after 3   16x16       256,128,6
 ==============  =======  ==================  ============  ==========  ==============
 
 Conv blocks run conv -> batch norm -> LeakyReLU with stride 1 and
-floor(k/2) padding; attention reduction ratio is 8 everywhere; a final
+floor(k/2) padding, each block as one op (``tensor.conv_block``) with the
+bytes of the three; attention reduction ratio is 8 everywhere; a final
 linear layer maps the last DNN width to 2 logits (class 1 = bonafide
 target). Weights use uniform fan-in init with bound sqrt(6/fan_in), biases
 start at zero.
@@ -26,6 +27,7 @@ start at zero.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -281,14 +283,11 @@ class Model:
         x = Tensor(np.asarray(batch, dtype=np.float64))
         p = self.params
         if cfg.conv_channels:
-            conv = T.conv2d if cfg.fusion_mode == fusion.CIRC2D else T.conv1d
             for i, k in enumerate(cfg.conv_kernels):
-                x = conv(x, p[f"conv{i}.w"], p[f"conv{i}.b"], stride=1, padding=k // 2)
-                x = T.batch_norm(
-                    x, p[f"bn{i}.gamma"], p[f"bn{i}.beta"], self.bn_stats[f"bn{i}"],
-                    training=self.training,
+                x = T.conv_block(
+                    x, p[f"conv{i}.w"], p[f"conv{i}.b"], p[f"bn{i}.gamma"], p[f"bn{i}.beta"],
+                    self.bn_stats[f"bn{i}"], training=self.training, padding=k // 2,
                 )
-                x = T.leaky_relu(x)
                 if cfg.attention_position == i and self._attention is not None:
                     x = att.apply_attention(x, self._attention)
             if cfg.fusion_mode == fusion.CIRC2D:
@@ -330,7 +329,7 @@ def build(config: ModelConfig | str, dims: tuple[int, int, int], seed: int = 0) 
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    arrays = model.state_arrays()
+    arrays = model._state()
     names = list(arrays.keys())
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -343,8 +342,8 @@ def save_checkpoint(model: Model, path: str) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
         fh.write(b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+        for n in names:  # through the array's own buffer when it is C-ordered <f8
+            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8"))
 
 
 def _check_keys(path: str, what: str, got: dict, expected) -> None:
@@ -356,44 +355,42 @@ def _check_keys(path: str, what: str, got: dict, expected) -> None:
 def load_checkpoint(path: str) -> Model:
     """Read a checkpoint; every header field, the config and the array
     manifest are checked against the model they build, and any mismatch is
-    a ValueError naming the file."""
+    a ValueError naming the file. The payload is read straight into the
+    built model's arrays, so no copy of it is ever held."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode())
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise ValueError(f"{path}: checkpoint header is not UTF-8 JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    _check_keys(path, "checkpoint header", header,
-                ("arrays", "config", "dims", "format", "seed", "version"))
-    cfg_dict = header["config"] if isinstance(header["config"], dict) else {}
-    _check_keys(path, "checkpoint config", cfg_dict, [f.name for f in fields(ModelConfig)])
-    try:
-        cfg_dict = dict(cfg_dict)
-        for key in ("conv_channels", "conv_kernels", "pool_size", "dnn_nodes"):
-            cfg_dict[key] = tuple(cfg_dict[key])
-        model = Model(ModelConfig(**cfg_dict), tuple(header["dims"]), header["seed"])
-    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
-        raise ValueError(f"{path}: checkpoint config, dims or seed build no model: {exc}") from None
-    state = model._state()
-    expected = [{"name": n, "shape": list(a.shape)} for n, a in state.items()]
-    if header["arrays"] != expected:
-        got = header["arrays"] if isinstance(header["arrays"], list) else []
-        bad = [e["name"] for e in expected if e not in got] or "extra or reordered entries"
-        raise ValueError(f"{path}: checkpoint array manifest does not match the model: {bad}")
-    if len(blob) != 8 * sum(a.size for a in state.values()):
-        raise ValueError(f"{path}: checkpoint payload size mismatch")
-    arrays = {}
-    offset = 0
-    for name, arr in state.items():
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset
-                                     ).reshape(arr.shape)
-        offset += arr.size * 8
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{path}: checkpoint array {name!r} has non-finite values")
-    model.load_state_arrays(arrays)
+        try:
+            header = json.loads(header_line.decode())
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ValueError(f"{path}: checkpoint header is not UTF-8 JSON: {exc}") from None
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+        _check_keys(path, "checkpoint header", header,
+                    ("arrays", "config", "dims", "format", "seed", "version"))
+        cfg_dict = header["config"] if isinstance(header["config"], dict) else {}
+        _check_keys(path, "checkpoint config", cfg_dict, [f.name for f in fields(ModelConfig)])
+        try:
+            cfg_dict = dict(cfg_dict)
+            for key in ("conv_channels", "conv_kernels", "pool_size", "dnn_nodes"):
+                cfg_dict[key] = tuple(cfg_dict[key])
+            model = Model(ModelConfig(**cfg_dict), tuple(header["dims"]), header["seed"])
+        except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+            raise ValueError(f"{path}: checkpoint config, dims or seed build no model: {exc}") from None
+        state = model._state()
+        expected = [{"name": n, "shape": list(a.shape)} for n, a in state.items()]
+        if header["arrays"] != expected:
+            got = header["arrays"] if isinstance(header["arrays"], list) else []
+            bad = [e["name"] for e in expected if e not in got] or "extra or reordered entries"
+            raise ValueError(f"{path}: checkpoint array manifest does not match the model: {bad}")
+        for name, arr in state.items():
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise ValueError(f"{path}: checkpoint payload size mismatch")
+            if sys.byteorder != "little":  # the payload is little-endian
+                arr.byteswap(inplace=True)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: checkpoint array {name!r} has non-finite values")
+        if fh.read(1):
+            raise ValueError(f"{path}: checkpoint payload size mismatch")
     return model

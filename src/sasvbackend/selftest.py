@@ -26,6 +26,10 @@ def check_layer_gradients():
         (lambda x, w, b: T.conv1d(x, w, b, 1, 1), [(2, 3, 6), (4, 3, 3), 4], {}),
         (lambda x, w, b: T.conv2d(x, w, b, 1, 1), [(2, 2, 5, 5), (3, 2, 3, 3), 3], {}),
         (lambda x, g, b: T.batch_norm(x, g, b, RunningStats(3), True), [(4, 3, 5), 3, 3], {}),
+        (lambda x, w, b, g, be: T.conv_block(x, w, b, g, be, RunningStats(4), True, 1),
+         [(3, 3, 6), (4, 3, 3), 4, 4, 4], {}),
+        (lambda x, w, b, g, be: T.conv_block(x, w, b, g, be, RunningStats(3), True, 1),
+         [(2, 2, 4, 4), (3, 2, 3, 3), 3, 3, 3], {}),
         (lambda x: T.adaptive_avg_pool1d(x, 3), [(2, 3, 10)], {}),
         (lambda x: T.adaptive_avg_pool2d(x, (2, 3)), [(2, 2, 5, 7)], {}),
     ]

@@ -3,7 +3,12 @@
 Every numeric primitive the backend models need lives here: matrix product,
 1D/2D convolution (cross-correlation convention, no kernel flip), adaptive
 average pooling, batch normalization, the usual activations, and the small
-set of reshapes/reductions used to compose attention blocks.
+set of reshapes/reductions used to compose attention blocks. A CNN's
+conv -> batch norm -> LeakyReLU block is one op, ``conv_block``: it shares
+the convolution's im2col/col2im and the batch-norm formulas with
+``conv1d``/``conv2d`` and ``batch_norm``, records one gradient rule, and
+keeps two activation-sized arrays (xhat and its output) where the three ops
+keep four.
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
@@ -19,8 +24,8 @@ and a GEMM blocks by layout). So every op returns its output in the layout
 the whole-array formula would give it (a conv output is a channel-major
 view, an elementwise op keeps its input's layout), and every reduction sees
 an operand of that same layout. Ops that walk an array in cache-sized
-pieces (``batch_norm``) cut it into slices of two or more channels, which
-numpy reduces in the same order as the whole array.
+pieces (``batch_norm``, ``conv_block``) cut it into slices of two or more
+channels, which numpy reduces in the same order as the whole array.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "adaptive_avg_pool2d",
     "batch_norm",
     "leaky_relu",
+    "conv_block",
     "relu",
     "sigmoid",
     "log_softmax",
@@ -156,11 +162,15 @@ def recording(tape: Tape | None = None):
         stack.pop()
 
 
+def _records(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` records a gradient rule now."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _finish(out: Tensor, inputs: tuple[Tensor, ...], rule) -> Tensor:
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
-        tape.record(rule)
+        active_tape().record(rule)
     return out
 
 
@@ -308,13 +318,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# One kernel serves conv1d and conv2d. It works on the channel-major view
+# One kernel serves conv1d, conv2d and conv_block. It works on the channel-major view
 # (Cin, B, *spatial) of the input, so each im2col copy and each col2im add
 # moves whole rows, and it returns the GEMM result (Cout, B, *out) as a
 # transposed view without copying it. Taps that reach into the padding are
 # clipped to the input instead of padding it; the forward matrix is kept for
 # the weight gradient so backward never rebuilds it, and once dW is taken the
 # input gradient's columns are written into the same buffer.
+
+
+def _cm(ndim: int) -> tuple[int, ...]:
+    """The axis order that swaps batch and channel axes; its own inverse."""
+    return (1, 0) + tuple(range(2, ndim))
 
 
 def _tap(offset: int, size: int, out: int, stride: int, padding: int) -> tuple[slice, slice]:
@@ -326,20 +341,19 @@ def _tap(offset: int, size: int, out: int, stride: int, padding: int) -> tuple[s
     return slice(lo, hi), slice(start, start + (hi - lo) * stride, stride)
 
 
-def _conv(
-    x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int, outs: tuple[int, ...]
-) -> Tensor:
-    b, cin, *sizes = x.data.shape
-    cout, k = w.data.shape[0], w.data.shape[-1]
-    n = len(outs)
-    cm = (1, 0) + tuple(range(2, n + 2))  # channel-major axis order; its own inverse
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                  outs: tuple[int, ...]):
+    """im2col and GEMM: the C-ordered (Cout, B, *outs) product without the
+    bias, the im2col matrix (kept for dW) and the taps (kept for col2im)."""
+    b, cin, *sizes = x.shape
+    cout, k = w.shape[0], w.shape[-1]
     per_axis = [
         [_tap(o, size, m, stride, padding) for o in range(k)] for size, m in zip(sizes, outs)
     ]
     taps = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
     every = (slice(None),)
     cols = np.empty((cin, len(taps), b, *outs))
-    xc = x.data.transpose(cm)
+    xc = x.transpose(_cm(x.ndim))
     for t, (osl, isl) in enumerate(taps):
         cols[every + (t,) + every + osl] = xc[every * 2 + isl]
         # Zero what the copy left out: per axis, the strips before and after
@@ -349,34 +363,50 @@ def _conv(
                 if strip.start < strip.stop:
                     cols[every + (t,) + every + osl[:d] + (strip,)] = 0.0
     cols = cols.reshape(cin * len(taps), -1)
-    wmat = w.data.reshape(cout, -1)
-    y = (wmat @ cols).reshape(cout, b, *outs)
-    y += bias.data.reshape((cout,) + (1,) * (n + 1))
+    return (w.reshape(cout, -1) @ cols).reshape(cout, b, *outs), cols, taps
+
+
+def _conv_backward(gmat: np.ndarray, x: Tensor, w: Tensor, bias: Tensor,
+                   cols: np.ndarray, taps: list, outs: tuple[int, ...]) -> None:
+    """Accumulate dbias, dW and dx from the (Cout, B*prod(outs)) output
+    gradient. The rule runs once, so ``cols`` is dead after dW and takes
+    dcols."""
+    cout = w.data.shape[0]
+    if bias.requires_grad:
+        _accumulate(bias, gmat.sum(axis=1), own=True)
+    if w.requires_grad:
+        _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
+    if x.requires_grad:
+        b, cin, *_ = x.data.shape
+        every = (slice(None),)
+        dcols = np.matmul(w.data.reshape(cout, -1).T, gmat, out=cols)
+        dcols = dcols.reshape(cin, len(taps), b, *outs)
+        dx = np.zeros_like(x.data)
+        dxc = dx.transpose(_cm(dx.ndim))
+        for t, (osl, isl) in enumerate(taps):
+            dxc[every * 2 + isl] += dcols[every + (t,) + every + osl]
+        _accumulate(x, dx, own=True)
+
+
+def _conv(
+    x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int, outs: tuple[int, ...]
+) -> Tensor:
+    y, cols, taps = _conv_forward(x.data, w.data, stride, padding, outs)
+    y += bias.data.reshape((-1,) + (1,) * (len(outs) + 1))
+    cm = _cm(x.data.ndim)
     out = Tensor(y.transpose(cm))
 
     def rule():
         g = out.grad
         if g is None:
             return
-        gmat = np.ascontiguousarray(g.transpose(cm)).reshape(cout, -1)
-        if bias.requires_grad:
-            _accumulate(bias, gmat.sum(axis=1), own=True)
-        if w.requires_grad:
-            _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
-        if x.requires_grad:
-            # The rule runs once, so cols is dead after dW: reuse it for dcols.
-            dcols = np.matmul(wmat.T, gmat, out=cols).reshape(cin, len(taps), b, *outs)
-            dx = np.zeros_like(x.data)
-            dxc = dx.transpose(cm)
-            for t, (osl, isl) in enumerate(taps):
-                dxc[every * 2 + isl] += dcols[every + (t,) + every + osl]
-            _accumulate(x, dx, own=True)
+        gmat = np.ascontiguousarray(g.transpose(cm)).reshape(w.data.shape[0], -1)
+        _conv_backward(gmat, x, w, bias, cols, taps, outs)
 
     return _finish(out, (x, w, bias), rule)
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 1D cross-correlation: x is BxCinxL, w is CoutxCinxk."""
+def _conv1d_outs(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int) -> tuple[int]:
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError(
             f"conv1d needs BxCinxL input and CoutxCinxk weight, got {x.data.shape} and {w.data.shape}"
@@ -393,11 +423,10 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(
             f"conv1d kernel {k} does not fit padded length {lp} (stride {stride})"
         )
-    return _conv(x, w, bias, stride, padding, (lout,))
+    return (lout,)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 2D cross-correlation: x is BxCinxHxW, w is CoutxCinxkxk."""
+def _conv2d_outs(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int) -> tuple[int, int]:
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(
             f"conv2d needs BxCinxHxW input and CoutxCinxkxk weight, got {x.data.shape} and {w.data.shape}"
@@ -417,7 +446,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(
             f"conv2d kernel {k} does not fit padded size {hp}x{wp} (stride {stride})"
         )
-    return _conv(x, w, bias, stride, padding, (hout, wout))
+    return hout, wout
+
+
+def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Batched 1D cross-correlation: x is BxCinxL, w is CoutxCinxk."""
+    return _conv(x, w, bias, stride, padding, _conv1d_outs(x, w, bias, stride, padding))
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Batched 2D cross-correlation: x is BxCinxHxW, w is CoutxCinxkxk."""
+    return _conv(x, w, bias, stride, padding, _conv2d_outs(x, w, bias, stride, padding))
 
 
 # ---------------------------------------------------------------------------
@@ -523,86 +562,129 @@ def _channel_blocks(c: int, n: int) -> list[slice]:
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [c])]
 
 
+# Defaults of batch_norm and leaky_relu, and the values conv_block uses.
+_MOMENTUM, _EPS, _SLOPE = 0.1, 1e-5, 0.01
+
+
+def _check_batch_norm(shape: tuple[int, ...], gamma: Tensor, beta: Tensor, training: bool) -> None:
+    if len(shape) < 2:
+        raise DimensionError(f"batch_norm needs a BxCx... input, got {shape}")
+    c = shape[1]
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise DimensionError(
+            f"batch_norm gamma/beta must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}"
+        )
+    if training and shape[0] < 2:
+        raise DimensionError(f"batch_norm training mode needs batch >= 2, got {shape[0]}")
+
+
+class _BatchNorm:
+    """The batch-norm formulas for one channel block ``[:, blk]`` at a time,
+    shared by ``batch_norm`` and ``conv_block``.
+
+    Callers walk ``blocks`` (``_channel_blocks``), which stay in cache across
+    the formulas' several passes. Each block runs the whole-array formulas in
+    the whole-array operand order, so the bytes do not depend on the blocking.
+    Training mode uses batch moments (biased variance); eval mode uses the
+    running buffers.
+    """
+
+    def __init__(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                 stats: RunningStats, training: bool, eps: float):
+        c = x.shape[1]
+        self.axes = (0,) + tuple(range(2, x.ndim))
+        self.n = x.size // c
+        self.blocks = _channel_blocks(c, self.n)
+        self.cshape = (1, -1) + (1,) * (x.ndim - 2)
+        self.gamma, self.beta, self.training, self.eps = gamma, beta, training, eps
+        self.mu, self.var = (np.empty(c), np.empty(c)) if training else (stats.mean, stats.var)
+        self.inv = np.empty(c)
+
+    def cs(self, v: np.ndarray) -> np.ndarray:  # per-channel values, shaped to broadcast
+        return v.reshape(self.cshape)
+
+    def normalize(self, blk: slice, xb: np.ndarray, hb: np.ndarray, ob: np.ndarray) -> None:
+        """xhat of block ``xb`` into ``hb``, which may be ``xb`` itself; ``ob``
+        is scratch of the block's size."""
+        if self.training:
+            self.mu[blk] = xb.mean(axis=self.axes)
+        np.subtract(xb, self.cs(self.mu[blk]), out=hb)
+        if self.training:  # np.var's arithmetic, with x*x written into ob
+            self.var[blk] = np.multiply(hb, hb, out=ob).sum(axis=self.axes) / self.n
+        self.inv[blk] = 1.0 / np.sqrt(self.var[blk] + self.eps)
+        hb *= self.cs(self.inv[blk])
+
+    def affine(self, blk: slice, hb: np.ndarray, ob: np.ndarray) -> np.ndarray:
+        """gamma * xhat + beta of the block, written into ``ob``."""
+        np.multiply(self.cs(self.gamma[blk]), hb, out=ob)
+        ob += self.cs(self.beta[blk])
+        return ob
+
+    def update(self, stats: RunningStats, momentum: float) -> None:
+        """Move the running buffers toward the batch moments (training only)."""
+        if self.training:
+            stats.mean = (1.0 - momentum) * stats.mean + momentum * self.mu
+            stats.var = (1.0 - momentum) * stats.var + momentum * self.var
+
+    def backward(self, blk: slice, gb: np.ndarray, hb: np.ndarray, dxb: np.ndarray | None,
+                 dgamma: np.ndarray | None, dbeta: np.ndarray | None) -> None:
+        """The block's gradients from its output gradient ``gb``: dx into
+        ``dxb`` (which may be ``hb``) and the parameter gradients into
+        ``dgamma[blk]`` and ``dbeta[blk]``; a ``None`` target is skipped."""
+        axes = self.axes
+        if dbeta is not None:
+            dbeta[blk] = gb.sum(axis=axes)
+        if dgamma is not None:
+            dgamma[blk] = (gb * hb).sum(axis=axes)
+        if dxb is None:
+            return
+        gg = gb * self.cs(self.gamma[blk])  # in g's layout, as the reductions expect
+        if self.training:
+            mean_gg = self.cs(gg.mean(axis=axes))
+            mean_ggx = self.cs((gg * hb).mean(axis=axes))
+            gg -= mean_gg
+            gg -= np.multiply(hb, mean_ggx)
+        np.multiply(self.cs(self.inv[blk]), gg, out=dxb)
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
     stats: RunningStats,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
+    momentum: float = _MOMENTUM,
+    eps: float = _EPS,
 ) -> Tensor:
     """Normalize per channel over batch and spatial axes.
 
     Training mode uses batch moments (biased variance) and updates the
-    running buffers in place; eval mode normalizes with the buffers.
-    Forward and backward walk the channels in blocks (``_channel_blocks``)
-    that stay in cache across their several passes; each block runs the
-    whole-array formulas on slices ``[:, blk]``.
+    running buffers in place; eval mode normalizes with the buffers. Forward
+    and backward walk the channels in cache-sized blocks (``_BatchNorm``).
     """
-    if x.data.ndim < 2:
-        raise DimensionError(f"batch_norm needs a BxCx... input, got {x.data.shape}")
-    c = x.data.shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise DimensionError(
-            f"batch_norm gamma/beta must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}"
-        )
-    if training and x.data.shape[0] < 2:
-        raise DimensionError(
-            f"batch_norm training mode needs batch >= 2, got {x.data.shape[0]}"
-        )
-    axes = (0,) + tuple(range(2, x.data.ndim))
-    n = x.data.size // c
-    blocks = _channel_blocks(c, n)
-
-    def cs(v: np.ndarray) -> np.ndarray:  # per-channel values, shaped to broadcast
-        return v.reshape((1, -1) + (1,) * (x.data.ndim - 2))
-
-    if training:
-        mu, var = np.empty(c), np.empty(c)
-    else:
-        mu, var = stats.mean, stats.var
-    inv = np.empty(c)
+    _check_batch_norm(x.data.shape, gamma, beta, training)
+    bn = _BatchNorm(x.data, gamma.data, beta.data, stats, training, eps)
     xhat = np.empty_like(x.data)
     out_data = np.empty_like(x.data)
-    for blk in blocks:
-        xb, hb, ob = x.data[:, blk], xhat[:, blk], out_data[:, blk]
-        if training:
-            mu[blk] = xb.mean(axis=axes)
-        np.subtract(xb, cs(mu[blk]), out=hb)
-        if training:  # x*x goes through the output block, which is rewritten below
-            var[blk] = np.multiply(hb, hb, out=ob).sum(axis=axes) / n  # np.var's arithmetic
-        inv[blk] = 1.0 / np.sqrt(var[blk] + eps)
-        hb *= cs(inv[blk])
-        np.multiply(cs(gamma.data[blk]), hb, out=ob)
-        ob += cs(beta.data[blk])
-    if training:
-        stats.mean = (1.0 - momentum) * stats.mean + momentum * mu
-        stats.var = (1.0 - momentum) * stats.var + momentum * var
+    for blk in bn.blocks:
+        hb, ob = xhat[:, blk], out_data[:, blk]
+        bn.normalize(blk, x.data[:, blk], hb, ob)
+        bn.affine(blk, hb, ob)
+    bn.update(stats, momentum)
     out = Tensor(out_data)
 
     def rule():
         g = out.grad
         if g is None:
             return
-        dbeta, dgamma = np.empty(c), np.empty(c)
+        c = x.data.shape[1]
+        dgamma = np.empty(c) if gamma.requires_grad else None
+        dbeta = np.empty(c) if beta.requires_grad else None
         # empty_like keeps x's layout, so a conv's rule reads dx without a copy.
         dx = np.empty_like(x.data) if x.requires_grad else None
-        for blk in blocks:
-            gb, hb = g[:, blk], xhat[:, blk]
-            if beta.requires_grad:
-                dbeta[blk] = gb.sum(axis=axes)
-            if gamma.requires_grad:
-                dgamma[blk] = (gb * hb).sum(axis=axes)
-            if dx is None:
-                continue
-            gg = gb * cs(gamma.data[blk])  # in g's layout, as the reductions expect
-            if training:
-                mean_gg = cs(gg.mean(axis=axes))
-                mean_ggx = cs((gg * hb).mean(axis=axes))
-                gg -= mean_gg
-                gg -= np.multiply(hb, mean_ggx)
-            np.multiply(cs(inv[blk]), gg, out=dx[:, blk])
+        for blk in bn.blocks:
+            bn.backward(blk, g[:, blk], xhat[:, blk], None if dx is None else dx[:, blk],
+                        dgamma, dbeta)
         _accumulate(beta, dbeta, own=True)
         _accumulate(gamma, dgamma, own=True)
         if dx is not None:
@@ -615,7 +697,14 @@ def batch_norm(
 # activations
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+def _leaky_relu_grad(g: np.ndarray, nonneg: np.ndarray, slope: float) -> np.ndarray:
+    """``g`` times the LeakyReLU factor: 1.0 where the input was >= 0 (the
+    boolean ``nonneg``), else ``slope``. The factor is looked up, so no float
+    factor array is kept between forward and backward."""
+    return np.multiply(g, np.array([slope, 1.0])[nonneg.view(np.uint8)])
+
+
+def leaky_relu(x: Tensor, slope: float = _SLOPE) -> Tensor:
     """max(x, slope*x), which equals x*(1 if x >= 0 else slope) bit for bit,
     signed zeros, NaNs and subnormals included, only for 0 < slope <= 1 (at
     slope 0, inf*0 would turn +inf into NaN)."""
@@ -631,12 +720,78 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
         g = out.grad
         if g is None:
             return
-        # The factor (slope or 1.0) is looked up from the sign of x.data, so
-        # no float factor array is kept.
-        factor = np.array([slope, 1.0])[(x.data >= 0).view(np.uint8)]
-        _accumulate(x, np.multiply(g, factor), own=True)
+        _accumulate(x, _leaky_relu_grad(g, x.data >= 0, slope), own=True)
 
     return _finish(out, (x,), rule)
+
+
+# ---------------------------------------------------------------------------
+# the conv block
+
+
+def conv_block(
+    x: Tensor,
+    w: Tensor,
+    bias: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    stats: RunningStats,
+    training: bool,
+    padding: int,
+) -> Tensor:
+    """``leaky_relu(batch_norm(conv(x, w, bias, 1, padding), gamma, beta, stats,
+    training))`` as one op, at their default slope, momentum and eps, with the
+    bytes of the three: conv1d for a BxCinxL input, conv2d for BxCinxHxW.
+
+    The forward runs ``_conv_forward``'s im2col and GEMM, then one pass over
+    channel blocks of the GEMM output: bias, batch norm (the product becomes
+    xhat in place) and LeakyReLU per block, each block small enough to stay
+    in cache. The backward is one blocked pass too: the LeakyReLU factor,
+    then the batch-norm gradient written over each xhat block, which leaves
+    the GEMM-shaped output gradient for ``_conv_backward``. Between the
+    passes the op keeps the im2col matrix and xhat, and no other
+    activation-sized array but its output.
+    """
+    outs = (_conv1d_outs if x.data.ndim == 3 else _conv2d_outs)(x, w, bias, 1, padding)
+    _check_batch_norm((x.data.shape[0], w.data.shape[0]), gamma, beta, training)
+    inputs = (x, w, bias, gamma, beta)
+    y, cols, taps = _conv_forward(x.data, w.data, 1, padding, outs)
+    if not _records(inputs):
+        cols = None  # no rule will read it: free it before the epilogue
+    xhat = y.transpose(_cm(y.ndim))  # the conv output view, normalized in place
+    bn = _BatchNorm(xhat, gamma.data, beta.data, stats, training, _EPS)
+    out_data = np.empty_like(xhat)
+    for blk in bn.blocks:
+        hb, ob = xhat[:, blk], out_data[:, blk]
+        hb += bn.cs(bias.data[blk])
+        bn.normalize(blk, hb, hb, ob)
+        bn.affine(blk, hb, ob)
+        np.maximum(ob, np.multiply(ob, _SLOPE), out=ob)
+    bn.update(stats, _MOMENTUM)
+    out = Tensor(out_data)
+
+    def rule():
+        g = out.grad
+        if g is None:
+            return
+        c = xhat.shape[1]
+        dgamma = np.empty(c) if gamma.requires_grad else None
+        dbeta = np.empty(c) if beta.requires_grad else None
+        conv_grads = x.requires_grad or w.requires_grad or bias.requires_grad
+        for blk in bn.blocks:
+            hb = xhat[:, blk]
+            # The factor needs the sign of the batch-norm output, recomputed
+            # here bit for bit; the output's own sign differs where
+            # slope * x underflows to -0.0.
+            nonneg = bn.affine(blk, hb, np.empty_like(hb)) >= 0
+            gb = _leaky_relu_grad(g[:, blk], nonneg, _SLOPE)
+            bn.backward(blk, gb, hb, hb if conv_grads else None, dgamma, dbeta)
+        _accumulate(beta, dbeta, own=True)
+        _accumulate(gamma, dgamma, own=True)
+        if conv_grads:  # xhat now holds the conv output's gradient
+            _conv_backward(y.reshape(y.shape[0], -1), x, w, bias, cols, taps, outs)
+
+    return _finish(out, inputs, rule)
 
 
 def relu(x: Tensor) -> Tensor:

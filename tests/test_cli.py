@@ -368,6 +368,26 @@ class TestScore:
     def test_score_file_embeds_seed(self, workspace):
         head = (workspace / "run1" / "eval.scores").read_text().splitlines()[0]
         assert head.startswith("# seed=5 config=")
+        assert head.endswith(" batch_size=256")
+
+    def test_score_file_records_batch_size(self, workspace, tmp_path, capsys):
+        """Score bytes depend on the batch size, so the header names it."""
+        out = tmp_path / "b7.scores"
+        code, stderr = run_main(
+            ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt",
+             "--embeddings", workspace / "data" / "embeddings.tsv",
+             "--protocol", workspace / "data" / "eval.protocol", "--out", out,
+             "--batch-size", "7"],
+            capsys,
+        )
+        assert code == 0, stderr
+        head = out.read_text().splitlines()[0]
+        default = (workspace / "run1" / "eval.scores").read_text().splitlines()[0]
+        assert head == default.replace(" batch_size=256", " batch_size=7")
+        fields = dict(item.split("=", 1) for item in head.removeprefix("# ").split())
+        assert (fields["seed"], fields["batch_size"]) == ("5", "7")
+        ids, _ = metrics.read_score_file(str(out))
+        assert ids == data.parse_protocol(str(workspace / "data" / "eval.protocol")).trial_ids()
 
     def test_no_temp_files_left_behind(self, workspace):
         leftovers = [p for p in (workspace / "run1").iterdir() if p.suffix == ".tmp"]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sasvbackend import attention as att
-from sasvbackend import data, fusion, metrics, models, oracles
+from sasvbackend import data, fusion, metrics, models, oracles, training
+from sasvbackend import tensor as T
 from sasvbackend.models import ModelConfig, PRESETS, build
+from sasvbackend.tensor import Tensor
 
 CHALLENGE_DIMS = (192, 192, 160)
 DESK_DIMS = (16, 16, 12)
@@ -202,6 +204,74 @@ class TestForward:
         )
 
 
+def unfused_forward(model, batch):
+    """``Model.forward`` spelled out with the public unfused ops: each conv
+    block as conv1d/conv2d, batch_norm and leaky_relu."""
+    cfg, p = model.config, model.params
+    conv = T.conv2d if cfg.fusion_mode == fusion.CIRC2D else T.conv1d
+    x = Tensor(batch)
+    for i, k in enumerate(cfg.conv_kernels):
+        x = conv(x, p[f"conv{i}.w"], p[f"conv{i}.b"], 1, k // 2)
+        x = T.batch_norm(x, p[f"bn{i}.gamma"], p[f"bn{i}.beta"], model.bn_stats[f"bn{i}"],
+                         model.training)
+        x = T.leaky_relu(x)
+        if cfg.attention_position == i:
+            x = att.apply_attention(x, model._attention)
+    if cfg.fusion_mode == fusion.CIRC2D:
+        x = T.adaptive_avg_pool2d(x, tuple(cfg.pool_size))
+    else:
+        x = T.adaptive_avg_pool1d(x, cfg.pool_size[0])
+    x = T.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
+    for i in range(len(cfg.dnn_nodes)):
+        x = T.leaky_relu(T.linear(x, p[f"fc{i}.w"], p[f"fc{i}.b"]))
+    return T.linear(x, p["head.w"], p["head.b"])
+
+
+CNN_PRESETS = [name for name, cfg in PRESETS.items() if cfg.conv_channels]
+
+
+class TestFusedConvBlocks:
+    """``Model.forward`` runs each conv block as one ``tensor.conv_block``;
+    training and scoring must give the bytes of the unfused ops."""
+
+    @staticmethod
+    def _step(model, forward, batch, labels):
+        """Logits, parameter gradients and running stats of one recorded step."""
+        model.zero_grads()
+        with T.recording() as tape:
+            logits = forward(batch)
+            loss = training.weighted_cross_entropy(logits, labels, (0.5, 0.5))
+        tape.backward(loss)
+        stats = {k: (st.mean.tobytes(), st.var.tobytes()) for k, st in model.bn_stats.items()}
+        return logits.data.tobytes(), {n: p.grad for n, p in model.params.items()}, stats
+
+    @pytest.mark.parametrize("name", CNN_PRESETS)
+    def test_training_and_scoring_match_unfused_ops(self, rng, name):
+        model = build(name, DESK_DIMS, seed=2).train()
+        mode = model.config.fusion_mode
+        fused = lambda b: model.forward(b, mode)  # noqa: E731
+        reference = lambda b: unfused_forward(model, b)  # noqa: E731
+        labels = np.array([0, 1, 1, 0])
+        for step in range(2):
+            batch = random_trial_batch(rng, 4, mode)
+            before = {k: (st.mean, st.var) for k, st in model.bn_stats.items()}
+            want = self._step(model, reference, batch, labels)
+            for k, st in model.bn_stats.items():  # undo the reference step's update
+                st.mean, st.var = before[k]
+            got = self._step(model, fused, batch, labels)
+            assert got[0] == want[0], f"step {step}: logits differ"
+            # Same bytes, compared through an integer view instead of a copy.
+            differ = [n for n, g in want[1].items()
+                      if not np.array_equal(got[1][n].view(np.int64), g.view(np.int64))]
+            assert differ == [], f"step {step}: gradients differ"
+            assert got[2] == want[2], f"step {step}: running stats differ"
+            for p in model.params.values():
+                p.data -= 0.05 * p.grad
+        model.eval()
+        batch = random_trial_batch(rng, 5, mode)
+        assert fused(batch).data.tobytes() == reference(batch).data.tobytes()
+
+
 class TestScoring:
     def test_equal_logits_give_half(self):
         assert models.softmax_scores(np.array([[0.0, 0.0]]))[0] == 0.5
@@ -258,6 +328,23 @@ class TestCheckpoint:
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ValueError, match="not a"):
+            models.load_checkpoint(str(path))
+
+    def test_round_trip_is_byte_identical(self, tmp_path):
+        model = build("CNN1D_PA", DESK_DIMS, seed=4)
+        model.bn_stats["bn1"].mean += 0.25
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(model, str(path))
+        loaded = models.load_checkpoint(str(path))
+        want, got = model._state(), loaded._state()
+        assert list(got) == list(want)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+
+    def test_trailing_payload_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(build("Extend512_DNN", DESK_DIMS, seed=0), str(path))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="size mismatch"):
             models.load_checkpoint(str(path))
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -25,6 +25,11 @@ def _conv_without_bias(orig):
         x, w, T.Tensor(np.zeros_like(bias.data)), stride, padding)
 
 
+def _no_leaky_relu_factor(orig):
+    # conv_block's backward takes its LeakyReLU factor from this helper.
+    return lambda g, nonneg, slope: g * 1.0
+
+
 def _scaled_ce_weights(orig):
     return lambda logits, labels, weights: orig(logits, labels, [1.01 * v for v in weights])
 
@@ -33,6 +38,7 @@ BREAKS = {
     "circulant-algebra": (fusion, "circulant", _transposed_circulant),
     "eer-vs-exhaustive-threshold-oracle": (metrics, "eer", _offset_eer),
     "adam-vs-scalar-reference": (training.Adam, "step", _doubled_adam_step),
+    "layer-gradients-vs-finite-differences": (T, "_leaky_relu_grad", _no_leaky_relu_factor),
     "conv1d-vs-loop-oracle": (T, "conv1d", _conv_without_bias),
     "conv2d-vs-loop-oracle": (T, "conv2d", _conv_without_bias),
     "weighted-cross-entropy-vs-loop": (training, "weighted_cross_entropy", _scaled_ce_weights),

@@ -125,19 +125,27 @@ class TestConv2d:
             T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 2))), Tensor([0.0]))
 
 
+def nan_filled(alloc):
+    """``alloc`` (np.empty or np.empty_like) with every float result filled
+    with NaN, so any element an op leaves unwritten poisons its output."""
+    def make(*args, **kwargs):
+        out = alloc(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+    return make
+
+
+def fill_empty_with_nan(monkeypatch):
+    monkeypatch.setattr(np, "empty", nan_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", nan_filled(np.empty_like))
+    assert np.isnan(np.empty(3)).all()
+
+
 class TestIm2colIsFullyWritten:
     """``_conv`` takes its im2col buffer from ``np.empty`` and zeroes only the
     strips that each tap's copy leaves out. With every uninitialised array
     filled with NaN, any position left unwritten would poison the output."""
-
-    @staticmethod
-    def _nan_filled(alloc):
-        def make(*args, **kwargs):
-            out = alloc(*args, **kwargs)
-            if out.dtype.kind == "f":
-                out.fill(np.nan)
-            return out
-        return make
 
     @staticmethod
     def _run(op, x, w, bias, stride, padding):
@@ -156,9 +164,7 @@ class TestIm2colIsFullyWritten:
         op, loops = (T.conv1d, oracles.conv1d_loops) if ndim == 1 else (T.conv2d, oracles.conv2d_loops)
         expected = loops(x, w, bias, stride, padding)
         clean = self._run(op, x, w, bias, stride, padding)
-        monkeypatch.setattr(np, "empty", self._nan_filled(np.empty))
-        monkeypatch.setattr(np, "empty_like", self._nan_filled(np.empty_like))
-        assert np.isnan(np.empty(3)).all()
+        fill_empty_with_nan(monkeypatch)
         dirty = self._run(op, x, w, bias, stride, padding)
         np.testing.assert_allclose(dirty[0], expected, atol=1e-12)
         for got, want in zip(dirty, clean):
@@ -312,6 +318,151 @@ class TestBatchNorm:
                 Tensor(np.ones((1, 3, 5))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                 RunningStats(3), True,
             )
+
+
+def unfused_block(x, w, bias, gamma, beta, stats, training, padding):
+    """The three public ops that ``conv_block`` fuses."""
+    conv = T.conv1d if x.data.ndim == 3 else T.conv2d
+    return T.leaky_relu(T.batch_norm(conv(x, w, bias, 1, padding), gamma, beta, stats, training))
+
+
+# (input shape, output channels, kernel, padding). 16384 elements per output
+# channel give channel blocks of two: 5 channels run as 2+3 and 7 as 2+2+3;
+# 10240 per channel give blocks of three, so 7 runs as 3+4.
+BLOCK_CASES = (
+    [((8, 2, 2048), c, 3, 1) for c in (1, 2, 3, 5, 7)]
+    + [((4, 2, 64, 64), c, 3, 1) for c in (1, 2, 3, 5, 7)]
+    + [((8, 2, 1280), 7, 3, 1), ((2, 3, 6, 5), 4, 5, 2)]
+)
+
+
+def block_case_id(case):
+    shape, cout, k, padding = case
+    return f"{len(shape) - 2}d-{'x'.join(map(str, shape))}-c{cout}-k{k}p{padding}"
+
+
+class TestConvBlock:
+    @staticmethod
+    def _arrays(rng, shape, cout, k):
+        cin = shape[1]
+        return {
+            "x": rng.uniform(-1, 1, shape),
+            "w": rng.uniform(-1, 1, (cout, cin) + (k,) * (len(shape) - 2)),
+            "bias": rng.uniform(-1, 1, cout),
+            "gamma": rng.uniform(0.5, 1.5, cout),
+            "beta": rng.uniform(-1, 1, cout),
+            "mean": rng.uniform(-0.1, 0.1, cout),
+            "var": rng.uniform(0.5, 1.5, cout),
+        }
+
+    @staticmethod
+    def _run(op, arrays, training, padding, g):
+        """Output, running stats and the x/w/bias/gamma/beta gradients of
+        ``op`` given the output gradient ``g`` (every case keeps the size)."""
+        stats = RunningStats(len(arrays["mean"]))
+        stats.mean, stats.var = arrays["mean"].copy(), arrays["var"].copy()
+        tensors = [Tensor(arrays[k], requires_grad=True) for k in ("x", "w", "bias", "gamma", "beta")]
+        with T.recording() as tape:
+            out = op(*tensors, stats, training, padding)
+        backward_from(tape, out, g)
+        return [out.data, stats.mean, stats.var] + [t.grad for t in tensors]
+
+    @staticmethod
+    def _out_shape(arrays):
+        return (arrays["x"].shape[0], len(arrays["bias"])) + arrays["x"].shape[2:]
+
+    NAMES = ("out", "running mean", "running var", "dx", "dw", "dbias", "dgamma", "dbeta")
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=block_case_id)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_matches_unfused_ops_byte_for_byte(self, rng, case, training):
+        shape, cout, k, padding = case
+        arrays = self._arrays(rng, shape, cout, k)
+        upstream = rng.uniform(-1, 1, self._out_shape(arrays))
+        for g_order in ("C", "CM"):
+            g = in_layout(upstream, g_order)
+            want = self._run(unfused_block, arrays, training, padding, g)
+            got = self._run(T.conv_block, arrays, training, padding, g)
+            for name, a, b in zip(self.NAMES, got, want):
+                assert a.tobytes() == b.tobytes(), f"{name} bytes differ (g {g_order})"
+            assert layout(got[0]) == layout(want[0])
+            assert layout(got[3]) == layout(want[3])
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_factor_follows_batch_norm_output_not_activation(self, rng, training):
+        """With gamma 0 and beta -5e-324 the batch-norm output is -5e-324, so
+        the LeakyReLU factor is the slope; but 0.01 * -5e-324 underflows to
+        -0.0, so the activation is -0.0 and reads as >= 0. A backward that took
+        the factor from the activation would give dbeta = sum(g), not
+        0.01 * sum(g)."""
+        arrays = self._arrays(rng, (3, 2, 8), 3, 3)
+        arrays["gamma"], arrays["beta"] = np.zeros(3), np.full(3, -5e-324)
+        g = np.ones(self._out_shape(arrays))
+        got = self._run(T.conv_block, arrays, training, 1, g)
+        assert np.all(got[0] == 0.0) and np.all(np.signbit(got[0]))
+        want = self._run(unfused_block, arrays, training, 1, g)
+        for name, a, b in zip(self.NAMES, got, want):
+            assert a.tobytes() == b.tobytes(), f"{name} bytes differ"
+        np.testing.assert_array_equal(got[-1], np.full(3, 0.01 * 24))
+
+    @pytest.mark.parametrize("case", [BLOCK_CASES[3], BLOCK_CASES[9], BLOCK_CASES[-1]],
+                             ids=block_case_id)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_every_empty_buffer_is_fully_written(self, rng, monkeypatch, case, training):
+        shape, cout, k, padding = case
+        arrays = self._arrays(rng, shape, cout, k)
+        g = rng.uniform(-1, 1, self._out_shape(arrays))
+        clean = self._run(T.conv_block, arrays, training, padding, g)
+        fill_empty_with_nan(monkeypatch)
+        dirty = self._run(T.conv_block, arrays, training, padding, g)
+        for name, a, b in zip(self.NAMES, dirty, clean):
+            assert a.tobytes() == b.tobytes(), f"{name} bytes differ"
+
+    def test_records_one_rule(self, rng):
+        x, w, bias, gamma, beta = rt(rng, 2, 3, 5, 5), rt(rng, 4, 3, 3, 3), rt(rng, 4), rt(rng, 4), rt(rng, 4)
+        with T.recording() as tape:
+            T.conv_block(x, w, bias, gamma, beta, RunningStats(4), True, 1)
+        assert len(tape) == 1
+        with T.recording() as tape:
+            T.conv_block(*(Tensor(t.data) for t in (x, w, bias, gamma, beta)),
+                         RunningStats(4), True, 1)
+        assert len(tape) == 0
+
+    def test_recorded_chain_holds_two_activations_per_block_less(self, rng):
+        """A recorded 3-block chain, as the unfused ops and as conv_block: the
+        unfused chain keeps each block's conv output, xhat, batch-norm output
+        and LeakyReLU output; conv_block keeps xhat and its output."""
+        b, c, h = 8, 8, 16
+        x = Tensor(rng.uniform(-1, 1, (b, c, h, h)))
+        blocks = [(rt(rng, c, c, 3, 3), rt(rng, c), rt(rng, c), rt(rng, c)) for _ in range(3)]
+        held = []
+        for op in (unfused_block, T.conv_block):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                with T.recording() as tape:
+                    out = x
+                    for w, bias, gamma, beta in blocks:
+                        out = op(out, w, bias, gamma, beta, RunningStats(c), True, 1)
+                del out
+                held.append(tracemalloc.get_traced_memory()[0] - start)
+            finally:
+                tracemalloc.stop()
+            del tape
+        assert (held[0] - held[1]) / x.data.nbytes >= 2 * len(blocks)
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"x": (2, 3, 5, 5, 5)}, "conv2d needs"),
+        ({"gamma": (5,)}, "gamma/beta"),
+        ({"x": (1, 3, 5, 5)}, "batch >= 2"),
+        ({"w": (4, 2, 3, 3)}, "channel mismatch"),
+    ], ids=["rank", "gamma", "batch", "channels"])
+    def test_shapes_are_checked(self, bad, match):
+        shapes = {"x": (2, 3, 5, 5), "w": (4, 3, 3, 3), "bias": (4,), "gamma": (4,), "beta": (4,)}
+        shapes.update(bad)
+        ts = [Tensor(np.ones(shapes[k])) for k in ("x", "w", "bias", "gamma", "beta")]
+        with pytest.raises(DimensionError, match=match):
+            T.conv_block(*ts, RunningStats(4), True, 1)
 
 
 class TestActivations:
