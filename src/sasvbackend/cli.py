@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--out", required=True)
     score.add_argument("--batch-size", type=int, default=256,
                        help="trials per forward pass; score bytes are reproducible only "
-                            "at the same batch size (BLAS blocks each GEMM by its size)")
+                            "at the same batch size (BLAS picks a product's kernel by its shape)")
     score.set_defaults(func=cmd_score)
 
     ev = sub.add_parser("eval", help="compute SASV/SPF/SV EERs from a score file")

@@ -265,11 +265,13 @@ class Model:
         return {name: arr.copy() for name, arr in self._state().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Restore a snapshot: one C-ordered float64 copy per array, so the
+        model shares no memory with ``arrays``."""
         for name, p in self.params.items():
-            p.data = arrays[name].astype(np.float64).reshape(p.data.shape).copy()
+            p.data = np.array(arrays[name], dtype=np.float64, order="C").reshape(p.data.shape)
         for name, st in self.bn_stats.items():
-            st.mean = arrays[f"{name}.running_mean"].astype(np.float64).copy()
-            st.var = arrays[f"{name}.running_var"].astype(np.float64).copy()
+            st.mean = np.array(arrays[f"{name}.running_mean"], dtype=np.float64)
+            st.var = np.array(arrays[f"{name}.running_var"], dtype=np.float64)
 
     # -- forward -----------------------------------------------------------
 

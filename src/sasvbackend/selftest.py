@@ -46,13 +46,22 @@ def check_layer_gradients():
     return worst < 1e-6, f"max relative gradient error {worst:.3g}"
 
 
+def _channel_major(x):
+    """``x`` stored channel-major, the layout of a conv's output, whose batch
+    and spatial axes merge into one run per channel."""
+    cm = (1, 0) + tuple(range(2, x.ndim))
+    return np.ascontiguousarray(x.transpose(cm)).transpose(cm)
+
+
 def check_conv(conv, oracle, x_shape):
     rng = np.random.default_rng(1)
     w_shape = (4, x_shape[1]) + (3,) * (len(x_shape) - 2)
     cases = [(*(rng.uniform(-1, 1, s) for s in (x_shape, w_shape, 4)), st, pad)
              for st, pad in ((1, 1), (1, 0), (2, 1), (2, 2), (1, 2))]
-    return _worst(((conv(Tensor(x), Tensor(w), Tensor(b), st, pad).data,
-                    oracle(x, w, b, st, pad)) for x, w, b, st, pad in cases), 1e-12)
+    return _worst(((conv(Tensor(layout(x)), Tensor(w), Tensor(b), st, pad).data,
+                    oracle(x, w, b, st, pad))
+                   for x, w, b, st, pad in cases for layout in (np.asarray, _channel_major)),
+                  1e-12)
 
 
 def check_circulant():

@@ -319,12 +319,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # convolution
 
 # One kernel serves conv1d, conv2d and conv_block. It works on the channel-major view
-# (Cin, B, *spatial) of the input, so each im2col copy and each col2im add
-# moves whole rows, and it returns the GEMM result (Cout, B, *out) as a
-# transposed view without copying it. Taps that reach into the padding are
-# clipped to the input instead of padding it; the forward matrix is kept for
-# the weight gradient so backward never rebuilds it, and once dW is taken the
-# input gradient's columns are written into the same buffer.
+# (Cin, B, *spatial) of the input, and it returns the GEMM result (Cout, B,
+# *out) as a transposed view without copying it. Taps that reach into the
+# padding are clipped to the input instead of padding it; the forward matrix
+# is kept for the weight gradient so backward never rebuilds it, and once dW
+# is taken the input gradient's columns are written into the same buffer.
+#
+# im2col and col2im share one loop (``_im2col``): it walks the input channels
+# in cache-sized blocks (``_channel_blocks``) and finishes every tap of a
+# block before the next. A conv that keeps every size at stride 1 (every conv
+# block of the presets) on an input whose batch and spatial axes merge (a
+# conv's own channel-major output) turns each tap into one shifted run over a
+# channel's flattened batch x spatial positions, in place of runs of one
+# output row. The positions where that run wraps into the next row or batch
+# item are exactly the tap's padding strips, which im2col zeroes after its
+# copy and col2im zeroes in dcols before its add. Adding +0.0 changes no sum
+# there, because dx starts at +0.0, and a sum that starts at +0.0 is never
+# -0.0. Other convs and inputs (the first conv's C-ordered input, a gated
+# output in CNN2D) keep one window copy per tap and block.
 
 
 def _cm(ndim: int) -> tuple[int, ...]:
@@ -341,33 +353,88 @@ def _tap(offset: int, size: int, out: int, stride: int, padding: int) -> tuple[s
     return slice(lo, hi), slice(start, start + (hi - lo) * stride, stride)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                  outs: tuple[int, ...]):
-    """im2col and GEMM: the C-ordered (Cout, B, *outs) product without the
-    bias, the im2col matrix (kept for dW) and the taps (kept for col2im)."""
-    b, cin, *sizes = x.shape
-    cout, k = w.shape[0], w.shape[-1]
+def _plan(sizes: list[int], outs: tuple[int, ...], k: int, stride: int, padding: int) -> list:
+    """Per tap: the output window and the input window it reads (indices into
+    (C, B, *outs) and (C, B, *sizes) arrays), the padding strips of the
+    output that the window leaves out (per axis, the strips before and after
+    its slice, within the slices of the axes before it), and the flat offset
+    of the input that its shifted run reads, or None when the conv changes a
+    size or strides."""
     per_axis = [
         [_tap(o, size, m, stride, padding) for o in range(k)] for size, m in zip(sizes, outs)
     ]
-    taps = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
-    every = (slice(None),)
-    cols = np.empty((cin, len(taps), b, *outs))
-    xc = x.transpose(_cm(x.ndim))
-    for t, (osl, isl) in enumerate(taps):
-        cols[every + (t,) + every + osl] = xc[every * 2 + isl]
-        # Zero what the copy left out: per axis, the strips before and after
-        # its output slice, within the slices of the axes before it.
-        for d, (s, m) in enumerate(zip(osl, outs)):
-            for strip in (slice(0, s.start), slice(s.stop, m)):
-                if strip.start < strip.stop:
-                    cols[every + (t,) + every + osl[:d] + (strip,)] = 0.0
-    cols = cols.reshape(cin * len(taps), -1)
-    return (w.reshape(cout, -1) @ cols).reshape(cout, b, *outs), cols, taps
+    runs = stride == 1 and tuple(sizes) == tuple(outs)
+    steps = [int(np.prod(sizes[d + 1:])) for d in range(len(sizes))]
+    every = (slice(None),) * 2
+    plan = []
+    for combo in itertools.product(*per_axis):
+        osl, isl = zip(*combo)
+        strips = [
+            every + osl[:d] + (strip,)
+            for d, (s, m) in enumerate(zip(osl, outs))
+            for strip in (slice(0, s.start), slice(s.stop, m))
+            if strip.start < strip.stop
+        ]
+        shift = sum((i.start - o.start) * st for o, i, st in zip(osl, isl, steps)) if runs else None
+        plan.append((every + osl, every + isl, strips, shift))
+    return plan
+
+
+def _flat(xc: np.ndarray) -> np.ndarray | None:
+    """The channel-major ``xc`` (C, B, *sizes) as a (C, B*prod(sizes)) view,
+    or None where that needs a copy, which would take col2im's adds away
+    from dx. A conv's own output merges; a C-ordered input of more than one
+    channel does not."""
+    try:
+        return np.reshape(xc, (xc.shape[0], -1), copy=False)
+    except ValueError:
+        return None
+
+
+def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> None:
+    """im2col: copy the taps of the channel-major input ``xc`` (Cin, B,
+    *sizes) into ``cols`` (Cin, taps, B, *outs). col2im (``add``): add the
+    taps of ``cols`` into ``xc``, in tap order for every element."""
+    xf = _flat(xc)
+    cf = cols.reshape(cols.shape[0], len(plan), -1)
+    n = xc[0].size
+    for blk in _channel_blocks(xc.shape[0], n):
+        for t, (osl, isl, strips, shift) in enumerate(plan):
+            ct = cols[blk, t]
+            run = shift is not None and xf is not None
+            if run:
+                lo = max(0, -shift)
+                hi = max(lo, min(n, n - shift))
+                col, win = cf[blk, t, lo:hi], xf[blk, lo + shift:hi + shift]
+            else:
+                col, win = ct[osl], xc[blk][isl]
+            if add:
+                if run:
+                    for strip in strips:
+                        ct[strip] = 0.0
+                win += col
+            else:
+                col[...] = win
+                for strip in strips:
+                    ct[strip] = 0.0
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                  outs: tuple[int, ...]):
+    """im2col and GEMM: the C-ordered (Cout, B, *outs) product without the
+    bias, the im2col matrix (kept for dW) and the tap plan (kept for
+    col2im)."""
+    b, cin, *sizes = x.shape
+    cout, k = w.shape[0], w.shape[-1]
+    plan = _plan(sizes, outs, k, stride, padding)
+    cols = np.empty((cin, len(plan), b, *outs))
+    _im2col(x.transpose(_cm(x.ndim)), cols, plan)
+    cols = cols.reshape(cin * len(plan), -1)
+    return (w.reshape(cout, -1) @ cols).reshape(cout, b, *outs), cols, plan
 
 
 def _conv_backward(gmat: np.ndarray, x: Tensor, w: Tensor, bias: Tensor,
-                   cols: np.ndarray, taps: list, outs: tuple[int, ...]) -> None:
+                   cols: np.ndarray, plan: list, outs: tuple[int, ...]) -> None:
     """Accumulate dbias, dW and dx from the (Cout, B*prod(outs)) output
     gradient. The rule runs once, so ``cols`` is dead after dW and takes
     dcols."""
@@ -378,20 +445,17 @@ def _conv_backward(gmat: np.ndarray, x: Tensor, w: Tensor, bias: Tensor,
         _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
     if x.requires_grad:
         b, cin, *_ = x.data.shape
-        every = (slice(None),)
         dcols = np.matmul(w.data.reshape(cout, -1).T, gmat, out=cols)
-        dcols = dcols.reshape(cin, len(taps), b, *outs)
         dx = np.zeros_like(x.data)
-        dxc = dx.transpose(_cm(dx.ndim))
-        for t, (osl, isl) in enumerate(taps):
-            dxc[every * 2 + isl] += dcols[every + (t,) + every + osl]
+        _im2col(dx.transpose(_cm(dx.ndim)), dcols.reshape(cin, len(plan), b, *outs), plan,
+                add=True)
         _accumulate(x, dx, own=True)
 
 
 def _conv(
     x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int, outs: tuple[int, ...]
 ) -> Tensor:
-    y, cols, taps = _conv_forward(x.data, w.data, stride, padding, outs)
+    y, cols, plan = _conv_forward(x.data, w.data, stride, padding, outs)
     y += bias.data.reshape((-1,) + (1,) * (len(outs) + 1))
     cm = _cm(x.data.ndim)
     out = Tensor(y.transpose(cm))
@@ -401,7 +465,7 @@ def _conv(
         if g is None:
             return
         gmat = np.ascontiguousarray(g.transpose(cm)).reshape(w.data.shape[0], -1)
-        _conv_backward(gmat, x, w, bias, cols, taps, outs)
+        _conv_backward(gmat, x, w, bias, cols, plan, outs)
 
     return _finish(out, (x, w, bias), rule)
 
@@ -548,7 +612,8 @@ class RunningStats:
 
 
 def _channel_blocks(c: int, n: int) -> list[slice]:
-    """Channel slices of about 32k elements each (``n`` per channel).
+    """Channel slices of about 32k elements each (``n`` per channel), which
+    stay in cache: batch norm and the conv's im2col/col2im walk them.
 
     Every block holds at least two channels: numpy reduces a slice of two or
     more channels in the same order as the whole array, but a one-channel
@@ -755,7 +820,7 @@ def conv_block(
     outs = (_conv1d_outs if x.data.ndim == 3 else _conv2d_outs)(x, w, bias, 1, padding)
     _check_batch_norm((x.data.shape[0], w.data.shape[0]), gamma, beta, training)
     inputs = (x, w, bias, gamma, beta)
-    y, cols, taps = _conv_forward(x.data, w.data, 1, padding, outs)
+    y, cols, plan = _conv_forward(x.data, w.data, 1, padding, outs)
     if not _records(inputs):
         cols = None  # no rule will read it: free it before the epilogue
     xhat = y.transpose(_cm(y.ndim))  # the conv output view, normalized in place
@@ -789,7 +854,7 @@ def conv_block(
         _accumulate(beta, dbeta, own=True)
         _accumulate(gamma, dgamma, own=True)
         if conv_grads:  # xhat now holds the conv output's gradient
-            _conv_backward(y.reshape(y.shape[0], -1), x, w, bias, cols, taps, outs)
+            _conv_backward(y.reshape(y.shape[0], -1), x, w, bias, cols, plan, outs)
 
     return _finish(out, inputs, rule)
 

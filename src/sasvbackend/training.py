@@ -172,9 +172,13 @@ def score_trials(model: Model, trials: list[Trial] | TrialRows, store: Embedding
     """Per-trial target probabilities in protocol order (eval mode).
 
     The bytes of the scores depend on ``batch_size``, not only on the model
-    and the trials: BLAS blocks a GEMM by its size, so a CNN2D_SE scored at
-    batch 1 differs from batch 90 by up to 4.4e-16. Scores are reproducible
-    bit for bit only at the same batch size.
+    and the trials. OpenBLAS picks a product's kernel by its shape: a
+    one-row product, and the two-column product of the output layer at any
+    row count, give other bytes than the same rows inside the whole batch,
+    so a CNN2D_SE scored at batch 1 differs from batch 90 by up to 4.4e-16
+    (at batch 30 by 1.1e-16). Splitting a conv GEMM by columns, or a wider
+    dense product into pieces of two or more rows, changes no byte. Scores
+    are reproducible bit for bit only at the same batch size.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -213,6 +217,7 @@ def fit(
     select_best (the default when a dev set is present, turn it off when
     dev was part of the training data) the parameters with the lowest dev
     SASV-EER are restored at the end, otherwise the final epoch stays.
+    The model is returned in eval mode with no gradients held.
     """
     tune_malloc()
     if not train_trials:
@@ -268,6 +273,7 @@ def fit(
                 result.best_epoch = epoch
         result.logs.append(log)
 
+    model.zero_grads()
     model.eval()
     if select_best and best_state is not None:
         model.load_state_arrays(best_state)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -355,3 +357,24 @@ class TestCheckpoint:
         path.write_bytes(blob[:-16])
         with pytest.raises(ValueError, match="size mismatch"):
             models.load_checkpoint(str(path))
+
+
+class TestStateArrays:
+    def test_load_restores_bytes_with_one_copy(self):
+        snap = build("Extend1024_DNN", CHALLENGE_DIMS, seed=1).state_arrays()
+        state_bytes = sum(a.nbytes for a in snap.values())
+        model = build("Extend1024_DNN", CHALLENGE_DIMS, seed=2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.load_state_arrays(snap)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        got = model._state()
+        assert list(got) == list(snap)
+        for name, a in snap.items():
+            assert got[name].tobytes() == a.tobytes(), name
+            assert got[name].flags.c_contiguous, name
+            assert not np.shares_memory(got[name], a), name
+        assert peak <= state_bytes + 1024 * len(snap)  # one copy, plus the array headers

@@ -65,3 +65,19 @@ def test_check_names():
         "weighted-cross-entropy-vs-loop",
         "batch-norm-moments",
     ]
+
+
+def test_conv_rows_run_the_shifted_runs(monkeypatch):
+    """Shifted runs read only channel-major input here (the C-ordered cases
+    have more than one channel), so off-by-one runs fail the conv rows only
+    through their channel-major cases."""
+    orig = T._plan
+
+    def off_by_one(*args):
+        return [(o, i, s, None if shift is None else shift + 1) for o, i, s, shift in orig(*args)]
+
+    monkeypatch.setattr(T, "_plan", off_by_one)
+    lines = []
+    assert selftest.run(out=lines.append) is False
+    for name in ("conv1d-vs-loop-oracle", "conv2d-vs-loop-oracle"):
+        assert any(line.startswith(f"FAIL {name} (") for line in lines), lines

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -145,7 +146,9 @@ def fill_empty_with_nan(monkeypatch):
 class TestIm2colIsFullyWritten:
     """``_conv`` takes its im2col buffer from ``np.empty`` and zeroes only the
     strips that each tap's copy leaves out. With every uninitialised array
-    filled with NaN, any position left unwritten would poison the output."""
+    filled with NaN, any position left unwritten would poison the output.
+    The C-ordered input takes the window copies, the channel-major one (a
+    conv's output) the shifted runs."""
 
     @staticmethod
     def _run(op, x, w, bias, stride, padding):
@@ -163,12 +166,106 @@ class TestIm2colIsFullyWritten:
         x, w, bias = conv_case(rng, ndim, k)
         op, loops = (T.conv1d, oracles.conv1d_loops) if ndim == 1 else (T.conv2d, oracles.conv2d_loops)
         expected = loops(x, w, bias, stride, padding)
-        clean = self._run(op, x, w, bias, stride, padding)
+        inputs = [in_layout(x, order) for order in ("C", "CM")]
+        clean = [self._run(op, xi, w, bias, stride, padding) for xi in inputs]
         fill_empty_with_nan(monkeypatch)
-        dirty = self._run(op, x, w, bias, stride, padding)
-        np.testing.assert_allclose(dirty[0], expected, atol=1e-12)
-        for got, want in zip(dirty, clean):
-            assert got.tobytes() == want.tobytes()
+        for xi, want_all in zip(inputs, clean):
+            dirty = self._run(op, xi, w, bias, stride, padding)
+            np.testing.assert_allclose(dirty[0], expected, atol=1e-12)
+            for got, want in zip(dirty, want_all):
+                assert got.tobytes() == want.tobytes()
+
+
+def im2col_reference(x, k, stride, padding):
+    """The im2col matrix as ``_conv_forward`` lays it out, (Cin, taps, B,
+    *outs) with taps in row-major kernel order, cut from ``np.pad``."""
+    nd = x.ndim - 2
+    xp = np.pad(x, [(0, 0)] * 2 + [(padding, padding)] * nd)
+    outs = [(n + 2 * padding - k) // stride + 1 for n in x.shape[2:]]
+    taps = [
+        xp[(slice(None),) * 2 + tuple(slice(o, o + stride * (m - 1) + 1, stride)
+                                      for o, m in zip(offs, outs))]
+        for offs in itertools.product(range(k), repeat=nd)
+    ]
+    return np.stack(taps).transpose((2, 0, 1) + tuple(range(3, x.ndim + 1)))
+
+
+def col2im_reference(dcols, x_shape, k, stride, padding):
+    """dx of ``dcols`` (Cin, taps, B, *outs): each tap added into a zero
+    padded buffer in tap order, then the padding cut off."""
+    nd = len(x_shape) - 2
+    outs = dcols.shape[3:]
+    dxp = np.zeros(x_shape[:2] + tuple(n + 2 * padding for n in x_shape[2:]))
+    for t, offs in enumerate(itertools.product(range(k), repeat=nd)):
+        win = (slice(None),) * 2 + tuple(slice(o, o + stride * (m - 1) + 1, stride)
+                                         for o, m in zip(offs, outs))
+        dxp[win] += dcols[:, t].transpose((1, 0) + tuple(range(2, nd + 2)))
+    return dxp[(slice(None),) * 2 + tuple(slice(padding, padding + n) for n in x_shape[2:])]
+
+
+# Every CONV case on a 10-long or 6x5 input, and stride-1 same-size cases on
+# inputs no wider than the padding (each shifted run reaches past the whole
+# batch) and on inputs of a few channel blocks.
+KERNEL_CASES = (
+    [((2, 3, 10), *c) for c in CONV1D_CASES] + [((2, 3, 6, 5), *c) for c in CONV2D_CASES]
+    + [((3, 2, 1), 1, 2, 5), ((1, 3, 2), 1, 2, 5), ((1, 2, 1, 2), 1, 2, 5),
+       ((8, 5, 2048), 1, 1, 3), ((4, 5, 48, 48), 1, 1, 3)]
+)
+
+
+def kernel_case_id(case):
+    shape, stride, padding, k = case
+    return f"{len(shape) - 2}d-{'x'.join(map(str, shape))}-s{stride}p{padding}k{k}"
+
+
+class TestIm2colKernel:
+    """Bytes of the im2col matrix and of col2im's dx against references that
+    pad the input, for inputs whose batch and spatial axes merge (channel
+    major: one shifted run per tap where the conv keeps the size) and inputs
+    where they do not (C and Fortran order: one window copy per tap)."""
+
+    @staticmethod
+    def _setup(rng, case, order):
+        shape, stride, padding, k = case
+        x = in_layout(rng.uniform(-1, 1, shape), order)
+        outs = tuple((n + 2 * padding - k) // stride + 1 for n in shape[2:])
+        return x, outs, T._plan(list(shape[2:]), outs, k, stride, padding)
+
+    @pytest.mark.parametrize("shape, order, merges", [
+        ((2, 3, 6, 5), "CM", True), ((2, 3, 6, 5), "C", False), ((2, 3, 6, 5), "F", False),
+        ((2, 1, 6, 5), "C", True), ((2, 3, 10), "CM", True), ((2, 3, 10), "C", False),
+    ])
+    def test_flat_view_or_none(self, rng, shape, order, merges):
+        xc = in_layout(rng.uniform(-1, 1, shape), order).transpose(T._cm(len(shape)))
+        flat = T._flat(xc)
+        assert (flat is not None) == merges
+        if merges:
+            assert flat.shape == (shape[1], xc[0].size) and np.shares_memory(flat, xc)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=kernel_case_id)
+    @pytest.mark.parametrize("order", ["C", "CM", "F"])
+    def test_im2col_matches_padded_windows(self, rng, case, order):
+        shape, stride, padding, k = case
+        x, outs, plan = self._setup(rng, case, order)
+        w = rng.uniform(-1, 1, (2, shape[1]) + (k,) * len(outs))
+        _, cols, _ = T._conv_forward(x, w, stride, padding, outs)
+        want = im2col_reference(x, k, stride, padding)
+        assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=kernel_case_id)
+    @pytest.mark.parametrize("order", ["C", "CM", "F"])
+    @pytest.mark.parametrize("fill", ["uniform", "negative-zero"])
+    def test_col2im_matches_padded_buffer(self, rng, case, order, fill):
+        """Where a shifted run wraps, col2im adds a zeroed dcols entry; with
+        every dcols entry -0.0, dx must still be +0.0 everywhere."""
+        shape, stride, padding, k = case
+        x, outs, plan = self._setup(rng, case, order)
+        dcols = (rng.uniform(-1, 1, (shape[1], len(plan), shape[0]) + outs)
+                 if fill == "uniform" else np.full((shape[1], len(plan), shape[0]) + outs, -0.0))
+        want = col2im_reference(dcols, shape, k, stride, padding)
+        dx = np.zeros_like(x)
+        T._im2col(dx.transpose(T._cm(dx.ndim)), dcols.copy(), plan, add=True)
+        assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestAdaptivePool:

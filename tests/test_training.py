@@ -238,6 +238,14 @@ class TestFit:
         line = result.logs[0].format_line()
         assert "epoch=1" in line and "dev_sasv=" in line
 
+    @pytest.mark.parametrize("select_best", [False, True], ids=["last", "best-by-dev"])
+    def test_returns_holding_no_gradients(self, select_best):
+        store, protos = tiny_synth(seed=9)
+        model = models.build(TINY_DNN, (8, 8, 6), seed=9)
+        fit(model, protos["train"].trials, TrainConfig(batch_size=16, epochs=2, seed=9), store,
+            dev_trials=protos["dev"].trials, select_best=select_best)
+        assert all(p.grad is None for p in model.params.values())
+
     def test_unknown_dev_id_raises_before_any_step(self, monkeypatch):
         store, protos = tiny_synth(seed=4)
         dev = protos["dev"].trials + [data.Trial(("ghost",), protos["dev"].trials[0].test_id,
