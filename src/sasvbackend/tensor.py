@@ -328,15 +328,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # im2col and col2im share one loop (``_im2col``): it walks the input channels
 # in cache-sized blocks (``_channel_blocks``) and finishes every tap of a
 # block before the next. A conv that keeps every size at stride 1 (every conv
-# block of the presets) on an input whose batch and spatial axes merge (a
-# conv's own channel-major output) turns each tap into one shifted run over a
-# channel's flattened batch x spatial positions, in place of runs of one
-# output row. The positions where that run wraps into the next row or batch
-# item are exactly the tap's padding strips, which im2col zeroes after its
-# copy and col2im zeroes in dcols before its add. Adding +0.0 changes no sum
-# there, because dx starts at +0.0, and a sum that starts at +0.0 is never
-# -0.0. Other convs and inputs (the first conv's C-ordered input, a gated
-# output in CNN2D) keep one window copy per tap and block.
+# block of the presets) turns each tap into one shifted run over a channel's
+# flattened batch x spatial positions, in place of runs of one output row.
+# The positions where that run wraps into the next row or batch item are
+# exactly the tap's padding strips, which im2col zeroes after its copy and
+# col2im zeroes in dcols before its add. Adding +0.0 changes no sum there,
+# because dx starts at +0.0, and a sum that starts at +0.0 is never -0.0. A
+# C-ordered input (the first conv's, or a gated output in CNN2D) goes through
+# a cache-sized flat copy of each block. Other convs keep one window copy per
+# tap and block.
 
 
 def _cm(ndim: int) -> tuple[int, ...]:
@@ -394,22 +394,33 @@ def _flat(xc: np.ndarray) -> np.ndarray | None:
 def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> None:
     """im2col: copy the taps of the channel-major input ``xc`` (Cin, B,
     *sizes) into ``cols`` (Cin, taps, B, *outs). col2im (``add``): add the
-    taps of ``cols`` into ``xc``, in tap order for every element."""
-    xf = _flat(xc)
+    taps of ``cols`` into ``xc``, in tap order for every element.
+
+    Shifted runs read a block of ``_flat(xc)``, or, where that is None, a
+    block-sized flat copy of the block (col2im: a zeroed block, added into
+    ``xc`` once its taps are in)."""
+    runs = plan[0][3] is not None
+    xf = _flat(xc) if runs else None
     cf = cols.reshape(cols.shape[0], len(plan), -1)
     n = xc[0].size
     for blk in _channel_blocks(xc.shape[0], n):
+        xb = xc[blk]
+        if xf is not None:
+            flat = xf[blk]
+        elif runs:
+            flat = (np.zeros if add else np.empty)((xb.shape[0], n))
+            if not add:
+                flat.reshape(xb.shape)[...] = xb
         for t, (osl, isl, strips, shift) in enumerate(plan):
             ct = cols[blk, t]
-            run = shift is not None and xf is not None
-            if run:
+            if runs:
                 lo = max(0, -shift)
                 hi = max(lo, min(n, n - shift))
-                col, win = cf[blk, t, lo:hi], xf[blk, lo + shift:hi + shift]
+                col, win = cf[blk, t, lo:hi], flat[:, lo + shift:hi + shift]
             else:
-                col, win = ct[osl], xc[blk][isl]
+                col, win = ct[osl], xb[isl]
             if add:
-                if run:
+                if runs:
                     for strip in strips:
                         ct[strip] = 0.0
                 win += col
@@ -417,6 +428,8 @@ def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> 
                 col[...] = win
                 for strip in strips:
                     ct[strip] = 0.0
+        if add and runs and xf is None:
+            xb += flat.reshape(xb.shape)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,

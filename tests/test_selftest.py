@@ -67,16 +67,18 @@ def test_check_names():
     ]
 
 
-def test_conv_rows_run_the_shifted_runs(monkeypatch):
-    """Shifted runs read only channel-major input here (the C-ordered cases
-    have more than one channel), so off-by-one runs fail the conv rows only
+def test_conv_rows_check_channel_major_input(monkeypatch):
+    """Only a channel-major input reads its shifted runs in place (the
+    C-ordered cases have more than one channel and go through a flat copy),
+    so a flat view in the wrong channel order fails the conv rows only
     through their channel-major cases."""
-    orig = T._plan
+    orig = T._flat
 
-    def off_by_one(*args):
-        return [(o, i, s, None if shift is None else shift + 1) for o, i, s, shift in orig(*args)]
+    def reversed_channels(xc):
+        flat = orig(xc)
+        return None if flat is None else flat[::-1]
 
-    monkeypatch.setattr(T, "_plan", off_by_one)
+    monkeypatch.setattr(T, "_flat", reversed_channels)
     lines = []
     assert selftest.run(out=lines.append) is False
     for name in ("conv1d-vs-loop-oracle", "conv2d-vs-loop-oracle"):

@@ -147,8 +147,9 @@ class TestIm2colIsFullyWritten:
     """``_conv`` takes its im2col buffer from ``np.empty`` and zeroes only the
     strips that each tap's copy leaves out. With every uninitialised array
     filled with NaN, any position left unwritten would poison the output.
-    The C-ordered input takes the window copies, the channel-major one (a
-    conv's output) the shifted runs."""
+    Each case runs on a C-ordered input (read through a flat copy of each
+    channel block where the conv keeps its size) and on a channel-major one
+    (a conv's output, read in place)."""
 
     @staticmethod
     def _run(op, x, w, bias, stride, padding):
@@ -220,9 +221,10 @@ def kernel_case_id(case):
 
 class TestIm2colKernel:
     """Bytes of the im2col matrix and of col2im's dx against references that
-    pad the input, for inputs whose batch and spatial axes merge (channel
-    major: one shifted run per tap where the conv keeps the size) and inputs
-    where they do not (C and Fortran order: one window copy per tap)."""
+    pad the input. Where the conv keeps its size at stride 1, each tap is one
+    shifted run, read in place from a channel-major input, whose batch and
+    spatial axes merge, and through a flat copy of each channel block from a
+    C- or Fortran-ordered one; other convs copy one window per tap."""
 
     @staticmethod
     def _setup(rng, case, order):
