@@ -16,17 +16,18 @@ CNN2D_SE        circ2d   as CNN2D            SE2D after 3  16x16       256,128,6
 CNN2D_VSE       circ2d   as CNN2D            VSE after 3   16x16       256,128,64
 ==============  =======  ==================  ============  ==========  ==============
 
-Conv blocks run conv -> batch norm -> LeakyReLU with stride 1 and
-floor(k/2) padding, each block as one op (``tensor.conv_block``) with the
-bytes of the three; attention reduction ratio is 8 everywhere; a final
-linear layer maps the last DNN width to 2 logits (class 1 = bonafide
-target). Weights use uniform fan-in init with bound sqrt(6/fan_in), biases
-start at zero.
+Conv blocks run conv -> batch norm -> LeakyReLU as one op
+(``tensor.conv_block``). Kernels are odd and convs run at stride 1 with
+k // 2 zero padding, so every block keeps its input's size; attention
+reduction ratio is 8 everywhere; a final linear layer maps the last DNN
+width to 2 logits (class 1 = bonafide target). Weights use uniform fan-in
+init with bound sqrt(6/fan_in), biases start at zero.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field, fields, asdict
 
@@ -56,23 +57,61 @@ class ModelConfig:
     num_classes: int = 2
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"model name must be a string, got {self.name!r}")
         if self.fusion_mode not in fusion.MODES:
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
+        sizes = {key: getattr(self, key)
+                 for key in ("conv_channels", "conv_kernels", "pool_size", "dnn_nodes")}
+        sizes["reduction_ratio"] = (self.reduction_ratio,)
+        for key, values in sizes.items():
+            if not all(_is_int(v) and v >= 1 for v in values):
+                raise ValueError(f"{key} must be positive integers, got {getattr(self, key)!r}")
         if len(self.conv_channels) != len(self.conv_kernels):
             raise ValueError(
                 f"conv_channels and conv_kernels must have equal length, got "
                 f"{len(self.conv_channels)} and {len(self.conv_kernels)}"
             )
+        if any(k % 2 == 0 for k in self.conv_kernels):
+            raise ValueError(
+                f"conv_kernels must be odd, so that every conv block keeps its size, got "
+                f"{self.conv_kernels}"
+            )
+        axes = {fusion.CONCAT: 0, fusion.STACK1D: 1, fusion.CIRC2D: 2}[self.fusion_mode]
+        if bool(self.conv_channels) != bool(axes) or len(self.pool_size) != axes:
+            raise ValueError(
+                f"fusion mode {self.fusion_mode!r} needs {'some' if axes else 'no'} conv layers "
+                f"and a pool size of {axes} axes, got {len(self.conv_channels)} conv layers "
+                f"and pool size {self.pool_size}"
+            )
         if self.attention_kind is not None:
             if self.attention_kind not in att.KINDS:
                 raise ValueError(f"unknown attention kind {self.attention_kind!r}")
-            pos = self.attention_position
-            if pos is None or not 0 <= pos < len(self.conv_channels):
+            if {att.SE1D: 1, att.PA: 1, att.SE2D: 2, att.VSE: 2}[self.attention_kind] != axes:
                 raise ValueError(
-                    f"attention position {pos} is not a valid conv layer index"
+                    f"attention kind {self.attention_kind} does not fit fusion mode "
+                    f"{self.fusion_mode!r}"
                 )
+            pos = self.attention_position
+            if not _is_int(pos) or not 0 <= pos < len(self.conv_channels):
+                raise ValueError(
+                    f"attention position {pos!r} is not a valid conv layer index"
+                )
+        elif self.attention_position is not None:
+            raise ValueError(
+                f"attention position {self.attention_position!r} given without an attention kind"
+            )
         if not self.dnn_nodes:
             raise ValueError("at least one DNN layer is required")
+        if not _is_int(self.num_classes) or self.num_classes != 2:
+            raise ValueError(f"num_classes must be 2 (bonafide target or not), got "
+                             f"{self.num_classes!r}")
+
+
+def _is_int(value) -> bool:
+    """An integer, not a bool: a JSON header may hold 3.0 or true where 3
+    belongs."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # Attention sits after the third conv block (index 2) in every attention
@@ -158,6 +197,10 @@ class Model:
     """One built network: config, named parameters, BN buffers, mode flag."""
 
     def __init__(self, config: ModelConfig, dims: tuple[int, int, int], seed: int):
+        if len(dims) != 3 or not all(_is_int(v) and v >= 1 for v in dims):
+            raise ValueError(f"embedding dims must be three positive integers, got {dims!r}")
+        if not _is_int(seed) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.config = config
         self.dims = tuple(int(x) for x in dims)
         self.seed = int(seed)
@@ -180,15 +223,13 @@ class Model:
     def _build(self, rng: np.random.Generator) -> None:
         cfg = self.config
         d, b, q = self.dims
-        if min(d, b, q) < 1:
-            raise ValueError(f"embedding dims must be positive, got {self.dims}")
         common = max(d, b, q)
 
         if cfg.fusion_mode == fusion.CONCAT:
             flat = d + b + q
         else:
             in_ch = 3
-            spatial = common  # stride 1, same padding keeps it
+            spatial = common  # every conv block keeps the size
             for i, (ch, k) in enumerate(zip(cfg.conv_channels, cfg.conv_kernels)):
                 if cfg.fusion_mode == fusion.CIRC2D:
                     wshape, fan = (ch, in_ch, k, k), in_ch * k * k
@@ -285,10 +326,10 @@ class Model:
         x = Tensor(np.asarray(batch, dtype=np.float64))
         p = self.params
         if cfg.conv_channels:
-            for i, k in enumerate(cfg.conv_kernels):
+            for i in range(len(cfg.conv_kernels)):
                 x = T.conv_block(
                     x, p[f"conv{i}.w"], p[f"conv{i}.b"], p[f"bn{i}.gamma"], p[f"bn{i}.beta"],
-                    self.bn_stats[f"bn{i}"], training=self.training, padding=k // 2,
+                    self.bn_stats[f"bn{i}"], training=self.training,
                 )
                 if cfg.attention_position == i and self._attention is not None:
                     x = att.apply_attention(x, self._attention)

@@ -32,43 +32,79 @@ def matmul_loops(a, b):
     return out
 
 
-def conv1d_loops(x, w, bias, stride=1, padding=0):
+def conv1d_loops(x, w, bias):
+    """The same-size conv: stride 1, odd kernel k, zero padding k // 2."""
     b, cin, length = x.shape
     cout, _, k = w.shape
-    lout = (length + 2 * padding - k) // stride + 1
-    out = np.zeros((b, cout, lout))
+    out = np.zeros((b, cout, length))
     for bi in range(b):
         for co in range(cout):
-            for lo in range(lout):
+            for lo in range(length):
                 acc = bias[co]
                 for ci in range(cin):
                     for ki in range(k):
-                        src = lo * stride + ki - padding
+                        src = lo + ki - k // 2
                         if 0 <= src < length:
                             acc += x[bi, ci, src] * w[co, ci, ki]
                 out[bi, co, lo] = acc
     return out
 
 
-def conv2d_loops(x, w, bias, stride=1, padding=0):
+def conv2d_loops(x, w, bias):
+    """The same-size conv: stride 1, odd square kernel k, zero padding k // 2."""
     b, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
-    hout = (h + 2 * padding - k) // stride + 1
-    wout = (wd + 2 * padding - k) // stride + 1
-    out = np.zeros((b, cout, hout, wout))
+    out = np.zeros((b, cout, h, wd))
     for bi in range(b):
         for co in range(cout):
-            for ho in range(hout):
-                for wo in range(wout):
+            for ho in range(h):
+                for wo in range(wd):
                     acc = bias[co]
                     for ci in range(cin):
                         for ki in range(k):
                             for kj in range(k):
-                                si = ho * stride + ki - padding
-                                sj = wo * stride + kj - padding
+                                si = ho + ki - k // 2
+                                sj = wo + kj - k // 2
                                 if 0 <= si < h and 0 <= sj < wd:
                                     acc += x[bi, ci, si, sj] * w[co, ci, ki, kj]
                     out[bi, co, ho, wo] = acc
+    return out
+
+
+def batch_norm_loops(x, gamma, beta, mean, var, training, momentum=0.1, eps=1e-5):
+    """Per-channel batch norm of a BxCx... array: the output and the new
+    running mean and variance. Training mode normalizes with the batch mean
+    and biased variance over the batch and spatial positions and moves the
+    running values toward them; eval mode normalizes with the running
+    values and leaves them as they are."""
+    b, c = x.shape[:2]
+    rows = x.reshape(b, c, -1)
+    out = np.zeros(rows.shape)
+    mean, var = [float(v) for v in mean], [float(v) for v in var]
+    for ci in range(c):
+        values = [rows[bi, ci, p] for bi in range(b) for p in range(rows.shape[2])]
+        mu, sigma2 = mean[ci], var[ci]
+        if training:
+            mu = sum(values) / len(values)
+            sigma2 = sum((v - mu) ** 2 for v in values) / len(values)
+            mean[ci] = (1.0 - momentum) * mean[ci] + momentum * mu
+            var[ci] = (1.0 - momentum) * var[ci] + momentum * sigma2
+        for bi in range(b):
+            for p in range(rows.shape[2]):
+                xhat = (rows[bi, ci, p] - mu) / math.sqrt(sigma2 + eps)
+                out[bi, ci, p] = gamma[ci] * xhat + beta[ci]
+    return out.reshape(x.shape), np.array(mean), np.array(var)
+
+
+def leaky_relu_factor(v, slope=0.01):
+    """The LeakyReLU factor of one value: its output is ``v`` times this."""
+    return 1.0 if v >= 0 else slope
+
+
+def leaky_relu_loops(x, slope=0.01):
+    out = np.zeros(x.shape)
+    for idx in np.ndindex(x.shape):
+        out[idx] = x[idx] * leaky_relu_factor(x[idx], slope)
     return out
 
 

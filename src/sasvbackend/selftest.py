@@ -1,8 +1,8 @@
 """Built-in checks behind the `selftest` command: a table of ``(name, check)``.
 
 Each check compares library calls with their reference in :mod:`sasvbackend.oracles`
-on seeded cases and returns ``(ok, detail)``; ``batch-norm-moments`` is an invariant
-with no oracle. A check that raises has failed. No test harness is needed.
+on seeded cases and returns ``(ok, detail)``. A check that raises has failed. No test
+harness is needed.
 """
 
 import time
@@ -23,12 +23,9 @@ def _worst(pairs, tol, label="max deviation"):
 def check_layer_gradients():
     rng = np.random.default_rng(0)
     cases = [  # (op, shapes of its random inputs, further tensors to check)
-        (lambda x, w, b: T.conv1d(x, w, b, 1, 1), [(2, 3, 6), (4, 3, 3), 4], {}),
-        (lambda x, w, b: T.conv2d(x, w, b, 1, 1), [(2, 2, 5, 5), (3, 2, 3, 3), 3], {}),
-        (lambda x, g, b: T.batch_norm(x, g, b, RunningStats(3), True), [(4, 3, 5), 3, 3], {}),
-        (lambda x, w, b, g, be: T.conv_block(x, w, b, g, be, RunningStats(4), True, 1),
+        (lambda x, w, b, g, be: T.conv_block(x, w, b, g, be, RunningStats(4), True),
          [(3, 3, 6), (4, 3, 3), 4, 4, 4], {}),
-        (lambda x, w, b, g, be: T.conv_block(x, w, b, g, be, RunningStats(3), True, 1),
+        (lambda x, w, b, g, be: T.conv_block(x, w, b, g, be, RunningStats(3), True),
          [(2, 2, 4, 4), (3, 2, 3, 3), 3, 3, 3], {}),
         (lambda x: T.adaptive_avg_pool1d(x, 3), [(2, 3, 10)], {}),
         (lambda x: T.adaptive_avg_pool2d(x, (2, 3)), [(2, 2, 5, 7)], {}),
@@ -53,15 +50,27 @@ def _channel_major(x):
     return np.ascontiguousarray(x.transpose(cm)).transpose(cm)
 
 
-def check_conv(conv, oracle, x_shape):
+def check_conv_block(conv_loops, x_shape):
+    """conv_block against the conv, batch-norm and LeakyReLU loop oracles:
+    output and running stats, k = 3 and 5, train and eval mode, C-ordered
+    and channel-major input."""
     rng = np.random.default_rng(1)
-    w_shape = (4, x_shape[1]) + (3,) * (len(x_shape) - 2)
-    cases = [(*(rng.uniform(-1, 1, s) for s in (x_shape, w_shape, 4)), st, pad)
-             for st, pad in ((1, 1), (1, 0), (2, 1), (2, 2), (1, 2))]
-    return _worst(((conv(Tensor(layout(x)), Tensor(w), Tensor(b), st, pad).data,
-                    oracle(x, w, b, st, pad))
-                   for x, w, b, st, pad in cases for layout in (np.asarray, _channel_major)),
-                  1e-12)
+    pairs = []
+    for k in (3, 5):
+        w_shape = (4, x_shape[1]) + (k,) * (len(x_shape) - 2)
+        x, w, b, gamma, beta, mean = (rng.uniform(-1, 1, s) for s in (x_shape, w_shape, 4, 4, 4, 4))
+        var = rng.uniform(0.5, 1.5, 4)
+        for training in (True, False):
+            bn, want_mean, want_var = oracles.batch_norm_loops(
+                conv_loops(x, w, b), gamma, beta, mean, var, training)
+            want = oracles.leaky_relu_loops(bn)
+            for layout in (np.asarray, _channel_major):
+                stats = RunningStats(4)
+                stats.mean, stats.var = mean.copy(), var.copy()
+                got = T.conv_block(Tensor(layout(x)), Tensor(w), Tensor(b), Tensor(gamma),
+                                   Tensor(beta), stats, training)
+                pairs += [(got.data, want), (stats.mean, want_mean), (stats.var, want_var)]
+    return _worst(pairs, 1e-12)
 
 
 def check_circulant():
@@ -101,23 +110,15 @@ def check_cross_entropy():
                     oracles.weighted_ce_loop(z, y, w))], 1e-12, "deviation")
 
 
-def check_batch_norm_moments():
-    x = np.random.default_rng(6).uniform(-1, 1, (8, 4, 6))
-    out = T.batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), RunningStats(4), True)
-    mean, var = np.abs(out.data.mean(axis=(0, 2))).max(), x.var(axis=(0, 2))
-    var_err = np.abs(out.data.var(axis=(0, 2)) - var / (var + 1e-5)).max()
-    return mean < 1e-9 and var_err < 1e-6, f"|mean|={mean:.2g}, var deviation={var_err:.2g}"
-
-
 CHECKS = [
     ("layer-gradients-vs-finite-differences", check_layer_gradients),
-    ("conv1d-vs-loop-oracle", lambda: check_conv(T.conv1d, oracles.conv1d_loops, (2, 3, 8))),
-    ("conv2d-vs-loop-oracle", lambda: check_conv(T.conv2d, oracles.conv2d_loops, (2, 3, 6, 5))),
+    ("conv-block-1d-vs-loop-oracles", lambda: check_conv_block(oracles.conv1d_loops, (2, 3, 8))),
+    ("conv-block-2d-vs-loop-oracles",
+     lambda: check_conv_block(oracles.conv2d_loops, (2, 3, 6, 5))),
     ("circulant-algebra", check_circulant),
     ("eer-vs-exhaustive-threshold-oracle", check_eer),
     ("adam-vs-scalar-reference", check_adam),
     ("weighted-cross-entropy-vs-loop", check_cross_entropy),
-    ("batch-norm-moments", check_batch_norm_moments),
 ]
 
 

@@ -1,14 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every numeric primitive the backend models need lives here: matrix product,
-1D/2D convolution (cross-correlation convention, no kernel flip), adaptive
-average pooling, batch normalization, the usual activations, and the small
-set of reshapes/reductions used to compose attention blocks. A CNN's
-conv -> batch norm -> LeakyReLU block is one op, ``conv_block``: it shares
-the convolution's im2col/col2im and the batch-norm formulas with
-``conv1d``/``conv2d`` and ``batch_norm``, records one gradient rule, and
-keeps two activation-sized arrays (xhat and its output) where the three ops
-keep four.
+adaptive average pooling, the usual activations, the small set of
+reshapes/reductions used to compose attention blocks, and one convolution.
+That convolution is the CNNs' whole conv block, ``conv_block``: a same-size
+1D or 2D cross-correlation (stride 1, odd kernel, padding k // 2, no kernel
+flip), bias, batch normalization and LeakyReLU, as one op with one gradient
+rule. Between its passes it keeps the im2col matrix, xhat and its output.
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
@@ -21,11 +19,11 @@ mode).
 Layout rule: the bytes of a result depend on the memory layout of the arrays
 it was reduced from, not only on their values (numpy sums in memory order,
 and a GEMM blocks by layout). So every op returns its output in the layout
-the whole-array formula would give it (a conv output is a channel-major
-view, an elementwise op keeps its input's layout), and every reduction sees
-an operand of that same layout. Ops that walk an array in cache-sized
-pieces (``batch_norm``, ``conv_block``) cut it into slices of two or more
-channels, which numpy reduces in the same order as the whole array.
+the whole-array formula would give it (a conv block's output is
+channel-major, an elementwise op keeps its input's layout), and every
+reduction sees an operand of that same layout. ``conv_block`` walks its
+arrays in cache-sized slices of two or more channels, which numpy reduces in
+the same order as the whole array.
 """
 
 from __future__ import annotations
@@ -47,11 +45,8 @@ __all__ = [
     "mul",
     "matmul",
     "linear",
-    "conv1d",
-    "conv2d",
     "adaptive_avg_pool1d",
     "adaptive_avg_pool2d",
-    "batch_norm",
     "leaky_relu",
     "conv_block",
     "relu",
@@ -316,227 +311,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution
-
-# One kernel serves conv1d, conv2d and conv_block. It works on the channel-major view
-# (Cin, B, *spatial) of the input, and it returns the GEMM result (Cout, B,
-# *out) as a transposed view without copying it. Taps that reach into the
-# padding are clipped to the input instead of padding it; the forward matrix
-# is kept for the weight gradient so backward never rebuilds it, and once dW
-# is taken the input gradient's columns are written into the same buffer.
-#
-# im2col and col2im share one loop (``_im2col``): it walks the input channels
-# in cache-sized blocks (``_channel_blocks``) and finishes every tap of a
-# block before the next. A conv that keeps every size at stride 1 (every conv
-# block of the presets) turns each tap into one shifted run over a channel's
-# flattened batch x spatial positions, in place of runs of one output row.
-# The positions where that run wraps into the next row or batch item are
-# exactly the tap's padding strips, which im2col zeroes after its copy and
-# col2im zeroes in dcols before its add. Adding +0.0 changes no sum there,
-# because dx starts at +0.0, and a sum that starts at +0.0 is never -0.0. A
-# C-ordered input (the first conv's, or a gated output in CNN2D) goes through
-# a cache-sized flat copy of each block. Other convs keep one window copy per
-# tap and block.
-
-
-def _cm(ndim: int) -> tuple[int, ...]:
-    """The axis order that swaps batch and channel axes; its own inverse."""
-    return (1, 0) + tuple(range(2, ndim))
-
-
-def _tap(offset: int, size: int, out: int, stride: int, padding: int) -> tuple[slice, slice]:
-    """Output positions of one kernel offset that read the unpadded input, and
-    the input positions they read."""
-    lo = max(0, -((offset - padding) // stride))
-    hi = max(lo, min(out, (size - 1 + padding - offset) // stride + 1))
-    start = lo * stride + offset - padding
-    return slice(lo, hi), slice(start, start + (hi - lo) * stride, stride)
-
-
-def _plan(sizes: list[int], outs: tuple[int, ...], k: int, stride: int, padding: int) -> list:
-    """Per tap: the output window and the input window it reads (indices into
-    (C, B, *outs) and (C, B, *sizes) arrays), the padding strips of the
-    output that the window leaves out (per axis, the strips before and after
-    its slice, within the slices of the axes before it), and the flat offset
-    of the input that its shifted run reads, or None when the conv changes a
-    size or strides."""
-    per_axis = [
-        [_tap(o, size, m, stride, padding) for o in range(k)] for size, m in zip(sizes, outs)
-    ]
-    runs = stride == 1 and tuple(sizes) == tuple(outs)
-    steps = [int(np.prod(sizes[d + 1:])) for d in range(len(sizes))]
-    every = (slice(None),) * 2
-    plan = []
-    for combo in itertools.product(*per_axis):
-        osl, isl = zip(*combo)
-        strips = [
-            every + osl[:d] + (strip,)
-            for d, (s, m) in enumerate(zip(osl, outs))
-            for strip in (slice(0, s.start), slice(s.stop, m))
-            if strip.start < strip.stop
-        ]
-        shift = sum((i.start - o.start) * st for o, i, st in zip(osl, isl, steps)) if runs else None
-        plan.append((every + osl, every + isl, strips, shift))
-    return plan
-
-
-def _flat(xc: np.ndarray) -> np.ndarray | None:
-    """The channel-major ``xc`` (C, B, *sizes) as a (C, B*prod(sizes)) view,
-    or None where that needs a copy, which would take col2im's adds away
-    from dx. A conv's own output merges; a C-ordered input of more than one
-    channel does not."""
-    try:
-        return np.reshape(xc, (xc.shape[0], -1), copy=False)
-    except ValueError:
-        return None
-
-
-def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> None:
-    """im2col: copy the taps of the channel-major input ``xc`` (Cin, B,
-    *sizes) into ``cols`` (Cin, taps, B, *outs). col2im (``add``): add the
-    taps of ``cols`` into ``xc``, in tap order for every element.
-
-    Shifted runs read a block of ``_flat(xc)``, or, where that is None, a
-    block-sized flat copy of the block (col2im: a zeroed block, added into
-    ``xc`` once its taps are in)."""
-    runs = plan[0][3] is not None
-    xf = _flat(xc) if runs else None
-    cf = cols.reshape(cols.shape[0], len(plan), -1)
-    n = xc[0].size
-    for blk in _channel_blocks(xc.shape[0], n):
-        xb = xc[blk]
-        if xf is not None:
-            flat = xf[blk]
-        elif runs:
-            flat = (np.zeros if add else np.empty)((xb.shape[0], n))
-            if not add:
-                flat.reshape(xb.shape)[...] = xb
-        for t, (osl, isl, strips, shift) in enumerate(plan):
-            ct = cols[blk, t]
-            if runs:
-                lo = max(0, -shift)
-                hi = max(lo, min(n, n - shift))
-                col, win = cf[blk, t, lo:hi], flat[:, lo + shift:hi + shift]
-            else:
-                col, win = ct[osl], xb[isl]
-            if add:
-                if runs:
-                    for strip in strips:
-                        ct[strip] = 0.0
-                win += col
-            else:
-                col[...] = win
-                for strip in strips:
-                    ct[strip] = 0.0
-        if add and runs and xf is None:
-            xb += flat.reshape(xb.shape)
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                  outs: tuple[int, ...]):
-    """im2col and GEMM: the C-ordered (Cout, B, *outs) product without the
-    bias, the im2col matrix (kept for dW) and the tap plan (kept for
-    col2im)."""
-    b, cin, *sizes = x.shape
-    cout, k = w.shape[0], w.shape[-1]
-    plan = _plan(sizes, outs, k, stride, padding)
-    cols = np.empty((cin, len(plan), b, *outs))
-    _im2col(x.transpose(_cm(x.ndim)), cols, plan)
-    cols = cols.reshape(cin * len(plan), -1)
-    return (w.reshape(cout, -1) @ cols).reshape(cout, b, *outs), cols, plan
-
-
-def _conv_backward(gmat: np.ndarray, x: Tensor, w: Tensor, bias: Tensor,
-                   cols: np.ndarray, plan: list, outs: tuple[int, ...]) -> None:
-    """Accumulate dbias, dW and dx from the (Cout, B*prod(outs)) output
-    gradient. The rule runs once, so ``cols`` is dead after dW and takes
-    dcols."""
-    cout = w.data.shape[0]
-    if bias.requires_grad:
-        _accumulate(bias, gmat.sum(axis=1), own=True)
-    if w.requires_grad:
-        _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
-    if x.requires_grad:
-        b, cin, *_ = x.data.shape
-        dcols = np.matmul(w.data.reshape(cout, -1).T, gmat, out=cols)
-        dx = np.zeros_like(x.data)
-        _im2col(dx.transpose(_cm(dx.ndim)), dcols.reshape(cin, len(plan), b, *outs), plan,
-                add=True)
-        _accumulate(x, dx, own=True)
-
-
-def _conv(
-    x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int, outs: tuple[int, ...]
-) -> Tensor:
-    y, cols, plan = _conv_forward(x.data, w.data, stride, padding, outs)
-    y += bias.data.reshape((-1,) + (1,) * (len(outs) + 1))
-    cm = _cm(x.data.ndim)
-    out = Tensor(y.transpose(cm))
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        gmat = np.ascontiguousarray(g.transpose(cm)).reshape(w.data.shape[0], -1)
-        _conv_backward(gmat, x, w, bias, cols, plan, outs)
-
-    return _finish(out, (x, w, bias), rule)
-
-
-def _conv1d_outs(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int) -> tuple[int]:
-    if x.data.ndim != 3 or w.data.ndim != 3:
-        raise DimensionError(
-            f"conv1d needs BxCinxL input and CoutxCinxk weight, got {x.data.shape} and {w.data.shape}"
-        )
-    _, cin, length = x.data.shape
-    cout, cin_w, k = w.data.shape
-    if cin != cin_w:
-        raise DimensionError(f"conv1d channel mismatch: input {cin}, weight {cin_w}")
-    if bias.data.shape != (cout,):
-        raise DimensionError(f"conv1d bias must have shape ({cout},), got {bias.data.shape}")
-    lp = length + 2 * padding
-    lout = (lp - k) // stride + 1
-    if k > lp or lout < 1:
-        raise DimensionError(
-            f"conv1d kernel {k} does not fit padded length {lp} (stride {stride})"
-        )
-    return (lout,)
-
-
-def _conv2d_outs(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int) -> tuple[int, int]:
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise DimensionError(
-            f"conv2d needs BxCinxHxW input and CoutxCinxkxk weight, got {x.data.shape} and {w.data.shape}"
-        )
-    _, cin, h, wdt = x.data.shape
-    cout, cin_w, k, k2 = w.data.shape
-    if cin != cin_w:
-        raise DimensionError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
-    if k != k2:
-        raise DimensionError(f"conv2d kernel must be square, got {k}x{k2}")
-    if bias.data.shape != (cout,):
-        raise DimensionError(f"conv2d bias must have shape ({cout},), got {bias.data.shape}")
-    hp, wp = h + 2 * padding, wdt + 2 * padding
-    hout = (hp - k) // stride + 1
-    wout = (wp - k) // stride + 1
-    if k > hp or k > wp or hout < 1 or wout < 1:
-        raise DimensionError(
-            f"conv2d kernel {k} does not fit padded size {hp}x{wp} (stride {stride})"
-        )
-    return hout, wout
-
-
-def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 1D cross-correlation: x is BxCinxL, w is CoutxCinxk."""
-    return _conv(x, w, bias, stride, padding, _conv1d_outs(x, w, bias, stride, padding))
-
-
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 2D cross-correlation: x is BxCinxHxW, w is CoutxCinxkxk."""
-    return _conv(x, w, bias, stride, padding, _conv2d_outs(x, w, bias, stride, padding))
-
-
-# ---------------------------------------------------------------------------
 # pooling
 
 # Bin i covers [floor(i*L/O), ceil((i+1)*L/O)); bins overlap when O does not
@@ -607,171 +381,6 @@ def adaptive_avg_pool2d(x: Tensor, output_size: tuple[int, int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization
-
-
-class RunningStats:
-    """Per-channel running mean/variance buffers for batch_norm eval mode."""
-
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels, dtype=np.float64)
-        self.var = np.ones(channels, dtype=np.float64)
-
-    def copy(self) -> "RunningStats":
-        fresh = RunningStats(len(self.mean))
-        fresh.mean = self.mean.copy()
-        fresh.var = self.var.copy()
-        return fresh
-
-
-def _channel_blocks(c: int, n: int) -> list[slice]:
-    """Channel slices of about 32k elements each (``n`` per channel), which
-    stay in cache: batch norm and the conv's im2col/col2im walk them.
-
-    Every block holds at least two channels: numpy reduces a slice of two or
-    more channels in the same order as the whole array, but a one-channel
-    slice in a different one, so a trailing single channel joins the block
-    before it.
-    """
-    step = max(2, 32768 // n)
-    starts = list(range(0, c, step))
-    if len(starts) > 1 and c - starts[-1] == 1:
-        starts.pop()
-    return [slice(s, e) for s, e in zip(starts, starts[1:] + [c])]
-
-
-# Defaults of batch_norm and leaky_relu, and the values conv_block uses.
-_MOMENTUM, _EPS, _SLOPE = 0.1, 1e-5, 0.01
-
-
-def _check_batch_norm(shape: tuple[int, ...], gamma: Tensor, beta: Tensor, training: bool) -> None:
-    if len(shape) < 2:
-        raise DimensionError(f"batch_norm needs a BxCx... input, got {shape}")
-    c = shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise DimensionError(
-            f"batch_norm gamma/beta must have shape ({c},), got {gamma.data.shape} and {beta.data.shape}"
-        )
-    if training and shape[0] < 2:
-        raise DimensionError(f"batch_norm training mode needs batch >= 2, got {shape[0]}")
-
-
-class _BatchNorm:
-    """The batch-norm formulas for one channel block ``[:, blk]`` at a time,
-    shared by ``batch_norm`` and ``conv_block``.
-
-    Callers walk ``blocks`` (``_channel_blocks``), which stay in cache across
-    the formulas' several passes. Each block runs the whole-array formulas in
-    the whole-array operand order, so the bytes do not depend on the blocking.
-    Training mode uses batch moments (biased variance); eval mode uses the
-    running buffers.
-    """
-
-    def __init__(self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                 stats: RunningStats, training: bool, eps: float):
-        c = x.shape[1]
-        self.axes = (0,) + tuple(range(2, x.ndim))
-        self.n = x.size // c
-        self.blocks = _channel_blocks(c, self.n)
-        self.cshape = (1, -1) + (1,) * (x.ndim - 2)
-        self.gamma, self.beta, self.training, self.eps = gamma, beta, training, eps
-        self.mu, self.var = (np.empty(c), np.empty(c)) if training else (stats.mean, stats.var)
-        self.inv = np.empty(c)
-
-    def cs(self, v: np.ndarray) -> np.ndarray:  # per-channel values, shaped to broadcast
-        return v.reshape(self.cshape)
-
-    def normalize(self, blk: slice, xb: np.ndarray, hb: np.ndarray, ob: np.ndarray) -> None:
-        """xhat of block ``xb`` into ``hb``, which may be ``xb`` itself; ``ob``
-        is scratch of the block's size."""
-        if self.training:
-            self.mu[blk] = xb.mean(axis=self.axes)
-        np.subtract(xb, self.cs(self.mu[blk]), out=hb)
-        if self.training:  # np.var's arithmetic, with x*x written into ob
-            self.var[blk] = np.multiply(hb, hb, out=ob).sum(axis=self.axes) / self.n
-        self.inv[blk] = 1.0 / np.sqrt(self.var[blk] + self.eps)
-        hb *= self.cs(self.inv[blk])
-
-    def affine(self, blk: slice, hb: np.ndarray, ob: np.ndarray) -> np.ndarray:
-        """gamma * xhat + beta of the block, written into ``ob``."""
-        np.multiply(self.cs(self.gamma[blk]), hb, out=ob)
-        ob += self.cs(self.beta[blk])
-        return ob
-
-    def update(self, stats: RunningStats, momentum: float) -> None:
-        """Move the running buffers toward the batch moments (training only)."""
-        if self.training:
-            stats.mean = (1.0 - momentum) * stats.mean + momentum * self.mu
-            stats.var = (1.0 - momentum) * stats.var + momentum * self.var
-
-    def backward(self, blk: slice, gb: np.ndarray, hb: np.ndarray, dxb: np.ndarray | None,
-                 dgamma: np.ndarray | None, dbeta: np.ndarray | None) -> None:
-        """The block's gradients from its output gradient ``gb``: dx into
-        ``dxb`` (which may be ``hb``) and the parameter gradients into
-        ``dgamma[blk]`` and ``dbeta[blk]``; a ``None`` target is skipped."""
-        axes = self.axes
-        if dbeta is not None:
-            dbeta[blk] = gb.sum(axis=axes)
-        if dgamma is not None:
-            dgamma[blk] = (gb * hb).sum(axis=axes)
-        if dxb is None:
-            return
-        gg = gb * self.cs(self.gamma[blk])  # in g's layout, as the reductions expect
-        if self.training:
-            mean_gg = self.cs(gg.mean(axis=axes))
-            mean_ggx = self.cs((gg * hb).mean(axis=axes))
-            gg -= mean_gg
-            gg -= np.multiply(hb, mean_ggx)
-        np.multiply(self.cs(self.inv[blk]), gg, out=dxb)
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: RunningStats,
-    training: bool,
-    momentum: float = _MOMENTUM,
-    eps: float = _EPS,
-) -> Tensor:
-    """Normalize per channel over batch and spatial axes.
-
-    Training mode uses batch moments (biased variance) and updates the
-    running buffers in place; eval mode normalizes with the buffers. Forward
-    and backward walk the channels in cache-sized blocks (``_BatchNorm``).
-    """
-    _check_batch_norm(x.data.shape, gamma, beta, training)
-    bn = _BatchNorm(x.data, gamma.data, beta.data, stats, training, eps)
-    xhat = np.empty_like(x.data)
-    out_data = np.empty_like(x.data)
-    for blk in bn.blocks:
-        hb, ob = xhat[:, blk], out_data[:, blk]
-        bn.normalize(blk, x.data[:, blk], hb, ob)
-        bn.affine(blk, hb, ob)
-    bn.update(stats, momentum)
-    out = Tensor(out_data)
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        c = x.data.shape[1]
-        dgamma = np.empty(c) if gamma.requires_grad else None
-        dbeta = np.empty(c) if beta.requires_grad else None
-        # empty_like keeps x's layout, so a conv's rule reads dx without a copy.
-        dx = np.empty_like(x.data) if x.requires_grad else None
-        for blk in bn.blocks:
-            bn.backward(blk, g[:, blk], xhat[:, blk], None if dx is None else dx[:, blk],
-                        dgamma, dbeta)
-        _accumulate(beta, dbeta, own=True)
-        _accumulate(gamma, dgamma, own=True)
-        if dx is not None:
-            _accumulate(x, dx, own=True)
-
-    return _finish(out, (x, gamma, beta), rule)
-
-
-# ---------------------------------------------------------------------------
 # activations
 
 
@@ -780,6 +389,11 @@ def _leaky_relu_grad(g: np.ndarray, nonneg: np.ndarray, slope: float) -> np.ndar
     boolean ``nonneg``), else ``slope``. The factor is looked up, so no float
     factor array is kept between forward and backward."""
     return np.multiply(g, np.array([slope, 1.0])[nonneg.view(np.uint8)])
+
+
+# The LeakyReLU slope of leaky_relu and conv_block, and the conv block's
+# batch-norm momentum and eps.
+_SLOPE, _MOMENTUM, _EPS = 0.01, 0.1, 1e-5
 
 
 def leaky_relu(x: Tensor, slope: float = _SLOPE) -> Tensor:
@@ -801,75 +415,6 @@ def leaky_relu(x: Tensor, slope: float = _SLOPE) -> Tensor:
         _accumulate(x, _leaky_relu_grad(g, x.data >= 0, slope), own=True)
 
     return _finish(out, (x,), rule)
-
-
-# ---------------------------------------------------------------------------
-# the conv block
-
-
-def conv_block(
-    x: Tensor,
-    w: Tensor,
-    bias: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: RunningStats,
-    training: bool,
-    padding: int,
-) -> Tensor:
-    """``leaky_relu(batch_norm(conv(x, w, bias, 1, padding), gamma, beta, stats,
-    training))`` as one op, at their default slope, momentum and eps, with the
-    bytes of the three: conv1d for a BxCinxL input, conv2d for BxCinxHxW.
-
-    The forward runs ``_conv_forward``'s im2col and GEMM, then one pass over
-    channel blocks of the GEMM output: bias, batch norm (the product becomes
-    xhat in place) and LeakyReLU per block, each block small enough to stay
-    in cache. The backward is one blocked pass too: the LeakyReLU factor,
-    then the batch-norm gradient written over each xhat block, which leaves
-    the GEMM-shaped output gradient for ``_conv_backward``. Between the
-    passes the op keeps the im2col matrix and xhat, and no other
-    activation-sized array but its output.
-    """
-    outs = (_conv1d_outs if x.data.ndim == 3 else _conv2d_outs)(x, w, bias, 1, padding)
-    _check_batch_norm((x.data.shape[0], w.data.shape[0]), gamma, beta, training)
-    inputs = (x, w, bias, gamma, beta)
-    y, cols, plan = _conv_forward(x.data, w.data, 1, padding, outs)
-    if not _records(inputs):
-        cols = None  # no rule will read it: free it before the epilogue
-    xhat = y.transpose(_cm(y.ndim))  # the conv output view, normalized in place
-    bn = _BatchNorm(xhat, gamma.data, beta.data, stats, training, _EPS)
-    out_data = np.empty_like(xhat)
-    for blk in bn.blocks:
-        hb, ob = xhat[:, blk], out_data[:, blk]
-        hb += bn.cs(bias.data[blk])
-        bn.normalize(blk, hb, hb, ob)
-        bn.affine(blk, hb, ob)
-        np.maximum(ob, np.multiply(ob, _SLOPE), out=ob)
-    bn.update(stats, _MOMENTUM)
-    out = Tensor(out_data)
-
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        c = xhat.shape[1]
-        dgamma = np.empty(c) if gamma.requires_grad else None
-        dbeta = np.empty(c) if beta.requires_grad else None
-        conv_grads = x.requires_grad or w.requires_grad or bias.requires_grad
-        for blk in bn.blocks:
-            hb = xhat[:, blk]
-            # The factor needs the sign of the batch-norm output, recomputed
-            # here bit for bit; the output's own sign differs where
-            # slope * x underflows to -0.0.
-            nonneg = bn.affine(blk, hb, np.empty_like(hb)) >= 0
-            gb = _leaky_relu_grad(g[:, blk], nonneg, _SLOPE)
-            bn.backward(blk, gb, hb, hb if conv_grads else None, dgamma, dbeta)
-        _accumulate(beta, dbeta, own=True)
-        _accumulate(gamma, dgamma, own=True)
-        if conv_grads:  # xhat now holds the conv output's gradient
-            _conv_backward(y.reshape(y.shape[0], -1), x, w, bias, cols, plan, outs)
-
-    return _finish(out, inputs, rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -918,3 +463,263 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         _accumulate(x, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), own=True)
 
     return _finish(out, (x,), rule)
+
+
+# ---------------------------------------------------------------------------
+# the conv block
+
+# ``conv_block`` is the one convolution: conv -> bias -> batch norm ->
+# LeakyReLU, at stride 1 with an odd square kernel and zero padding k // 2,
+# so every block keeps its input's size. The conv works on the channel-major
+# view (Cin, B, *sizes) of the input: im2col, one GEMM, and the (Cout, B,
+# *sizes) product read back as a transposed view without copying it. The
+# im2col matrix is kept for the weight gradient, so backward never rebuilds
+# it, and once dW is taken the input gradient's columns are written into the
+# same buffer.
+#
+# im2col and col2im share one loop (``_im2col``): it walks the input channels
+# in cache-sized blocks (``_channel_blocks``) and finishes every tap of a
+# block before the next. Since the conv keeps its size, each tap is one
+# shifted run over a channel's flattened batch x spatial positions. The
+# positions where that run wraps into the next row or batch item are exactly
+# the tap's padding strips, which im2col zeroes after its copy and col2im
+# zeroes in dcols before its add. Adding +0.0 changes no sum there, because
+# dx starts at +0.0, and a sum that starts at +0.0 is never -0.0. An input
+# whose channel-major view does not merge (the first block's C-ordered input,
+# or a gated output in CNN2D) goes through a cache-sized flat copy of each
+# channel block.
+
+
+class RunningStats:
+    """Per-channel running mean/variance buffers for a conv block's eval mode."""
+
+    def __init__(self, channels: int):
+        self.mean = np.zeros(channels, dtype=np.float64)
+        self.var = np.ones(channels, dtype=np.float64)
+
+    def copy(self) -> "RunningStats":
+        fresh = RunningStats(len(self.mean))
+        fresh.mean = self.mean.copy()
+        fresh.var = self.var.copy()
+        return fresh
+
+
+def _channel_blocks(c: int, n: int) -> list[slice]:
+    """Channel slices of about 32k elements each (``n`` per channel), which
+    stay in cache: the batch norm and the im2col/col2im walk them.
+
+    Every block holds at least two channels: numpy reduces a slice of two or
+    more channels in the same order as the whole array, but a one-channel
+    slice in a different one, so a trailing single channel joins the block
+    before it.
+    """
+    step = max(2, 32768 // n)
+    starts = list(range(0, c, step))
+    if len(starts) > 1 and c - starts[-1] == 1:
+        starts.pop()
+    return [slice(s, e) for s, e in zip(starts, starts[1:] + [c])]
+
+
+def _cm(ndim: int) -> tuple[int, ...]:
+    """The axis order that swaps batch and channel axes; its own inverse."""
+    return (1, 0) + tuple(range(2, ndim))
+
+
+def _plan(sizes: list[int], k: int) -> list:
+    """Per tap, in row-major kernel order: the padding strips of its output
+    (per axis, the strips before and after the positions that read the
+    input, within those positions of the axes before it), as indices into a
+    (C, B, *sizes) array, and the flat shift of the input that its run
+    reads."""
+    pad = k // 2
+    steps = [int(np.prod(sizes[d + 1:])) for d in range(len(sizes))]
+    plan = []
+    for offs in itertools.product(range(k), repeat=len(sizes)):
+        reads = [slice(max(0, pad - o), max(0, pad - o, min(n, n + pad - o)))
+                 for o, n in zip(offs, sizes)]
+        strips = [
+            (slice(None),) * 2 + tuple(reads[:d]) + (strip,)
+            for d, (s, n) in enumerate(zip(reads, sizes))
+            for strip in (slice(0, s.start), slice(s.stop, n))
+            if strip.start < strip.stop
+        ]
+        plan.append((strips, sum((o - pad) * st for o, st in zip(offs, steps))))
+    return plan
+
+
+def _flat(xc: np.ndarray) -> np.ndarray | None:
+    """The channel-major ``xc`` (C, B, *sizes) as a (C, B*prod(sizes)) view,
+    or None where that needs a copy, which would take col2im's adds away
+    from dx. A conv's own output merges; a C-ordered input of more than one
+    channel does not."""
+    try:
+        return np.reshape(xc, (xc.shape[0], -1), copy=False)
+    except ValueError:
+        return None
+
+
+def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> None:
+    """im2col: copy the taps of the channel-major input ``xc`` (Cin, B,
+    *sizes) into ``cols`` (Cin, taps, B, *sizes). col2im (``add``): add the
+    taps of ``cols`` into ``xc``, in tap order for every element.
+
+    Each tap is one shifted run over a block of ``_flat(xc)``, or, where
+    that is None, over a block-sized flat copy of the block (col2im: a zeroed
+    block, added into ``xc`` once its taps are in)."""
+    xf = _flat(xc)
+    cf = cols.reshape(cols.shape[0], len(plan), -1)
+    n = xc[0].size
+    for blk in _channel_blocks(xc.shape[0], n):
+        xb = xc[blk]
+        if xf is not None:
+            flat = xf[blk]
+        else:
+            flat = (np.zeros if add else np.empty)((xb.shape[0], n))
+            if not add:
+                flat.reshape(xb.shape)[...] = xb
+        for t, (strips, shift) in enumerate(plan):
+            lo = max(0, -shift)
+            hi = max(lo, min(n, n - shift))
+            col, win = cf[blk, t, lo:hi], flat[:, lo + shift:hi + shift]
+            if not add:
+                col[...] = win
+            for strip in strips:
+                cols[blk, t][strip] = 0.0
+            if add:
+                win += col
+        if add and xf is None:
+            xb += flat.reshape(xb.shape)
+
+
+def conv_block(
+    x: Tensor,
+    w: Tensor,
+    bias: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    stats: RunningStats,
+    training: bool,
+) -> Tensor:
+    """LeakyReLU(batch_norm(conv(x, w) + bias)) as one op.
+
+    The conv is a same-size cross-correlation of a BxCinxL input with a
+    CoutxCinxk weight, or of a BxCinxHxW input with a CoutxCinxkxk one: k
+    odd, stride 1, zero padding k // 2. The batch norm is per channel over
+    the batch and spatial axes, with eps 1e-5. Training mode uses the batch
+    moments (biased variance) and moves ``stats`` toward them with momentum
+    0.1; eval mode normalizes with ``stats``. The LeakyReLU slope is 0.01.
+
+    The forward runs im2col and the GEMM, then one pass over channel blocks
+    of the GEMM output: bias, batch norm (the product becomes xhat in place)
+    and LeakyReLU per block, each block small enough to stay in cache and
+    run with the whole-array formulas in the whole-array operand order, so
+    the bytes do not depend on the blocking. The backward is one blocked
+    pass too: the LeakyReLU factor, then the batch-norm gradient written
+    over each xhat block, which leaves the GEMM-shaped output gradient for
+    dbias, dW and col2im.
+    """
+    nd = x.data.ndim - 2
+    if nd not in (1, 2) or w.data.ndim != x.data.ndim:
+        raise DimensionError(
+            f"conv_block needs a BxCinxL input with a CoutxCinxk weight or a BxCinxHxW input "
+            f"with a CoutxCinxkxk weight, got {x.data.shape} and {w.data.shape}"
+        )
+    b, cin, *sizes = x.data.shape
+    cout, cin_w, *ks = w.data.shape
+    k = ks[0]
+    if ks != [k] * nd or k % 2 == 0:
+        raise DimensionError(f"conv_block kernel must be square and odd, got {w.data.shape[2:]}")
+    if cin != cin_w:
+        raise DimensionError(f"conv_block channel mismatch: input {cin}, weight {cin_w}")
+    for name, t in (("bias", bias), ("gamma", gamma), ("beta", beta)):
+        if t.data.shape != (cout,):
+            raise DimensionError(f"conv_block {name} must have shape ({cout},), got {t.data.shape}")
+    if x.data.size == 0:
+        raise DimensionError(f"conv_block needs a non-empty input, got {x.data.shape}")
+    if training and b < 2:
+        raise DimensionError(f"conv_block training mode needs batch >= 2, got {b}")
+    inputs = (x, w, bias, gamma, beta)
+    plan = _plan(sizes, k)
+    cols = np.empty((cin, len(plan), b, *sizes))
+    _im2col(x.data.transpose(_cm(x.data.ndim)), cols, plan)
+    cols = cols.reshape(cin * len(plan), -1)
+    y = (w.data.reshape(cout, -1) @ cols).reshape(cout, b, *sizes)
+    if not _records(inputs):
+        cols = None  # no rule will read it: free it before the epilogue
+    xhat = y.transpose(_cm(y.ndim))  # the conv output view, normalized in place
+    axes, n = (0,) + tuple(range(2, y.ndim)), y[0].size
+    blocks = _channel_blocks(cout, n)
+    mu, var = (np.empty(cout), np.empty(cout)) if training else (stats.mean, stats.var)
+    inv = np.empty(cout)
+
+    def cs(v: np.ndarray) -> np.ndarray:  # per-channel values, shaped to broadcast
+        return v.reshape((1, -1) + (1,) * nd)
+
+    def affine(blk: slice, hb: np.ndarray, ob: np.ndarray) -> np.ndarray:
+        """gamma * xhat + beta of the block, written into ``ob``."""
+        np.multiply(cs(gamma.data[blk]), hb, out=ob)
+        ob += cs(beta.data[blk])
+        return ob
+
+    out_data = np.empty_like(xhat)
+    for blk in blocks:
+        hb, ob = xhat[:, blk], out_data[:, blk]
+        hb += cs(bias.data[blk])
+        if training:
+            mu[blk] = hb.mean(axis=axes)
+        hb -= cs(mu[blk])
+        if training:  # np.var's arithmetic, with x*x written into ob
+            var[blk] = np.multiply(hb, hb, out=ob).sum(axis=axes) / n
+        inv[blk] = 1.0 / np.sqrt(var[blk] + _EPS)
+        hb *= cs(inv[blk])
+        affine(blk, hb, ob)
+        np.maximum(ob, np.multiply(ob, _SLOPE), out=ob)
+    if training:
+        stats.mean = (1.0 - _MOMENTUM) * stats.mean + _MOMENTUM * mu
+        stats.var = (1.0 - _MOMENTUM) * stats.var + _MOMENTUM * var
+    out = Tensor(out_data)
+
+    def rule():
+        g = out.grad
+        if g is None:
+            return
+        dgamma = np.empty(cout) if gamma.requires_grad else None
+        dbeta = np.empty(cout) if beta.requires_grad else None
+        conv_grads = x.requires_grad or w.requires_grad or bias.requires_grad
+
+        def block_grads(blk: slice) -> None:  # its temporaries are freed on return
+            hb = xhat[:, blk]
+            # The factor needs the sign of the batch-norm output, recomputed
+            # here bit for bit; the output's own sign differs where
+            # slope * x underflows to -0.0.
+            gb = _leaky_relu_grad(g[:, blk], affine(blk, hb, np.empty_like(hb)) >= 0, _SLOPE)
+            if dbeta is not None:
+                dbeta[blk] = gb.sum(axis=axes)
+            if dgamma is not None:
+                dgamma[blk] = (gb * hb).sum(axis=axes)
+            if conv_grads:  # the batch norm's dx, written over the xhat block
+                gg = gb * cs(gamma.data[blk])  # in g's layout, as the reductions expect
+                if training:
+                    mean_gg = cs(gg.mean(axis=axes))
+                    mean_ggx = cs((gg * hb).mean(axis=axes))
+                    gg -= mean_gg
+                    gg -= np.multiply(hb, mean_ggx)
+                np.multiply(cs(inv[blk]), gg, out=hb)
+
+        for blk in blocks:
+            block_grads(blk)
+        _accumulate(beta, dbeta, own=True)
+        _accumulate(gamma, dgamma, own=True)
+        gmat = y.reshape(cout, -1)  # xhat now holds the conv output's gradient
+        if bias.requires_grad:
+            _accumulate(bias, gmat.sum(axis=1), own=True)
+        if w.requires_grad:
+            _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
+        if x.requires_grad:  # the rule runs once, so cols is dead after dW and takes dcols
+            dcols = np.matmul(w.data.reshape(cout, -1).T, gmat, out=cols)
+            dx = np.zeros_like(x.data)
+            _im2col(dx.transpose(_cm(dx.ndim)), dcols.reshape(cin, len(plan), b, *sizes), plan,
+                    add=True)
+            _accumulate(x, dx, own=True)
+
+    return _finish(out, inputs, rule)

@@ -259,6 +259,13 @@ class TestCheckpointHeader:
         stderr = self._score(workspace, tmp_path, edit_header=lambda h: h.update(dims=dims))
         assert "checkpoint config, dims or seed build no model" in stderr
 
+    def test_zero_width_layer(self, workspace, tmp_path):
+        """A DNN layer of width 0 would divide by zero in its init: an input
+        error (exit 2), not an internal one (exit 1)."""
+        stderr = self._score(
+            workspace, tmp_path, edit_header=lambda h: h["config"].update(dnn_nodes=[0]))
+        assert "dnn_nodes must be positive integers, got (0,)" in stderr
+
     def test_wrong_array_shape(self, workspace, tmp_path):
         def widen(h):
             h["arrays"][0]["shape"][0] += 1

@@ -1,12 +1,16 @@
 """Hostile-input fuzzers: small valid files with flipped, inserted, deleted
-or spliced bytes either read back or end in an error that names the file.
+or spliced bytes either read back or end in an error that names the file,
+and checkpoint headers with values no model can be built from always end in
+one.
 
 Each example works in its own temporary directory and runs ``cli.main``
 in-process, so hypothesis never sees a function-scoped fixture.
 """
 
 import contextlib
+import copy
 import io
+import json
 import os
 import tempfile
 
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasvbackend import cli, data, metrics
+from sasvbackend import attention, cli, data, fusion, metrics, models
 
 TOKENS = (b"\xff", b"\t", b"#", b"nan", b"inf", b"\r")
 
@@ -151,3 +155,68 @@ def test_eval_with_mutated_score_file(trained, draw):
                              "--protocol", os.path.join(trained, "eval.protocol"),
                              "--json-out", outputs[0], "--det-out", outputs[1]])
         _check_outcome(code, stderr, scores, outputs)
+
+
+# A checkpoint of a small CNN1D with attention, at the dims of the ``trained``
+# embeddings (4, 4, 3). Its two conv layers differ in width and its
+# attention bottleneck is 24 // 8 = 3 wide, so moving the attention or
+# changing the reduction ratio changes the array manifest.
+FUZZ_CONFIG = models.ModelConfig(
+    name="fuzz", fusion_mode=fusion.STACK1D, conv_channels=(16, 24), conv_kernels=(3, 5),
+    pool_size=(2,), dnn_nodes=(8, 4), attention_kind=attention.SE1D, attention_position=1)
+
+# Zeros, negatives, bools, floats, strings, None and ints too large to
+# allocate (an allocation of them fails at once instead of filling memory).
+NOT_SIZES = (0, -1, -(2**40), True, False, 2.5, 3.0, "3", None, 2**62, 10**30)
+
+# Header slot (a config key, "dims" or "seed") -> values no model is built
+# from there (SE2D has SE1D's weights but needs a 2D input). A list slot
+# gets the value in place of one entry or of the whole list.
+BAD_VALUES = {
+    ("config", "conv_channels"): NOT_SIZES,
+    ("config", "conv_kernels"): NOT_SIZES + (2, 4),
+    ("config", "pool_size"): NOT_SIZES,
+    ("config", "dnn_nodes"): NOT_SIZES,
+    ("config", "reduction_ratio"): NOT_SIZES,
+    ("config", "num_classes"): NOT_SIZES + (1, 3),
+    ("config", "attention_position"): NOT_SIZES,
+    ("config", "attention_kind"): NOT_SIZES + ("SE2D",),
+    ("config", "fusion_mode"): NOT_SIZES,
+    ("config", "name"): (0, True, 2.5, None, 2**62),
+    ("dims",): NOT_SIZES,
+    ("seed",): (-1, -(2**40), True, False, 2.5, 3.0, "3", None),
+}
+
+
+@st.composite
+def bad_header(draw, header: dict):
+    """``header`` with one config, dims or seed value replaced."""
+    header = copy.deepcopy(header)
+    slot = draw(st.sampled_from(sorted(BAD_VALUES)))
+    owner = header["config"] if slot[0] == "config" else header
+    value = draw(st.sampled_from(BAD_VALUES[slot]))
+    if isinstance(owner[slot[-1]], list) and draw(st.booleans()):
+        entries = owner[slot[-1]]
+        entries[draw(st.integers(0, len(entries) - 1))] = value
+    else:
+        owner[slot[-1]] = value
+    return header
+
+
+@settings(max_examples=80, deadline=None)
+@given(draw=st.data())
+def test_score_with_unbuildable_checkpoint_header(trained, draw):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, out = os.path.join(tmp, "bad.ckpt"), os.path.join(tmp, "x.scores")
+        models.save_checkpoint(models.Model(FUZZ_CONFIG, (4, 4, 3), seed=0), ckpt)
+        with open(ckpt, "rb") as fh:
+            header, blob = fh.read().split(b"\n", 1)
+        header = draw.draw(bad_header(json.loads(header)))
+        with open(ckpt, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + blob)
+        code, stderr = _run(["score", "--checkpoint", ckpt,
+                             "--embeddings", os.path.join(trained, "embeddings.tsv"),
+                             "--protocol", os.path.join(trained, "eval.protocol"),
+                             "--out", out])
+        assert 2 <= code <= 5, stderr
+        _check_outcome(code, stderr, ckpt, [out])

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,8 @@ from sasvbackend import data, fusion, metrics, models, oracles, training
 from sasvbackend import tensor as T
 from sasvbackend.models import ModelConfig, PRESETS, build
 from sasvbackend.tensor import Tensor
+
+from block_reference import reference_block
 
 CHALLENGE_DIMS = (192, 192, 160)
 DESK_DIMS = (16, 16, 12)
@@ -207,16 +210,13 @@ class TestForward:
 
 
 def unfused_forward(model, batch):
-    """``Model.forward`` spelled out with the public unfused ops: each conv
-    block as conv1d/conv2d, batch_norm and leaky_relu."""
+    """``Model.forward`` spelled out with each conv block as the test-side
+    whole-array reference (``block_reference.reference_block``)."""
     cfg, p = model.config, model.params
-    conv = T.conv2d if cfg.fusion_mode == fusion.CIRC2D else T.conv1d
     x = Tensor(batch)
-    for i, k in enumerate(cfg.conv_kernels):
-        x = conv(x, p[f"conv{i}.w"], p[f"conv{i}.b"], 1, k // 2)
-        x = T.batch_norm(x, p[f"bn{i}.gamma"], p[f"bn{i}.beta"], model.bn_stats[f"bn{i}"],
-                         model.training)
-        x = T.leaky_relu(x)
+    for i in range(len(cfg.conv_kernels)):
+        x = reference_block(x, p[f"conv{i}.w"], p[f"conv{i}.b"], p[f"bn{i}.gamma"],
+                            p[f"bn{i}.beta"], model.bn_stats[f"bn{i}"], model.training)
         if cfg.attention_position == i:
             x = att.apply_attention(x, model._attention)
     if cfg.fusion_mode == fusion.CIRC2D:
@@ -234,7 +234,8 @@ CNN_PRESETS = [name for name, cfg in PRESETS.items() if cfg.conv_channels]
 
 class TestFusedConvBlocks:
     """``Model.forward`` runs each conv block as one ``tensor.conv_block``;
-    training and scoring must give the bytes of the unfused ops."""
+    training and scoring must give the bytes of the whole-array reference
+    blocks."""
 
     @staticmethod
     def _step(model, forward, batch, labels):
@@ -348,6 +349,45 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ValueError, match="size mismatch"):
             models.load_checkpoint(str(path))
+
+    # (header field, value, message): configs, dims and seeds that no conv
+    # block or head can build, each of which once built something or crashed.
+    BAD_HEADERS = [
+        ("dnn_nodes", [0], "dnn_nodes must be positive integers"),
+        ("dnn_nodes", [True, 256, 64], "dnn_nodes must be positive integers"),
+        ("conv_channels", [0, 128, 64], "conv_channels must be positive integers"),
+        ("conv_channels", [-4, 128, 64], "conv_channels must be positive integers"),
+        ("conv_kernels", [4, 3, 3], "conv_kernels must be odd"),
+        ("conv_kernels", [3.0, 3, 3], "conv_kernels must be positive integers"),
+        ("pool_size", [0], "pool_size must be positive integers"),
+        ("pool_size", [16, 16], "needs some conv layers and a pool size of 1 axes"),
+        ("reduction_ratio", 0, "reduction_ratio must be positive integers"),
+        ("num_classes", 1, "num_classes must be 2"),
+        ("attention_position", 2.0, "attention position 2.0 is not a valid conv layer index"),
+        ("attention_position", True, "attention position True is not a valid"),
+        ("attention_kind", None, "given without an attention kind"),
+        ("attention_kind", "SE2D", "attention kind SE2D does not fit fusion mode 'stack1d'"),
+        ("name", 7, "model name must be a string"),
+        ("dims", [16, 16.0, 12], "embedding dims must be three positive integers"),
+        ("dims", [16, 16, False], "embedding dims must be three positive integers"),
+        ("seed", -1, "seed must be a non-negative integer"),
+        ("seed", 1.5, "seed must be a non-negative integer"),
+        ("seed", True, "seed must be a non-negative integer"),
+    ]
+
+    @pytest.mark.parametrize("key, value, message", BAD_HEADERS,
+                             ids=[f"{k}={v!r}" for k, v, _ in BAD_HEADERS])
+    def test_unbuildable_header_rejected(self, tmp_path, key, value, message):
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(build("CNN1D_SE", DESK_DIMS, seed=0), str(path))
+        header, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        (header if key in ("dims", "seed") else header["config"])[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(ValueError) as info:
+            models.load_checkpoint(str(path))
+        assert str(info.value).startswith(f"{path}: checkpoint config, dims or seed build no model")
+        assert message in str(info.value)
 
     def test_truncated_payload_rejected(self, tmp_path):
         model = build("Extend512_DNN", DESK_DIMS, seed=0)
