@@ -687,27 +687,31 @@ def conv_block(
         dbeta = np.empty(cout) if beta.requires_grad else None
         conv_grads = x.requires_grad or w.requires_grad or bias.requires_grad
 
-        def block_grads(blk: slice) -> None:  # its temporaries are freed on return
+        def bn_dx(blk: slice, gb: np.ndarray, hb: np.ndarray) -> None:
+            """The batch norm's dx of the block, written over its xhat."""
+            gg = gb * cs(gamma.data[blk])  # in g's layout, as the reductions expect
+            if training:
+                mean_gg = cs(gg.mean(axis=axes))
+                mean_ggx = cs((gg * hb).mean(axis=axes))
+                gg -= mean_gg
+                gg -= np.multiply(hb, mean_ggx)
+            np.multiply(cs(inv[blk]), gg, out=hb)
+
+        # gg lives in bn_dx, so it is freed before the next block and before
+        # dx; this order of frees also keeps the heap's high-water mark down.
+        for blk in blocks:
             hb = xhat[:, blk]
             # The factor needs the sign of the batch-norm output, recomputed
             # here bit for bit; the output's own sign differs where
             # slope * x underflows to -0.0.
-            gb = _leaky_relu_grad(g[:, blk], affine(blk, hb, np.empty_like(hb)) >= 0, _SLOPE)
+            nonneg = affine(blk, hb, np.empty_like(hb)) >= 0
+            gb = _leaky_relu_grad(g[:, blk], nonneg, _SLOPE)
             if dbeta is not None:
                 dbeta[blk] = gb.sum(axis=axes)
             if dgamma is not None:
                 dgamma[blk] = (gb * hb).sum(axis=axes)
-            if conv_grads:  # the batch norm's dx, written over the xhat block
-                gg = gb * cs(gamma.data[blk])  # in g's layout, as the reductions expect
-                if training:
-                    mean_gg = cs(gg.mean(axis=axes))
-                    mean_ggx = cs((gg * hb).mean(axis=axes))
-                    gg -= mean_gg
-                    gg -= np.multiply(hb, mean_ggx)
-                np.multiply(cs(inv[blk]), gg, out=hb)
-
-        for blk in blocks:
-            block_grads(blk)
+            if conv_grads:
+                bn_dx(blk, gb, hb)
         _accumulate(beta, dbeta, own=True)
         _accumulate(gamma, dgamma, own=True)
         gmat = y.reshape(cout, -1)  # xhat now holds the conv output's gradient

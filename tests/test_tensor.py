@@ -480,9 +480,9 @@ class TestBackward:
         activations (3x3 taps); backward may rise above its starting size by
         less than one such buffer (8 activations). That needs dcols written
         into cols, and the popped rules free the later blocks' buffers and
-        gradients before the first block runs. Popping alone rose by 12.6
-        activations, popping with the reused buffer by 4.5, and keeping every
-        rule alive as well by 6.6."""
+        gradients before the first block runs. Popping alone rose by 13.7
+        activations, popping with the reused buffer by 4.7, and keeping every
+        rule alive as well by 6.7."""
         b, c, h = 8, 8, 16
         x = Tensor(rng.uniform(-1, 1, (b, c, h, h)))
         blocks = [(rt(rng, c, c, 3, 3), rt(rng, c), rt(rng, c), rt(rng, c)) for _ in range(3)]
