@@ -130,16 +130,17 @@ class TestIm2colIsFullyWritten:
     read in place) and a Fortran-ordered one (also copied)."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=oracle_case_id)
-    def test_matches_oracle_with_nan_filled_buffers(self, rng, monkeypatch, case):
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_matches_oracle_with_nan_filled_buffers(self, rng, monkeypatch, case, training):
         shape, k = case
         base = block_arrays(rng, shape, 4, k)
-        want = loop_oracles(base, True)
+        want = loop_oracles(base, training)
         g = rng.uniform(-1, 1, (shape[0], 4) + shape[2:])
         inputs = [dict(base, x=in_layout(base["x"], order)) for order in ("C", "CM", "F")]
-        clean = [run_block(T.conv_block, arrays, True, g) for arrays in inputs]
+        clean = [run_block(T.conv_block, arrays, training, g) for arrays in inputs]
         fill_empty_with_nan(monkeypatch)
         for arrays, want_all in zip(inputs, clean):
-            dirty = run_block(T.conv_block, arrays, True, g)
+            dirty = run_block(T.conv_block, arrays, training, g)
             for got, ref in zip(dirty, want):
                 np.testing.assert_allclose(got, ref, atol=1e-12)
             for got, ref in zip(dirty, want_all):
@@ -147,8 +148,10 @@ class TestIm2colIsFullyWritten:
 
 
 # The oracle cases, and inputs no wider than the padding (each shifted run
-# reaches past the whole batch) and inputs of a few channel blocks.
-KERNEL_CASES = ORACLE_CASES + [((1, 3, 2), 5), ((1, 2, 1, 2), 5), ((8, 5, 2048), 3),
+# reaches past the whole batch), a 1x1 kernel on a 1D input, kernels wider
+# than one input axis, and inputs of a few channel blocks.
+KERNEL_CASES = ORACLE_CASES + [((1, 3, 2), 5), ((1, 2, 1, 2), 5), ((2, 3, 10), 1),
+                               ((2, 3, 4), 7), ((2, 3, 6, 5), 7), ((8, 5, 2048), 3),
                                ((4, 5, 48, 48), 3)]
 
 
@@ -276,8 +279,13 @@ class TestConvBlock:
 
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=block_case_id)
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-    def test_matches_unfused_ops_byte_for_byte(self, rng, case, training):
+    @pytest.mark.parametrize("x_order", ["C", "CM", "F"])
+    def test_matches_unfused_ops_byte_for_byte(self, rng, case, training, x_order):
+        """A model's first block reads a C-ordered input and every later one
+        the channel-major output of the block before it; dx must keep the
+        input's layout either way."""
         arrays = block_arrays(rng, *case)
+        arrays["x"] = in_layout(arrays["x"], x_order)
         upstream = rng.uniform(-1, 1, out_shape(arrays))
         for g_order in ("C", "CM"):
             g = in_layout(upstream, g_order)
@@ -375,6 +383,94 @@ class TestConvBlock:
         ts = [Tensor(np.ones(shapes[k])) for k in ("x", "w", "bias", "gamma", "beta")]
         with pytest.raises(DimensionError, match=match):
             T.conv_block(*ts, RunningStats(4), True)
+
+
+def plain_block(x, w, bias=None, gamma=None, beta=None, training=False, stats=None):
+    """``conv_block`` with bias 0, gamma 1 and beta 0 unless given. In eval
+    mode with running mean 0 and variance 1 - eps the batch norm divides by
+    exactly 1, so the output is the LeakyReLU of the conv."""
+    cout = w.shape[0]
+    if stats is None:
+        stats = RunningStats(cout)
+        stats.var = np.full(cout, 1.0 - 1e-5)
+        assert np.all(stats.var + 1e-5 == 1.0)
+    params = [np.zeros(cout) if bias is None else bias, np.ones(cout) if gamma is None else gamma,
+              np.zeros(cout) if beta is None else beta]
+    return T.conv_block(Tensor(x), Tensor(w), *map(Tensor, params), stats, training).data
+
+
+def unleaky(out):
+    """The batch-norm output behind a LeakyReLU output of slope 0.01."""
+    return np.where(out < 0, out / 0.01, out)
+
+
+class TestConvBlockHandComputed:
+    @pytest.mark.parametrize("shape, k", [((2, 1, 5), 1), ((2, 1, 5), 3), ((1, 1, 4, 4), 1),
+                                          ((1, 1, 4, 4), 5)], ids=["1d-k1", "1d-k3", "2d-k1", "2d-k5"])
+    def test_centre_tap_kernel_is_identity(self, rng, shape, k):
+        x = rng.uniform(-1, 1, shape)
+        w = np.zeros((1, 1) + (k,) * (len(shape) - 2))
+        w[(0, 0) + (k // 2,) * (len(shape) - 2)] = 1.0
+        np.testing.assert_array_equal(plain_block(x, w), np.maximum(x, 0.01 * x))
+
+    @pytest.mark.parametrize("shape, want", [
+        ((1, 1, 4), [[[2.0, 3.0, 3.0, 2.0]]]),
+        ((1, 1, 3, 3), [[[[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]]]),
+    ], ids=["1d", "2d"])
+    def test_all_ones_kernel_counts_the_window(self, shape, want):
+        """Each output counts the input positions its window covers; the
+        zero padding counts for nothing."""
+        w = np.ones((1, 1) + (3,) * (len(shape) - 2))
+        np.testing.assert_array_equal(plain_block(np.ones(shape), w), want)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_zero_kernel_gives_bias_then_beta(self, rng, training):
+        """A zero kernel makes the conv output the bias. Eval mode passes it
+        through; training mode subtracts it as the batch mean, leaving beta."""
+        bias, beta = np.array([1.5, -2.0, 0.25]), np.array([-1.0, 0.5, 0.0])
+        out = plain_block(rng.uniform(-1, 1, (4, 2, 5)), np.zeros((3, 2, 3)), bias=bias,
+                          beta=beta, training=training)
+        pre = beta if training else bias + beta
+        want = np.broadcast_to(np.maximum(pre, 0.01 * pre)[None, :, None], (4, 3, 5))
+        np.testing.assert_array_equal(out, want)
+
+
+class TestConvBlockBatchNorm:
+    """The batch norm inside ``conv_block``, read through its LeakyReLU."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_zero_gamma_gives_beta(self, rng, training):
+        beta = np.array([1.0, -2.0, 0.5])
+        out = plain_block(rng.uniform(-1, 1, (4, 2, 5)), rng.uniform(-1, 1, (3, 2, 3)),
+                          gamma=np.zeros(3), beta=beta, training=training)
+        want = np.maximum(beta, 0.01 * beta)[None, :, None]
+        np.testing.assert_array_equal(out, np.broadcast_to(want, (4, 3, 5)))
+
+    @pytest.mark.parametrize("shape", [(8, 3, 12), (8, 3, 6, 6)], ids=["1d", "2d"])
+    def test_normalizes_moments(self, rng, shape):
+        x, w = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, (4, 3) + (3,) * (len(shape) - 2))
+        loops = oracles.conv1d_loops if len(shape) == 3 else oracles.conv2d_loops
+        axes = (0,) + tuple(range(2, len(shape)))
+        batch_var = loops(x, w, np.zeros(4)).var(axis=axes)
+        bn = unleaky(plain_block(x, w, training=True))
+        assert np.abs(bn.mean(axis=axes)).max() < 1e-9
+        # output variance is batch_var/(batch_var+eps), i.e. 1 up to the eps shrinkage
+        np.testing.assert_allclose(bn.var(axis=axes), batch_var / (batch_var + 1e-5), atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (6, 3, 4, 5)], ids=["1d", "2d"])
+    def test_running_stats_then_eval_mode(self, rng, shape):
+        x, w = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, (2, 3) + (3,) * (len(shape) - 2))
+        bias = rng.uniform(-1, 1, 2)
+        loops = oracles.conv1d_loops if len(shape) == 3 else oracles.conv2d_loops
+        axes, cshape = (0,) + tuple(range(2, len(shape))), (1, 2) + (1,) * (len(shape) - 2)
+        conv = loops(x, w, bias)
+        stats = RunningStats(2)
+        plain_block(x, w, bias=bias, training=True, stats=stats)
+        np.testing.assert_allclose(stats.mean, 0.1 * conv.mean(axis=axes), atol=1e-12)
+        np.testing.assert_allclose(stats.var, 0.9 + 0.1 * conv.var(axis=axes), atol=1e-12)
+        out = plain_block(x, w, bias=bias, training=False, stats=stats)
+        want = (conv - stats.mean.reshape(cshape)) / np.sqrt(stats.var + 1e-5).reshape(cshape)
+        np.testing.assert_allclose(unleaky(out), want, atol=1e-12)
 
 
 class TestActivations:
@@ -531,6 +627,32 @@ class TestGradientChecks:
         )
         assert err < 1e-6
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_conv_block_2d(self, rng, training):
+        x, w = rt(rng, 3, 2, 4, 5), rt(rng, 3, 2, 3, 3)
+        bias, gamma, beta = rt(rng, 3), rt(rng, 3), rt(rng, 3)
+        stats = RunningStats(3)
+        err = finite_difference_check(
+            lambda: random_projection_loss(
+                T.conv_block(x, w, bias, gamma, beta, stats.copy(), training),
+                np.random.default_rng(0),
+            ),
+            {"x": x, "w": w, "bias": bias, "gamma": gamma, "beta": beta},
+        )
+        assert err < 1e-6
+
+    def test_conv_block_1d_wide_kernel(self, rng):
+        x, w = rt(rng, 2, 2, 4), rt(rng, 3, 2, 7)
+        bias, gamma, beta = rt(rng, 3), rt(rng, 3), rt(rng, 3)
+        err = finite_difference_check(
+            lambda: random_projection_loss(
+                T.conv_block(x, w, bias, gamma, beta, RunningStats(3), True),
+                np.random.default_rng(0),
+            ),
+            {"x": x, "w": w, "bias": bias, "gamma": gamma, "beta": beta},
+        )
+        assert err < 1e-6
+
     def test_conv_block_2d_wide_kernel(self, rng):
         x, w = rt(rng, 2, 2, 6, 5), rt(rng, 3, 2, 5, 5)
         bias, gamma, beta = rt(rng, 3), rt(rng, 3), rt(rng, 3)
@@ -575,7 +697,8 @@ class TestGradientChecks:
 
 class TestNonContiguousInput:
     @pytest.mark.parametrize("shape", [(3, 4, 9), (3, 4, 6, 5)], ids=["1d", "2d"])
-    def test_conv_block_matches_contiguous_copy(self, rng, shape):
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_conv_block_matches_contiguous_copy(self, rng, shape, training):
         data = rng.uniform(-1, 1, shape[::-1]).T
         assert not data.flags.c_contiguous
         params = [rng.uniform(-1, 1, s) for s in [(5, 4) + (3,) * (len(shape) - 2)] + [(5,)] * 3]
@@ -583,12 +706,47 @@ class TestNonContiguousInput:
         for x in (data, np.ascontiguousarray(data)):
             tensors = [Tensor(v, requires_grad=True) for v in (x, *params)]
             with T.recording() as tape:
-                out = T.conv_block(*tensors, RunningStats(5), True)
+                out = T.conv_block(*tensors, RunningStats(5), training)
                 loss = random_projection_loss(out, np.random.default_rng(0))
             tape.backward(loss)
             results.append([out.data] + [t.grad for t in tensors])
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestLayout:
+    """Score bytes depend on the memory layout of intermediate arrays (see
+    the tensor module docstring), and a gradient in another layout than its
+    block's output costs the next block's rule a full copy."""
+
+    @staticmethod
+    def _block(rng, x, cout):
+        nd = x.data.ndim - 2
+        return (x, rt(rng, cout, x.shape[1], *(3,) * nd), rt(rng, cout), rt(rng, cout), rt(rng, cout))
+
+    @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_output_is_channel_major(self, rng, ndim, training):
+        x = rt(rng, 4, 3, *((12,) if ndim == 1 else (6, 5)))
+        y = T.conv_block(*self._block(rng, x, 5), RunningStats(5), training).data
+        assert not y.flags.c_contiguous
+        assert layout(y) == layout(in_layout(y, "CM"))
+
+    @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("g_order", ["C", "CM"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_dx_keeps_block_output_layout(self, rng, ndim, g_order, training):
+        """In a chain of two blocks, the gradient of the first block's output
+        comes back in that output's channel-major layout, and the input's
+        gradient in the input's C order, whatever the layout of g."""
+        x = rt(rng, 4, 3, *((12,) if ndim == 1 else (6, 5)))
+        with T.recording() as tape:
+            y = T.conv_block(*self._block(rng, x, 5), RunningStats(5), training)
+            out = T.conv_block(*self._block(rng, y, 2), RunningStats(2), training)
+        assert not y.data.flags.c_contiguous
+        backward_from(tape, out, in_layout(rng.uniform(-1, 1, out.shape), g_order))
+        assert y.grad.strides == y.data.strides
+        assert x.grad.strides == x.data.strides
 
 
 class TestDeterminism:
