@@ -40,7 +40,11 @@ def reduced_dim(dim: int, r: int) -> int:
     return max(1, dim // r)
 
 
-def _init_weight(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+def _init_weight(rng: np.random.Generator | None, rows: int, cols: int) -> Tensor:
+    """A uniform init, or an uninitialised array for a checkpoint load when
+    ``rng`` is None."""
+    if rng is None:
+        return Tensor(np.empty((rows, cols)), requires_grad=True)
     bound = np.sqrt(6.0 / rows)
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
@@ -57,7 +61,7 @@ class AttentionParams:
     def init(
         cls,
         kind: str,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         channels: int,
         features: int | None = None,
         reduction: int = 8,

@@ -8,8 +8,10 @@ starting with ``#`` are skipped, and every error names the input as
 
 * Embedding file: header ``#EMB v1 d_spk=<int> d_cm=<int>`` on line 1, then
   one line per stored vector: ``utt_id<TAB>spk|cm<TAB>comma-separated
-  floats``. Floats are written with 17 significant digits so 64-bit values
-  round-trip exactly.
+  floats``. The floats are ASCII decimal (or ``inf``/``nan``, which the
+  store rejects), parsed by numpy's text reader: Python-only spellings such
+  as ``1_0`` or non-ASCII digits are malformed. They are written with 17
+  significant digits so 64-bit values round-trip exactly.
 * Protocol file: one trial per line,
   ``enroll_ids(comma-joined)<TAB>test_id<TAB>label`` with label one of
   target / nontarget / spoof.
@@ -33,6 +35,9 @@ LABELS = ("target", "nontarget", "spoof")
 PARTITIONS = ("train", "dev", "eval")
 
 _EMB_HEADER = re.compile(r"^#EMB v1 d_spk=(\d+) d_cm=(\d+)$")
+# Embedding rows per kind parsed by one np.loadtxt call: about 1 MB of text at
+# SASV-2022 sizes, the most any kind holds pending.
+_CHUNK_ROWS = 256
 
 
 @contextmanager
@@ -52,11 +57,23 @@ def atomic_write(path: str, mode: str = "w"):
         raise
 
 
-def read_lines(path: str, parse_line, *, header=None, strip: bool = False) -> list:
+class LineError(ValueError):
+    """A fault found after its line was read; ``read_lines`` reports it at
+    ``lineno`` instead of the line being read."""
+
+    def __init__(self, lineno: int, message):
+        super().__init__(str(message))
+        self.lineno = lineno
+
+
+def read_lines(path: str, parse_line, *, header=None, strip: bool = False,
+               numbered: bool = False, end=None) -> list:
     """``[parse_line(line) ...]`` over a UTF-8 text file, skipping blank and
     ``#`` lines (after a whitespace strip when ``strip`` is set); ``header``
-    gets line 1 whatever it holds. A ValueError raised while decoding or
-    parsing line N comes out as ``path:N: message``."""
+    gets line 1 whatever it holds, and ``numbered`` passes ``(lineno, line)``.
+    A ValueError raised while decoding or parsing line N comes out as
+    ``path:N: message``. ``end`` finishes deferred work after the last line
+    and again when a line fails, so a ``LineError`` of an earlier line wins."""
     lineno, out = 1, []
     with open(path, "rb") as fh:
         try:
@@ -66,9 +83,17 @@ def read_lines(path: str, parse_line, *, header=None, strip: bool = False) -> li
                 line = raw.decode("utf-8")
                 line = line.strip() if strip else line.rstrip("\r\n")
                 if line and not line.startswith("#"):
-                    out.append(parse_line(line))
+                    out.append(parse_line(lineno, line) if numbered else parse_line(line))
+            if end is not None:
+                end()
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            fault = exc if isinstance(exc, LineError) else LineError(lineno, exc)
+            if end is not None:
+                try:
+                    end()
+                except LineError as earlier:
+                    fault = min(fault, earlier, key=lambda e: e.lineno)
+            raise ValueError(f"{path}:{fault.lineno}: {fault}") from None
     return out
 
 
@@ -131,24 +156,32 @@ class EmbeddingStore:
         if spk is None and cm is None:
             raise ValueError(f"{utt_id}: nothing to add")
         for kind, vec in (("spk", spk), ("cm", cm)):
-            if vec is None:
-                continue
-            data, rows = self._data[kind], self._rows[kind]
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (data.shape[1],):
-                raise ValueError(f"{utt_id}: {kind} embedding has shape {arr.shape}, "
-                                 f"expected ({data.shape[1]},)")
-            if not np.isfinite(arr).all():
+            if vec is not None:
+                self.add_rows(kind, [utt_id], np.asarray(vec, dtype=np.float64)[None])
+
+    def add_rows(self, kind: str, ids, block: np.ndarray) -> None:
+        """Append row i of ``block`` as ``ids[i]``'s ``kind`` embedding. The
+        first faulty row raises, and then nothing is stored."""
+        data, rows = self._data[kind], self._rows[kind]
+        d = data.shape[1]
+        if block.shape != (len(ids), d):
+            raise ValueError(f"{ids[0]}: {kind} embedding has shape {block.shape[1:]}, "
+                             f"expected ({d},)")
+        finite = np.isfinite(block).all(axis=1)
+        seen = set()
+        for utt_id, ok in zip(ids, finite.tolist()):
+            if not ok:
                 raise ValueError(f"{utt_id}: {kind} embedding contains non-finite values")
-            if utt_id in rows:
+            if utt_id in rows or utt_id in seen:
                 raise ValueError(f"duplicate {_KIND_NAMES[kind]} embedding for {utt_id!r}")
-            n = len(rows)
-            if n == len(data):
-                grown = np.empty((max(64, 2 * n), data.shape[1]))
-                grown[:n] = data
-                data = self._data[kind] = grown
-            data[n] = arr
-            rows[utt_id] = n
+            seen.add(utt_id)
+        n = len(rows)
+        if n + len(ids) > len(data):
+            grown = np.empty((max(64, 2 * len(data), n + len(ids)), d))
+            grown[:n] = data[:n]
+            data = self._data[kind] = grown
+        data[n:n + len(ids)] = block
+        rows.update(zip(ids, range(n, n + len(ids))))
 
     def matrix(self, kind: str) -> np.ndarray:
         """The stored vectors of one kind, one row each."""
@@ -177,8 +210,21 @@ def save_embeddings(store: EmbeddingStore, path: str, comments: tuple[str, ...] 
                 fh.write(f"{utt_id}\t{kind}\t{','.join(map(format_float, vec.tolist()))}\n")
 
 
+def _parse_floats(payloads) -> np.ndarray:
+    """One row per comma-separated payload, by numpy's C text parser (which
+    skips an empty payload, so callers reject those first)."""
+    try:
+        return np.loadtxt(payloads, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        raise ValueError("malformed float payload") from None
+
+
 def load_embeddings(path: str) -> EmbeddingStore:
+    """Read an embedding file. Lines are checked as they are read; their
+    payloads are parsed ``_CHUNK_ROWS`` rows of a kind at a time, and a fault
+    is reported at the first faulty line in file order."""
     store = None
+    pending = {"spk": [], "cm": []}  # (lineno, utt_id, payload), one chunk at most
 
     def header(line):
         nonlocal store
@@ -187,20 +233,44 @@ def load_embeddings(path: str) -> EmbeddingStore:
             raise ValueError(f"bad embedding header {line!r}")
         store = EmbeddingStore(int(m.group(1)), int(m.group(2)))
 
-    def record(line):
+    def flush(kind):
+        chunk, pending[kind] = pending[kind], []
+        if not chunk:
+            return
+        _, ids, payloads = zip(*chunk)
+        try:
+            store.add_rows(kind, ids, _parse_floats(payloads))
+        except ValueError:
+            for lineno, utt_id, payload in chunk:  # row by row, to name the faulty line
+                try:
+                    store.add_rows(kind, [utt_id], _parse_floats([payload]))
+                except ValueError as exc:
+                    raise LineError(lineno, exc) from None
+
+    def finish():
+        faults = []
+        for kind in pending:
+            try:
+                flush(kind)
+            except LineError as exc:
+                faults.append(exc)
+        if faults:
+            raise min(faults, key=lambda exc: exc.lineno)
+
+    def record(lineno, line):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError("expected 3 tab-separated fields")
         utt_id, kind, payload = parts
-        if kind not in ("spk", "cm"):
+        if kind not in pending:
             raise ValueError(f"unknown embedding kind {kind!r}")
-        try:
-            vec = np.array([float(x) for x in payload.split(",")])
-        except ValueError:
-            raise ValueError("malformed float payload") from None
-        store.add(utt_id, **{kind: vec})
+        if not payload:
+            raise ValueError("malformed float payload")
+        pending[kind].append((lineno, utt_id, payload))
+        if len(pending[kind]) == _CHUNK_ROWS:
+            flush(kind)
 
-    read_lines(path, record, header=header)
+    read_lines(path, record, header=header, numbered=True, end=finish)
     return store
 
 

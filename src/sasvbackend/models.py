@@ -196,7 +196,8 @@ def preset(name: str) -> ModelConfig:
 class Model:
     """One built network: config, named parameters, BN buffers, mode flag."""
 
-    def __init__(self, config: ModelConfig, dims: tuple[int, int, int], seed: int):
+    def __init__(self, config: ModelConfig, dims: tuple[int, int, int], seed: int, *,
+                 _init: bool = True):
         if len(dims) != 3 or not all(_is_int(v) and v >= 1 for v in dims):
             raise ValueError(f"embedding dims must be three positive integers, got {dims!r}")
         if not _is_int(seed) or seed < 0:
@@ -208,7 +209,8 @@ class Model:
         self.params: dict[str, Tensor] = {}
         self.bn_stats: dict[str, RunningStats] = {}
         self._attention: att.AttentionParams | None = None
-        self._build(np.random.default_rng(seed))
+        # A checkpoint load overwrites every array, so it skips the random init.
+        self._build(np.random.default_rng(seed) if _init else None)
 
     # -- construction ------------------------------------------------------
 
@@ -220,8 +222,16 @@ class Model:
         bound = np.sqrt(6.0 / fan_in)
         return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
-    def _build(self, rng: np.random.Generator) -> None:
+    def _build(self, rng: np.random.Generator | None) -> None:
+        """Allocate every array; with ``rng`` None the weights are left
+        uninitialised."""
         cfg = self.config
+
+        def weight(shape, fan_in):
+            if rng is None:
+                return Tensor(np.empty(shape), requires_grad=True)
+            return self._uniform(rng, shape, fan_in)
+
         d, b, q = self.dims
         common = max(d, b, q)
 
@@ -235,7 +245,7 @@ class Model:
                     wshape, fan = (ch, in_ch, k, k), in_ch * k * k
                 else:
                     wshape, fan = (ch, in_ch, k), in_ch * k
-                self._add_param(f"conv{i}.w", self._uniform(rng, wshape, fan))
+                self._add_param(f"conv{i}.w", weight(wshape, fan))
                 self._add_param(f"conv{i}.b", Tensor(np.zeros(ch), requires_grad=True))
                 self._add_param(f"bn{i}.gamma", Tensor(np.ones(ch), requires_grad=True))
                 self._add_param(f"bn{i}.beta", Tensor(np.zeros(ch), requires_grad=True))
@@ -267,10 +277,10 @@ class Model:
 
         width = flat
         for i, nodes in enumerate(cfg.dnn_nodes):
-            self._add_param(f"fc{i}.w", self._uniform(rng, (width, nodes), width))
+            self._add_param(f"fc{i}.w", weight((width, nodes), width))
             self._add_param(f"fc{i}.b", Tensor(np.zeros(nodes), requires_grad=True))
             width = nodes
-        self._add_param("head.w", self._uniform(rng, (width, cfg.num_classes), width))
+        self._add_param("head.w", weight((width, cfg.num_classes), width))
         self._add_param("head.b", Tensor(np.zeros(cfg.num_classes), requires_grad=True))
 
     # -- mode & parameter access -------------------------------------------
@@ -418,7 +428,8 @@ def load_checkpoint(path: str) -> Model:
             cfg_dict = dict(cfg_dict)
             for key in ("conv_channels", "conv_kernels", "pool_size", "dnn_nodes"):
                 cfg_dict[key] = tuple(cfg_dict[key])
-            model = Model(ModelConfig(**cfg_dict), tuple(header["dims"]), header["seed"])
+            model = Model(ModelConfig(**cfg_dict), tuple(header["dims"]), header["seed"],
+                          _init=False)
         except (TypeError, ValueError, OverflowError, MemoryError) as exc:
             raise ValueError(f"{path}: checkpoint config, dims or seed build no model: {exc}") from None
         state = model._state()

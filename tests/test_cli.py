@@ -319,6 +319,24 @@ class TestScore:
                              "--batch-size", batch_size)
         assert f"batch_size must be >= 1, got {batch_size}" in stderr
 
+    def test_bad_token_deep_in_embeddings_names_its_line(self, workspace, tmp_path, capsys):
+        lines = (workspace / "data" / "embeddings.tsv").read_text().splitlines()
+        assert lines[1].startswith("# seed=")  # data rows start on line 3
+        for i in range(300):
+            lines += [f"pad{i}\tspk\t{','.join(['0.5'] * 8)}",
+                      f"pad{i}\tcm\t{','.join(['0.5'] * 6)}"]
+        utt_id, kind, payload = lines[701].split("\t")
+        lines[701] = "\t".join([utt_id, kind, payload.replace(",", ",0.5e+x,", 1)])
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.scores"
+        code, stderr = run_main(
+            ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt", "--embeddings", emb,
+             "--protocol", workspace / "data" / "eval.protocol", "--out", out], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error[invalid-input]: {emb}:702: malformed float payload")
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
     def test_non_finite_checkpoint_payload_rejected(self, workspace, tmp_path, capsys):
         header, blob = (workspace / "run1" / "checkpoint.ckpt").read_bytes().split(b"\n", 1)
         bad = tmp_path / "nan.ckpt"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasvbackend import cli, data, fusion, metrics, models, training
 from sasvbackend.data import (
@@ -45,6 +47,18 @@ class TestEmbeddingStore:
         store = EmbeddingStore(2, 2)
         with pytest.raises(ValueError, match="finite"):
             store.add("u1", spk=np.array([1.0, np.nan]))
+
+    def test_add_rows_stores_nothing_when_a_row_fails(self):
+        store = EmbeddingStore(2, 2)
+        with pytest.raises(ValueError, match="^duplicate speaker embedding for 'a'$"):
+            store.add_rows("spk", ["a", "b", "a"], np.ones((3, 2)))
+        with pytest.raises(ValueError, match="^b: spk embedding contains non-finite"):
+            store.add_rows("spk", ["a", "b"], np.array([[1.0, 2.0], [np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="shape"):
+            store.add_rows("spk", ["a", "b"], np.ones((1, 2)))
+        assert len(store) == 0
+        store.add_rows("spk", ["a", "b"], np.arange(4.0).reshape(2, 2))
+        np.testing.assert_array_equal(store.matrix("spk"), [[0.0, 1.0], [2.0, 3.0]])
 
 
 class TestEmbeddingFiles:
@@ -101,6 +115,182 @@ class TestEmbeddingFiles:
         path = tmp_path / "emb.tsv"
         path.write_text("#EMB v1 d_spk=2 d_cm=2\n# seed=1 config=abc\nu1\tspk\t1.0,2.0\n")
         assert len(load_embeddings(str(path))) == 1
+
+
+def _emb_file(path, d_spk, d_cm, rows, extra=()):
+    """Write an embedding file with ``rows`` ((utt_id, kind, payload), ...) in
+    order and ``extra`` ((index, text), ...) lines inserted before row
+    ``index``; returns the line number of every row."""
+    lines, linenos = [f"#EMB v1 d_spk={d_spk} d_cm={d_cm}"], []
+    inserted = dict(extra)
+    for i, (utt_id, kind, payload) in enumerate(rows):
+        if i in inserted:
+            lines.append(inserted[i])
+        lines.append(f"{utt_id}\t{kind}\t{payload}")
+        linenos.append(len(lines))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return linenos
+
+
+def _payload(vec):
+    return ",".join(map(data.format_float, vec))
+
+
+def _interleaved(n_spk, n_cm, d_spk=2, d_cm=2):
+    """spk and cm rows, two spk rows to every cm row while both last."""
+    spk = [(f"s{i}", "spk", _payload(np.full(d_spk, i + 0.5))) for i in range(n_spk)]
+    cm = [(f"c{i}", "cm", _payload(np.full(d_cm, -i - 0.25))) for i in range(n_cm)]
+    rows = []
+    while spk or cm:
+        rows += spk[:2] + cm[:1]
+        spk, cm = spk[2:], cm[1:]
+    return rows
+
+
+CHUNK = data._CHUNK_ROWS
+SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+class TestChunkedLoader:
+    """The loader parses each kind in chunks of ``_CHUNK_ROWS`` rows, yet reads
+    back every float64 bit for bit and names the first faulty line."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(d_spk=st.sampled_from([1, 2, 192]), d_cm=st.sampled_from([1, 2, 192]),
+           n_spk=st.integers(CHUNK + 1, 2 * CHUNK + 3), n_cm=st.integers(1, CHUNK + 5),
+           seed=st.integers(0, 2**32 - 1), drawn=st.lists(st.floats(allow_nan=False,
+                                                                     allow_infinity=False),
+                                                           min_size=1, max_size=20))
+    def test_round_trip_is_byte_identical(self, tmp_path_factory, d_spk, d_cm, n_spk, n_cm,
+                                          seed, drawn):
+        rng = np.random.default_rng(seed)
+        want = {}
+        for kind, n, d in (("spk", n_spk, d_spk), ("cm", n_cm, d_cm)):
+            bits = rng.integers(0, 2**64, size=(n, d), dtype=np.uint64, endpoint=False)
+            mat = bits.view(np.float64).copy()
+            mat[~np.isfinite(mat)] = 0.0
+            flat = mat.reshape(-1)
+            values = np.array(SPECIALS + tuple(drawn))
+            flat[rng.choice(flat.size, size=min(flat.size, len(values)), replace=False)] = \
+                values[:flat.size]
+            want[kind] = mat
+        rows = [(f"u{i}", kind, _payload(want[kind][i]))
+                for kind in ("spk", "cm") for i in range(len(want[kind]))]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        extra = [(int(i), "# comment" if i % 2 else "") for i in rng.choice(len(rows), 5)]
+        path = tmp_path_factory.mktemp("emb") / "emb.tsv"
+        _emb_file(path, d_spk, d_cm, rows, extra)
+        store = load_embeddings(str(path))
+        for kind in ("spk", "cm"):
+            ids = [utt_id for utt_id, k, _ in rows if k == kind]
+            order = [int(utt_id[1:]) for utt_id in ids]
+            assert list(store._rows[kind]) == ids
+            assert store.matrix(kind).tobytes() == want[kind][order].tobytes()
+
+    # positions of a faulty row among its kind's rows: inside the first
+    # chunk, inside a later one, and in the last, partial chunk
+    POSITIONS = [3, CHUNK + 7, 2 * CHUNK + 1]
+
+    @pytest.mark.parametrize("kind", ["spk", "cm"])
+    @pytest.mark.parametrize("pos", POSITIONS)
+    @pytest.mark.parametrize("token, message", [
+        ("1.5x", "malformed float payload"),
+        ("nan", "contains non-finite values"),
+        ("inf", "contains non-finite values"),
+        ("-inf", "contains non-finite values"),
+    ])
+    def test_faulty_token_names_its_line(self, tmp_path, kind, pos, token, message):
+        rows = _interleaved(2 * CHUNK + 5, 2 * CHUNK + 5)
+        index = [i for i, (_, k, _) in enumerate(rows) if k == kind][pos]
+        utt_id, _, _ = rows[index]
+        rows[index] = (utt_id, kind, f"0.5,{token}")
+        path = tmp_path / "emb.tsv"
+        lineno = _emb_file(path, 2, 2, rows, [(5, "# seed=1"), (CHUNK, "")])[index]
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value).startswith(f"{path}:{lineno}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("pos", POSITIONS)
+    def test_duplicate_id_names_its_line(self, tmp_path, pos):
+        rows = _interleaved(2 * CHUNK + 5, 10)
+        index = [i for i, (_, k, _) in enumerate(rows) if k == "spk"][pos]
+        rows[index] = ("s1", "spk", rows[index][2])
+        path = tmp_path / "emb.tsv"
+        lineno = _emb_file(path, 2, 2, rows)[index]
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == f"{path}:{lineno}: duplicate speaker embedding for 's1'"
+
+    # a second fault after a faulty cm row that waits in its chunk: a spk
+    # chunk that fills, and faults that are found as their line is read
+    LATER_FAULTS = {
+        "spk chunk": ("spk", "0.5,oops"),
+        "unknown kind": ("ivector", "0.5,1.5"),
+        "empty payload": ("spk", ""),
+        "field count": ("spk", "0.5\t1.5"),
+    }
+
+    @pytest.mark.parametrize("later", sorted(LATER_FAULTS))
+    def test_two_faults_name_the_earlier_line(self, tmp_path, later):
+        rows = _interleaved(2 * CHUNK, 2 * CHUNK)
+        cm_index = [i for i, (_, k, _) in enumerate(rows) if k == "cm"][2]
+        rows[cm_index] = ("c2", "cm", "0.5,1_0")
+        spk = [i for i, (_, k, _) in enumerate(rows) if k == "spk"]
+        rows[spk[6]] = ("s6", *self.LATER_FAULTS[later])
+        assert cm_index < spk[6] < spk[CHUNK - 1] < [i for i, (_, k, _) in enumerate(rows)
+                                                      if k == "cm"][CHUNK - 1]
+        path = tmp_path / "emb.tsv"
+        lineno = _emb_file(path, 2, 2, rows)[cm_index]
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == f"{path}:{lineno}: malformed float payload"
+
+    @pytest.mark.parametrize("first", ["spk", "cm"])
+    def test_faults_pending_in_both_kinds_name_the_earlier_line(self, tmp_path, first):
+        rows = _interleaved(40, 20)
+        at = {kind: [i for i, (_, k, _) in enumerate(rows) if k == kind] for kind in ("spk", "cm")}
+        second = "cm" if first == "spk" else "spk"
+        faulty = [at[first][4], next(i for i in at[second] if i > at[first][4])]
+        for index in faulty:
+            rows[index] = (rows[index][0], rows[index][1], "0.5,?")
+        path = tmp_path / "emb.tsv"
+        lineno = _emb_file(path, 2, 2, rows)[faulty[0]]
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == f"{path}:{lineno}: malformed float payload"
+
+    def test_non_utf8_line_after_a_pending_fault_names_the_fault(self, tmp_path):
+        rows = _interleaved(20, 20)
+        rows[4] = (rows[4][0], rows[4][1], "0.5,1.0,2.0")
+        path = tmp_path / "emb.tsv"
+        lineno = _emb_file(path, 2, 2, rows)[4]
+        path.write_bytes(path.read_bytes() + b"x\xff\tspk\t1,2\n")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value).startswith(f"{path}:{lineno}: ")
+        assert "has shape (3,), expected (2,)" in str(err.value)
+
+    def test_empty_payload_at_width_one_names_its_line(self, tmp_path):
+        rows = [(f"u{i}", "spk", "0.5") for i in range(10)]
+        rows[6] = ("u6", "spk", "")
+        path = tmp_path / "emb.tsv"
+        lineno = _emb_file(path, 1, 1, rows)[6]
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == f"{path}:{lineno}: malformed float payload"
+
+    # float() reads these; the file format holds ASCII decimal floats only
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\u0661.5"])
+    def test_python_only_float_spellings_are_malformed(self, tmp_path, token):
+        assert np.isfinite(float(token))
+        rows = [(f"u{i}", "cm", "0.5,0.25") for i in range(8)]
+        rows[5] = ("u5", "cm", f"0.5,{token}")
+        path = tmp_path / "emb.tsv"
+        lineno = _emb_file(path, 2, 2, rows)[5]
+        with pytest.raises(ValueError) as err:
+            load_embeddings(str(path))
+        assert str(err.value) == f"{path}:{lineno}: malformed float payload"
 
 
 class TestLineReader:

@@ -343,6 +343,22 @@ class TestCheckpoint:
         assert list(got) == list(want)
         assert all(got[n].tobytes() == want[n].tobytes() for n in want)
 
+    @pytest.mark.parametrize("name", ["CNN2D_SE", "CNN1D_PA", "Extend512_DNN"])
+    def test_load_skips_the_random_init(self, tmp_path, monkeypatch, name):
+        model = build(name, DESK_DIMS, seed=3)
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(model, str(path))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a random init")
+
+        monkeypatch.setattr(models.Model, "_uniform", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = models.load_checkpoint(str(path))
+        want, got = model._state(), loaded._state()
+        assert list(got) == list(want)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+
     def test_trailing_payload_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         models.save_checkpoint(build("Extend512_DNN", DESK_DIMS, seed=0), str(path))
