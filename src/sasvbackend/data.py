@@ -206,8 +206,10 @@ def save_embeddings(store: EmbeddingStore, path: str, comments: tuple[str, ...] 
         for comment in comments:
             fh.write(f"# {comment}\n")
         for kind in ("spk", "cm"):
-            for utt_id, vec in zip(store._rows[kind], store.matrix(kind)):
-                fh.write(f"{utt_id}\t{kind}\t{','.join(map(format_float, vec.tolist()))}\n")
+            matrix = store.matrix(kind)
+            row = ",".join(["%.17g"] * matrix.shape[1])  # format_float's text, one call per row
+            for utt_id, vec in zip(store._rows[kind], matrix):
+                fh.write(f"{utt_id}\t{kind}\t{row % tuple(vec.tolist())}\n")
 
 
 def _parse_floats(payloads) -> np.ndarray:

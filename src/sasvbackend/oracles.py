@@ -3,9 +3,11 @@
 The tests and ``selftest`` both import this module, so each reference exists
 once. Everything here is deliberately written as plain index loops (or
 scalar arithmetic) so it shares no code path with what it checks. Slow and
-obvious on purpose. The one exception is ``finite_difference_check``: it
-needs the tape to obtain the gradients under test, but its numeric side
-only re-evaluates the forward pass.
+obvious on purpose. Two exceptions: ``finite_difference_check`` needs the
+tape to obtain the gradients under test, but its numeric side only
+re-evaluates the forward pass; ``adam_whole_array`` is the whole-array
+formula, because the blocked Adam update must match its bytes, not only
+its values.
 
 Only ``math``, ``numpy`` and ``sasvbackend.tensor`` are imported: ``selftest``
 must run without the test extras.
@@ -176,6 +178,18 @@ def adam_sequence_loops(param0, grads, lrs, weight_decay,
             vhat = v[i] / (1 - beta2**t)
             p[i] = p[i] - lr * mhat / (math.sqrt(vhat) + eps)
     return np.array(p)
+
+
+def adam_whole_array(p, m, v, grad, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step ``t`` on whole arrays, in place: the formula whose bytes the
+    blocked, in-backward update of ``training.Adam`` must reproduce."""
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    g = grad + weight_decay * p if weight_decay else grad
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def eer_bruteforce(pos, neg):

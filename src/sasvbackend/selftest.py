@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from . import attention as att
-from . import fusion, metrics, oracles, training
+from . import fusion, metrics, models, oracles, training
 from . import tensor as T
 from .tensor import RunningStats, Tensor
 
@@ -103,6 +103,33 @@ def check_adam():
     return _worst([(p.data, oracles.adam_sequence_loops(p0, grads, [1e-2] * 5, 1e-3))], 1e-12)
 
 
+def check_adam_in_backward():
+    """Three Adam steps taken inside the backward pass of a small DNN, with
+    fc0's gradient handed over in row blocks, against a plain backward and
+    the whole-array oracle, byte for byte."""
+    rng = np.random.default_rng(6)
+    config = models.ModelConfig(name="selftest", fusion_mode=fusion.CONCAT, dnn_nodes=(8, 4))
+    live, ref = (models.build(config, (5, 5, 4), seed=6) for _ in range(2))
+    x, y = rng.uniform(-1, 1, (6, 14)), np.array([0, 1, 1, 0, 1, 0])
+    moments = {n: (np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in ref.params.items()}
+    optimizer = training.Adam(live.named_parameters())
+    for t, lr in enumerate((1e-2, 5e-3, 2e-3), start=1):
+        tapes = T.Tape(), T.Tape()
+        tapes[1].ROW_BLOCK = 16  # fc0.w (14 x 8) goes over in 7 blocks of 2 rows
+        losses = []
+        for model, tape in zip((ref, live), tapes):
+            with T.recording(tape):
+                logits = model.forward(x, fusion.CONCAT)
+                losses.append(training.weighted_cross_entropy(logits, y, (0.1, 0.9)))
+        tapes[0].backward(losses[0])
+        for name, p in ref.params.items():
+            oracles.adam_whole_array(p.data, *moments[name], p.grad, t, lr, 1e-3)
+            p.zero_grad()
+        optimizer.step(lr, 1e-3, tapes[1], losses[1])
+    same = all(live.params[n].data.tobytes() == p.data.tobytes() for n, p in ref.params.items())
+    return same, f"parameter bytes {'equal' if same else 'differ'}"
+
+
 def check_cross_entropy():
     rng = np.random.default_rng(5)
     z, y, w = rng.uniform(-8, 8, (16, 2)), rng.integers(0, 2, 16), (0.1, 0.9)
@@ -118,6 +145,7 @@ CHECKS = [
     ("circulant-algebra", check_circulant),
     ("eer-vs-exhaustive-threshold-oracle", check_eer),
     ("adam-vs-scalar-reference", check_adam),
+    ("adam-in-backward-vs-whole-array", check_adam_in_backward),
     ("weighted-cross-entropy-vs-loop", check_cross_entropy),
 ]
 

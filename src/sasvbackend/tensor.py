@@ -6,15 +6,25 @@ reshapes/reductions used to compose attention blocks, and one convolution.
 That convolution is the CNNs' whole conv block, ``conv_block``: a same-size
 1D or 2D cross-correlation (stride 1, odd kernel, padding k // 2, no kernel
 flip), bias, batch normalization and LeakyReLU, as one op with one gradient
-rule. Between its passes it keeps the im2col matrix, xhat and its output.
+rule. Between its passes it keeps the im2col matrix and xhat, not its input
+or output.
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
-accumulates gradients into every tensor that requires them. Each rule is
-popped off the tape before it runs, so the arrays it saved and the output
-gradient it consumed are freed as soon as it returns, not at the end of the
-pass. With no active tape, ops are plain forward computations (evaluation
-mode).
+accumulates gradients into every tensor that requires them. A rule holds
+the gradient slots of its output and inputs (``Tensor.slot``) and the
+arrays it reads, never a whole input tensor, so an activation that no rule
+reads (a conv block's input, a gate's output, the pool input) is freed when
+the forward pass lets go of it. Each rule is popped off the tape before it
+runs, so the arrays it saved and the output gradient it consumed are freed
+as soon as it returns, not at the end of the pass. With no active tape, ops
+are plain forward computations (evaluation mode).
+
+Given an optimizer, ``Tape.backward`` also updates every parameter as soon
+as its last gradient contribution is in: right after the first rule that
+read it in the forward pass has run, since no rule left on the tape reads
+it. A matmul weight with no other use hands its gradient to the optimizer
+in row blocks, so the whole gradient is never held.
 
 Layout rule: the bytes of a result depend on the memory layout of the arrays
 it was reduced from, not only on their values (numpy sums in memory order,
@@ -63,19 +73,37 @@ class DimensionError(ValueError):
     """Operand shapes cannot be combined the way an operation requires."""
 
 
+class _Slot:
+    """Where a tensor's gradient accumulates; rules hold this, not the tensor."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """A dense float64 array plus an optional same-shape gradient.
 
-    Tensors are treated as immutable during a recorded forward pass;
-    parameter updates happen between passes (see ``training.Adam``).
+    Tensors are treated as immutable during a recorded forward pass; an
+    optimizing backward updates each parameter once no rule left reads it
+    (see ``Tape.backward``).
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "slot", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.slot = _Slot()
         self.requires_grad = requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.slot.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,7 +119,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.slot.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -100,8 +128,15 @@ class Tensor:
 class Tape:
     """Ordered record of gradient rules for one forward pass."""
 
+    # Elements per row block of a matmul weight's gradient handed to the
+    # optimizer (8 MB).
+    ROW_BLOCK = 1 << 20
+
     def __init__(self):
         self._rules: list = []
+        self._first: dict[int, int] = {}  # id of an input's slot -> its first rule
+        self._optimizer = None
+        self._due: dict[int, Tensor] = {}  # slot id -> parameter due after this rule
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -109,7 +144,7 @@ class Tape:
     def record(self, rule) -> None:
         self._rules.append(rule)
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, optimizer=None) -> None:
         """Seed d(loss)/d(loss)=1 and replay rules in reverse order.
 
         Each rule is popped before it runs: once it returns, nothing holds its
@@ -117,6 +152,15 @@ class Tape:
         at once. The peak is then the live frontier of the backward pass, not
         every activation and gradient of the step. The tape ends empty, so a
         session can reuse it.
+
+        With an ``optimizer`` (``named_params`` and ``update(p, grad,
+        rows)``), each of its parameters that a rule read is updated with its
+        gradient, which is then dropped, right after the first such rule
+        recorded has run: every other contribution is in by then, and no rule
+        left reads the parameter. A parameter that no rule read is updated
+        before any rule runs, with the gradient it holds (usually None, which
+        ``update`` rejects). If a rule or an update raises, the parameters
+        updated so far keep their new values.
         """
         if loss.data.size != 1:
             raise DimensionError(
@@ -124,9 +168,24 @@ class Tape:
             )
         if not self._rules:
             raise ValueError("backward on an empty tape")
+        due: dict[int, list[Tensor]] = {}
+        for _, p in optimizer.named_params if optimizer is not None else ():
+            due.setdefault(self._first.get(id(p.slot), len(self._rules)), []).append(p)
+        self._first = {}
         loss.grad = np.ones_like(loss.data)
-        while self._rules:
-            self._rules.pop()()
+        self._optimizer, _LOCAL.replay = optimizer, self
+        self._due = {id(p.slot): p for p in due.pop(len(self._rules), ())}  # read by no rule
+        try:
+            while True:
+                for p in self._due.values():
+                    optimizer.update(p, p.grad)
+                    p.grad = None
+                if not self._rules:
+                    break
+                self._due = {id(p.slot): p for p in due.pop(len(self._rules) - 1, ())}
+                self._rules.pop()()
+        finally:
+            self._optimizer, self._due, _LOCAL.replay = None, {}, None
 
 
 # The active-tape stack is thread-local so independent sessions can run in
@@ -163,26 +222,56 @@ def _records(inputs: tuple[Tensor, ...]) -> bool:
 
 
 def _finish(out: Tensor, inputs: tuple[Tensor, ...], rule) -> Tensor:
+    """Record ``rule(g)``, which runs in backward with the gradient of
+    ``out`` unless it has none. The tape holds out's slot, not out."""
     if _records(inputs):
         out.requires_grad = True
-        active_tape().record(rule)
+        slot, tape = out.slot, active_tape()
+        tape.record(lambda: slot.grad is None or rule(slot.grad))
+        for t in inputs:
+            if t.requires_grad:
+                tape._first.setdefault(id(t.slot), len(tape) - 1)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.
+def _slot(t: Tensor) -> _Slot | None:
+    """The slot a rule accumulates ``t``'s gradient into, or None if ``t``
+    needs none."""
+    return t.slot if t.requires_grad else None
+
+
+def _accumulate(slot: _Slot | None, g: np.ndarray, own: bool = False) -> None:
+    """Add ``g`` into ``slot.grad`` (nothing for a None slot).
 
     ``own=True`` lets the rule hand over a freshly built array (or a view of
     one) without a defensive copy; replay order guarantees nothing reads the
     donated buffer afterwards. Parameters always receive reduced or freshly
     computed arrays, so their grads never alias an activation buffer.
     """
-    if not t.requires_grad:
+    if slot is None:
         return
-    if t.grad is None:
-        t.grad = g if own else np.array(g)
+    if slot.grad is None:
+        slot.grad = g if own else np.array(g)
     else:
-        t.grad += g
+        slot.grad += g
+
+
+def _weight_grad(slot: _Slot, a: np.ndarray, g: np.ndarray) -> None:
+    """Give ``slot`` the gradient ``a.T @ g`` of a matmul's right operand.
+
+    When an optimizing backward updates that parameter right after this rule
+    and nothing else has given it a gradient, the product goes to the
+    optimizer in row blocks of about ``Tape.ROW_BLOCK`` elements instead, one
+    block at a time, so no whole gradient of the weight is held. A block of
+    two or more rows has the bytes of the same rows of the whole product.
+    """
+    tape = getattr(_LOCAL, "replay", None)
+    p = tape._due.pop(id(slot), None) if tape is not None and slot.grad is None else None
+    if p is None:
+        _accumulate(slot, a.T @ g, own=True)
+        return
+    for rows in _channel_blocks(a.shape[1], g.shape[1], tape.ROW_BLOCK):
+        tape._optimizer.update(p, a.T[rows] @ g, rows)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -202,15 +291,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
+    sa, sb, a_shape, b_shape = _slot(a), _slot(b), a.data.shape, b.data.shape
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        ga = _unbroadcast(g, a.data.shape)
-        _accumulate(a, ga, own=ga is not g)
-        gb = _unbroadcast(g, b.data.shape)
-        _accumulate(b, gb, own=gb is not g)
+    def rule(g):
+        ga = _unbroadcast(g, a_shape)
+        _accumulate(sa, ga, own=ga is not g)
+        gb = _unbroadcast(g, b_shape)
+        _accumulate(sb, gb, own=gb is not g)
 
     return _finish(out, (a, b), rule)
 
@@ -218,38 +305,35 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     out = Tensor(a.data * b.data)
+    sa, sb, a_shape, b_shape = _slot(a), _slot(b), a.data.shape, b.data.shape
+    # Each factor is kept only for the other's gradient.
+    ad, bd = (a.data if sb else None), (b.data if sa else None)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), own=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), own=True)
+    def rule(g):
+        if sa:
+            _accumulate(sa, _unbroadcast(g * bd, a_shape), own=True)
+        if sb:
+            _accumulate(sb, _unbroadcast(g * ad, b_shape), own=True)
 
     return _finish(out, (a, b), rule)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
+    sx, x_shape = _slot(x), x.data.shape
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g.reshape(x.data.shape), own=True)
+    def rule(g):
+        _accumulate(sx, g.reshape(x_shape), own=True)
 
     return _finish(out, (x,), rule)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
+    sx, inverse = _slot(x), tuple(np.argsort(axes))
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g.transpose(inverse), own=True)
+    def rule(g):
+        _accumulate(sx, g.transpose(inverse), own=True)
 
     return _finish(out, (x,), rule)
 
@@ -259,24 +343,20 @@ def mean(x: Tensor, axis: int) -> Tensor:
     axis = axis % x.data.ndim
     n = x.data.shape[axis]
     out = Tensor(x.data.mean(axis=axis))
+    sx, x_shape = _slot(x), x.data.shape
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape) / n, own=True)
+    def rule(g):
+        _accumulate(sx, np.broadcast_to(np.expand_dims(g, axis), x_shape) / n, own=True)
 
     return _finish(out, (x,), rule)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
+    sx, x_shape = _slot(x), x.data.shape
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy(), own=True)
+    def rule(g):
+        _accumulate(sx, np.broadcast_to(g, x_shape).copy(), own=True)
 
     return _finish(out, (x,), rule)
 
@@ -292,15 +372,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul needs MxK by KxN, got {a.data.shape} and {b.data.shape}"
         )
     out = Tensor(a.data @ b.data)
+    sa, sb = _slot(a), _slot(b)
+    # Each operand is kept only for the other's gradient.
+    ad, bd = (a.data if sb else None), (b.data if sa else None)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T, own=True)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g, own=True)
+    def rule(g):
+        if sa:  # before the weight's update, which may run inside _weight_grad
+            _accumulate(sa, g @ bd.T, own=True)
+        if sb:
+            _weight_grad(sb, ad, g)
 
     return _finish(out, (a, b), rule)
 
@@ -345,14 +425,12 @@ def _pool(x: Tensor, outs: tuple[int, ...]) -> Tensor:
         data = np.moveaxis((np.moveaxis(data, axis, -1) @ member) / sizes, -1, axis)
         steps.append((axis, member, sizes))
     out = Tensor(data if steps else data.copy())
+    sx = _slot(x)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
+    def rule(g):
         for axis, member, sizes in reversed(steps):
             g = np.moveaxis((np.moveaxis(g, axis, -1) / sizes) @ member.T, -1, axis)
-        _accumulate(x, g, own=True)
+        _accumulate(sx, g, own=True)
 
     return _finish(out, (x,), rule)
 
@@ -386,9 +464,13 @@ def adaptive_avg_pool2d(x: Tensor, output_size: tuple[int, int]) -> Tensor:
 
 def _leaky_relu_grad(g: np.ndarray, nonneg: np.ndarray, slope: float) -> np.ndarray:
     """``g`` times the LeakyReLU factor: 1.0 where the input was >= 0 (the
-    boolean ``nonneg``), else ``slope``. The factor is looked up, so no float
-    factor array is kept between forward and backward."""
-    return np.multiply(g, np.array([slope, 1.0])[nonneg.view(np.uint8)])
+    boolean ``nonneg``), else ``slope``. No float factor array is kept
+    between the passes: it is made here without a branch, in g's layout, as
+    ``nonneg * (1 - slope) + slope`` (exactly slope or 1.0 for 0 <= slope
+    <= 1), and g is multiplied into it."""
+    factor = np.multiply(nonneg, 1.0 - slope, out=np.empty_like(g))
+    factor += slope
+    return np.multiply(g, factor, out=factor)
 
 
 # The LeakyReLU slope of leaky_relu and conv_block, and the conv block's
@@ -407,12 +489,10 @@ def leaky_relu(x: Tensor, slope: float = _SLOPE) -> Tensor:
     # The scaled copy is in x's layout, and the max is written over it.
     scaled = np.multiply(x.data, slope)
     out = Tensor(np.maximum(x.data, scaled, out=scaled))
+    sx, xd = _slot(x), x.data
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, _leaky_relu_grad(g, x.data >= 0, slope), own=True)
+    def rule(g):
+        _accumulate(sx, _leaky_relu_grad(g, xd >= 0, slope), own=True)
 
     return _finish(out, (x,), rule)
 
@@ -420,12 +500,10 @@ def leaky_relu(x: Tensor, slope: float = _SLOPE) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     pos = x.data >= 0
     out = Tensor(np.where(pos, x.data, 0.0))
+    sx = _slot(x)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g * pos, own=True)
+    def rule(g):
+        _accumulate(sx, g * pos, own=True)
 
     return _finish(out, (x,), rule)
 
@@ -439,12 +517,10 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(d[~pos])
     out_data[~pos] = e / (1.0 + e)
     out = Tensor(out_data)
+    sx = _slot(x)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g * out_data * (1.0 - out_data), own=True)
+    def rule(g):
+        _accumulate(sx, g * out_data * (1.0 - out_data), own=True)
 
     return _finish(out, (x,), rule)
 
@@ -455,12 +531,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - m
     out_data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
     out = Tensor(out_data)
+    sx = _slot(x)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        _accumulate(x, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), own=True)
+    def rule(g):
+        _accumulate(sx, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), own=True)
 
     return _finish(out, (x,), rule)
 
@@ -504,16 +578,17 @@ class RunningStats:
         return fresh
 
 
-def _channel_blocks(c: int, n: int) -> list[slice]:
-    """Channel slices of about 32k elements each (``n`` per channel), which
-    stay in cache: the batch norm and the im2col/col2im walk them.
+def _channel_blocks(c: int, n: int, budget: int = 32768) -> list[slice]:
+    """Channel slices of about ``budget`` elements each (``n`` per channel),
+    which stay in cache: the batch norm and the im2col/col2im walk them.
+    ``_weight_grad`` cuts a weight's rows the same way.
 
     Every block holds at least two channels: numpy reduces a slice of two or
     more channels in the same order as the whole array, but a one-channel
     slice in a different one, so a trailing single channel joins the block
     before it.
     """
-    step = max(2, 32768 // n)
+    step = max(2, budget // n)
     starts = list(range(0, c, step))
     if len(starts) > 1 and c - starts[-1] == 1:
         starts.pop()
@@ -591,6 +666,13 @@ def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> 
             xb += flat.reshape(xb.shape)
 
 
+def _stand_in(a: np.ndarray) -> np.ndarray:
+    """An 8-byte array with ``a``'s shape and strides, never read: numpy's
+    ``*_like`` functions take the memory order of their result from those
+    alone, so it stands in for ``a`` without keeping ``a`` alive."""
+    return np.lib.stride_tricks.as_strided(np.empty(1), a.shape, a.strides, writeable=False)
+
+
 def conv_block(
     x: Tensor,
     w: Tensor,
@@ -616,7 +698,8 @@ def conv_block(
     the bytes do not depend on the blocking. The backward is one blocked
     pass too: the LeakyReLU factor, then the batch-norm gradient written
     over each xhat block, which leaves the GEMM-shaped output gradient for
-    dbias, dW and col2im.
+    dbias, dW and col2im. The rule keeps only x's shape and strides, from
+    which dx takes x's layout.
     """
     nd = x.data.ndim - 2
     if nd not in (1, 2) or w.data.ndim != x.data.ndim:
@@ -678,14 +761,13 @@ def conv_block(
         stats.mean = (1.0 - _MOMENTUM) * stats.mean + _MOMENTUM * mu
         stats.var = (1.0 - _MOMENTUM) * stats.var + _MOMENTUM * var
     out = Tensor(out_data)
+    sx, sw, sbias, sgamma, sbeta = (_slot(t) for t in inputs)
+    wd, x_like = w.data, (_stand_in(x.data) if sx else None)
 
-    def rule():
-        g = out.grad
-        if g is None:
-            return
-        dgamma = np.empty(cout) if gamma.requires_grad else None
-        dbeta = np.empty(cout) if beta.requires_grad else None
-        conv_grads = x.requires_grad or w.requires_grad or bias.requires_grad
+    def rule(g):
+        dgamma = np.empty(cout) if sgamma else None
+        dbeta = np.empty(cout) if sbeta else None
+        conv_grads = bool(sx or sw or sbias)
 
         def bn_dx(blk: slice, gb: np.ndarray, hb: np.ndarray) -> None:
             """The batch norm's dx of the block, written over its xhat."""
@@ -712,18 +794,18 @@ def conv_block(
                 dgamma[blk] = (gb * hb).sum(axis=axes)
             if conv_grads:
                 bn_dx(blk, gb, hb)
-        _accumulate(beta, dbeta, own=True)
-        _accumulate(gamma, dgamma, own=True)
+        _accumulate(sbeta, dbeta, own=True)
+        _accumulate(sgamma, dgamma, own=True)
         gmat = y.reshape(cout, -1)  # xhat now holds the conv output's gradient
-        if bias.requires_grad:
-            _accumulate(bias, gmat.sum(axis=1), own=True)
-        if w.requires_grad:
-            _accumulate(w, (gmat @ cols.T).reshape(w.data.shape), own=True)
-        if x.requires_grad:  # the rule runs once, so cols is dead after dW and takes dcols
-            dcols = np.matmul(w.data.reshape(cout, -1).T, gmat, out=cols)
-            dx = np.zeros_like(x.data)
+        if sbias:
+            _accumulate(sbias, gmat.sum(axis=1), own=True)
+        if sw:
+            _accumulate(sw, (gmat @ cols.T).reshape(wd.shape), own=True)
+        if sx:  # the rule runs once, so cols is dead after dW and takes dcols
+            dcols = np.matmul(wd.reshape(cout, -1).T, gmat, out=cols)
+            dx = np.zeros_like(x_like)  # x's layout, without holding x.data
             _im2col(dx.transpose(_cm(dx.ndim)), dcols.reshape(cin, len(plan), b, *sizes), plan,
                     add=True)
-            _accumulate(x, dx, own=True)
+            _accumulate(sx, dx, own=True)
 
     return _finish(out, inputs, rule)

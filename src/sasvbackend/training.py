@@ -71,12 +71,21 @@ class Adam:
     L2-coupled weight decay: decay is added to the gradient before the
     moment updates.
 
-    ``step`` walks each parameter's flat data, gradient and moments in
-    blocks of ``BLOCK`` elements with two scratch blocks and in-place
-    ufuncs, so every block stays in cache instead of each operation making
-    a full pass over memory. Per element it keeps the vectorised formula's
-    operation order, so the result is bit-identical to it:
-    ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``; ``v = b2*v + ((1-b2)*g)*g``;
+    ``step`` with a tape and its loss runs that tape's backward pass, which
+    updates each parameter as soon as its last gradient contribution is in
+    (``Tape.backward``) and drops its gradient; a matmul weight with no
+    other use is updated row block by row block as its gradient is made, so
+    no whole gradient of it is held. If the backward raises, the parameters
+    updated before that keep their new values. Without a tape, ``step``
+    updates every parameter from the gradient it holds.
+
+    ``update`` is the one update path. It walks the parameter's flat data,
+    gradient and moments in blocks of ``BLOCK`` elements with two scratch
+    blocks and in-place ufuncs, so every block stays in cache instead of
+    each operation making a full pass over memory. Per element it keeps the
+    whole-array formula's operation order, so the result is bit-identical
+    to it, whatever rows a call covers: ``g = grad + wd*p``;
+    ``m = b1*m + (1-b1)*g``; ``v = b2*v + ((1-b2)*g)*g``;
     ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
     """
 
@@ -89,42 +98,58 @@ class Adam:
         self.t = 0
         self.m = [np.zeros(p.data.shape) for _, p in self.named_params]
         self.v = [np.zeros(p.data.shape) for _, p in self.named_params]
+        self._index = {id(p): i for i, (_, p) in enumerate(self.named_params)}
+        self._hyper = None  # (lr, weight decay, c1, c2) of the step in progress
 
-    def step(self, lr: float, weight_decay: float = 0.0) -> None:
+    def step(self, lr: float, weight_decay: float = 0.0, tape: T.Tape | None = None,
+             loss: Tensor | None = None) -> None:
         self.t += 1
+        self._hyper = (lr, weight_decay, 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t)
+        try:
+            if tape is None:
+                for _, p in self.named_params:
+                    self.update(p, p.grad)
+            else:
+                tape.backward(loss, self)
+        finally:
+            self._hyper = None
+
+    def update(self, p: Tensor, grad: np.ndarray | None, rows: slice = slice(None)) -> None:
+        """Apply this step's update to ``p.data[rows]`` with its gradient
+        ``grad`` (rows of a 2-D or larger parameter, or all of it)."""
+        i = self._index[id(p)]
+        name = self.named_params[i][0]
+        if grad is None:
+            raise ValueError(f"parameter {name!r} has no gradient")
+        if grad.shape != p.data[rows].shape:
+            raise T.DimensionError(
+                f"parameter {name!r} has shape {p.data[rows].shape} but its gradient {grad.shape}"
+            )
+        lr, weight_decay, c1, c2 = self._hyper
         b1, b2, eps = self.beta1, self.beta2, self.eps
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
-        scratch_a, scratch_b = np.empty((2, self.BLOCK))
-        for (name, p), m, v in zip(self.named_params, self.m, self.v):
-            if p.grad is None:
-                raise ValueError(f"parameter {name!r} has no gradient")
-            if p.grad.shape != p.data.shape:
-                raise T.DimensionError(
-                    f"parameter {name!r} has shape {p.data.shape} but its gradient {p.grad.shape}"
-                )
-            p.data = np.ascontiguousarray(p.data)
-            flat_p, flat_g = p.data.reshape(-1), np.ravel(p.grad)
-            flat_m, flat_v = m.reshape(-1), v.reshape(-1)
-            for s in range(0, flat_p.size, self.BLOCK):
-                blk = slice(s, s + self.BLOCK)
-                pb, mb, vb = flat_p[blk], flat_m[blk], flat_v[blk]
-                a, b = scratch_a[: pb.size], scratch_b[: pb.size]
-                g = flat_g[blk]
-                if weight_decay:
-                    np.multiply(weight_decay, pb, out=a)
-                    g = np.add(g, a, out=a)
-                mb *= b1
-                mb += np.multiply(1.0 - b1, g, out=b)
-                vb *= b2
-                np.multiply(1.0 - b2, g, out=b)
-                vb += np.multiply(b, g, out=b)
-                np.divide(mb, c1, out=a)
-                np.multiply(lr, a, out=a)
-                np.divide(vb, c2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                pb -= np.divide(a, b, out=a)
+        p.data = np.ascontiguousarray(p.data)
+        flat_p, flat_g = p.data[rows].reshape(-1), np.ravel(grad)
+        flat_m, flat_v = self.m[i][rows].reshape(-1), self.v[i][rows].reshape(-1)
+        scratch_a, scratch_b = np.empty((2, min(self.BLOCK, flat_p.size)))
+        for s in range(0, flat_p.size, self.BLOCK):
+            blk = slice(s, s + self.BLOCK)
+            pb, mb, vb = flat_p[blk], flat_m[blk], flat_v[blk]
+            a, b = scratch_a[: pb.size], scratch_b[: pb.size]
+            g = flat_g[blk]
+            if weight_decay:
+                np.multiply(weight_decay, pb, out=a)
+                g = np.add(g, a, out=a)
+            mb *= b1
+            mb += np.multiply(1.0 - b1, g, out=b)
+            vb *= b2
+            np.multiply(1.0 - b2, g, out=b)
+            vb += np.multiply(b, g, out=b)
+            np.divide(mb, c1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            pb -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -218,6 +243,11 @@ def fit(
     dev was part of the training data) the parameters with the lowest dev
     SASV-EER are restored at the end, otherwise the final epoch stays.
     The model is returned in eval mode with no gradients held.
+
+    Each step's Adam update runs inside its backward pass (``Adam.step``):
+    a parameter is updated as soon as its gradient is complete, while the
+    rules of earlier layers still run. An error in the middle of a backward
+    pass can leave the parameters partly updated.
     """
     tune_malloc()
     if not train_trials:
@@ -239,6 +269,7 @@ def fit(
     n = len(train_trials)
     step = 0
 
+    model.zero_grads()  # each backward leaves every parameter without a gradient
     model.train()
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
@@ -246,7 +277,6 @@ def fit(
         last_lr = lr_at(step, cfg)
         for idx in _batches(n, cfg.batch_size, perm):
             batch = fuse_batch(store, train_rows[idx], mode)
-            model.zero_grads()
             with T.recording() as tape:
                 logits = model.forward(batch, mode)
                 loss = weighted_cross_entropy(logits, y[idx], cfg.class_weights)
@@ -255,9 +285,8 @@ def fit(
                 raise RuntimeError(
                     f"non-finite loss {loss_value} at epoch {epoch}, step {step}"
                 )
-            tape.backward(loss)
             last_lr = lr_at(step, cfg)
-            optimizer.step(last_lr, cfg.weight_decay)
+            optimizer.step(last_lr, cfg.weight_decay, tape, loss)
             total += loss_value * len(idx)
             step += 1
 
@@ -273,7 +302,6 @@ def fit(
                 result.best_epoch = epoch
         result.logs.append(log)
 
-    model.zero_grads()
     model.eval()
     if select_best and best_state is not None:
         model.load_state_arrays(best_state)

@@ -102,9 +102,8 @@ def reference_block(x, w, bias, gamma, beta, stats, training):
         *(t.data for t in inputs), stats.mean, stats.var, training)
     out = Tensor(out_data)
 
-    def rule():
-        if out.grad is not None:
-            for t, grad in zip(inputs, block_backward(saved, out.grad)):
-                T._accumulate(t, grad, own=True)
+    def rule(g):
+        for t, grad in zip(inputs, block_backward(saved, g)):
+            T._accumulate(T._slot(t), grad, own=True)
 
     return T._finish(out, inputs, rule)

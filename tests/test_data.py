@@ -74,6 +74,21 @@ class TestEmbeddingFiles:
             assert np.array_equal(loaded.spk(f"utt{i}"), store.spk(f"utt{i}"))
             assert np.array_equal(loaded.cm(f"utt{i}"), store.cm(f"utt{i}"))
 
+    def test_row_format_writes_the_per_value_text(self, rng, tmp_path):
+        """One ``%.17g`` format per row gives the bytes of ``format_float``
+        per value, extremes included."""
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        store = EmbeddingStore(4, 3)
+        store.add("edge", spk=extremes, cm=extremes[:3])
+        store.add("mixed", spk=rng.normal(size=4) * 10.0 ** rng.integers(-300, 300, 4),
+                  cm=[0.0, -5e-324, 1.0])
+        path = tmp_path / "emb.tsv"
+        save_embeddings(store, str(path), comments=("note",))
+        want = ["#EMB v1 d_spk=4 d_cm=3", "# note"] + [
+            f"{utt}\t{kind}\t{','.join(map(data.format_float, store.matrix(kind)[i]))}"
+            for kind in ("spk", "cm") for i, utt in enumerate(("edge", "mixed"))]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("#EMB v1 d_spk=8 d_cm=5\n")

@@ -20,6 +20,10 @@ def _doubled_adam_step(orig):
     return lambda self, lr, weight_decay=0.0: orig(self, 2 * lr, weight_decay)
 
 
+def _update_ignoring_rows(orig):
+    return lambda self, p, grad, rows=slice(None): orig(self, p, grad)
+
+
 def _conv_without_bias(orig):
     # Batch norm removes a bias in training mode, so only the eval rows see it.
     return lambda x, w, bias, *rest: orig(x, w, T.Tensor(np.zeros_like(bias.data)), *rest)
@@ -38,6 +42,7 @@ BREAKS = {
     "circulant-algebra": (fusion, "circulant", _transposed_circulant),
     "eer-vs-exhaustive-threshold-oracle": (metrics, "eer", _offset_eer),
     "adam-vs-scalar-reference": (training.Adam, "step", _doubled_adam_step),
+    "adam-in-backward-vs-whole-array": (training.Adam, "update", _update_ignoring_rows),
     "layer-gradients-vs-finite-differences": (T, "_leaky_relu_grad", _no_leaky_relu_factor),
     "conv-block-1d-vs-loop-oracles": (T, "conv_block", _conv_without_bias),
     "conv-block-2d-vs-loop-oracles": (T, "_MOMENTUM", lambda momentum: 2 * momentum),
@@ -62,6 +67,7 @@ def test_check_names():
         "circulant-algebra",
         "eer-vs-exhaustive-threshold-oracle",
         "adam-vs-scalar-reference",
+        "adam-in-backward-vs-whole-array",
         "weighted-cross-entropy-vs-loop",
     ]
 

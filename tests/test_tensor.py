@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -343,11 +344,12 @@ class TestConvBlock:
                          RunningStats(4), True)
         assert len(tape) == 0
 
-    def test_recorded_chain_holds_cols_xhat_and_output(self, rng):
+    def test_recorded_chain_holds_cols_and_xhat(self, rng):
         """A recorded 3-block chain of 3x3 convs keeps, per block, its im2col
-        matrix (9 activations), xhat and its output, and nothing else of
-        activation size. The unfused conv, batch norm and LeakyReLU kept two
-        more: the conv output and the batch-norm output."""
+        matrix (9 activations) and xhat, and nothing else of activation
+        size: a block's output is freed once the next block has read it. The
+        unfused conv, batch norm and LeakyReLU kept three more: the conv
+        output, the batch-norm output and the LeakyReLU output."""
         b, c, h = 8, 8, 16
         x = Tensor(rng.uniform(-1, 1, (b, c, h, h)))
         blocks = [(rt(rng, c, c, 3, 3), rt(rng, c), rt(rng, c), rt(rng, c)) for _ in range(3)]
@@ -363,7 +365,35 @@ class TestConvBlock:
         finally:
             tracemalloc.stop()
         assert len(tape) == len(blocks)
-        assert held / x.data.nbytes < len(blocks) * (9 + 2 + 1)
+        assert held / x.data.nbytes < len(blocks) * (9 + 1 + 1)
+
+    def test_rules_free_the_activations_they_do_not_read(self, rng):
+        """In a recorded conv block -> SE2D -> conv block -> pool chain, no
+        rule keeps a conv block's input (the gate's output) or the pool's
+        input: they are freed when the forward pass lets go of them. The
+        gate still keeps the first block's output, which its gradient
+        reads."""
+        from sasvbackend import attention as att
+
+        def block(cin, cout):
+            return rt(rng, cout, cin, 3, 3), rt(rng, cout), rt(rng, cout), rt(rng, cout)
+
+        x = Tensor(rng.uniform(-1, 1, (4, 3, 6, 6)))
+        first, second = block(3, 8), block(8, 8)
+        params = att.AttentionParams.init(att.SE2D, rng, channels=8, reduction=2)
+        for w in params.weights.values():
+            w.requires_grad = True
+        with T.recording() as tape:
+            a = T.conv_block(x, *first, RunningStats(8), True)
+            gated = att.se_attention(a, params)
+            b = T.conv_block(gated, *second, RunningStats(8), True)
+            loss = T.sum_all(T.adaptive_avg_pool2d(b, (2, 2)))
+        kept, freed = weakref.ref(a.data), [weakref.ref(gated.data), weakref.ref(b.data)]
+        del a, gated, b
+        assert kept() is not None
+        assert [ref() for ref in freed] == [None, None]
+        tape.backward(loss)
+        assert all(t.grad is not None for t in first + second)
 
     @pytest.mark.parametrize("bad, match", [
         ({"x": (2, 3, 5, 5, 5), "w": (4, 3, 3, 3, 3)}, "conv_block needs"),
@@ -502,6 +532,24 @@ class TestActivations:
             assert out.data.tobytes() == want.tobytes(), order
             assert out.data.strides == x.strides, order
             assert xt.grad.tobytes() == (g * np.where(x >= 0, 1.0, slope)).tobytes(), order
+
+    @pytest.mark.parametrize("slope", [0.01, 0.1, 1 / 3, 0.49, 0.7, 1.0])
+    def test_branch_free_gradient_factor_is_exact(self, rng, slope):
+        """``nonneg * (1 - slope) + slope`` is exactly slope or 1.0, so the
+        gradient has the bytes of the old table lookup, in g's layout."""
+        shape = (6, 5, 4)
+        nonneg = rng.uniform(-1, 1, shape) >= 0
+        factor = T._leaky_relu_grad(np.ones(shape), nonneg, slope)
+        assert factor.tobytes() == np.where(nonneg, 1.0, slope).tobytes()
+        base = rng.uniform(-1, 1, shape)
+        base.reshape(-1)[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        for g_order in ("C", "CM", "F"):
+            for mask_order in ("C", "CM", "F"):
+                g, mask = in_layout(base, g_order), in_layout(nonneg, mask_order)
+                lookup = np.multiply(g, np.array([slope, 1.0])[mask.view(np.uint8)])
+                got = T._leaky_relu_grad(g, mask, slope)
+                assert got.tobytes() == lookup.tobytes(), (g_order, mask_order)
+                assert got.strides == g.strides, (g_order, mask_order)
 
     @pytest.mark.parametrize("slope", [0.0, -0.01, 1.5, np.nan, np.inf])
     def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):

@@ -118,17 +118,11 @@ class TestAdam:
             Adam([("p", p)]).step(lr=1e-3)
 
     @staticmethod
-    def _vectorised_steps(p0, grads, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+    def _vectorised_steps(p0, grads, lr, weight_decay):
         """The whole-array Adam update that the blocked step must match bit for bit."""
         p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
         for t, grad in enumerate(grads, start=1):
-            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-            g = grad + weight_decay * p if weight_decay else grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            oracles.adam_whole_array(p, m, v, grad, t, lr, weight_decay)
         return p
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
@@ -150,6 +144,109 @@ class TestAdam:
         p.grad = np.ones(6)
         with pytest.raises(T.DimensionError, match="gradient"):
             Adam([("p", p)]).step(lr=1e-3)
+
+
+class SpyAdam(Adam):
+    """Adam that logs each update: the parameter's name, the rows, the
+    gradient's bytes and whether the parameter held a gradient then."""
+
+    def __init__(self, named_params):
+        super().__init__(named_params)
+        self.names = {id(p): name for name, p in self.named_params}
+        self.calls = []
+
+    def update(self, p, grad, rows=slice(None)):
+        self.calls.append((self.names[id(p)], rows, grad.tobytes(), p.grad is None))
+        super().update(p, grad, rows)
+
+
+class TestAdamInBackward:
+    @staticmethod
+    def _linear_loss(x, w, b, proj):
+        return T.sum_all(T.mul(T.leaky_relu(T.linear(Tensor(x), w, b)), Tensor(proj)))
+
+    @pytest.mark.parametrize("budget, k, n, rows", [
+        (32, 37, 8, [4] * 8 + [5]),  # a trailing single row joins the block before it
+        (32, 40, 8, [4] * 10),
+        (8, 9, 16, [2] * 3 + [3]),  # at least two rows, even over the budget
+        (T.Tape.ROW_BLOCK, 40, 16, [40]),
+    ], ids=["trailing-row", "even", "two-row-minimum", "default-one-block"])
+    def test_matmul_weight_goes_to_adam_in_row_blocks(self, rng, budget, k, n, rows):
+        x, proj = rng.uniform(-1, 1, (5, k)), rng.uniform(-1, 1, (5, n))
+        w0, b0 = rng.uniform(-1, 1, (k, n)), rng.uniform(-1, 1, n)
+        w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+        adam = SpyAdam([("w", w), ("b", b)])
+        tape = T.Tape()
+        tape.ROW_BLOCK = budget
+        with T.recording(tape):
+            loss = self._linear_loss(x, w, b, proj)
+        adam.step(1e-2, 1e-3, tape, loss)
+        blocks = [(r, held_none) for name, r, _, held_none in adam.calls if name == "w"]
+        assert [r.stop - r.start for r, _ in blocks] == rows
+        assert [i for r, _ in blocks for i in range(r.start, r.stop)] == list(range(k))
+        assert all(held_none for _, held_none in blocks) and w.grad is None
+        # the same bytes as a whole gradient and the whole-array formula
+        wr, br = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+        with T.recording() as tape:
+            loss = self._linear_loss(x, wr, br, proj)
+        tape.backward(loss)
+        for p, ref in ((w, wr), (b, br)):
+            oracles.adam_whole_array(ref.data, np.zeros_like(ref.data), np.zeros_like(ref.data),
+                                     ref.grad, 1, 1e-2, 1e-3)
+            assert p.data.tobytes() == ref.data.tobytes()
+
+    def test_shared_weight_updated_once_after_both_uses(self, rng):
+        """VSE's ``att.wa`` feeds the row and the column gate's matmul."""
+        config = models.ModelConfig(
+            name="vse", fusion_mode=fusion.CIRC2D, conv_channels=(4, 8), conv_kernels=(3, 3),
+            pool_size=(2, 2), dnn_nodes=(6,), attention_kind="VSE", attention_position=1)
+        live, ref = (models.build(config, (5, 5, 4), seed=3).train() for _ in range(2))
+        batch, labels = rng.uniform(-1, 1, (4, 3, 5, 5)), [0, 1, 1, 0]
+        with T.recording() as tape:
+            loss = weighted_cross_entropy(ref.forward(batch, fusion.CIRC2D), labels, (0.1, 0.9))
+        tape.backward(loss)
+        adam = SpyAdam(live.named_parameters())
+        with T.recording() as tape:
+            loss = weighted_cross_entropy(live.forward(batch, fusion.CIRC2D), labels, (0.1, 0.9))
+        adam.step(1e-3, 1e-3, tape, loss)
+        wa = [(rows, grad) for name, rows, grad, _ in adam.calls if name == "att.wa"]
+        assert wa == [(slice(None), ref.params["att.wa"].grad.tobytes())]
+        assert sorted(name for name, *_ in adam.calls) == sorted(live.params)
+        assert all(p.grad is None for p in live.params.values())
+
+    def test_parameter_the_tape_never_reaches_raises(self, rng):
+        used = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        unused = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        with T.recording() as tape:
+            loss = T.sum_all(T.mul(used, used))
+        before = used.data.copy()
+        with pytest.raises(ValueError, match="parameter 'unused' has no gradient"):
+            Adam([("used", used), ("unused", unused)]).step(1e-3, 0.0, tape, loss)
+        assert np.array_equal(used.data, before)  # raised before any rule ran
+
+    def test_fit_matches_backward_then_step(self):
+        """fit's in-backward steps give the checkpoint of the earlier order:
+        a full backward, then one Adam step over the held gradients."""
+        store, protos = tiny_synth(seed=3)
+        model = models.build(TINY_DNN, (8, 8, 6), seed=7)
+        cfg = TrainConfig(batch_size=16, epochs=2, seed=7)
+        fit(model, protos["train"].trials, cfg, store)
+        ref = models.build(TINY_DNN, (8, 8, 6), seed=7).train()
+        rows = data.compile_trials(store, protos["train"].trials)
+        y = training.trial_labels(protos["train"].trials)
+        adam, rng, step = Adam(ref.named_parameters()), np.random.default_rng(cfg.seed), 0
+        for _ in range(cfg.epochs):
+            for idx in training._batches(len(rows), cfg.batch_size, rng.permutation(len(rows))):
+                batch = fusion.fuse_batch(store, rows[idx], fusion.CONCAT)
+                ref.zero_grads()
+                with T.recording() as tape:
+                    loss = weighted_cross_entropy(ref.forward(batch, fusion.CONCAT), y[idx],
+                                                  cfg.class_weights)
+                tape.backward(loss)
+                adam.step(lr_at(step, cfg), cfg.weight_decay)
+                step += 1
+        state, want = model.state_arrays(), ref.state_arrays()
+        assert all(state[k].tobytes() == want[k].tobytes() for k in want)
 
 
 class TestLrSchedule:
