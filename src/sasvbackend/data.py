@@ -193,12 +193,6 @@ class EmbeddingStore:
         except KeyError:
             raise KeyError(f"no {_KIND_NAMES[kind]} embedding stored for {utt_id!r}") from None
 
-    def spk(self, utt_id: str) -> np.ndarray:
-        return self.matrix("spk")[self.row("spk", utt_id)]
-
-    def cm(self, utt_id: str) -> np.ndarray:
-        return self.matrix("cm")[self.row("cm", utt_id)]
-
 
 def save_embeddings(store: EmbeddingStore, path: str, comments: tuple[str, ...] = ()) -> None:
     with atomic_write(path) as fh:

@@ -198,7 +198,9 @@ def read_score_file(path: str) -> tuple[list[str], np.ndarray]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError("expected trial_id<TAB>score")
-        try:
+        try:  # float() also takes Python-only spellings: "1_0" and non-ASCII digits
+            if not parts[1].isascii() or "_" in parts[1]:
+                raise ValueError
             value = float(parts[1])
         except ValueError:
             raise ValueError(f"malformed score {parts[1]!r}") from None

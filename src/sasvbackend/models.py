@@ -300,9 +300,6 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def _state(self) -> dict[str, np.ndarray]:
         """All learnable arrays and BN buffers by checkpoint name, not copied."""
         out = {name: p.data for name, p in self.params.items()}

@@ -98,15 +98,15 @@ def batch_norm_loops(x, gamma, beta, mean, var, training, momentum=0.1, eps=1e-5
     return out.reshape(x.shape), np.array(mean), np.array(var)
 
 
-def leaky_relu_factor(v, slope=0.01):
+def leaky_relu_factor(v):
     """The LeakyReLU factor of one value: its output is ``v`` times this."""
-    return 1.0 if v >= 0 else slope
+    return 1.0 if v >= 0 else 0.01
 
 
-def leaky_relu_loops(x, slope=0.01):
+def leaky_relu_loops(x):
     out = np.zeros(x.shape)
     for idx in np.ndindex(x.shape):
-        out[idx] = x[idx] * leaky_relu_factor(x[idx], slope)
+        out[idx] = x[idx] * leaky_relu_factor(x[idx])
     return out
 
 

@@ -156,6 +156,8 @@ def apply(fusion: FusionModel, score_sets: list[ScoreSet]) -> ScoreSet:
 
 
 def save_fusion_model(fusion: FusionModel, path: str) -> None:
+    """Write kind, weights, bias and diagnostics as JSON: the report of
+    ``fuse --model-out``. Nothing reads it back."""
     payload = {
         "kind": fusion.kind,
         "weights": None if fusion.weights is None else [float(x) for x in fusion.weights],
@@ -166,14 +168,3 @@ def save_fusion_model(fusion: FusionModel, path: str) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
         fh.write("\n")
 
-
-def load_fusion_model(path: str) -> FusionModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    weights = payload.get("weights")
-    return FusionModel(
-        kind=payload["kind"],
-        weights=None if weights is None else np.asarray(weights, dtype=np.float64),
-        bias=float(payload.get("bias", 0.0)),
-        diagnostics=payload.get("diagnostics", {}),
-    )

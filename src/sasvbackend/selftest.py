@@ -98,8 +98,9 @@ def check_adam():
     p = Tensor(p0.copy(), requires_grad=True)
     state = training.Adam([("p", p)])
     for g in grads:
-        p.grad = g.copy()
-        state.step(lr=1e-2, weight_decay=1e-3)
+        with T.recording() as tape:  # the gradient of sum(p * g) is exactly g
+            loss = T.sum_all(T.mul(p, Tensor(g)))
+        state.step(1e-2, 1e-3, tape, loss)
     return _worst([(p.data, oracles.adam_sequence_loops(p0, grads, [1e-2] * 5, 1e-3))], 1e-12)
 
 

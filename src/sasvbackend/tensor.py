@@ -462,37 +462,34 @@ def adaptive_avg_pool2d(x: Tensor, output_size: tuple[int, int]) -> Tensor:
 # activations
 
 
-def _leaky_relu_grad(g: np.ndarray, nonneg: np.ndarray, slope: float) -> np.ndarray:
-    """``g`` times the LeakyReLU factor: 1.0 where the input was >= 0 (the
-    boolean ``nonneg``), else ``slope``. No float factor array is kept
-    between the passes: it is made here without a branch, in g's layout, as
-    ``nonneg * (1 - slope) + slope`` (exactly slope or 1.0 for 0 <= slope
-    <= 1), and g is multiplied into it."""
-    factor = np.multiply(nonneg, 1.0 - slope, out=np.empty_like(g))
-    factor += slope
-    return np.multiply(g, factor, out=factor)
-
-
 # The LeakyReLU slope of leaky_relu and conv_block, and the conv block's
 # batch-norm momentum and eps.
 _SLOPE, _MOMENTUM, _EPS = 0.01, 0.1, 1e-5
 
 
-def leaky_relu(x: Tensor, slope: float = _SLOPE) -> Tensor:
-    """max(x, slope*x), which equals x*(1 if x >= 0 else slope) bit for bit,
-    signed zeros, NaNs and subnormals included, only for 0 < slope <= 1 (at
-    slope 0, inf*0 would turn +inf into NaN)."""
-    if not 0.0 < slope <= 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
+def _leaky_relu_grad(g: np.ndarray, nonneg: np.ndarray) -> np.ndarray:
+    """``g`` times the LeakyReLU factor: 1.0 where the input was >= 0 (the
+    boolean ``nonneg``), else ``_SLOPE``. No float factor array is kept
+    between the passes: it is made here without a branch, in g's layout, as
+    ``nonneg * (1 - _SLOPE) + _SLOPE`` (exactly _SLOPE or 1.0), and g is
+    multiplied into it."""
+    factor = np.multiply(nonneg, 1.0 - _SLOPE, out=np.empty_like(g))
+    factor += _SLOPE
+    return np.multiply(g, factor, out=factor)
+
+
+def leaky_relu(x: Tensor) -> Tensor:
+    """max(x, 0.01*x), which equals x*(1 if x >= 0 else 0.01) bit for bit,
+    signed zeros, NaNs and subnormals included."""
     # np.multiply, not `*`: numpy may write `a * temporary` into the temporary,
     # which changes the product's memory layout and the bits of later GEMMs.
     # The scaled copy is in x's layout, and the max is written over it.
-    scaled = np.multiply(x.data, slope)
+    scaled = np.multiply(x.data, _SLOPE)
     out = Tensor(np.maximum(x.data, scaled, out=scaled))
     sx, xd = _slot(x), x.data
 
     def rule(g):
-        _accumulate(sx, _leaky_relu_grad(g, xd >= 0, slope), own=True)
+        _accumulate(sx, _leaky_relu_grad(g, xd >= 0), own=True)
 
     return _finish(out, (x,), rule)
 
@@ -570,12 +567,6 @@ class RunningStats:
     def __init__(self, channels: int):
         self.mean = np.zeros(channels, dtype=np.float64)
         self.var = np.ones(channels, dtype=np.float64)
-
-    def copy(self) -> "RunningStats":
-        fresh = RunningStats(len(self.mean))
-        fresh.mean = self.mean.copy()
-        fresh.var = self.var.copy()
-        return fresh
 
 
 def _channel_blocks(c: int, n: int, budget: int = 32768) -> list[slice]:
@@ -787,7 +778,7 @@ def conv_block(
             # here bit for bit; the output's own sign differs where
             # slope * x underflows to -0.0.
             nonneg = affine(blk, hb, np.empty_like(hb)) >= 0
-            gb = _leaky_relu_grad(g[:, blk], nonneg, _SLOPE)
+            gb = _leaky_relu_grad(g[:, blk], nonneg)
             if dbeta is not None:
                 dbeta[blk] = gb.sum(axis=axes)
             if dgamma is not None:

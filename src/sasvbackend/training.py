@@ -71,21 +71,20 @@ class Adam:
     L2-coupled weight decay: decay is added to the gradient before the
     moment updates.
 
-    ``step`` with a tape and its loss runs that tape's backward pass, which
-    updates each parameter as soon as its last gradient contribution is in
+    ``step`` runs the backward pass of a tape and its loss, which updates
+    each parameter as soon as its last gradient contribution is in
     (``Tape.backward``) and drops its gradient; a matmul weight with no
     other use is updated row block by row block as its gradient is made, so
     no whole gradient of it is held. If the backward raises, the parameters
-    updated before that keep their new values. Without a tape, ``step``
-    updates every parameter from the gradient it holds.
+    updated before that keep their new values.
 
-    ``update`` is the one update path. It walks the parameter's flat data,
-    gradient and moments in blocks of ``BLOCK`` elements with two scratch
-    blocks and in-place ufuncs, so every block stays in cache instead of
-    each operation making a full pass over memory. Per element it keeps the
-    whole-array formula's operation order, so the result is bit-identical
-    to it, whatever rows a call covers: ``g = grad + wd*p``;
-    ``m = b1*m + (1-b1)*g``; ``v = b2*v + ((1-b2)*g)*g``;
+    ``update`` is the one update path, and only ``Tape.backward`` calls it.
+    It walks the parameter's flat data, gradient and moments in blocks of
+    ``BLOCK`` elements with two scratch blocks and in-place ufuncs, so every
+    block stays in cache instead of each operation making a full pass over
+    memory. Per element it keeps the whole-array formula's operation order,
+    so the result is bit-identical to it, whatever rows a call covers:
+    ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``; ``v = b2*v + ((1-b2)*g)*g``;
     ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
     """
 
@@ -101,16 +100,11 @@ class Adam:
         self._index = {id(p): i for i, (_, p) in enumerate(self.named_params)}
         self._hyper = None  # (lr, weight decay, c1, c2) of the step in progress
 
-    def step(self, lr: float, weight_decay: float = 0.0, tape: T.Tape | None = None,
-             loss: Tensor | None = None) -> None:
+    def step(self, lr: float, weight_decay: float, tape: T.Tape, loss: Tensor) -> None:
         self.t += 1
         self._hyper = (lr, weight_decay, 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t)
         try:
-            if tape is None:
-                for _, p in self.named_params:
-                    self.update(p, p.grad)
-            else:
-                tape.backward(loss, self)
+            tape.backward(loss, self)
         finally:
             self._hyper = None
 
@@ -178,10 +172,6 @@ class FitResult:
     best_epoch: int | None = None
 
 
-def trial_labels(trials) -> np.ndarray:
-    return np.array([1 if t.label == "target" else 0 for t in trials])
-
-
 def _batches(n: int, batch_size: int, perm: np.ndarray):
     """Contiguous permutation chunks; a trailing singleton is folded into
     the previous chunk so batch norm always sees >= 2 rows."""
@@ -230,18 +220,20 @@ def evaluate_trials(model: Model, trials: list[Trial] | TrialRows, store: Embedd
 
 def fit(
     model: Model,
-    train_trials: list[Trial],
+    train_trials: list[Trial] | TrialRows,
     cfg: TrainConfig,
     store: EmbeddingStore,
-    dev_trials: list[Trial] | None = None,
+    dev_trials: list[Trial] | TrialRows | None = None,
     select_best: bool | None = None,
 ) -> FitResult:
     """Train in place and return the per-epoch log.
 
-    When dev trials are given they are scored after every epoch; with
-    select_best (the default when a dev set is present, turn it off when
-    dev was part of the training data) the parameters with the lowest dev
-    SASV-EER are restored at the end, otherwise the final epoch stays.
+    Both trial sets may be ``Trial`` lists or compiled ``TrialRows``; the
+    two give the same checkpoint bytes. When dev trials are given they are
+    scored after every epoch; with select_best (the default when a dev set
+    is present, turn it off when dev was part of the training data) the
+    parameters with the lowest dev SASV-EER are restored at the end,
+    otherwise the final epoch stays.
     The model is returned in eval mode with no gradients held.
 
     Each step's Adam update runs inside its backward pass (``Adam.step``):
@@ -252,21 +244,21 @@ def fit(
     tune_malloc()
     if not train_trials:
         raise ValueError("no training trials")
-    y = trial_labels(train_trials)
+    train_rows = compile_trials(store, train_trials)
+    y = (train_rows.labels == "target").astype(np.intp)
     if y.min() == y.max():
         raise ValueError("training data must contain both classes")
     if select_best is None:
         select_best = dev_trials is not None
 
     mode = model.config.fusion_mode
-    train_rows = compile_trials(store, train_trials)
     dev_rows = compile_trials(store, dev_trials) if dev_trials is not None else None
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.named_parameters())
     result = FitResult()
     best_eer = np.inf
     best_state = None
-    n = len(train_trials)
+    n = len(train_rows)
     step = 0
 
     model.zero_grads()  # each backward leaves every parameter without a gradient

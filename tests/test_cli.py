@@ -476,6 +476,22 @@ class TestEval:
         assert "t000008" in result.stderr
         assert "SASV-EER" not in result.stdout
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11.5"])
+    def test_python_only_score_spelling_rejected(self, workspace, tmp_path, value):
+        lines = (workspace / "run1" / "eval.scores").read_text().splitlines(keepends=True)
+        trial_id = lines[1].split("\t")[0]
+        lines[1] = f"{trial_id}\t{value}\n"
+        (tmp_path / "bad.scores").write_text("".join(lines), encoding="utf-8")
+        result = run_cli(
+            ["eval", "--scores", str(tmp_path / "bad.scores"),
+             "--protocol", str(workspace / "data" / "eval.protocol")],
+            tmp_path,
+        )
+        assert result.returncode == 2
+        assert "error[invalid-input]" in result.stderr
+        assert f"bad.scores:2: malformed score {value!r}" in result.stderr
+        assert "SASV-EER" not in result.stdout
+
     def test_missing_score_file_gives_categorized_error(self, workspace):
         result = run_cli(
             ["eval", "--scores", "nope.scores", "--protocol", "data/eval.protocol"],
@@ -592,18 +608,3 @@ class TestSelftest:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-
-class TestSyntheticExperimentScript:
-    def test_tiny_run_prints_eer_table(self, tmp_path):
-        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                              "run_synthetic_experiment.py")
-        result = subprocess.run(
-            [sys.executable, script, "--model", "Extend512_DNN", "--epochs", "1",
-             "--seed", "3", "--train-speakers", "4", "--dev-speakers", "2",
-             "--eval-speakers", "3", "--utterances-per-speaker", "3", "--d-spk", "6",
-             "--d-cm", "4", "--train-trials-per-label", "12", "--dev-trials-per-label", "4",
-             "--eval-trials-per-label", "12"],
-            cwd=tmp_path, env=CLI_ENV, capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "SASV-EER" in result.stdout

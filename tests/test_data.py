@@ -18,13 +18,17 @@ from sasvbackend.data import (
 )
 
 
+def vector(store, kind, utt_id):
+    return store.matrix(kind)[store.row(kind, utt_id)]
+
+
 class TestEmbeddingStore:
     def test_add_and_fetch(self, rng):
         store = EmbeddingStore(4, 3)
         spk, cm = rng.normal(size=4), rng.normal(size=3)
         store.add("u1", spk=spk, cm=cm)
-        np.testing.assert_array_equal(store.spk("u1"), spk)
-        np.testing.assert_array_equal(store.cm("u1"), cm)
+        np.testing.assert_array_equal(vector(store, "spk", "u1"), spk)
+        np.testing.assert_array_equal(vector(store, "cm", "u1"), cm)
 
     def test_dim_mismatch_rejected(self):
         store = EmbeddingStore(4, 3)
@@ -41,7 +45,7 @@ class TestEmbeddingStore:
     def test_missing_id_has_clear_message(self):
         store = EmbeddingStore(2, 2)
         with pytest.raises(KeyError, match="no speaker embedding"):
-            store.spk("ghost")
+            store.row("spk", "ghost")
 
     def test_non_finite_rejected(self):
         store = EmbeddingStore(2, 2)
@@ -71,8 +75,9 @@ class TestEmbeddingFiles:
         loaded = load_embeddings(str(path))
         assert loaded.d_spk == 6 and loaded.d_cm == 4
         for i in range(10):
-            assert np.array_equal(loaded.spk(f"utt{i}"), store.spk(f"utt{i}"))
-            assert np.array_equal(loaded.cm(f"utt{i}"), store.cm(f"utt{i}"))
+            for kind in ("spk", "cm"):
+                want = vector(store, kind, f"utt{i}")
+                assert np.array_equal(vector(loaded, kind, f"utt{i}"), want)
 
     def test_row_format_writes_the_per_value_text(self, rng, tmp_path):
         """One ``%.17g`` format per row gives the bytes of ``format_float``
@@ -361,7 +366,8 @@ class TestLineReader:
         path = tmp_path / "emb.tsv"
         save_embeddings(store, str(path))
         assert "spk\u00e9-utt\u4e00".encode("utf-8") in path.read_bytes()
-        assert np.array_equal(load_embeddings(str(path)).cm("spk\u00e9-utt\u4e00"), np.zeros(2))
+        loaded = load_embeddings(str(path))
+        assert np.array_equal(vector(loaded, "cm", "spk\u00e9-utt\u4e00"), np.zeros(2))
 
 
 class TestProtocolFiles:

@@ -236,6 +236,24 @@ class TestScoreFiles:
         with pytest.raises(ValueError, match="2"):
             metrics.read_score_file(str(path))
 
+    @pytest.mark.parametrize("value", ["+1.5", ".5", "-0.0", "1e-3", "1E+2", "5e-324"])
+    def test_ascii_spellings_read_as_float_reads_them(self, tmp_path, value):
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"t0\t{value}\n")
+        _, scores = metrics.read_score_file(str(path))
+        assert scores.tobytes() == np.array([float(value)]).tobytes()
+
+    @pytest.mark.parametrize("value", ["1_0", "0.2_5", "\u0661", "1\u00a0", "\uff11.5"])
+    def test_python_only_spellings_are_malformed(self, tmp_path, value):
+        """float() reads "1_0" as 10.0 and "\u0661" (Arabic-Indic one) as 1.0;
+        the score reader takes ASCII tokens without "_", as the embedding
+        reader does."""
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"t0\t0.5\nt1\t{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            metrics.read_score_file(str(path))
+        assert str(err.value) == f"{path}:2: malformed score {value!r}"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_score_cites_file_and_line(self, tmp_path, value):
         path = tmp_path / "scores.tsv"

@@ -103,7 +103,7 @@ class TestPresetFidelity:
     @pytest.mark.parametrize("dims", [CHALLENGE_DIMS, DESK_DIMS])
     def test_parameter_counts_are_golden(self, dims):
         for name, expected in GOLDEN_PARAM_COUNTS[dims].items():
-            assert build(name, dims, seed=0).parameter_count() == expected
+            assert sum(p.size for p in build(name, dims, seed=0).params.values()) == expected
 
 
 class TestBuild:

@@ -17,7 +17,7 @@ def _offset_eer(orig):
 
 
 def _doubled_adam_step(orig):
-    return lambda self, lr, weight_decay=0.0: orig(self, 2 * lr, weight_decay)
+    return lambda self, lr, weight_decay, tape, loss: orig(self, 2 * lr, weight_decay, tape, loss)
 
 
 def _update_ignoring_rows(orig):
@@ -31,7 +31,7 @@ def _conv_without_bias(orig):
 
 def _no_leaky_relu_factor(orig):
     # conv_block's backward takes its LeakyReLU factor from this helper.
-    return lambda g, nonneg, slope: g * 1.0
+    return lambda g, nonneg: g * 1.0
 
 
 def _scaled_ce_weights(orig):

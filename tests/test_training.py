@@ -62,27 +62,32 @@ class TestWeightedCrossEntropy:
         assert np.all(np.isfinite(logits.grad))
 
 
+def tape_step(adam, p, grad, lr, weight_decay=0.0):
+    """One Adam step through a tape whose loss, sum(p * grad), has gradient
+    exactly ``grad``."""
+    with T.recording() as tape:
+        loss = T.sum_all(T.mul(p, Tensor(grad)))
+    adam.step(lr, weight_decay, tape, loss)
+
+
 class TestAdam:
     def test_first_step_magnitude_equals_lr(self, rng):
         p = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
-        p.grad = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+        grad = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
         before = p.data.copy()
-        signs = np.sign(p.grad)
-        Adam([("p", p)]).step(lr=1e-3, weight_decay=0.0)
-        np.testing.assert_allclose(before - p.data, 1e-3 * signs, rtol=1e-6)
+        tape_step(Adam([("p", p)]), p, grad, lr=1e-3)
+        np.testing.assert_allclose(before - p.data, 1e-3 * np.sign(grad), rtol=1e-6)
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        p.grad = np.zeros(2)
         before = p.data.copy()
-        Adam([("p", p)]).step(lr=1e-3, weight_decay=0.0)
+        tape_step(Adam([("p", p)]), p, np.zeros(2), lr=1e-3)
         np.testing.assert_array_equal(p.data, before)
 
     def test_zero_lr_is_identity(self, rng):
         p = Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-        p.grad = rng.uniform(-1, 1, 4)
         before = p.data.copy()
-        Adam([("p", p)]).step(lr=0.0, weight_decay=1e-3)
+        tape_step(Adam([("p", p)]), p, rng.uniform(-1, 1, 4), lr=0.0, weight_decay=1e-3)
         np.testing.assert_array_equal(p.data, before)
 
     def test_three_steps_on_quadratic_match_scalar_oracle(self):
@@ -91,10 +96,9 @@ class TestAdam:
         state = Adam([("p", p)])
         trace_grads, trace_lrs = [], []
         for _ in range(3):
-            p.grad = 2.0 * p.data
-            trace_grads.append(p.grad.copy())
+            trace_grads.append(2.0 * p.data)
             trace_lrs.append(0.1)
-            state.step(lr=0.1, weight_decay=0.0)
+            tape_step(state, p, trace_grads[-1], lr=0.1)
         expected = oracles.adam_sequence_loops([1.0], trace_grads, trace_lrs, 0.0)
         np.testing.assert_allclose(p.data, expected, atol=1e-12)
 
@@ -105,25 +109,11 @@ class TestAdam:
             state = Adam([("p", p)])
             grads, lrs = [], []
             for step in range(4):
-                p.grad = rng.uniform(-1, 1, 3)
-                grads.append(p.grad.copy())
+                grads.append(rng.uniform(-1, 1, 3))
                 lrs.append(1e-2 / (1 + 0.1 * step))
-                state.step(lr=lrs[-1], weight_decay=1e-3)
+                tape_step(state, p, grads[-1], lr=lrs[-1], weight_decay=1e-3)
             expected = oracles.adam_sequence_loops(p0, grads, lrs, 1e-3)
             np.testing.assert_allclose(p.data, expected, atol=1e-12)
-
-    def test_missing_grad_raises(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        with pytest.raises(ValueError, match="no gradient"):
-            Adam([("p", p)]).step(lr=1e-3)
-
-    @staticmethod
-    def _vectorised_steps(p0, grads, lr, weight_decay):
-        """The whole-array Adam update that the blocked step must match bit for bit."""
-        p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
-        for t, grad in enumerate(grads, start=1):
-            oracles.adam_whole_array(p, m, v, grad, t, lr, weight_decay)
-        return p
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
@@ -134,16 +124,20 @@ class TestAdam:
         p = Tensor(p0.copy(), requires_grad=True)
         state = Adam([("p", p)])
         for g in grads:
-            p.grad = g.copy()
-            state.step(lr=1e-2, weight_decay=weight_decay)
-        expected = self._vectorised_steps(p0, grads, 1e-2, weight_decay)
+            tape_step(state, p, g, lr=1e-2, weight_decay=weight_decay)
+        # the whole-array update that the blocked step must match bit for bit
+        expected, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+        for t, g in enumerate(grads, start=1):
+            oracles.adam_whole_array(expected, m, v, g, t, 1e-2, weight_decay)
         assert p.data.tobytes() == expected.tobytes()
 
     def test_gradient_shape_mismatch_raises(self):
+        """A parameter no rule reads is updated from the gradient it holds."""
         p = Tensor(np.ones((2, 3)), requires_grad=True)
+        used = Tensor(np.ones(2), requires_grad=True)
         p.grad = np.ones(6)
         with pytest.raises(T.DimensionError, match="gradient"):
-            Adam([("p", p)]).step(lr=1e-3)
+            tape_step(Adam([("p", p)]), used, np.ones(2), lr=1e-3)
 
 
 class SpyAdam(Adam):
@@ -233,20 +227,39 @@ class TestAdamInBackward:
         fit(model, protos["train"].trials, cfg, store)
         ref = models.build(TINY_DNN, (8, 8, 6), seed=7).train()
         rows = data.compile_trials(store, protos["train"].trials)
-        y = training.trial_labels(protos["train"].trials)
-        adam, rng, step = Adam(ref.named_parameters()), np.random.default_rng(cfg.seed), 0
+        y = (rows.labels == "target").astype(np.intp)
+        moments = {n: (np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in ref.params.items()}
+        rng, step = np.random.default_rng(cfg.seed), 0
         for _ in range(cfg.epochs):
             for idx in training._batches(len(rows), cfg.batch_size, rng.permutation(len(rows))):
                 batch = fusion.fuse_batch(store, rows[idx], fusion.CONCAT)
-                ref.zero_grads()
                 with T.recording() as tape:
                     loss = weighted_cross_entropy(ref.forward(batch, fusion.CONCAT), y[idx],
                                                   cfg.class_weights)
                 tape.backward(loss)
-                adam.step(lr_at(step, cfg), cfg.weight_decay)
                 step += 1
+                for name, p in ref.params.items():
+                    oracles.adam_whole_array(p.data, *moments[name], p.grad, step,
+                                             lr_at(step - 1, cfg), cfg.weight_decay)
+                    p.zero_grad()
         state, want = model.state_arrays(), ref.state_arrays()
         assert all(state[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_fit_on_compiled_rows_matches_fit_on_trials(self):
+        store, protos = tiny_synth(seed=3)
+        cfg = TrainConfig(batch_size=16, epochs=2, seed=7)
+        states = []
+        for as_rows in (False, True):
+            model = models.build(TINY_DNN, (8, 8, 6), seed=7)
+            train, dev = protos["train"].trials, protos["dev"].trials
+            if as_rows:
+                train, dev = data.compile_trials(store, train), data.compile_trials(store, dev)
+            result = fit(model, train, cfg, store, dev_trials=dev)
+            states.append((result.best_epoch, model.state_arrays()))
+        (epoch, state), (rows_epoch, rows_state) = states
+        assert rows_epoch == epoch
+        assert {k: a.tobytes() for k, a in rows_state.items()} == {
+            k: a.tobytes() for k, a in state.items()}
 
 
 class TestLrSchedule:
@@ -317,12 +330,23 @@ class TestFit:
         result = fit(model, protos["train"].trials, cfg, store)
         assert result.logs[4].mean_loss < result.logs[0].mean_loss
 
-    def test_single_class_data_rejected(self):
+    @pytest.mark.parametrize("as_rows", [False, True], ids=["trials", "rows"])
+    def test_single_class_data_rejected(self, as_rows):
         store, protos = tiny_synth(seed=1)
         only_targets = [t for t in protos["train"].trials if t.label == "target"]
+        if as_rows:
+            only_targets = data.compile_trials(store, only_targets)
         model = models.build(TINY_DNN, (8, 8, 6), seed=0)
         with pytest.raises(ValueError, match="both classes"):
             fit(model, only_targets, TrainConfig(), store)
+
+    @pytest.mark.parametrize("as_rows", [False, True], ids=["trials", "rows"])
+    def test_empty_training_set_rejected(self, as_rows):
+        store, protos = tiny_synth(seed=1)
+        empty = data.compile_trials(store, protos["train"].trials)[:0] if as_rows else []
+        model = models.build(TINY_DNN, (8, 8, 6), seed=0)
+        with pytest.raises(ValueError, match="no training trials"):
+            fit(model, empty, TrainConfig(), store)
 
     def test_dev_logging_and_best_selection(self):
         store, protos = tiny_synth(seed=9)
