@@ -4,8 +4,7 @@ Four kinds are available:
 
 * ``SE1D`` / ``SE2D``: squeeze-and-excitation channel gating with a
   bottleneck of reduction ratio r (ReLU between the two linear maps). One
-  block, ``se_attention``, serves both; the kind fixes the input rank
-  (BxCxF or BxCxHxW) and the squeeze averages over every axis after C.
+  block serves both; the squeeze averages over every axis after C.
 * ``PA``: parallel attention. Two pooled views of a BxCxF tensor, one over
   channels and one over features, each pass through their own two-layer
   sigmoid bottleneck; both gates multiply the original tensor with
@@ -14,8 +13,11 @@ Four kinds are available:
   separately, run through a shared bottleneck and per-axis output maps, and
   both axis gates multiply the input.
 
-All linear maps are pure matrix products (no biases), so every block is a
-composition of tensor-core ops and differentiates through the tape.
+``RANK`` gives each kind's spatial axes: BxCxF input for SE1D and PA,
+BxCxHxW for SE2D and VSE. ``apply_attention`` is the one entry point and
+checks the input's rank. All linear maps are pure matrix products (no
+biases), so every block is a composition of tensor-core ops and
+differentiates through the tape.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ SE2D = "SE2D"
 PA = "PA"
 VSE = "VSE"
 
-KINDS = (SE1D, SE2D, PA, VSE)
+RANK = {SE1D: 1, SE2D: 2, PA: 1, VSE: 2}
+KINDS = tuple(RANK)
 
 
 def reduced_dim(dim: int, r: int) -> int:
@@ -40,21 +43,11 @@ def reduced_dim(dim: int, r: int) -> int:
     return max(1, dim // r)
 
 
-def _init_weight(rng: np.random.Generator | None, rows: int, cols: int) -> Tensor:
-    """A uniform init, or an uninitialised array for a checkpoint load when
-    ``rng`` is None."""
-    if rng is None:
-        return Tensor(np.empty((rows, cols)), requires_grad=True)
-    bound = np.sqrt(6.0 / rows)
-    return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
-
-
 @dataclass
 class AttentionParams:
     """Weights for one attention block, keyed by role."""
 
     kind: str
-    reduction: int
     weights: dict[str, Tensor]
 
     @classmethod
@@ -63,54 +56,40 @@ class AttentionParams:
         kind: str,
         rng: np.random.Generator | None,
         channels: int,
-        features: int | None = None,
+        features: int,
         reduction: int = 8,
     ) -> "AttentionParams":
+        """Weights for C = ``channels`` and, for PA, F = ``features``; with
+        ``rng`` None they are left uninitialised."""
         if kind not in KINDS:
             raise ValueError(f"unknown attention kind {kind!r}, expected one of {KINDS}")
         cr = reduced_dim(channels, reduction)
+
+        def weight(rows, cols):
+            return T.init_weight(rng, (rows, cols), rows)
+
         if kind == PA:
-            if features is None:
-                raise ValueError("parallel attention needs the feature dimension")
             fr = reduced_dim(features, reduction)
-            weights = {
-                "w1": _init_weight(rng, features, fr),
-                "w2": _init_weight(rng, fr, features),
-                "w3": _init_weight(rng, channels, cr),
-                "w4": _init_weight(rng, cr, channels),
-            }
+            weights = {"w1": weight(features, fr), "w2": weight(fr, features),
+                       "w3": weight(channels, cr), "w4": weight(cr, channels)}
         elif kind == VSE:
-            weights = {
-                "wa": _init_weight(rng, channels, cr),
-                "wh": _init_weight(rng, cr, channels),
-                "ww": _init_weight(rng, cr, channels),
-            }
+            weights = {"wa": weight(channels, cr), "wh": weight(cr, channels),
+                       "ww": weight(cr, channels)}
         else:
-            weights = {
-                "wa": _init_weight(rng, channels, cr),
-                "wb": _init_weight(rng, cr, channels),
-            }
-        return cls(kind=kind, reduction=reduction, weights=weights)
+            weights = {"wa": weight(channels, cr), "wb": weight(cr, channels)}
+        return cls(kind=kind, weights=weights)
 
     def named_weights(self) -> list[tuple[str, Tensor]]:
         return sorted(self.weights.items())
 
 
-def _check_kind(params: AttentionParams, expected: str) -> None:
-    if params.kind != expected:
-        raise ValueError(f"expected {expected} params, got {params.kind}")
-
-
-def parallel_attention(t: Tensor, params: AttentionParams) -> Tensor:
+def _pa(t: Tensor, params: AttentionParams) -> Tensor:
     """Dual gating of a BxCxF tensor over its channel and feature axes.
 
     The feature gate comes from the channel-mean view, the channel gate from
     the feature-mean of the transposed view; each is a sigmoid of two chained
     matrix products, and both multiply the input with dimension expansion.
     """
-    _check_kind(params, PA)
-    if t.data.ndim != 3:
-        raise T.DimensionError(f"parallel attention needs BxCxF input, got {t.shape}")
     b, c, f = t.shape
     w = params.weights
     pooled_f = T.mean(t, axis=1)
@@ -121,27 +100,19 @@ def parallel_attention(t: Tensor, params: AttentionParams) -> Tensor:
     return out
 
 
-_SE_INPUT = {SE1D: (3, "BxCxF"), SE2D: (4, "BxCxHxW")}
-
-
-def se_attention(t: Tensor, params: AttentionParams) -> Tensor:
+def _se(t: Tensor, params: AttentionParams) -> Tensor:
     """Channel gate for SE1D (BxCxF) and SE2D (BxCxHxW) input.
 
     The squeeze averages over each trailing axis in turn, last axis first;
     a bottleneck, a ReLU and a sigmoid turn it into one gate per channel,
     which rescales the input.
     """
-    if params.kind not in _SE_INPUT:
-        raise ValueError(f"expected {SE1D} or {SE2D} params, got {params.kind}")
-    rank, layout = _SE_INPUT[params.kind]
-    if t.data.ndim != rank:
-        raise T.DimensionError(f"{params.kind} needs {layout} input, got {t.shape}")
     w = params.weights
     squeeze = t
-    for axis in range(rank - 1, 1, -1):
+    for axis in range(t.data.ndim - 1, 1, -1):
         squeeze = T.mean(squeeze, axis=axis)
     gate = T.sigmoid(T.matmul(T.relu(T.matmul(squeeze, w["wa"])), w["wb"]))
-    return T.mul(t, T.reshape(gate, t.shape[:2] + (1,) * (rank - 2)))
+    return T.mul(t, T.reshape(gate, t.shape[:2] + (1,) * (t.data.ndim - 2)))
 
 
 def _axis_gate(pooled: Tensor, wa: Tensor, wout: Tensor) -> Tensor:
@@ -152,11 +123,8 @@ def _axis_gate(pooled: Tensor, wa: Tensor, wout: Tensor) -> Tensor:
     return T.transpose(T.reshape(gate, (b, n, c)), (0, 2, 1))
 
 
-def vse_attention(t: Tensor, params: AttentionParams) -> Tensor:
+def _vse(t: Tensor, params: AttentionParams) -> Tensor:
     """Coordinate-style gating: separate sigmoid gates per H and W position."""
-    _check_kind(params, VSE)
-    if t.data.ndim != 4:
-        raise T.DimensionError(f"VSE needs BxCxHxW input, got {t.shape}")
     b, c, h, wdt = t.shape
     w = params.weights
     pooled_h = T.mean(t, axis=3)
@@ -167,13 +135,13 @@ def vse_attention(t: Tensor, params: AttentionParams) -> Tensor:
     return out
 
 
-_APPLY = {
-    PA: parallel_attention,
-    SE1D: se_attention,
-    SE2D: se_attention,
-    VSE: vse_attention,
-}
+_APPLY = {PA: _pa, SE1D: _se, SE2D: _se, VSE: _vse}
 
 
 def apply_attention(t: Tensor, params: AttentionParams) -> Tensor:
+    """Gate ``t``, which must have the rank of ``params.kind``."""
+    axes = RANK[params.kind]
+    if t.data.ndim != 2 + axes:
+        layout = ("BxCxF", "BxCxHxW")[axes - 1]
+        raise T.DimensionError(f"{params.kind} needs {layout} input, got {t.shape}")
     return _APPLY[params.kind](t, params)

@@ -42,15 +42,19 @@ def _parse_bool(text: str) -> bool:
     return flags[text.lower()]
 
 
+def integer(text: str) -> int:
+    return data.parse_number(text, int)
+
+
 def finite_float(text: str) -> float:
-    value = float(text)
+    value = data.parse_number(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
 # Casts from the (string) type annotations of the config dataclasses.
-_CASTS = {"int": int, "float": finite_float, "bool": _parse_bool, "str": str,
+_CASTS = {"int": integer, "float": finite_float, "bool": _parse_bool, "str": str,
           "str | None": str}
 
 
@@ -106,6 +110,7 @@ class ExperimentConfig:
                     raise IsADirectoryError(f"{path}: run file references a directory: {value}")
         cfg = cls(**values)
         try:
+            models.preset(cfg.model)
             cfg.train_config()
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--embeddings", required=True)
     score.add_argument("--protocol", required=True)
     score.add_argument("--out", required=True)
-    score.add_argument("--batch-size", type=int, default=256,
+    score.add_argument("--batch-size", type=integer, default=256,
                        help="trials per forward pass; score bytes are reproducible only "
                             "at the same batch size (BLAS picks a product's kernel by its shape)")
     score.set_defaults(func=cmd_score)

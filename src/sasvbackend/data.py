@@ -34,7 +34,7 @@ import numpy as np
 LABELS = ("target", "nontarget", "spoof")
 PARTITIONS = ("train", "dev", "eval")
 
-_EMB_HEADER = re.compile(r"^#EMB v1 d_spk=(\d+) d_cm=(\d+)$")
+_EMB_HEADER = re.compile(r"^#EMB v1 d_spk=(\d+) d_cm=(\d+)$", re.ASCII)
 # Embedding rows per kind parsed by one np.loadtxt call: about 1 MB of text at
 # SASV-2022 sizes, the most any kind holds pending.
 _CHUNK_ROWS = 256
@@ -95,6 +95,14 @@ def read_lines(path: str, parse_line, *, header=None, strip: bool = False,
                     fault = min(fault, earlier, key=lambda e: e.lineno)
             raise ValueError(f"{path}:{fault.lineno}: {fault}") from None
     return out
+
+
+def parse_number(text: str, cast=float):
+    """``cast(text)`` for ASCII text without ``_``: int() and float() also
+    read Python-only spellings such as ``1_0`` and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"malformed number {text!r}")
+    return cast(text)
 
 
 def format_float(x: float) -> str:

@@ -25,7 +25,10 @@ CONCAT = "concat"
 STACK1D = "stack1d"
 CIRC2D = "circ2d"
 
-MODES = (CONCAT, STACK1D, CIRC2D)
+# Spatial axes of each mode's batch after its batch and channel axes: a
+# concat row is read as (d+b+q) channels with none.
+RANK = {CONCAT: 0, STACK1D: 1, CIRC2D: 2}
+MODES = tuple(RANK)
 
 
 @lru_cache(maxsize=None)

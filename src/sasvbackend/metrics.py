@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABELS, atomic_write, format_float, read_lines
+from .data import LABELS, atomic_write, format_float, parse_number, read_lines
 
 
 @dataclass
@@ -198,10 +198,8 @@ def read_score_file(path: str) -> tuple[list[str], np.ndarray]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError("expected trial_id<TAB>score")
-        try:  # float() also takes Python-only spellings: "1_0" and non-ASCII digits
-            if not parts[1].isascii() or "_" in parts[1]:
-                raise ValueError
-            value = float(parts[1])
+        try:
+            value = parse_number(parts[1])
         except ValueError:
             raise ValueError(f"malformed score {parts[1]!r}") from None
         if not math.isfinite(value):

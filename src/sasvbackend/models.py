@@ -22,11 +22,19 @@ k // 2 zero padding, so every block keeps its input's size; attention
 reduction ratio is 8 everywhere; a final linear layer maps the last DNN
 width to 2 logits (class 1 = bonafide target). Weights use uniform fan-in
 init with bound sqrt(6/fan_in), biases start at zero.
+
+One code path serves every preset; only the rank of the fused input
+differs (``fusion.RANK``: 0, 1 or 2 spatial axes, the length of
+``pool_size``). ``Model.forward`` is ``head(features(batch))``:
+``features`` runs the conv blocks, attention, pool and flatten and gives
+one flat row per trial (a concat batch passes through unchanged), and
+``head`` runs the DNN and the output layer on those rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields, asdict
@@ -77,7 +85,7 @@ class ModelConfig:
                 f"conv_kernels must be odd, so that every conv block keeps its size, got "
                 f"{self.conv_kernels}"
             )
-        axes = {fusion.CONCAT: 0, fusion.STACK1D: 1, fusion.CIRC2D: 2}[self.fusion_mode]
+        axes = fusion.RANK[self.fusion_mode]
         if bool(self.conv_channels) != bool(axes) or len(self.pool_size) != axes:
             raise ValueError(
                 f"fusion mode {self.fusion_mode!r} needs {'some' if axes else 'no'} conv layers "
@@ -87,7 +95,7 @@ class ModelConfig:
         if self.attention_kind is not None:
             if self.attention_kind not in att.KINDS:
                 raise ValueError(f"unknown attention kind {self.attention_kind!r}")
-            if {att.SE1D: 1, att.PA: 1, att.SE2D: 2, att.VSE: 2}[self.attention_kind] != axes:
+            if att.RANK[self.attention_kind] != axes:
                 raise ValueError(
                     f"attention kind {self.attention_kind} does not fit fusion mode "
                     f"{self.fusion_mode!r}"
@@ -218,69 +226,37 @@ class Model:
         self.params[name] = tensor
         return tensor
 
-    def _uniform(self, rng, shape, fan_in) -> Tensor:
-        bound = np.sqrt(6.0 / fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
     def _build(self, rng: np.random.Generator | None) -> None:
         """Allocate every array; with ``rng`` None the weights are left
         uninitialised."""
         cfg = self.config
-
-        def weight(shape, fan_in):
-            if rng is None:
-                return Tensor(np.empty(shape), requires_grad=True)
-            return self._uniform(rng, shape, fan_in)
-
         d, b, q = self.dims
-        common = max(d, b, q)
+        nd, spatial = len(cfg.pool_size), max(d, b, q)  # every conv block keeps the size
+        in_ch = 3 if nd else d + b + q
+        for i, (ch, k) in enumerate(zip(cfg.conv_channels, cfg.conv_kernels)):
+            self._add_param(f"conv{i}.w", T.init_weight(rng, (ch, in_ch) + (k,) * nd,
+                                                        in_ch * k**nd))
+            self._add_param(f"conv{i}.b", Tensor(np.zeros(ch), requires_grad=True))
+            self._add_param(f"bn{i}.gamma", Tensor(np.ones(ch), requires_grad=True))
+            self._add_param(f"bn{i}.beta", Tensor(np.zeros(ch), requires_grad=True))
+            self.bn_stats[f"bn{i}"] = RunningStats(ch)
+            if cfg.attention_position == i:
+                self._attention = att.AttentionParams.init(
+                    cfg.attention_kind, rng, channels=ch, features=spatial,
+                    reduction=cfg.reduction_ratio,
+                )
+                for wname, wt in self._attention.named_weights():
+                    self._add_param(f"att.{wname}", wt)
+            in_ch = ch
+        if max(cfg.pool_size, default=0) > spatial:
+            raise ValueError(f"pool size {cfg.pool_size} exceeds the post-conv size {spatial}")
 
-        if cfg.fusion_mode == fusion.CONCAT:
-            flat = d + b + q
-        else:
-            in_ch = 3
-            spatial = common  # every conv block keeps the size
-            for i, (ch, k) in enumerate(zip(cfg.conv_channels, cfg.conv_kernels)):
-                if cfg.fusion_mode == fusion.CIRC2D:
-                    wshape, fan = (ch, in_ch, k, k), in_ch * k * k
-                else:
-                    wshape, fan = (ch, in_ch, k), in_ch * k
-                self._add_param(f"conv{i}.w", weight(wshape, fan))
-                self._add_param(f"conv{i}.b", Tensor(np.zeros(ch), requires_grad=True))
-                self._add_param(f"bn{i}.gamma", Tensor(np.ones(ch), requires_grad=True))
-                self._add_param(f"bn{i}.beta", Tensor(np.zeros(ch), requires_grad=True))
-                self.bn_stats[f"bn{i}"] = RunningStats(ch)
-                if cfg.attention_position == i and cfg.attention_kind is not None:
-                    self._attention = att.AttentionParams.init(
-                        cfg.attention_kind,
-                        rng,
-                        channels=ch,
-                        features=spatial,
-                        reduction=cfg.reduction_ratio,
-                    )
-                    for wname, wt in self._attention.named_weights():
-                        self._add_param(f"att.{wname}", wt)
-                in_ch = ch
-            pool = cfg.pool_size
-            if cfg.fusion_mode == fusion.CIRC2D:
-                if pool[0] > spatial or pool[1] > spatial:
-                    raise ValueError(
-                        f"pool size {pool} exceeds post-conv spatial size {spatial}x{spatial}"
-                    )
-                flat = in_ch * pool[0] * pool[1]
-            else:
-                if pool[0] > spatial:
-                    raise ValueError(
-                        f"pool size {pool[0]} exceeds post-conv length {spatial}"
-                    )
-                flat = in_ch * pool[0]
-
-        width = flat
+        width = in_ch * math.prod(cfg.pool_size)
         for i, nodes in enumerate(cfg.dnn_nodes):
-            self._add_param(f"fc{i}.w", weight((width, nodes), width))
+            self._add_param(f"fc{i}.w", T.init_weight(rng, (width, nodes), width))
             self._add_param(f"fc{i}.b", Tensor(np.zeros(nodes), requires_grad=True))
             width = nodes
-        self._add_param("head.w", weight((width, cfg.num_classes), width))
+        self._add_param("head.w", T.init_weight(rng, (width, cfg.num_classes), width))
         self._add_param("head.b", Tensor(np.zeros(cfg.num_classes), requires_grad=True))
 
     # -- mode & parameter access -------------------------------------------
@@ -323,38 +299,43 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, batch: np.ndarray, mode: str) -> Tensor:
-        """Logits (Bx2) for a fused input batch; mode must match the config."""
-        cfg = self.config
-        if mode != cfg.fusion_mode:
-            raise ValueError(
-                f"model {cfg.name} expects fusion mode {cfg.fusion_mode!r}, got {mode!r}"
-            )
+    def features(self, batch: np.ndarray) -> Tensor:
+        """The head's input rows for a fused batch of the config's fusion
+        mode: conv blocks, attention, pool and flatten. A batch of another
+        rank ends in a DimensionError."""
+        cfg, p = self.config, self.params
         x = Tensor(np.asarray(batch, dtype=np.float64))
-        p = self.params
-        if cfg.conv_channels:
-            for i in range(len(cfg.conv_kernels)):
-                x = T.conv_block(
-                    x, p[f"conv{i}.w"], p[f"conv{i}.b"], p[f"bn{i}.gamma"], p[f"bn{i}.beta"],
-                    self.bn_stats[f"bn{i}"], training=self.training,
-                )
-                if cfg.attention_position == i and self._attention is not None:
-                    x = att.apply_attention(x, self._attention)
-            if cfg.fusion_mode == fusion.CIRC2D:
-                x = T.adaptive_avg_pool2d(x, (cfg.pool_size[0], cfg.pool_size[1]))
-            else:
-                x = T.adaptive_avg_pool1d(x, cfg.pool_size[0])
-            x = T.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        for i in range(len(cfg.dnn_nodes)):
-            x = T.leaky_relu(T.linear(x, p[f"fc{i}.w"], p[f"fc{i}.b"]))
-        return T.linear(x, p["head.w"], p["head.b"])
+        if not cfg.pool_size:  # concat: already one flat row per trial
+            return x
+        for i in range(len(cfg.conv_kernels)):
+            x = T.conv_block(
+                x, p[f"conv{i}.w"], p[f"conv{i}.b"], p[f"bn{i}.gamma"], p[f"bn{i}.beta"],
+                self.bn_stats[f"bn{i}"], training=self.training,
+            )
+            if cfg.attention_position == i:
+                x = att.apply_attention(x, self._attention)
+        if len(cfg.pool_size) == 2:
+            x = T.adaptive_avg_pool2d(x, cfg.pool_size)
+        else:
+            x = T.adaptive_avg_pool1d(x, cfg.pool_size[0])
+        return T.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
 
-    def score_batch(self, batch: np.ndarray, mode: str) -> np.ndarray:
+    def head(self, h: Tensor) -> Tensor:
+        """Logits (Bx2) from the rows of ``features``: the DNN and the output layer."""
+        p = self.params
+        for i in range(len(self.config.dnn_nodes)):
+            h = T.leaky_relu(T.linear(h, p[f"fc{i}.w"], p[f"fc{i}.b"]))
+        return T.linear(h, p["head.w"], p["head.b"])
+
+    def forward(self, batch: np.ndarray) -> Tensor:
+        """Logits (Bx2) for a fused input batch."""
+        return self.head(self.features(batch))
+
+    def score_batch(self, batch: np.ndarray) -> np.ndarray:
         """Probability of the bonafide-target class per trial (eval only)."""
         if self.training:
             raise RuntimeError("scoring requires eval mode")
-        logits = self.forward(batch, mode)
-        return softmax_scores(logits.data)
+        return softmax_scores(self.forward(batch).data)
 
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "RunningStats",
+    "init_weight",
     "recording",
     "active_tape",
     "add",
@@ -559,6 +560,15 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # whose channel-major view does not merge (the first block's C-ordered input,
 # or a gated output in CNN2D) goes through a cache-sized flat copy of each
 # channel block.
+
+
+def init_weight(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> Tensor:
+    """A trainable weight drawn uniform in +-sqrt(6 / fan_in), or left
+    uninitialised (``np.empty``) for a checkpoint load when ``rng`` is None."""
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
+    bound = np.sqrt(6.0 / fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 class RunningStats:

@@ -42,6 +42,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.schedule_decay < 0 or self.weight_decay < 0:
             raise ValueError("decay constants must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -204,7 +206,7 @@ def score_trials(model: Model, trials: list[Trial] | TrialRows, store: Embedding
     out = np.empty(len(rows))
     for i in range(0, len(rows), batch_size):
         batch = fuse_batch(store, rows[i : i + batch_size], mode)
-        out[i : i + len(batch)] = model.score_batch(batch, mode)
+        out[i : i + len(batch)] = model.score_batch(batch)
     if was_training:
         model.train()
     return out
@@ -270,7 +272,7 @@ def fit(
         for idx in _batches(n, cfg.batch_size, perm):
             batch = fuse_batch(store, train_rows[idx], mode)
             with T.recording() as tape:
-                logits = model.forward(batch, mode)
+                logits = model.forward(batch)
                 loss = weighted_cross_entropy(logits, y[idx], cfg.class_weights)
             loss_value = loss.item()
             if not np.isfinite(loss_value):

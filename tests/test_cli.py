@@ -178,6 +178,7 @@ class TestRunFileChecks:
         ("epochs=0", "epochs must be >= 1"),
         ("batch_size=1", "batch_size must be >= 2"),
         ("lr0=-1", "lr0 must be positive"),
+        ("seed=-1", "seed must be >= 0"),
     ])
     def test_train_config_error_names_run_file(self, tmp_path, capsys, line, message):
         code, stderr = self._train(tmp_path, capsys, self.BASE + line + "\n")
@@ -190,6 +191,20 @@ class TestRunFileChecks:
         key, value = line.split("=")
         assert code == 2
         assert f"run.cfg:5: {key}: expected a finite number, got '{value}'" in stderr
+
+    def test_unknown_model_names_run_file(self, tmp_path, capsys):
+        code, stderr = self._train(tmp_path, capsys, self.BASE.replace("CNN1D", "Foo"))
+        assert code == 2
+        assert "error[invalid-input]: run.cfg: unknown preset 'Foo'" in stderr
+
+    @pytest.mark.parametrize("line", ["epochs=1_0", "batch_size=\u0663", "seed=\uff11",
+                                      "lr0=1_0e-3"])
+    def test_python_only_number_spelling_rejected(self, tmp_path, capsys, line):
+        """int() reads "1_0" as 10 and "\u0663" (Arabic-Indic three) as 3."""
+        code, stderr = self._train(tmp_path, capsys, self.BASE + line + "\n")
+        key, value = line.split("=")
+        assert code == 2
+        assert f"error[invalid-input]: run.cfg:5: {key}: malformed number {value!r}" in stderr
 
     def test_missing_path_names_run_file(self, tmp_path, capsys):
         text = self.BASE.replace("t.protocol", "nope.protocol")
@@ -208,6 +223,19 @@ class TestRunFileChecks:
             cli.main(["gen-data", "--out-dir", str(tmp_path / "d"), "--sigma-between", "inf"])
         assert exit_info.value.code == 2
         assert "--sigma-between" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["gen-data", "--out-dir", "d", "--seed", "1_0"],
+        ["gen-data", "--out-dir", "d", "--sigma-within", "\u0661.5"],
+        ["score", "--checkpoint", "c", "--embeddings", "e", "--protocol", "p", "--out", "d",
+         "--batch-size", "\u0663"],
+    ])
+    def test_python_only_number_flag_rejected(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--workdir", str(tmp_path), *args])
+        assert exit_info.value.code == 2
+        assert f"{args[-2]}: invalid" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
 

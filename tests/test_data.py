@@ -107,6 +107,12 @@ class TestEmbeddingFiles:
         with pytest.raises(ValueError, match=":1:"):
             load_embeddings(str(path))
 
+    def test_non_ascii_header_digits_rejected(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("#EMB v1 d_spk=\u0668 d_cm=5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":1: bad embedding header"):
+            load_embeddings(str(path))
+
     def test_malformed_record_cites_line_7(self, tmp_path):
         lines = ["#EMB v1 d_spk=2 d_cm=2"]
         for i in range(5):

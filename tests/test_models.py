@@ -8,7 +8,6 @@ from sasvbackend import attention as att
 from sasvbackend import data, fusion, metrics, models, oracles, training
 from sasvbackend import tensor as T
 from sasvbackend.models import ModelConfig, PRESETS, build
-from sasvbackend.tensor import Tensor
 
 from block_reference import reference_block
 
@@ -134,11 +133,10 @@ class TestBuild:
         with pytest.raises(ValueError, match="unknown preset"):
             build("CNN3D", DESK_DIMS, seed=0)
 
-    def test_pool_exceeding_post_conv_size(self):
-        with pytest.raises(ValueError, match="pool"):
-            build("CNN2D", (8, 8, 8), seed=0)
-        with pytest.raises(ValueError, match="pool"):
-            build("CNN1D", (8, 8, 8), seed=0)
+    @pytest.mark.parametrize("name, pool", [("CNN1D", r"\(16,\)"), ("CNN2D", r"\(16, 16\)")])
+    def test_pool_exceeding_post_conv_size(self, name, pool):
+        with pytest.raises(ValueError, match=f"pool size {pool} exceeds the post-conv size 8"):
+            build(name, (8, 8, 8), seed=0)
 
     def test_custom_config_validation(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -160,31 +158,43 @@ class TestForward:
     def test_logit_shape(self, rng, name):
         model = build(name, DESK_DIMS, seed=0)
         batch = random_trial_batch(rng, 4, model.config.fusion_mode)
-        logits = model.forward(batch, model.config.fusion_mode)
+        logits = model.forward(batch)
         assert logits.shape == (4, 2)
         assert np.all(np.isfinite(logits.data))
 
     def test_eval_mode_deterministic(self, rng):
         model = build("CNN1D_SE", DESK_DIMS, seed=0).eval()
         batch = random_trial_batch(rng, 3, fusion.STACK1D)
-        one = model.forward(batch, fusion.STACK1D).data
-        two = model.forward(batch, fusion.STACK1D).data
+        one = model.forward(batch).data
+        two = model.forward(batch).data
         assert np.array_equal(one, two)
 
     def test_batch_independence_in_eval(self, rng):
         model = build("CNN2D_SE", DESK_DIMS, seed=1).eval()
         batch = random_trial_batch(rng, 5, fusion.CIRC2D)
-        full = model.forward(batch, fusion.CIRC2D).data
+        full = model.forward(batch).data
         stacked = np.concatenate(
-            [model.forward(batch[i : i + 1], fusion.CIRC2D).data for i in range(5)]
+            [model.forward(batch[i : i + 1]).data for i in range(5)]
         )
         np.testing.assert_allclose(full, stacked, atol=1e-9)
 
-    def test_mode_mismatch_rejected(self, rng):
-        model = build("CNN1D", DESK_DIMS, seed=0)
-        batch = random_trial_batch(rng, 2, fusion.CONCAT)
-        with pytest.raises(ValueError, match="fusion mode"):
-            model.forward(batch, fusion.CONCAT)
+    @pytest.mark.parametrize("name, mode", [
+        ("CNN1D", fusion.CONCAT), ("CNN1D", fusion.CIRC2D), ("CNN2D", fusion.STACK1D),
+        ("Extend512_DNN", fusion.STACK1D),
+    ])
+    def test_wrong_rank_batch_rejected(self, rng, name, mode):
+        model = build(name, DESK_DIMS, seed=0).eval()
+        batch = random_trial_batch(rng, 2, mode)
+        with pytest.raises(T.DimensionError):
+            model.score_batch(batch)
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_features_give_one_head_row_per_trial(self, rng, name):
+        model = build(name, DESK_DIMS, seed=0)
+        batch = random_trial_batch(rng, 3, model.config.fusion_mode)
+        rows = model.features(batch)
+        assert rows.shape == (3, model.params["fc0.w"].shape[0])
+        assert model.head(rows).data.tobytes() == model.forward(batch).data.tobytes()
 
     def test_attention_ablation_matches_plain_cnn(self, rng):
         """CNN1D_SE with its SE gate saturated to 1 reproduces CNN1D given
@@ -203,30 +213,10 @@ class TestForward:
         wb.data[1, :] = 1e8
         batch = random_trial_batch(rng, 4, fusion.STACK1D)
         np.testing.assert_allclose(
-            gated.forward(batch, fusion.STACK1D).data,
-            plain.forward(batch, fusion.STACK1D).data,
+            gated.forward(batch).data,
+            plain.forward(batch).data,
             atol=1e-9,
         )
-
-
-def unfused_forward(model, batch):
-    """``Model.forward`` spelled out with each conv block as the test-side
-    whole-array reference (``block_reference.reference_block``)."""
-    cfg, p = model.config, model.params
-    x = Tensor(batch)
-    for i in range(len(cfg.conv_kernels)):
-        x = reference_block(x, p[f"conv{i}.w"], p[f"conv{i}.b"], p[f"bn{i}.gamma"],
-                            p[f"bn{i}.beta"], model.bn_stats[f"bn{i}"], model.training)
-        if cfg.attention_position == i:
-            x = att.apply_attention(x, model._attention)
-    if cfg.fusion_mode == fusion.CIRC2D:
-        x = T.adaptive_avg_pool2d(x, tuple(cfg.pool_size))
-    else:
-        x = T.adaptive_avg_pool1d(x, cfg.pool_size[0])
-    x = T.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-    for i in range(len(cfg.dnn_nodes)):
-        x = T.leaky_relu(T.linear(x, p[f"fc{i}.w"], p[f"fc{i}.b"]))
-    return T.linear(x, p["head.w"], p["head.b"])
 
 
 CNN_PRESETS = [name for name, cfg in PRESETS.items() if cfg.conv_channels]
@@ -234,8 +224,9 @@ CNN_PRESETS = [name for name, cfg in PRESETS.items() if cfg.conv_channels]
 
 class TestFusedConvBlocks:
     """``Model.forward`` runs each conv block as one ``tensor.conv_block``;
-    training and scoring must give the bytes of the whole-array reference
-    blocks."""
+    training and scoring must give the bytes of the same forward with every
+    block swapped for the whole-array reference
+    (``block_reference.reference_block``)."""
 
     @staticmethod
     def _step(model, forward, batch, labels):
@@ -249,11 +240,15 @@ class TestFusedConvBlocks:
         return logits.data.tobytes(), {n: p.grad for n, p in model.params.items()}, stats
 
     @pytest.mark.parametrize("name", CNN_PRESETS)
-    def test_training_and_scoring_match_unfused_ops(self, rng, name):
+    def test_training_and_scoring_match_unfused_ops(self, rng, monkeypatch, name):
         model = build(name, DESK_DIMS, seed=2).train()
-        mode = model.config.fusion_mode
-        fused = lambda b: model.forward(b, mode)  # noqa: E731
-        reference = lambda b: unfused_forward(model, b)  # noqa: E731
+        mode, fused = model.config.fusion_mode, model.forward
+
+        def reference(batch):
+            with monkeypatch.context() as patch:
+                patch.setattr(T, "conv_block", reference_block)
+                return model.forward(batch)
+
         labels = np.array([0, 1, 1, 0])
         for step in range(2):
             batch = random_trial_batch(rng, 4, mode)
@@ -292,7 +287,7 @@ class TestScoring:
         model = build("Extend512_DNN", DESK_DIMS, seed=0).train()
         batch = random_trial_batch(rng, 2, fusion.CONCAT)
         with pytest.raises(RuntimeError, match="eval"):
-            model.score_batch(batch, fusion.CONCAT)
+            model.score_batch(batch)
 
     def test_eer_invariant_probability_vs_logit_difference(self, rng):
         """Scoring by softmax probability or by raw logit difference gives
@@ -300,7 +295,7 @@ class TestScoring:
         model = build("Extend512_DNN", DESK_DIMS, seed=0).eval()
         labels = ["target"] * 30 + ["nontarget"] * 20 + ["spoof"] * 10
         batch = random_trial_batch(rng, len(labels), fusion.CONCAT)
-        logits = model.forward(batch, fusion.CONCAT).data
+        logits = model.forward(batch).data
         probs = models.softmax_scores(logits)
         diffs = logits[:, 1] - logits[:, 0]
         ids = [f"t{i}" for i in range(len(labels))]
@@ -314,12 +309,12 @@ class TestCheckpoint:
     def test_round_trip_preserves_scores(self, rng, tmp_path):
         model = build("CNN1D_SE", DESK_DIMS, seed=5).eval()
         batch = random_trial_batch(rng, 3, fusion.STACK1D)
-        expected = model.score_batch(batch, fusion.STACK1D)
+        expected = model.score_batch(batch)
         path = tmp_path / "model.ckpt"
         models.save_checkpoint(model, str(path))
         loaded = models.load_checkpoint(str(path)).eval()
         assert loaded.config == model.config
-        np.testing.assert_array_equal(loaded.score_batch(batch, fusion.STACK1D), expected)
+        np.testing.assert_array_equal(loaded.score_batch(batch), expected)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a_path, b_path = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -352,7 +347,13 @@ class TestCheckpoint:
         def no_draw(*args, **kwargs):
             raise AssertionError("a checkpoint load drew a random init")
 
-        monkeypatch.setattr(models.Model, "_uniform", no_draw)
+        def uninitialised_only(rng, shape, fan_in):
+            if rng is not None:
+                no_draw()
+            return init_weight(rng, shape, fan_in)
+
+        init_weight = T.init_weight
+        monkeypatch.setattr(T, "init_weight", uninitialised_only)
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         loaded = models.load_checkpoint(str(path))
         want, got = model._state(), loaded._state()

@@ -380,12 +380,12 @@ class TestConvBlock:
 
         x = Tensor(rng.uniform(-1, 1, (4, 3, 6, 6)))
         first, second = block(3, 8), block(8, 8)
-        params = att.AttentionParams.init(att.SE2D, rng, channels=8, reduction=2)
+        params = att.AttentionParams.init(att.SE2D, rng, channels=8, features=6, reduction=2)
         for w in params.weights.values():
             w.requires_grad = True
         with T.recording() as tape:
             a = T.conv_block(x, *first, RunningStats(8), True)
-            gated = att.se_attention(a, params)
+            gated = att.apply_attention(a, params)
             b = T.conv_block(gated, *second, RunningStats(8), True)
             loss = T.sum_all(T.adaptive_avg_pool2d(b, (2, 2)))
         kept, freed = weakref.ref(a.data), [weakref.ref(gated.data), weakref.ref(b.data)]

@@ -197,11 +197,11 @@ class TestAdamInBackward:
         live, ref = (models.build(config, (5, 5, 4), seed=3).train() for _ in range(2))
         batch, labels = rng.uniform(-1, 1, (4, 3, 5, 5)), [0, 1, 1, 0]
         with T.recording() as tape:
-            loss = weighted_cross_entropy(ref.forward(batch, fusion.CIRC2D), labels, (0.1, 0.9))
+            loss = weighted_cross_entropy(ref.forward(batch), labels, (0.1, 0.9))
         tape.backward(loss)
         adam = SpyAdam(live.named_parameters())
         with T.recording() as tape:
-            loss = weighted_cross_entropy(live.forward(batch, fusion.CIRC2D), labels, (0.1, 0.9))
+            loss = weighted_cross_entropy(live.forward(batch), labels, (0.1, 0.9))
         adam.step(1e-3, 1e-3, tape, loss)
         wa = [(rows, grad) for name, rows, grad, _ in adam.calls if name == "att.wa"]
         assert wa == [(slice(None), ref.params["att.wa"].grad.tobytes())]
@@ -234,7 +234,7 @@ class TestAdamInBackward:
             for idx in training._batches(len(rows), cfg.batch_size, rng.permutation(len(rows))):
                 batch = fusion.fuse_batch(store, rows[idx], fusion.CONCAT)
                 with T.recording() as tape:
-                    loss = weighted_cross_entropy(ref.forward(batch, fusion.CONCAT), y[idx],
+                    loss = weighted_cross_entropy(ref.forward(batch), y[idx],
                                                   cfg.class_weights)
                 tape.backward(loss)
                 step += 1
