@@ -172,7 +172,11 @@ def cmd_train(args) -> int:
         else None
     )
     dims = (store.d_spk, store.d_spk, store.d_cm)
-    model = models.build(cfg.model, dims, seed=cfg.seed)
+    try:
+        model = models.build(cfg.model, dims, seed=cfg.seed)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.embeddings}: model {cfg.model} does not fit embedding dims "
+                         f"{dims}: {exc}") from None
     result = training.fit(
         model,
         train_protocol.trials,

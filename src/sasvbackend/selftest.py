@@ -73,6 +73,44 @@ def check_conv_block(conv_loops, x_shape):
     return _worst(pairs, 1e-12)
 
 
+def _block_bytes(x, w, vecs, g, training, budget):
+    """Output, running stats and gradient bytes of one recorded conv_block
+    whose im2col matrices hold at most ``budget`` elements."""
+    saved, T._COLS_BUDGET = T._COLS_BUDGET, budget
+    try:
+        ts = [Tensor(a, requires_grad=True) for a in (x, w, *vecs)]
+        stats = RunningStats(w.shape[0])
+        with T.recording() as tape:
+            out = T.conv_block(*ts, stats, training)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+    finally:
+        T._COLS_BUDGET = saved
+    return [a.tobytes() for a in (out.data, stats.mean, stats.var, *(t.grad for t in ts))]
+
+
+def check_conv_block_chunks():
+    """conv_block cut into four chunks (of batch items for the forward and
+    dx, of input channels for dW) against one whole chunk, byte for byte:
+    1D and 2D, train and eval mode, C-ordered and channel-major input. That
+    a split keeps the bytes is a property of the BLAS, so it is checked on
+    the one installed."""
+    rng = np.random.default_rng(7)
+    same = True
+    for x_shape, cout in (((16, 64, 64), 64), ((12, 16, 16, 16), 32)):
+        x = rng.uniform(-1, 1, x_shape)
+        w = rng.uniform(-1, 1, (cout, x_shape[1]) + (3,) * (len(x_shape) - 2))
+        vecs = [rng.uniform(-1, 1, cout) for _ in range(3)]
+        g = _channel_major(rng.uniform(-1, 1, (x_shape[0], cout) + x_shape[2:]))
+        cols = x.size * w[0, 0].size  # elements of the whole im2col matrix
+        for training in (True, False):
+            for layout in (np.asarray, _channel_major):
+                whole, chunked = (_block_bytes(layout(x), w, vecs, g, training, budget)
+                                  for budget in (cols, cols // 4))
+                same &= whole == chunked
+    return same, f"output, running stats and gradient bytes {'equal' if same else 'differ'}"
+
+
 def check_circulant():
     rng = np.random.default_rng(2)
     for v in (rng.normal(size=int(rng.integers(1, 32))) for _ in range(20)):
@@ -143,6 +181,7 @@ CHECKS = [
     ("conv-block-1d-vs-loop-oracles", lambda: check_conv_block(oracles.conv1d_loops, (2, 3, 8))),
     ("conv-block-2d-vs-loop-oracles",
      lambda: check_conv_block(oracles.conv2d_loops, (2, 3, 6, 5))),
+    ("conv-block-chunked-vs-whole", check_conv_block_chunks),
     ("circulant-algebra", check_circulant),
     ("eer-vs-exhaustive-threshold-oracle", check_eer),
     ("adam-vs-scalar-reference", check_adam),

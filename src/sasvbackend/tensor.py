@@ -6,19 +6,20 @@ reshapes/reductions used to compose attention blocks, and one convolution.
 That convolution is the CNNs' whole conv block, ``conv_block``: a same-size
 1D or 2D cross-correlation (stride 1, odd kernel, padding k // 2, no kernel
 flip), bias, batch normalization and LeakyReLU, as one op with one gradient
-rule. Between its passes it keeps the im2col matrix and xhat, not its input
-or output.
+rule. Between its passes it keeps its input and xhat, not its output or an
+im2col matrix, and it never builds an im2col matrix of more than
+``_COLS_BUDGET`` elements: its GEMMs run over chunks of one.
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
 accumulates gradients into every tensor that requires them. A rule holds
 the gradient slots of its output and inputs (``Tensor.slot``) and the
 arrays it reads, never a whole input tensor, so an activation that no rule
-reads (a conv block's input, a gate's output, the pool input) is freed when
-the forward pass lets go of it. Each rule is popped off the tape before it
-runs, so the arrays it saved and the output gradient it consumed are freed
-as soon as it returns, not at the end of the pass. With no active tape, ops
-are plain forward computations (evaluation mode).
+reads (the pool's input, for one) is freed when the forward pass lets go of
+it. Each rule is popped off the tape before it runs, so the arrays it saved
+and the output gradient it consumed are freed as soon as it returns, not at
+the end of the pass. With no active tape, ops are plain forward
+computations (evaluation mode).
 
 Given an optimizer, ``Tape.backward`` also updates every parameter as soon
 as its last gradient contribution is in: right after the first rule that
@@ -39,6 +40,7 @@ the same order as the whole array.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from contextlib import contextmanager
 
@@ -543,11 +545,16 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # ``conv_block`` is the one convolution: conv -> bias -> batch norm ->
 # LeakyReLU, at stride 1 with an odd square kernel and zero padding k // 2,
 # so every block keeps its input's size. The conv works on the channel-major
-# view (Cin, B, *sizes) of the input: im2col, one GEMM, and the (Cout, B,
-# *sizes) product read back as a transposed view without copying it. The
-# im2col matrix is kept for the weight gradient, so backward never rebuilds
-# it, and once dW is taken the input gradient's columns are written into the
-# same buffer.
+# view (Cin, B, *sizes) of the input: im2col and a GEMM per chunk of batch
+# items (``_item_chunks``), each product written into its columns of the
+# (Cout, B, *sizes) output, which is read back as a transposed view without
+# copying it. One buffer of at most ``_COLS_BUDGET`` elements serves every
+# chunk. The rule keeps the block's input instead of the im2col matrix: for
+# dW the backward rebuilds the im2col rows of a power-of-two run of input
+# channels at a time (``_pow2_chunks``) into such a buffer, and for dx it
+# writes each item chunk's dcols there before col2im adds them in. At D=16
+# and batch 90 the four CNN2D block inputs take 40 MiB, their im2col
+# matrices 366 MiB.
 #
 # im2col and col2im share one loop (``_im2col``): it walks the input channels
 # in cache-sized blocks (``_channel_blocks``) and finishes every tap of a
@@ -594,6 +601,56 @@ def _channel_blocks(c: int, n: int, budget: int = 32768) -> list[slice]:
     if len(starts) > 1 and c - starts[-1] == 1:
         starts.pop()
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [c])]
+
+
+# Elements of the largest im2col matrix a conv block builds at once (64 MB).
+# At D=16 and batch 90, 32 MB made a CNN2D_SE training step about 5% slower
+# (more GEMM calls, each packing its other operand again) with the same peak
+# RSS; 128 MB raised the peak RSS by 100 MB.
+_COLS_BUDGET = 1 << 23
+
+
+def _pow2_chunks(c: int, n: int) -> list[slice]:
+    """Input-channel slices (``n`` im2col elements per channel) for the conv
+    block's backward: one slice if all ``c`` fit ``_COLS_BUDGET``, else runs
+    of the largest power of two, at least 2, that fits. A trailing single
+    channel joins the run before it.
+
+    Runs of a power of two channels kept dW's bytes in every shape tried,
+    with dW computed either way round. Written as ``gmat @ cols.T``, runs of
+    10 or 20 channels changed them at cin 32 and 64; as ``cols @ gmat.T``,
+    the form used here, runs of 6 to 20 kept them too.
+    """
+    if c * n <= _COLS_BUDGET:
+        return [slice(0, c)]
+    step = 1 << max(1, (_COLS_BUDGET // n).bit_length() - 1)
+    return _channel_blocks(c, 1, step)
+
+
+def _item_chunks(b: int, n: int, pos: int) -> list[slice]:
+    """Batch-item slices for the conv block's forward and input gradient,
+    each a column split of their GEMMs: one slice if all ``b`` items (``n``
+    im2col elements and ``pos`` columns each) fit ``_COLS_BUDGET``, else
+    slices of about equal size that fit it, each but the last spanning a
+    multiple of 16 columns (more than the budget only where 16 columns of
+    items do not fit).
+
+    With OpenBLAS, column splits kept the bytes in every shape tried where
+    each piece starts at a multiple of 16 columns and none is small. They
+    changed them for pieces of under about a million multiply-adds, for
+    pieces starting off a multiple of 16 columns, and for a narrow last
+    piece of a product whose width is no multiple of 16. Hence slices of
+    about equal size, not full ones and a remainder.
+    """
+    if b * n <= _COLS_BUDGET:
+        return [slice(0, b)]
+    unit = 16 // math.gcd(pos, 16)  # items per 16 columns
+    count = -(-b // max(unit, _COLS_BUDGET // n // unit * unit))
+    units, rest = divmod(b, unit)
+    sizes = [(units // count + (i < units % count)) * unit for i in range(count)]
+    sizes[-1] += rest
+    ends = list(itertools.accumulate(sizes))
+    return [slice(e - size, e) for e, size in zip(ends, sizes)]
 
 
 def _cm(ndim: int) -> tuple[int, ...]:
@@ -692,15 +749,16 @@ def conv_block(
     moments (biased variance) and moves ``stats`` toward them with momentum
     0.1; eval mode normalizes with ``stats``. The LeakyReLU slope is 0.01.
 
-    The forward runs im2col and the GEMM, then one pass over channel blocks
-    of the GEMM output: bias, batch norm (the product becomes xhat in place)
-    and LeakyReLU per block, each block small enough to stay in cache and
-    run with the whole-array formulas in the whole-array operand order, so
-    the bytes do not depend on the blocking. The backward is one blocked
-    pass too: the LeakyReLU factor, then the batch-norm gradient written
-    over each xhat block, which leaves the GEMM-shaped output gradient for
-    dbias, dW and col2im. The rule keeps only x's shape and strides, from
-    which dx takes x's layout.
+    The forward runs im2col and the GEMM over chunks of batch items, then
+    one pass over channel blocks of the GEMM output: bias, batch norm (the
+    product becomes xhat in place) and LeakyReLU per block, each block small
+    enough to stay in cache and run with the whole-array formulas in the
+    whole-array operand order, so the bytes do not depend on the blocking.
+    The backward is one blocked pass too: the LeakyReLU factor, then the
+    batch-norm gradient written over each xhat block, which leaves the
+    GEMM-shaped output gradient for dbias, dW and col2im. The rule keeps x
+    when w needs a gradient (dW rebuilds its im2col rows from it), and x's
+    shape and strides, from which dx takes x's layout.
     """
     nd = x.data.ndim - 2
     if nd not in (1, 2) or w.data.ndim != x.data.ndim:
@@ -724,12 +782,19 @@ def conv_block(
         raise DimensionError(f"conv_block training mode needs batch >= 2, got {b}")
     inputs = (x, w, bias, gamma, beta)
     plan = _plan(sizes, k)
-    cols = np.empty((cin, len(plan), b, *sizes))
-    _im2col(x.data.transpose(_cm(x.data.ndim)), cols, plan)
-    cols = cols.reshape(cin * len(plan), -1)
-    y = (w.data.reshape(cout, -1) @ cols).reshape(cout, b, *sizes)
-    if not _records(inputs):
-        cols = None  # no rule will read it: free it before the epilogue
+    taps, pos = len(plan), int(np.prod(sizes))  # pos: positions per batch item
+    xc = x.data.transpose(_cm(x.data.ndim))
+    gmat = np.empty((cout, b * pos))  # the GEMM output; backward writes its gradient here
+    items = _item_chunks(b, cin * taps * pos, pos)
+    most = max(blk.stop - blk.start for blk in items)  # items in the largest chunk
+    buf = np.empty(cin * taps * most * pos)
+    for blk in items:
+        cols = buf[: cin * taps * (blk.stop - blk.start) * pos].reshape(cin, taps, -1, *sizes)
+        _im2col(xc[:, blk], cols, plan)
+        np.matmul(w.data.reshape(cout, -1), cols.reshape(cin * taps, -1),
+                  out=gmat[:, blk.start * pos:blk.stop * pos])
+    del buf, cols  # freed before the epilogue
+    y = gmat.reshape(cout, b, *sizes)
     xhat = y.transpose(_cm(y.ndim))  # the conv output view, normalized in place
     axes, n = (0,) + tuple(range(2, y.ndim)), y[0].size
     blocks = _channel_blocks(cout, n)
@@ -764,6 +829,7 @@ def conv_block(
     out = Tensor(out_data)
     sx, sw, sbias, sgamma, sbeta = (_slot(t) for t in inputs)
     wd, x_like = w.data, (_stand_in(x.data) if sx else None)
+    xc = xc if sw else None  # only dW rebuilds im2col rows
 
     def rule(g):
         dgamma = np.empty(cout) if sgamma else None
@@ -797,16 +863,29 @@ def conv_block(
                 bn_dx(blk, gb, hb)
         _accumulate(sbeta, dbeta, own=True)
         _accumulate(sgamma, dgamma, own=True)
-        gmat = y.reshape(cout, -1)  # xhat now holds the conv output's gradient
+        # gmat now holds the conv output's gradient
         if sbias:
             _accumulate(sbias, gmat.sum(axis=1), own=True)
-        if sw:
-            _accumulate(sw, (gmat @ cols.T).reshape(wd.shape), own=True)
-        if sx:  # the rule runs once, so cols is dead after dW and takes dcols
-            dcols = np.matmul(wd.reshape(cout, -1).T, gmat, out=cols)
+        runs = _pow2_chunks(cin, taps * b * pos) if sw else []
+        # one buffer for both loops: the widest channel run or item chunk
+        buf = np.empty(max([(r.stop - r.start) * b for r in runs]
+                           + [cin * most if sx else 0]) * taps * pos)
+        if sw:  # dW's rows, transposed, from im2col rows rebuilt per channel run
+            dwt = np.empty((cin * taps, cout))
+            for blk in runs:
+                cols = buf[: (blk.stop - blk.start) * taps * b * pos].reshape(-1, taps, b, *sizes)
+                _im2col(xc[blk], cols, plan)
+                np.matmul(cols.reshape(-1, b * pos), gmat.T,
+                          out=dwt[blk.start * taps:blk.stop * taps])
+            _accumulate(sw, np.ascontiguousarray(dwt.T).reshape(wd.shape), own=True)
+        if sx:  # dcols per chunk of batch items, added into dx by col2im
             dx = np.zeros_like(x_like)  # x's layout, without holding x.data
-            _im2col(dx.transpose(_cm(dx.ndim)), dcols.reshape(cin, len(plan), b, *sizes), plan,
-                    add=True)
+            for blk in items:
+                cols = buf[: cin * taps * (blk.stop - blk.start) * pos]
+                cols = cols.reshape(cin, taps, -1, *sizes)
+                np.matmul(wd.reshape(cout, -1).T, gmat[:, blk.start * pos:blk.stop * pos],
+                          out=cols.reshape(cin * taps, -1))
+                _im2col(dx.transpose(_cm(dx.ndim))[:, blk], cols, plan, add=True)
             _accumulate(sx, dx, own=True)
 
     return _finish(out, inputs, rule)

@@ -242,6 +242,10 @@ def fit(
     a parameter is updated as soon as its gradient is complete, while the
     rules of earlier layers still run. An error in the middle of a backward
     pass can leave the parameters partly updated.
+
+    Each step runs with numpy's overflow and invalid-operation errors
+    raised: one ends training with a RuntimeError naming the epoch and
+    step, instead of moments or weights silently turning inf or NaN.
     """
     tune_malloc()
     if not train_trials:
@@ -270,17 +274,23 @@ def fit(
         total = 0.0
         last_lr = lr_at(step, cfg)
         for idx in _batches(n, cfg.batch_size, perm):
-            batch = fuse_batch(store, train_rows[idx], mode)
-            with T.recording() as tape:
-                logits = model.forward(batch)
-                loss = weighted_cross_entropy(logits, y[idx], cfg.class_weights)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise RuntimeError(
-                    f"non-finite loss {loss_value} at epoch {epoch}, step {step}"
-                )
             last_lr = lr_at(step, cfg)
-            optimizer.step(last_lr, cfg.weight_decay, tape, loss)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    batch = fuse_batch(store, train_rows[idx], mode)
+                    with T.recording() as tape:
+                        logits = model.forward(batch)
+                        loss = weighted_cross_entropy(logits, y[idx], cfg.class_weights)
+                    loss_value = loss.item()
+                    if not np.isfinite(loss_value):
+                        raise RuntimeError(
+                            f"non-finite loss {loss_value} at epoch {epoch}, step {step}"
+                        )
+                    optimizer.step(last_lr, cfg.weight_decay, tape, loss)
+            except FloatingPointError as exc:
+                raise RuntimeError(
+                    f"floating-point {exc} at epoch {epoch}, step {step}"
+                ) from None
             total += loss_value * len(idx)
             step += 1
 

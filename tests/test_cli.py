@@ -120,6 +120,31 @@ class TestTrain:
         assert model.config.name == "Extend512_DNN"
         assert model.seed == 5
 
+    def test_overflowing_step_is_a_runtime_error(self, tmp_path, capsys):
+        """With spoofs 1e308 away in CM space every value is finite, yet
+        Adam's second moment overflows within the first steps. That used to
+        train on with inf moments, exit 0 and leave a checkpoint."""
+        code, stderr = run_main(["--workdir", tmp_path, *GEN_ARGS, "--spoof-shift", "1e308"],
+                                capsys)
+        assert code == 0, stderr
+        (tmp_path / "run.cfg").write_text(RUN_FILE)
+        code, stderr = run_main(["--workdir", tmp_path, "train", "--run-file", "run.cfg"], capsys)
+        assert code == 5
+        assert stderr.startswith("error[runtime]: floating-point overflow encountered in ")
+        assert " at epoch 1, step " in stderr
+        assert not (tmp_path / "run1").exists()
+
+    def test_preset_too_large_for_the_embeddings_names_file_and_model(self, workspace, tmp_path,
+                                                                      capsys):
+        emb = workspace / "data" / "embeddings.tsv"
+        (tmp_path / "run.cfg").write_text(
+            RUN_FILE.replace("Extend512_DNN", "CNN2D").replace("data/", f"{workspace}/data/"))
+        code, stderr = run_main(["--workdir", tmp_path, "train", "--run-file", "run.cfg"], capsys)
+        assert code == 2
+        assert stderr == (f"error[invalid-input]: {emb}: model CNN2D does not fit embedding dims "
+                          f"(8, 8, 6): pool size (16, 16) exceeds the post-conv size 8\n")
+        assert not (tmp_path / "run1").exists()
+
     def test_missing_run_file_key_rejected(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("model=CNN1D\n")
         result = run_cli(["train", "--run-file", "bad.cfg"], tmp_path)

@@ -34,6 +34,24 @@ def _no_leaky_relu_factor(orig):
     return lambda g, nonneg: g * 1.0
 
 
+class _KSplitNumpy:
+    """numpy, except that a product written into some columns of a larger
+    array sums the two halves of its reduction axis: a conv block whose
+    chunks split K instead of N."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def matmul(a, b, out=None):
+        if out is None or out.flags.c_contiguous:
+            return np.matmul(a, b, out=out)
+        half = a.shape[-1] // 2
+        np.matmul(a[:, :half], b[:half], out=out)
+        out += a[:, half:] @ b[half:]
+        return out
+
+
 def _scaled_ce_weights(orig):
     return lambda logits, labels, weights: orig(logits, labels, [1.01 * v for v in weights])
 
@@ -46,6 +64,7 @@ BREAKS = {
     "layer-gradients-vs-finite-differences": (T, "_leaky_relu_grad", _no_leaky_relu_factor),
     "conv-block-1d-vs-loop-oracles": (T, "conv_block", _conv_without_bias),
     "conv-block-2d-vs-loop-oracles": (T, "_MOMENTUM", lambda momentum: 2 * momentum),
+    "conv-block-chunked-vs-whole": (T, "np", lambda numpy: _KSplitNumpy()),
     "weighted-cross-entropy-vs-loop": (training, "weighted_cross_entropy", _scaled_ce_weights),
 }
 
@@ -64,6 +83,7 @@ def test_check_names():
         "layer-gradients-vs-finite-differences",
         "conv-block-1d-vs-loop-oracles",
         "conv-block-2d-vs-loop-oracles",
+        "conv-block-chunked-vs-whole",
         "circulant-algebra",
         "eer-vs-exhaustive-threshold-oracle",
         "adam-vs-scalar-reference",

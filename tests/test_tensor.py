@@ -39,6 +39,26 @@ def backward_from(tape, out, g):
     tape.backward(Tensor(0.0))
 
 
+def held_arrays(tape):
+    """Every array in the closures of the rules on ``tape`` and of the
+    functions those hold, as the arrays that own the memory."""
+    seen, out, todo = set(), [], list(tape._rules)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            out.append(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+    return out
+
+
 class TestMatmul:
     def test_identity(self):
         out = T.matmul(Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]))
@@ -344,12 +364,14 @@ class TestConvBlock:
                          RunningStats(4), True)
         assert len(tape) == 0
 
-    def test_recorded_chain_holds_cols_and_xhat(self, rng):
-        """A recorded 3-block chain of 3x3 convs keeps, per block, its im2col
-        matrix (9 activations) and xhat, and nothing else of activation
-        size: a block's output is freed once the next block has read it. The
-        unfused conv, batch norm and LeakyReLU kept three more: the conv
-        output, the batch-norm output and the LeakyReLU output."""
+    def test_recorded_chain_holds_inputs_and_xhat(self, rng):
+        """A recorded 3-block chain of 3x3 convs keeps, per block, its input
+        (dW rebuilds the im2col rows from it) and xhat, and nothing else of
+        activation size: 2 activations a block, less the chain's input,
+        which was allocated before. Keeping the im2col matrix instead held
+        9 + 1 a block. The unfused conv, batch norm and LeakyReLU kept three
+        more: the conv output, the batch-norm output and the LeakyReLU
+        output."""
         b, c, h = 8, 8, 16
         x = Tensor(rng.uniform(-1, 1, (b, c, h, h)))
         blocks = [(rt(rng, c, c, 3, 3), rt(rng, c), rt(rng, c), rt(rng, c)) for _ in range(3)]
@@ -365,14 +387,14 @@ class TestConvBlock:
         finally:
             tracemalloc.stop()
         assert len(tape) == len(blocks)
-        assert held / x.data.nbytes < len(blocks) * (9 + 1 + 1)
+        assert held / x.data.nbytes < len(blocks) * 2
 
     def test_rules_free_the_activations_they_do_not_read(self, rng):
-        """In a recorded conv block -> SE2D -> conv block -> pool chain, no
-        rule keeps a conv block's input (the gate's output) or the pool's
-        input: they are freed when the forward pass lets go of them. The
-        gate still keeps the first block's output, which its gradient
-        reads."""
+        """In a recorded conv block -> SE2D -> conv block -> pool chain, the
+        pool's input (the second block's output) is freed when the forward
+        pass lets go of it. Each block keeps its input, which dW rebuilds its
+        im2col rows from, and the gate keeps the first block's output; no
+        rule holds an array as large as a block's im2col matrix."""
         from sasvbackend import attention as att
 
         def block(cin, cout):
@@ -388,10 +410,13 @@ class TestConvBlock:
             gated = att.apply_attention(a, params)
             b = T.conv_block(gated, *second, RunningStats(8), True)
             loss = T.sum_all(T.adaptive_avg_pool2d(b, (2, 2)))
-        kept, freed = weakref.ref(a.data), [weakref.ref(gated.data), weakref.ref(b.data)]
+        kept = [weakref.ref(a.data), weakref.ref(gated.data)]
+        freed = weakref.ref(b.data)
         del a, gated, b
-        assert kept() is not None
-        assert [ref() for ref in freed] == [None, None]
+        assert all(ref() is not None for ref in kept)
+        assert freed() is None
+        smallest_cols = 3 * 9 * x.data[:, 0].size * 8  # the first block's im2col bytes
+        assert max(arr.nbytes for arr in held_arrays(tape)) < smallest_cols
         tape.backward(loss)
         assert all(t.grad is not None for t in first + second)
 
@@ -413,6 +438,90 @@ class TestConvBlock:
         ts = [Tensor(np.ones(shapes[k])) for k in ("x", "w", "bias", "gamma", "beta")]
         with pytest.raises(DimensionError, match=match):
             T.conv_block(*ts, RunningStats(4), True)
+
+
+# (input shape, output channels, kernel) of every preset's conv blocks at the
+# synthetic default D=16 and the benchmark's training batch of 90.
+PRESET_BLOCKS = [((90, 3, 16, 16), 32, 5), ((90, 32, 16, 16), 64, 3), ((90, 64, 16, 16), 128, 3),
+                 ((90, 128, 16, 16), 256, 3), ((90, 3, 16), 256, 3), ((90, 256, 16), 128, 3),
+                 ((90, 128, 16), 64, 3)]
+
+WHOLE = 1 << 62  # a _COLS_BUDGET that any im2col matrix fits
+
+
+class TestConvBlockChunks:
+    """``conv_block`` builds im2col matrices of at most ``_COLS_BUDGET``
+    elements: chunks of batch items for the forward and dx, and runs of a
+    power of two input channels, rebuilt from the block's input, for dW.
+    Every chunking gives the bytes of one whole chunk: the output, the
+    running stats and all five gradients. The budgets here cut each block
+    into three to five chunks, whose products stay as large as the default
+    budget makes them: OpenBLAS runs small products with other kernels."""
+
+    NAMES = TestConvBlock.NAMES
+
+    def _check(self, monkeypatch, arrays, training, g, budgets, nan_fill=False):
+        x, k = arrays["x"], arrays["w"].shape[-1]
+        b, cin, pos = x.shape[0], x.shape[1], x[0, 0].size
+        per_item = cin * k ** (x.ndim - 2) * pos
+        monkeypatch.setattr(T, "_COLS_BUDGET", WHOLE)
+        want = run_block(T.conv_block, arrays, training, g)
+        if nan_fill:
+            fill_empty_with_nan(monkeypatch)
+        for budget in budgets:
+            monkeypatch.setattr(T, "_COLS_BUDGET", budget)
+            assert len(T._item_chunks(b, per_item, pos)) > 1
+            # three channels never split: a run has two or more
+            assert len(T._pow2_chunks(cin, per_item * b // cin)) > 1 or cin == 3
+            got = run_block(T.conv_block, arrays, training, g)
+            for name, a, ref in zip(self.NAMES, got, want):
+                assert a.tobytes() == ref.tobytes(), f"{name} bytes differ at budget {budget}"
+            assert layout(got[3]) == layout(want[3]) == layout(x)
+
+    @pytest.mark.parametrize("case", [((16, 64, 64), 64, 3), ((12, 16, 16, 16), 32, 3)],
+                             ids=block_case_id)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("x_order", ["C", "CM"])
+    def test_chunks_match_one_whole_chunk(self, rng, monkeypatch, case, training, x_order):
+        """The chunked runs take their buffers from an ``np.empty`` that
+        fills them with NaN, so any element a chunk leaves unwritten would
+        show."""
+        arrays = block_arrays(rng, *case)
+        arrays["x"] = in_layout(arrays["x"], x_order)
+        g = in_layout(rng.uniform(-1, 1, out_shape(arrays)), "CM")
+        cols = arrays["w"][0].size * arrays["x"][:, 0].size
+        self._check(monkeypatch, arrays, training, g, [cols // 4], nan_fill=True)
+
+    @pytest.mark.parametrize("case", PRESET_BLOCKS, ids=block_case_id)
+    def test_preset_blocks_at_batch_90(self, rng, monkeypatch, case):
+        """Each preset block in training mode on the input layout it gets in
+        a model: C-ordered for the first block, channel-major after. A third
+        of the whole im2col matrix, and the default budget where that splits
+        the block (cin 64 and 128 in 2D)."""
+        arrays = block_arrays(rng, *case)
+        if case[0][1] != 3:
+            arrays["x"] = in_layout(arrays["x"], "CM")
+        g = in_layout(rng.uniform(-1, 1, out_shape(arrays)), "CM")
+        cols = arrays["w"][0].size * arrays["x"][:, 0].size
+        budgets = [cols // 3] + ([T._COLS_BUDGET] if cols > T._COLS_BUDGET else [])
+        self._check(monkeypatch, arrays, True, g, budgets)
+
+    def test_chunk_sizes(self, monkeypatch):
+        monkeypatch.setattr(T, "_COLS_BUDGET", 100)
+        assert T._item_chunks(3, 30, 16) == [slice(0, 3)]
+        assert T._item_chunks(5, 30, 16) == [slice(0, 3), slice(3, 5)]
+        assert T._item_chunks(7, 30, 16) == [slice(0, 3), slice(3, 5), slice(5, 7)]  # not 3+3+1
+        assert T._item_chunks(9, 25, 32) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+        assert T._item_chunks(5, 101, 16) == [slice(i, i + 1) for i in range(5)]
+        assert T._item_chunks(8, 10, 4) == [slice(0, 8)]
+        assert T._item_chunks(12, 10, 4) == [slice(0, 8), slice(8, 12)]  # 4 items per 16 columns
+        assert T._item_chunks(20, 30, 9) == [slice(0, 16), slice(16, 20)]  # 16 over budget
+        assert T._pow2_chunks(10, 10) == [slice(0, 10)]
+        assert T._pow2_chunks(11, 10) == [slice(0, 8), slice(8, 11)]
+        assert T._pow2_chunks(17, 6) == [slice(0, 17)]  # 16 + 1: the single joins
+        assert T._pow2_chunks(9, 12) == [slice(0, 9)]
+        assert T._pow2_chunks(5, 40) == [slice(0, 2), slice(2, 5)]
+        assert T._pow2_chunks(6, 1000) == [slice(0, 2), slice(2, 4), slice(4, 6)]
 
 
 def plain_block(x, w, bias=None, gamma=None, beta=None, training=False, stats=None):
@@ -611,26 +720,30 @@ class TestBackward:
         tape.backward(Tensor(1.0))
         assert seen == [2, 1, 0]
 
-    def test_backward_frees_as_it_replays(self, rng):
-        """A 3-block conv_block chain. Each block keeps an im2col buffer of 9
-        activations (3x3 taps); backward may rise above its starting size by
-        less than one such buffer (8 activations). That needs dcols written
-        into cols, and the popped rules free the later blocks' buffers and
-        gradients before the first block runs. Popping alone rose by 13.7
-        activations, popping with the reused buffer by 4.7, and keeping every
-        rule alive as well by 6.7."""
+    def test_backward_frees_as_it_replays(self, monkeypatch, rng):
+        """A 3-block conv_block chain whose blocks build im2col matrices of
+        at most ~2 activations (``_COLS_BUDGET``; a whole one is 9
+        activations for 3x3 taps). Backward may rise above its starting size
+        by less than one whole im2col matrix (8 activations): the popped
+        rules free the later blocks' buffers and gradients before the first
+        block runs. The whole step, forward and backward, peaks below 14
+        activations above its start: 11.1 here, against 34.9 when each block
+        kept its whole im2col matrix for its backward."""
         b, c, h = 8, 8, 16
         x = Tensor(rng.uniform(-1, 1, (b, c, h, h)))
         blocks = [(rt(rng, c, c, 3, 3), rt(rng, c), rt(rng, c), rt(rng, c)) for _ in range(3)]
         activation = x.data.nbytes
+        monkeypatch.setattr(T, "_COLS_BUDGET", 2 * x.data.size)
         tracemalloc.start()
         try:
+            begin = tracemalloc.get_traced_memory()[0]
             with T.recording() as tape:
                 out = x
                 for w, bias, gamma, beta in blocks:
                     out = T.conv_block(out, w, bias, gamma, beta, RunningStats(c), True)
                 loss = T.sum_all(out)
             del out
+            forward_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             tape.backward(loss)
@@ -639,6 +752,7 @@ class TestBackward:
             tracemalloc.stop()
         assert all(t.grad is not None for block in blocks for t in block)
         assert (peak - start) / activation < 8
+        assert (max(forward_peak, peak) - begin) / activation < 14
 
 
 class TestGradientChecks:

@@ -330,6 +330,14 @@ class TestFit:
         result = fit(model, protos["train"].trials, cfg, store)
         assert result.logs[4].mean_loss < result.logs[0].mean_loss
 
+    def test_overflow_in_a_step_raises_naming_epoch_and_step(self):
+        """Every value is finite, but spoofs 1e308 away in CM space make
+        the step overflow; training stops instead of going on with inf."""
+        store, protos = tiny_synth(seed=3, spoof_shift=1e308)
+        model = models.build(TINY_DNN, (8, 8, 6), seed=7)
+        with pytest.raises(RuntimeError, match=r"^floating-point overflow .* at epoch 1, step \d"):
+            fit(model, protos["train"].trials, TrainConfig(batch_size=16, epochs=2, seed=7), store)
+
     @pytest.mark.parametrize("as_rows", [False, True], ids=["trials", "rows"])
     def test_single_class_data_rejected(self, as_rows):
         store, protos = tiny_synth(seed=1)
