@@ -5,6 +5,9 @@ written carries the originating seed and a digest of the producing
 configuration in comment lines (or in the checkpoint header), and all
 writes go through a temp-file rename so interrupted runs never leave
 truncated outputs.
+
+A run file's keys are ``training.TrainConfig``'s fields plus the preset and
+the paths (``ExperimentConfig``).
 """
 
 from __future__ import annotations
@@ -58,24 +61,16 @@ _CASTS = {"int": integer, "float": finite_float, "bool": _parse_bool, "str": str
           "str | None": str}
 
 
-@dataclass
-class ExperimentConfig:
-    """Declarative training run, parsed from a key=value run file."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(training.TrainConfig):
+    """Declarative training run, parsed from a key=value run file: the
+    preset, the paths and the training recipe, ``TrainConfig``'s fields."""
 
     model: str
     embeddings: str
     train_protocol: str
     out_dir: str
     dev_protocol: str | None = None
-    seed: int = 0
-    epochs: int = 30
-    batch_size: int = 256
-    lr0: float = 1e-3
-    weight_decay: float = 1e-3
-    schedule_decay: float = 1e-4
-    class_weight_negative: float = 0.1
-    class_weight_positive: float = 0.9
-    select_best: bool = True
 
     @classmethod
     def parse(cls, path: str, workdir: str | None = None) -> "ExperimentConfig":
@@ -108,24 +103,11 @@ class ExperimentConfig:
                     raise FileNotFoundError(f"{path}: run file references missing path: {value}")
                 if os.path.isdir(value):
                     raise IsADirectoryError(f"{path}: run file references a directory: {value}")
-        cfg = cls(**values)
         try:
-            models.preset(cfg.model)
-            cfg.train_config()
+            models.preset(values["model"])
+            return cls(**values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return cfg
-
-    def train_config(self) -> training.TrainConfig:
-        return training.TrainConfig(
-            lr0=self.lr0,
-            weight_decay=self.weight_decay,
-            class_weights=(self.class_weight_negative, self.class_weight_positive),
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            schedule_decay=self.schedule_decay,
-            seed=self.seed,
-        )
 
 
 def _score_set_from_files(score_path: str, protocol: data.Protocol) -> metrics.ScoreSet:
@@ -166,25 +148,15 @@ def cmd_train(args) -> int:
     digest = config_digest(asdict(cfg))
     store = data.load_embeddings(cfg.embeddings)
     train_protocol = data.parse_protocol(cfg.train_protocol, partition="train")
-    dev_protocol = (
-        data.parse_protocol(cfg.dev_protocol, partition="dev")
-        if cfg.dev_protocol
-        else None
-    )
+    dev_protocol = (data.parse_protocol(cfg.dev_protocol, partition="dev")
+                    if cfg.dev_protocol else None)
     dims = (store.d_spk, store.d_spk, store.d_cm)
     try:
         model = models.build(cfg.model, dims, seed=cfg.seed)
     except ValueError as exc:
         raise ValueError(f"{cfg.embeddings}: model {cfg.model} does not fit embedding dims "
                          f"{dims}: {exc}") from None
-    result = training.fit(
-        model,
-        train_protocol.trials,
-        cfg.train_config(),
-        store,
-        dev_trials=dev_protocol.trials if dev_protocol else None,
-        select_best=cfg.select_best if dev_protocol else None,
-    )
+    result = training.fit(model, train_protocol, cfg, store, dev_trials=dev_protocol or None)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.ckpt")
     models.save_checkpoint(model, ckpt_path)
@@ -210,8 +182,11 @@ def cmd_score(args) -> int:
             f"{emb_path} has embedding dims {dims} but {ckpt_path} was trained on {model.dims}"
         )
     protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
-    try:
-        scores = training.score_trials(model.eval(), protocol.trials, store, args.batch_size)
+    try:  # checkpoint and embeddings are finite, so only these errors give a non-finite score
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            scores = training.score_trials(model.eval(), protocol, store, args.batch_size)
+    except FloatingPointError:
+        raise ValueError(f"{ckpt_path}: model gives non-finite scores") from None
     except MemoryError as exc:
         # numpy's allocation error carries the shape and dtype it asked for.
         shape, dtype = getattr(exc, "shape", None), getattr(exc, "dtype", None)
@@ -219,8 +194,6 @@ def cmd_score(args) -> int:
                  f" (array of shape {shape})" if shape is not None and dtype is not None else "")
         raise MemoryError(f"scoring {len(protocol)} trials at --batch-size {args.batch_size} "
                           f"ran out of memory{asked}; use a smaller --batch-size") from None
-    if not np.isfinite(scores).all():
-        raise ValueError(f"{ckpt_path}: model gives non-finite scores")
     digest = config_digest(asdict(model.config))
     metrics.write_score_file(
         protocol.trial_ids(),
@@ -250,28 +223,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    if args.method == "linear" and not (args.calibration_scores and args.calibration_protocol):
+    linear = args.method == score_fusion.LINEAR
+    if linear and not (args.calibration_scores and args.calibration_protocol):
         raise ValueError("linear fusion needs --calibration-scores and --calibration-protocol")
-    protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
-    sets = [
-        _score_set_from_files(_resolve(path, args.workdir), protocol)
-        for path in args.scores
-    ]
-    if args.method == "average":
-        model = score_fusion.FusionModel(kind=score_fusion.AVERAGE)
+
+    def score_sets(paths, protocol_path):
+        protocol = data.parse_protocol(_resolve(protocol_path, args.workdir))
+        return [_score_set_from_files(_resolve(path, args.workdir), protocol) for path in paths]
+
+    sets = score_sets(args.scores, args.protocol)
+    if linear:
+        model = score_fusion.fit_linear(
+            score_sets(args.calibration_scores, args.calibration_protocol))
     else:
-        cal_protocol = data.parse_protocol(
-            _resolve(args.calibration_protocol, args.workdir)
-        )
-        cal_sets = [
-            _score_set_from_files(_resolve(path, args.workdir), cal_protocol)
-            for path in args.calibration_scores
-        ]
-        model = score_fusion.fit_linear(cal_sets)
+        model = score_fusion.FusionModel(kind=score_fusion.AVERAGE)
     fused = score_fusion.apply(model, sets)
-    digest = config_digest(
-        {"method": args.method, "inputs": list(args.scores)}
-    )
+    digest = config_digest({"method": args.method, "inputs": list(args.scores)})
     metrics.write_score_file(
         fused.trial_ids,
         fused.scores,
@@ -326,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     fuse = sub.add_parser("fuse", help="combine score files by averaging or logistic fusion")
-    fuse.add_argument("--method", choices=("average", "linear"), required=True)
+    fuse.add_argument("--method", choices=(score_fusion.AVERAGE, score_fusion.LINEAR),
+                      required=True)
     fuse.add_argument("--scores", nargs="+", required=True)
     fuse.add_argument("--protocol", required=True)
     fuse.add_argument("--out", required=True)

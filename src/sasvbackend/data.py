@@ -35,8 +35,8 @@ LABELS = ("target", "nontarget", "spoof")
 PARTITIONS = ("train", "dev", "eval")
 
 _EMB_HEADER = re.compile(r"^#EMB v1 d_spk=(\d+) d_cm=(\d+)$", re.ASCII)
-# Embedding rows per kind parsed by one np.loadtxt call: about 1 MB of text at
-# SASV-2022 sizes, the most any kind holds pending.
+# Embedding lines held pending and then parsed with one np.loadtxt call per
+# kind: about 1 MB of text at SASV-2022 sizes.
 _CHUNK_ROWS = 256
 
 
@@ -57,6 +57,12 @@ def atomic_write(path: str, mode: str = "w"):
         raise
 
 
+class MissingIdError(KeyError):
+    """An id with no stored embedding; str() omits the quotes of KeyError."""
+
+    __str__ = Exception.__str__
+
+
 class LineError(ValueError):
     """A fault found after its line was read; ``read_lines`` reports it at
     ``lineno`` instead of the line being read."""
@@ -72,9 +78,11 @@ def read_lines(path: str, parse_line, *, header=None, strip: bool = False,
     ``#`` lines (after a whitespace strip when ``strip`` is set); ``header``
     gets line 1 whatever it holds, and ``numbered`` passes ``(lineno, line)``.
     A ValueError raised while decoding or parsing line N comes out as
-    ``path:N: message``. ``end`` finishes deferred work after the last line
-    and again when a line fails, so a ``LineError`` of an earlier line wins."""
-    lineno, out = 1, []
+    ``path:N: message``. ``end`` finishes deferred work, which holds only
+    lines before the one being read: after the last line, and before a
+    fault is raised, so that the fault of a deferred line (a ``LineError``)
+    comes first."""
+    lineno, out, fault = 1, [], None
     with open(path, "rb") as fh:
         try:
             if header is not None:
@@ -84,16 +92,16 @@ def read_lines(path: str, parse_line, *, header=None, strip: bool = False,
                 line = line.strip() if strip else line.rstrip("\r\n")
                 if line and not line.startswith("#"):
                     out.append(parse_line(lineno, line) if numbered else parse_line(line))
+        except ValueError as exc:
+            fault = exc
+        try:
             if end is not None:
                 end()
         except ValueError as exc:
-            fault = exc if isinstance(exc, LineError) else LineError(lineno, exc)
-            if end is not None:
-                try:
-                    end()
-                except LineError as earlier:
-                    fault = min(fault, earlier, key=lambda e: e.lineno)
-            raise ValueError(f"{path}:{fault.lineno}: {fault}") from None
+            fault = exc
+    if fault is not None:
+        lineno = fault.lineno if isinstance(fault, LineError) else lineno
+        raise ValueError(f"{path}:{lineno}: {fault}")
     return out
 
 
@@ -126,9 +134,18 @@ class Trial:
 class Protocol:
     trials: list[Trial]
     partition: str = "eval"
+    path: str | None = None  # the file it was read from, and each trial's line there
+    lines: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.trials)
+
+    def where(self, i: int | None = None) -> str:
+        """The error prefix ``path: ``, or ``path:line: `` of trial i ("" if
+        the protocol was not read from a file)."""
+        if self.path is None:
+            return ""
+        return f"{self.path}: " if i is None else f"{self.path}:{self.lines[i]}: "
 
     def trial_ids(self) -> list[str]:
         """Stable per-line ids used in score files: t000000, t000001, ..."""
@@ -146,14 +163,16 @@ class EmbeddingStore:
 
     Each kind ("spk", "cm") is one float64 matrix, grown geometrically on
     ``add`` (capacity stays untouched, so not resident, until written), and
-    an id -> row dict in insertion order.
+    an id -> row dict in insertion order. ``path`` names the file it was
+    read from in errors.
     """
 
-    def __init__(self, d_spk: int, d_cm: int):
+    def __init__(self, d_spk: int, d_cm: int, path: str | None = None):
         if d_spk < 1 or d_cm < 1:
             raise ValueError(f"embedding dims must be positive, got {d_spk}, {d_cm}")
         self.d_spk = int(d_spk)
         self.d_cm = int(d_cm)
+        self.path = path
         self._rows: dict[str, dict[str, int]] = {"spk": {}, "cm": {}}
         self._data = {"spk": np.empty((0, self.d_spk)), "cm": np.empty((0, self.d_cm))}
 
@@ -199,7 +218,9 @@ class EmbeddingStore:
         try:
             return self._rows[kind][utt_id]
         except KeyError:
-            raise KeyError(f"no {_KIND_NAMES[kind]} embedding stored for {utt_id!r}") from None
+            where = f" in {self.path}" if self.path else ""
+            message = f"no {_KIND_NAMES[kind]} embedding stored for {utt_id!r}{where}"
+            raise MissingIdError(message) from None
 
 
 def save_embeddings(store: EmbeddingStore, path: str, comments: tuple[str, ...] = ()) -> None:
@@ -224,57 +245,52 @@ def _parse_floats(payloads) -> np.ndarray:
 
 
 def load_embeddings(path: str) -> EmbeddingStore:
-    """Read an embedding file. Lines are checked as they are read; their
-    payloads are parsed ``_CHUNK_ROWS`` rows of a kind at a time, and a fault
-    is reported at the first faulty line in file order."""
+    """Read an embedding file. Lines are checked as they are read and held
+    in file order; every ``_CHUNK_ROWS`` lines their payloads are parsed, one
+    call per kind, and a fault is reported at the first faulty line."""
     store = None
-    pending = {"spk": [], "cm": []}  # (lineno, utt_id, payload), one chunk at most
+    pending = []  # (lineno, utt_id, kind, payload) in file order, one chunk at most
 
     def header(line):
         nonlocal store
         m = _EMB_HEADER.match(line)
         if not m:
             raise ValueError(f"bad embedding header {line!r}")
-        store = EmbeddingStore(int(m.group(1)), int(m.group(2)))
+        store = EmbeddingStore(int(m.group(1)), int(m.group(2)), path)
 
-    def flush(kind):
-        chunk, pending[kind] = pending[kind], []
-        if not chunk:
-            return
-        _, ids, payloads = zip(*chunk)
-        try:
-            store.add_rows(kind, ids, _parse_floats(payloads))
-        except ValueError:
-            for lineno, utt_id, payload in chunk:  # row by row, to name the faulty line
+    def flush():
+        chunk = pending[:]
+        pending.clear()
+        failed = set()  # kinds of which nothing was stored
+        for kind in _KIND_NAMES:
+            rows = [(utt_id, payload) for _, utt_id, k, payload in chunk if k == kind]
+            if rows:
+                ids, payloads = zip(*rows)
+                try:
+                    store.add_rows(kind, ids, _parse_floats(payloads))
+                except ValueError:
+                    failed.add(kind)
+        for lineno, utt_id, kind, payload in chunk:  # row by row, to name the first faulty line
+            if kind in failed:
                 try:
                     store.add_rows(kind, [utt_id], _parse_floats([payload]))
                 except ValueError as exc:
                     raise LineError(lineno, exc) from None
-
-    def finish():
-        faults = []
-        for kind in pending:
-            try:
-                flush(kind)
-            except LineError as exc:
-                faults.append(exc)
-        if faults:
-            raise min(faults, key=lambda exc: exc.lineno)
 
     def record(lineno, line):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError("expected 3 tab-separated fields")
         utt_id, kind, payload = parts
-        if kind not in pending:
+        if kind not in _KIND_NAMES:
             raise ValueError(f"unknown embedding kind {kind!r}")
         if not payload:
             raise ValueError("malformed float payload")
-        pending[kind].append((lineno, utt_id, payload))
-        if len(pending[kind]) == _CHUNK_ROWS:
-            flush(kind)
+        pending.append((lineno, utt_id, kind, payload))
+        if len(pending) == _CHUNK_ROWS:
+            flush()
 
-    read_lines(path, record, header=header, numbered=True, end=finish)
+    read_lines(path, record, header=header, numbered=True, end=flush)
     return store
 
 
@@ -297,7 +313,8 @@ def _trial(line: str) -> Trial:
 
 
 def parse_protocol(path: str, partition: str = "eval") -> Protocol:
-    return Protocol(read_lines(path, _trial), partition)
+    numbered = read_lines(path, lambda lineno, line: (lineno, _trial(line)), numbered=True)
+    return Protocol([t for _, t in numbered], partition, path, [n for n, _ in numbered])
 
 
 @dataclass(frozen=True)
@@ -320,20 +337,26 @@ class TrialRows:
 
 
 def compile_trials(store: EmbeddingStore, trials) -> TrialRows:
-    """Resolve every id of a trial list to its store row, trial by trial, so
-    an unknown id raises the store's KeyError here; TrialRows pass through."""
+    """Resolve every id of a trial list or ``Protocol`` to its store row,
+    trial by trial, so an unknown id raises the store's KeyError here,
+    prefixed with the protocol's file and line when it was read from one;
+    TrialRows pass through."""
     if isinstance(trials, TrialRows):
         return trials
+    protocol = trials if isinstance(trials, Protocol) else Protocol(trials)
     enroll, test_spk, test_cm = [], [], []
-    for t in trials:
-        enroll.append([store.row("spk", e) for e in t.enroll_ids])
-        test_spk.append(store.row("spk", t.test_id))
-        test_cm.append(store.row("cm", t.test_id))
+    for i, t in enumerate(protocol.trials):
+        try:
+            enroll.append([store.row("spk", e) for e in t.enroll_ids])
+            test_spk.append(store.row("spk", t.test_id))
+            test_cm.append(store.row("cm", t.test_id))
+        except MissingIdError as exc:
+            raise MissingIdError(f"{protocol.where(i)}{exc}") from None
     count = np.array([len(r) for r in enroll], dtype=np.intp)
     width = max(count, default=1)
     padded = np.array([r + [0] * (width - len(r)) for r in enroll], dtype=np.intp)
     return TrialRows(padded.reshape(len(enroll), width), count, np.array(test_spk, dtype=np.intp),
-                     np.array(test_cm, dtype=np.intp), np.array([t.label for t in trials]))
+                     np.array(test_cm, dtype=np.intp), np.array(protocol.labels()))
 
 
 # ---------------------------------------------------------------------------

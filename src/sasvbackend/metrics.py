@@ -51,7 +51,7 @@ class ScoreSet:
         return self.scores.size
 
     def by_label(self, label: str) -> np.ndarray:
-        mask = np.array([l == label for l in self.labels])
+        mask = np.array([l == label for l in self.labels], dtype=bool)
         return self.scores[mask]
 
 

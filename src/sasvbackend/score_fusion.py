@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import atomic_write
 from .metrics import ScoreSet
+from .tensor import logistic
 
 AVERAGE = "average"
 LINEAR = "linear"
@@ -77,15 +78,6 @@ def average(score_sets: list[ScoreSet]) -> ScoreSet:
     return ScoreSet(ids, mean, labels)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def _objective(matrix, y, w, b):
     z = matrix @ w + b
     loglik = -(np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1.0 - y)).mean()
@@ -98,7 +90,7 @@ def fit_linear(score_sets: list[ScoreSet]) -> FusionModel:
         raise ValueError("linear fusion needs at least 2 systems")
     _, labels, matrix = align(score_sets)
     y = np.array([1.0 if l == "target" else 0.0 for l in labels])
-    if y.min() == y.max():
+    if y.size == 0 or y.min() == y.max():
         raise ValueError("calibration labels must contain both classes")
 
     n_systems = matrix.shape[1]
@@ -110,7 +102,7 @@ def fit_linear(score_sets: list[ScoreSet]) -> FusionModel:
     iterations = 0
     while iterations < _MAX_ITER:
         iterations += 1
-        residual = y - _sigmoid(matrix @ w + b)
+        residual = y - logistic(matrix @ w + b)
         grad_w = matrix.T @ residual / y.size - _PENALTY * w
         grad_b = residual.mean() - _PENALTY * b
         grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b**2))
@@ -152,7 +144,7 @@ def apply(fusion: FusionModel, score_sets: list[ScoreSet]) -> ScoreSet:
             f"fusion model expects {None if fusion.weights is None else len(fusion.weights)}"
             f" systems, got {matrix.shape[1]}"
         )
-    return ScoreSet(ids, _sigmoid(matrix @ fusion.weights + fusion.bias), labels)
+    return ScoreSet(ids, logistic(matrix @ fusion.weights + fusion.bias), labels)
 
 
 def save_fusion_model(fusion: FusionModel, path: str) -> None:

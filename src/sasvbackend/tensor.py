@@ -508,14 +508,18 @@ def relu(x: Tensor) -> Tensor:
     return _finish(out, (x,), rule)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def logistic(d: np.ndarray) -> np.ndarray:
     """1/(1+exp(-v)) computed in the branch form that never overflows."""
-    d = x.data
-    out_data = np.empty_like(d)
+    out = np.empty_like(d)
     pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
-    out_data[~pos] = e / (1.0 + e)
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_data = logistic(x.data)
     out = Tensor(out_data)
     sx = _slot(x)
 
@@ -724,13 +728,6 @@ def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> 
             xb += flat.reshape(xb.shape)
 
 
-def _stand_in(a: np.ndarray) -> np.ndarray:
-    """An 8-byte array with ``a``'s shape and strides, never read: numpy's
-    ``*_like`` functions take the memory order of their result from those
-    alone, so it stands in for ``a`` without keeping ``a`` alive."""
-    return np.lib.stride_tricks.as_strided(np.empty(1), a.shape, a.strides, writeable=False)
-
-
 def conv_block(
     x: Tensor,
     w: Tensor,
@@ -757,8 +754,8 @@ def conv_block(
     The backward is one blocked pass too: the LeakyReLU factor, then the
     batch-norm gradient written over each xhat block, which leaves the
     GEMM-shaped output gradient for dbias, dW and col2im. The rule keeps x
-    when w needs a gradient (dW rebuilds its im2col rows from it), and x's
-    shape and strides, from which dx takes x's layout.
+    when w or x needs a gradient: dW rebuilds its im2col rows from it, and
+    dx takes its layout.
     """
     nd = x.data.ndim - 2
     if nd not in (1, 2) or w.data.ndim != x.data.ndim:
@@ -828,8 +825,7 @@ def conv_block(
         stats.var = (1.0 - _MOMENTUM) * stats.var + _MOMENTUM * var
     out = Tensor(out_data)
     sx, sw, sbias, sgamma, sbeta = (_slot(t) for t in inputs)
-    wd, x_like = w.data, (_stand_in(x.data) if sx else None)
-    xc = xc if sw else None  # only dW rebuilds im2col rows
+    wd, xd = w.data, (x.data if sx or sw else None)
 
     def rule(g):
         dgamma = np.empty(cout) if sgamma else None
@@ -874,12 +870,12 @@ def conv_block(
             dwt = np.empty((cin * taps, cout))
             for blk in runs:
                 cols = buf[: (blk.stop - blk.start) * taps * b * pos].reshape(-1, taps, b, *sizes)
-                _im2col(xc[blk], cols, plan)
+                _im2col(xd.transpose(_cm(xd.ndim))[blk], cols, plan)
                 np.matmul(cols.reshape(-1, b * pos), gmat.T,
                           out=dwt[blk.start * taps:blk.stop * taps])
             _accumulate(sw, np.ascontiguousarray(dwt.T).reshape(wd.shape), own=True)
         if sx:  # dcols per chunk of batch items, added into dx by col2im
-            dx = np.zeros_like(x_like)  # x's layout, without holding x.data
+            dx = np.zeros_like(xd)  # in x's layout
             for blk in items:
                 cols = buf[: cin * taps * (blk.stop - blk.start) * pos]
                 cols = cols.reshape(cin, taps, -1, *sizes)

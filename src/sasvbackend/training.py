@@ -4,6 +4,9 @@ seeded epoch shuffling, and optional best-by-dev checkpoint selection.
 The positive class (label 1) is the bonafide target trial; nontarget and
 spoof trials are the negative class (label 0). Class weights default to
 (0.1, 0.9), putting most of the loss mass on the rarer positive class.
+
+``TrainConfig`` is the whole training recipe. A run file's keys are its
+fields plus the preset and the paths (``cli.ExperimentConfig``).
 """
 
 from __future__ import annotations
@@ -14,22 +17,26 @@ import numpy as np
 
 from . import tensor as T
 from ._mem import tune_malloc
-from .data import EmbeddingStore, Trial, TrialRows, compile_trials
+from .data import EmbeddingStore, Protocol, Trial, TrialRows, compile_trials
 from .fusion import fuse_batch
-from .metrics import ScoreSet, evaluate
+from .metrics import EerReport, ScoreSet, evaluate
 from .models import Model
 from .tensor import Tensor
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How one model is trained; ``select_best`` applies only with dev trials."""
+
     lr0: float = 1e-3
     weight_decay: float = 1e-3
-    class_weights: tuple[float, float] = (0.1, 0.9)
+    class_weight_negative: float = 0.1
+    class_weight_positive: float = 0.9
     batch_size: int = 256
     epochs: int = 30
     schedule_decay: float = 1e-4
     seed: int = 0
+    select_best: bool = True
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -44,6 +51,10 @@ class TrainConfig:
             raise ValueError("decay constants must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    @property
+    def class_weights(self) -> tuple[float, float]:
+        return self.class_weight_negative, self.class_weight_positive
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -91,11 +102,10 @@ class Adam:
     """
 
     BLOCK = 1 << 15
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, named_params):
         self.named_params = list(named_params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros(p.data.shape) for _, p in self.named_params]
         self.v = [np.zeros(p.data.shape) for _, p in self.named_params]
@@ -104,7 +114,7 @@ class Adam:
 
     def step(self, lr: float, weight_decay: float, tape: T.Tape, loss: Tensor) -> None:
         self.t += 1
-        self._hyper = (lr, weight_decay, 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t)
+        self._hyper = (lr, weight_decay, 1.0 - self.BETA1**self.t, 1.0 - self.BETA2**self.t)
         try:
             tape.backward(loss, self)
         finally:
@@ -122,7 +132,7 @@ class Adam:
                 f"parameter {name!r} has shape {p.data[rows].shape} but its gradient {grad.shape}"
             )
         lr, weight_decay, c1, c2 = self._hyper
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = self.BETA1, self.BETA2, self.EPS
         p.data = np.ascontiguousarray(p.data)
         flat_p, flat_g = p.data[rows].reshape(-1), np.ravel(grad)
         flat_m, flat_v = self.m[i][rows].reshape(-1), self.v[i][rows].reshape(-1)
@@ -153,18 +163,13 @@ class EpochLog:
     epoch: int
     mean_loss: float
     lr: float
-    dev_sasv: float | None = None
-    dev_spf: float | None = None
-    dev_sv: float | None = None
+    dev: EerReport | None = None
 
     def format_line(self) -> str:
         parts = [f"epoch={self.epoch}", f"loss={self.mean_loss:.6f}", f"lr={self.lr:.6e}"]
-        if self.dev_sasv is not None:
-            parts.append(f"dev_sasv={self.dev_sasv:.3f}")
-        if self.dev_spf is not None:
-            parts.append(f"dev_spf={self.dev_spf:.3f}")
-        if self.dev_sv is not None:
-            parts.append(f"dev_sv={self.dev_sv:.3f}")
+        if self.dev is not None:
+            eers = (("sasv", self.dev.sasv_eer), ("spf", self.dev.spf_eer), ("sv", self.dev.sv_eer))
+            parts += [f"dev_{name}={eer:.3f}" for name, eer in eers if eer is not None]
         return " ".join(parts)
 
 
@@ -184,7 +189,7 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
     return chunks
 
 
-def score_trials(model: Model, trials: list[Trial] | TrialRows, store: EmbeddingStore,
+def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store: EmbeddingStore,
                  batch_size: int = 256) -> np.ndarray:
     """Per-trial target probabilities in protocol order (eval mode).
 
@@ -222,20 +227,19 @@ def evaluate_trials(model: Model, trials: list[Trial] | TrialRows, store: Embedd
 
 def fit(
     model: Model,
-    train_trials: list[Trial] | TrialRows,
+    train_trials: list[Trial] | Protocol | TrialRows,
     cfg: TrainConfig,
     store: EmbeddingStore,
-    dev_trials: list[Trial] | TrialRows | None = None,
-    select_best: bool | None = None,
+    dev_trials: list[Trial] | Protocol | TrialRows | None = None,
 ) -> FitResult:
     """Train in place and return the per-epoch log.
 
-    Both trial sets may be ``Trial`` lists or compiled ``TrialRows``; the
-    two give the same checkpoint bytes. When dev trials are given they are
-    scored after every epoch; with select_best (the default when a dev set
-    is present, turn it off when dev was part of the training data) the
-    parameters with the lowest dev SASV-EER are restored at the end,
-    otherwise the final epoch stays.
+    Both trial sets may be ``Trial`` lists, a ``Protocol`` (whose file and
+    line then name a fault) or compiled ``TrialRows``; all give the same
+    checkpoint bytes. When dev trials are given they are scored after every
+    epoch; with ``cfg.select_best`` (the default; turn it off when dev was
+    part of the training data) the parameters with the lowest dev SASV-EER
+    are restored at the end, otherwise the final epoch stays.
     The model is returned in eval mode with no gradients held.
 
     Each step's Adam update runs inside its backward pass (``Adam.step``):
@@ -248,14 +252,13 @@ def fit(
     step, instead of moments or weights silently turning inf or NaN.
     """
     tune_malloc()
+    where = train_trials.where() if isinstance(train_trials, Protocol) else ""
     if not train_trials:
-        raise ValueError("no training trials")
+        raise ValueError(f"{where}no training trials")
     train_rows = compile_trials(store, train_trials)
     y = (train_rows.labels == "target").astype(np.intp)
     if y.min() == y.max():
-        raise ValueError("training data must contain both classes")
-    if select_best is None:
-        select_best = dev_trials is not None
+        raise ValueError(f"{where}training data must contain both classes")
 
     mode = model.config.fusion_mode
     dev_rows = compile_trials(store, dev_trials) if dev_trials is not None else None
@@ -296,17 +299,14 @@ def fit(
 
         log = EpochLog(epoch=epoch, mean_loss=total / n, lr=last_lr)
         if dev_rows is not None:
-            report = evaluate_trials(model, dev_rows, store, cfg.batch_size)
-            log.dev_sasv = report.sasv_eer
-            log.dev_spf = report.spf_eer
-            log.dev_sv = report.sv_eer
-            if select_best and report.sasv_eer is not None and report.sasv_eer < best_eer:
+            report = log.dev = evaluate_trials(model, dev_rows, store, cfg.batch_size)
+            if cfg.select_best and report.sasv_eer is not None and report.sasv_eer < best_eer:
                 best_eer = report.sasv_eer
                 best_state = model.state_arrays()
                 result.best_epoch = epoch
         result.logs.append(log)
 
     model.eval()
-    if select_best and best_state is not None:
+    if best_state is not None:  # only with cfg.select_best and dev trials
         model.load_state_arrays(best_state)
     return result

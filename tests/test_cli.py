@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -264,6 +265,59 @@ class TestRunFileChecks:
         assert not (tmp_path / "d").exists()
 
 
+class TestOneDeclaration:
+    """Every run-file key, default and check is declared once: the preset and
+    the paths in ``cli.ExperimentConfig``, the training settings in the
+    ``training.TrainConfig`` it extends."""
+
+    REQUIRED = "model=Extend512_DNN\nembeddings=e.tsv\ntrain_protocol=t.protocol\nout_dir=o\n"
+
+    @staticmethod
+    def defaults_written_out() -> str:
+        def text(value):
+            return str(value).lower() if isinstance(value, bool) else repr(value)
+
+        return "".join(f"{f.name}={text(f.default)}\n" for f in fields(training.TrainConfig))
+
+    def test_run_file_keys_are_the_config_fields(self, tmp_path):
+        for name in ("e.tsv", "t.protocol"):
+            (tmp_path / name).write_text("")
+        keys = {f.name for f in fields(cli.ExperimentConfig)}
+        paths = {"model", "embeddings", "train_protocol", "out_dir", "dev_protocol"}
+        assert keys == {f.name for f in fields(training.TrainConfig)} | paths
+        assert len(keys) == 14
+        every_key = self.REQUIRED + "dev_protocol=t.protocol\n" + self.defaults_written_out()
+        assert {line.split("=")[0] for line in every_key.splitlines()} == keys
+        (tmp_path / "run.cfg").write_text(every_key)
+        cli.ExperimentConfig.parse(str(tmp_path / "run.cfg"), str(tmp_path))
+
+    def test_required_keys_alone_give_train_config_defaults(self, tmp_path):
+        for name in ("e.tsv", "t.protocol"):
+            (tmp_path / name).write_text("")
+        (tmp_path / "run.cfg").write_text(self.REQUIRED)
+        cfg = cli.ExperimentConfig.parse(str(tmp_path / "run.cfg"), str(tmp_path))
+        recipe = {f.name: getattr(cfg, f.name) for f in fields(training.TrainConfig)}
+        assert recipe == asdict(training.TrainConfig())
+        assert cfg.class_weights == (0.1, 0.9) and cfg.dev_protocol is None
+
+    def test_written_out_defaults_train_the_same_bytes(self, workspace, tmp_path, capsys,
+                                                       monkeypatch):
+        shutil.copytree(workspace / "data", tmp_path / "data")
+        monkeypatch.chdir(tmp_path)  # relative paths, so both digests see the same ones
+        required = self.REQUIRED.replace("e.tsv", "data/embeddings.tsv").replace(
+            "t.protocol", "data/train.protocol")
+        outputs = []
+        for text in (required, required + self.defaults_written_out()):
+            (tmp_path / "run.cfg").write_text(text)
+            code, stderr = run_main(["train", "--run-file", "run.cfg"], capsys)
+            assert code == 0, stderr
+            outputs.append([(tmp_path / "o" / name).read_bytes()
+                            for name in ("train.log", "checkpoint.ckpt")])
+            shutil.rmtree(tmp_path / "o")
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\nepoch=") == 30
+
+
 def rewrite_checkpoint(src, dst, edit_header=None, raw_header=None):
     """Copy a checkpoint with its JSON header edited in place or replaced."""
     header, blob = src.read_bytes().split(b"\n", 1)
@@ -409,6 +463,18 @@ class TestScore:
             stderr = self._score(workspace, tmp_path, capsys, bad)
         assert f"{bad}: model gives non-finite scores" in stderr
 
+    def test_overflow_is_an_input_error_when_warnings_raise(self, workspace, tmp_path, capsys):
+        """Run under this suite's filter that turns RuntimeWarning into an
+        error: the overflow is still reported as the checkpoint's fault, not
+        as error[internal]."""
+        header, blob = (workspace / "run1" / "checkpoint.ckpt").read_bytes().split(b"\n", 1)
+        weights = np.frombuffer(blob, dtype="<f8").copy()
+        weights[: 22 * 512] = 1.7e308
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(header + b"\n" + weights.tobytes())
+        stderr = self._score(workspace, tmp_path, capsys, bad)
+        assert f"{bad}: model gives non-finite scores" in stderr
+
     def test_directory_embeddings_path_is_categorized(self, workspace, tmp_path, capsys):
         code, stderr = run_main(
             ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt",
@@ -470,6 +536,66 @@ class TestScore:
     def test_no_temp_files_left_behind(self, workspace):
         leftovers = [p for p in (workspace / "run1").iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+class TestMissingIds:
+    """An id that a protocol names but the embeddings file lacks ends in exit
+    4, naming the protocol's file and line and the embeddings file; nothing
+    is written. A comment line before the faulty trial keeps its line number
+    apart from its index."""
+
+    def _protocol(self, workspace, tmp_path, name, column):
+        lines = (workspace / "data" / f"{name}.protocol").read_text().splitlines()
+        assert lines[0].startswith("# seed=")
+        enroll, test_id, label = lines[2].split("\t")
+        enroll = "nosuch" if column == "enroll" else enroll
+        test_id = "nosuch" if column == "test" else test_id
+        lines[2:3] = ["# the next trial names an id with no embedding",
+                      "\t".join([enroll, test_id, label])]
+        path = tmp_path / f"{name}.protocol"
+        path.write_text("\n".join(lines) + "\n")
+        return path  # the faulty trial is on line 4
+
+    @pytest.mark.parametrize("column", ["enroll", "test"])
+    def test_train(self, workspace, tmp_path, capsys, column):
+        protocol = self._protocol(workspace, tmp_path, "train", column)
+        emb = workspace / "data" / "embeddings.tsv"
+        (tmp_path / "run.cfg").write_text(f"model=Extend512_DNN\nembeddings={emb}\n"
+                                          f"train_protocol={protocol}\nout_dir=o\nepochs=1\n")
+        code, stderr = run_main(["--workdir", tmp_path, "train", "--run-file", "run.cfg"], capsys)
+        assert code == 4
+        assert stderr == (f"error[missing-id]: {protocol}:4: no speaker embedding stored for "
+                          f"'nosuch' in {emb}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column", ["enroll", "test"])
+    def test_score(self, workspace, tmp_path, capsys, column):
+        protocol = self._protocol(workspace, tmp_path, "eval", column)
+        emb, out = workspace / "data" / "embeddings.tsv", tmp_path / "x.scores"
+        code, stderr = run_main(
+            ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt", "--embeddings", emb,
+             "--protocol", protocol, "--out", out], capsys)
+        assert code == 4
+        assert stderr == (f"error[missing-id]: {protocol}:4: no speaker embedding stored for "
+                          f"'nosuch' in {emb}\n")
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("keep, message", [
+        (lambda label: False, "no training trials"),
+        (lambda label: label == "target", "training data must contain both classes"),
+    ], ids=["empty", "one-class"])
+    def test_unusable_train_protocol_is_named(self, workspace, tmp_path, capsys, keep, message):
+        lines = (workspace / "data" / "train.protocol").read_text().splitlines()
+        protocol = tmp_path / "train.protocol"
+        protocol.write_text("".join(f"{line}\n" for line in lines
+                                    if line.startswith("#") or keep(line.split("\t")[2])))
+        (tmp_path / "run.cfg").write_text(
+            f"model=Extend512_DNN\nembeddings={workspace / 'data' / 'embeddings.tsv'}\n"
+            f"train_protocol={protocol}\nout_dir=o\nepochs=1\n")
+        code, stderr = run_main(["--workdir", tmp_path, "train", "--run-file", "run.cfg"], capsys)
+        assert code == 2
+        assert stderr == f"error[invalid-input]: {protocol}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestEval:
@@ -544,6 +670,19 @@ class TestEval:
         assert "error[invalid-input]" in result.stderr
         assert f"bad.scores:2: malformed score {value!r}" in result.stderr
         assert "SASV-EER" not in result.stdout
+
+    def test_protocol_with_no_trials(self, tmp_path, capsys):
+        """No trials: every EER is absent, shown as "-", and the exit is 0."""
+        (tmp_path / "empty.protocol").write_text("# no trials\n")
+        (tmp_path / "empty.scores").write_text("# seed=0\n")
+        code = cli.main(["--workdir", str(tmp_path), "eval", "--scores", "empty.scores",
+                         "--protocol", "empty.protocol", "--json-out", "r.json"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert [line.split()[1] for line in out.splitlines()[1:4]] == ["-", "-", "-"]
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert [payload[k] for k in ("sasv_eer", "spf_eer", "sv_eer")] == [None, None, None]
+        assert payload["counts"] == {"nontarget": 0, "spoof": 0, "target": 0}
 
     def test_missing_score_file_gives_categorized_error(self, workspace):
         result = run_cli(
@@ -624,6 +763,35 @@ class TestFuse:
         )
         assert result.returncode == 2
         assert "calibration" in result.stderr
+
+
+class TestFuseEmptyProtocol:
+    @pytest.fixture
+    def empty(self, tmp_path):
+        (tmp_path / "empty.protocol").write_text("# no trials\n")
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.scores").write_text("# seed=0\n")
+        return tmp_path
+
+    def test_average(self, empty, capsys):
+        code = cli.main(["--workdir", str(empty), "fuse", "--method", "average", "--scores",
+                         "a.scores", "b.scores", "--protocol", "empty.protocol", "--out", "f.scores"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert [line.split()[1] for line in out.splitlines()[1:4]] == ["-", "-", "-"]
+        assert metrics.read_score_file(str(empty / "f.scores"))[0] == []
+
+    def test_linear_with_empty_calibration(self, workspace, empty, capsys):
+        shutil.copyfile(workspace / "run1" / "eval.scores", empty / "eval.scores")
+        code, stderr = run_main(
+            ["--workdir", empty, "fuse", "--method", "linear",
+             "--scores", "eval.scores", "eval.scores",
+             "--protocol", workspace / "data" / "eval.protocol",
+             "--calibration-scores", "a.scores", "b.scores",
+             "--calibration-protocol", "empty.protocol", "--out", "f.scores"], capsys)
+        assert code == 2
+        assert stderr == "error[invalid-input]: calibration labels must contain both classes\n"
+        assert not (empty / "f.scores").exists()
 
 
 class TestWorkdir:

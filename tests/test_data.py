@@ -47,6 +47,19 @@ class TestEmbeddingStore:
         with pytest.raises(KeyError, match="no speaker embedding"):
             store.row("spk", "ghost")
 
+    def test_missing_id_names_protocol_line_and_embeddings(self, tmp_path):
+        emb, proto = tmp_path / "e.tsv", tmp_path / "p.protocol"
+        emb.write_text("#EMB v1 d_spk=1 d_cm=1\nu1\tspk\t0.5\nu1\tcm\t0.5\n")
+        proto.write_text("u1\tu1\ttarget\n# comment\n\nu1\tghost\tspoof\n")
+        store, protocol = load_embeddings(str(emb)), parse_protocol(str(proto))
+        assert protocol.lines == [1, 4]
+        with pytest.raises(KeyError) as err:
+            compile_trials(store, protocol)
+        assert str(err.value) == f"{proto}:4: no speaker embedding stored for 'ghost' in {emb}"
+        with pytest.raises(KeyError) as err:  # a plain trial list has no file or line
+            compile_trials(store, protocol.trials)
+        assert str(err.value) == f"no speaker embedding stored for 'ghost' in {emb}"
+
     def test_non_finite_rejected(self):
         store = EmbeddingStore(2, 2)
         with pytest.raises(ValueError, match="finite"):

@@ -127,6 +127,13 @@ class TestEvaluate:
         assert report.spf_eer == 0.0
         assert report.sv_eer == 0.0
 
+    def test_empty_set_has_no_partitions(self):
+        empty = ScoreSet([], [], [])
+        assert empty.by_label("target").shape == (0,)
+        report = metrics.evaluate(empty)
+        assert (report.sasv_eer, report.spf_eer, report.sv_eer) == (None, None, None)
+        assert report.counts == {"target": 0, "nontarget": 0, "spoof": 0}
+
     def test_golden_fixture(self):
         report = metrics.evaluate(golden_score_set())
         assert report.sasv_eer == pytest.approx(GOLDEN_EERS["sasv"], abs=1e-9)

@@ -135,6 +135,10 @@ class TestFitLinear:
         with pytest.raises(ValueError, match="both classes"):
             fit_linear([a, b])
 
+    def test_empty_calibration_rejected(self):
+        with pytest.raises(ValueError, match="calibration labels must contain both classes"):
+            fit_linear([make_set([]), make_set([])])
+
 
 class TestApply:
     def test_zero_weights_give_half(self, rng):

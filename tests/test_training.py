@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -277,7 +279,7 @@ class TestLrSchedule:
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
-        "kw", [dict(lr0=0.0), dict(class_weights=(0.0, 0.9)),
+        "kw", [dict(lr0=0.0), dict(class_weight_negative=0.0),
                dict(batch_size=1), dict(epochs=0), dict(schedule_decay=-1.0)]
     )
     def test_bad_values_rejected(self, kw):
@@ -356,13 +358,20 @@ class TestFit:
         with pytest.raises(ValueError, match="no training trials"):
             fit(model, empty, TrainConfig(), store)
 
+    def test_train_config_is_one_frozen_picklable_recipe(self):
+        cfg = TrainConfig(class_weight_positive=0.8, select_best=False)
+        assert cfg.class_weights == (0.1, 0.8)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        with pytest.raises(AttributeError):
+            cfg.epochs = 3
+
     def test_dev_logging_and_best_selection(self):
         store, protos = tiny_synth(seed=9)
         model = models.build(TINY_DNN, (8, 8, 6), seed=9)
         cfg = TrainConfig(batch_size=16, epochs=3, seed=9)
         result = fit(model, protos["train"].trials, cfg, store,
                      dev_trials=protos["dev"].trials)
-        assert all(log.dev_sasv is not None for log in result.logs)
+        assert all(log.dev.sasv_eer is not None for log in result.logs)
         assert result.best_epoch is not None
         line = result.logs[0].format_line()
         assert "epoch=1" in line and "dev_sasv=" in line
@@ -371,8 +380,9 @@ class TestFit:
     def test_returns_holding_no_gradients(self, select_best):
         store, protos = tiny_synth(seed=9)
         model = models.build(TINY_DNN, (8, 8, 6), seed=9)
-        fit(model, protos["train"].trials, TrainConfig(batch_size=16, epochs=2, seed=9), store,
-            dev_trials=protos["dev"].trials, select_best=select_best)
+        fit(model, protos["train"].trials,
+            TrainConfig(batch_size=16, epochs=2, seed=9, select_best=select_best), store,
+            dev_trials=protos["dev"].trials)
         assert all(p.grad is None for p in model.params.values())
 
     def test_unknown_dev_id_raises_before_any_step(self, monkeypatch):
