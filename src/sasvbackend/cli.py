@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -56,6 +56,8 @@ def finite_float(text: str) -> float:
     return value
 
 
+# The run-file keys that hold paths, resolved against --workdir.
+_PATHS = ("embeddings", "train_protocol", "dev_protocol", "out_dir")
 # Casts from the (string) type annotations of the config dataclasses.
 _CASTS = {"int": integer, "float": finite_float, "bool": _parse_bool, "str": str,
           "str | None": str}
@@ -64,7 +66,9 @@ _CASTS = {"int": integer, "float": finite_float, "bool": _parse_bool, "str": str
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(training.TrainConfig):
     """Declarative training run, parsed from a key=value run file: the
-    preset, the paths and the training recipe, ``TrainConfig``'s fields."""
+    preset, the paths and the training recipe, ``TrainConfig``'s fields.
+    ``parse`` keeps the paths as written; ``resolved`` joins them to a
+    workdir."""
 
     model: str
     embeddings: str
@@ -94,11 +98,9 @@ class ExperimentConfig(training.TrainConfig):
         for required in ("model", "embeddings", "train_protocol", "out_dir"):
             if required not in values:
                 raise ValueError(f"{path}: missing required key {required!r}")
-        for key in ("embeddings", "train_protocol", "dev_protocol", "out_dir"):
+        for key in _PATHS[:-1]:  # out_dir need not exist yet
             if key in values:
-                value = values[key] = _resolve(values[key], workdir)
-                if key == "out_dir":
-                    continue
+                value = _resolve(values[key], workdir)
                 if not os.path.exists(value):
                     raise FileNotFoundError(f"{path}: run file references missing path: {value}")
                 if os.path.isdir(value):
@@ -108,6 +110,10 @@ class ExperimentConfig(training.TrainConfig):
             return cls(**values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+    def resolved(self, workdir: str | None) -> "ExperimentConfig":
+        return replace(self, **{key: _resolve(getattr(self, key), workdir) for key in _PATHS
+                                if getattr(self, key) is not None})
 
 
 def _score_set_from_files(score_path: str, protocol: data.Protocol) -> metrics.ScoreSet:
@@ -145,7 +151,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = ExperimentConfig.parse(_resolve(args.run_file, args.workdir), args.workdir)
-    digest = config_digest(asdict(cfg))
+    digest = config_digest(asdict(cfg))  # of the paths as written, whatever the workdir
+    cfg = cfg.resolved(args.workdir)
     store = data.load_embeddings(cfg.embeddings)
     train_protocol = data.parse_protocol(cfg.train_protocol, partition="train")
     dev_protocol = (data.parse_protocol(cfg.dev_protocol, partition="dev")
@@ -184,7 +191,7 @@ def cmd_score(args) -> int:
     protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
     try:  # checkpoint and embeddings are finite, so only these errors give a non-finite score
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            scores = training.score_trials(model.eval(), protocol, store, args.batch_size)
+            scores = training.score_trials(model, protocol, store, args.batch_size)
     except FloatingPointError:
         raise ValueError(f"{ckpt_path}: model gives non-finite scores") from None
     except MemoryError as exc:
@@ -208,14 +215,17 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     protocol = data.parse_protocol(_resolve(args.protocol, args.workdir))
     score_set = _score_set_from_files(_resolve(args.scores, args.workdir), protocol)
+    pos = score_set.by_label("target")
+    neg = [s for s, l in zip(score_set.scores, score_set.labels) if l != "target"]
+    if args.det_out and not (pos.size and neg):  # checked before any output
+        raise ValueError(f"{protocol.where()}--det-out needs target and non-target trials, "
+                         f"got {pos.size} and {len(neg)}")
     report = metrics.evaluate(score_set)
     print(report.format_table())
     if args.json_out:
         with data.atomic_write(_resolve(args.json_out, args.workdir)) as fh:
             fh.write(report.to_json() + "\n")
     if args.det_out:
-        pos = score_set.by_label("target")
-        neg = [s for s, l in zip(score_set.scores, score_set.labels) if l != "target"]
         metrics.write_det_file(
             metrics.det_points(pos, neg), _resolve(args.det_out, args.workdir)
         )

@@ -117,6 +117,11 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def numbered_trial_ids(n: int) -> list[str]:
+    """Stable per-line ids used in score files: t000000, t000001, ..."""
+    return [f"t{i:06d}" for i in range(n)]
+
+
 @dataclass(frozen=True)
 class Trial:
     enroll_ids: tuple[str, ...]
@@ -148,8 +153,7 @@ class Protocol:
         return f"{self.path}: " if i is None else f"{self.path}:{self.lines[i]}: "
 
     def trial_ids(self) -> list[str]:
-        """Stable per-line ids used in score files: t000000, t000001, ..."""
-        return [f"t{i:06d}" for i in range(len(self.trials))]
+        return numbered_trial_ids(len(self.trials))
 
     def labels(self) -> list[str]:
         return [t.label for t in self.trials]

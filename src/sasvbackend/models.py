@@ -25,10 +25,13 @@ init with bound sqrt(6/fan_in), biases start at zero.
 
 One code path serves every preset; only the rank of the fused input
 differs (``fusion.RANK``: 0, 1 or 2 spatial axes, the length of
-``pool_size``). ``Model.forward`` is ``head(features(batch))``:
-``features`` runs the conv blocks, attention, pool and flatten and gives
-one flat row per trial (a concat batch passes through unchanged), and
-``head`` runs the DNN and the output layer on those rows.
+``pool_size``). ``Model.forward(batch, training=False)`` is
+``head(features(batch, training))``: ``features`` runs the conv blocks,
+attention, pool and flatten and gives one flat row per trial (a concat
+batch passes through unchanged), and ``head`` runs the DNN and the output
+layer on those rows. A model holds no mode: ``training`` picks the conv
+blocks' batch norm, on the batch moments (moving the running statistics)
+or on the running statistics.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ def preset(name: str) -> ModelConfig:
 
 
 class Model:
-    """One built network: config, named parameters, BN buffers, mode flag."""
+    """One built network: config, named parameters and BN buffers."""
 
     def __init__(self, config: ModelConfig, dims: tuple[int, int, int], seed: int, *,
                  _init: bool = True):
@@ -213,7 +216,6 @@ class Model:
         self.config = config
         self.dims = tuple(int(x) for x in dims)
         self.seed = int(seed)
-        self.training = False
         self.params: dict[str, Tensor] = {}
         self.bn_stats: dict[str, RunningStats] = {}
         self._attention: att.AttentionParams | None = None
@@ -259,18 +261,7 @@ class Model:
         self._add_param("head.w", T.init_weight(rng, (width, cfg.num_classes), width))
         self._add_param("head.b", Tensor(np.zeros(cfg.num_classes), requires_grad=True))
 
-    # -- mode & parameter access -------------------------------------------
-
-    def train(self) -> "Model":
-        self.training = True
-        return self
-
-    def eval(self) -> "Model":
-        self.training = False
-        return self
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
+    # -- parameter access --------------------------------------------------
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -299,10 +290,10 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def features(self, batch: np.ndarray) -> Tensor:
+    def features(self, batch: np.ndarray, training: bool = False) -> Tensor:
         """The head's input rows for a fused batch of the config's fusion
-        mode: conv blocks, attention, pool and flatten. A batch of another
-        rank ends in a DimensionError."""
+        mode: conv blocks (in training mode when ``training``), attention,
+        pool and flatten. A batch of another rank ends in a DimensionError."""
         cfg, p = self.config, self.params
         x = Tensor(np.asarray(batch, dtype=np.float64))
         if not cfg.pool_size:  # concat: already one flat row per trial
@@ -310,14 +301,11 @@ class Model:
         for i in range(len(cfg.conv_kernels)):
             x = T.conv_block(
                 x, p[f"conv{i}.w"], p[f"conv{i}.b"], p[f"bn{i}.gamma"], p[f"bn{i}.beta"],
-                self.bn_stats[f"bn{i}"], training=self.training,
+                self.bn_stats[f"bn{i}"], training,
             )
             if cfg.attention_position == i:
                 x = att.apply_attention(x, self._attention)
-        if len(cfg.pool_size) == 2:
-            x = T.adaptive_avg_pool2d(x, cfg.pool_size)
-        else:
-            x = T.adaptive_avg_pool1d(x, cfg.pool_size[0])
+        x = T.adaptive_avg_pool(x, cfg.pool_size)
         return T.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
 
     def head(self, h: Tensor) -> Tensor:
@@ -327,15 +315,9 @@ class Model:
             h = T.leaky_relu(T.linear(h, p[f"fc{i}.w"], p[f"fc{i}.b"]))
         return T.linear(h, p["head.w"], p["head.b"])
 
-    def forward(self, batch: np.ndarray) -> Tensor:
+    def forward(self, batch: np.ndarray, training: bool = False) -> Tensor:
         """Logits (Bx2) for a fused input batch."""
-        return self.head(self.features(batch))
-
-    def score_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Probability of the bonafide-target class per trial (eval only)."""
-        if self.training:
-            raise RuntimeError("scoring requires eval mode")
-        return softmax_scores(self.forward(batch).data)
+        return self.head(self.features(batch, training))
 
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:

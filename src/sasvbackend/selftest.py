@@ -27,8 +27,8 @@ def check_layer_gradients():
          [(3, 3, 6), (4, 3, 3), 4, 4, 4], {}),
         (lambda x, w, b, g, be: T.conv_block(x, w, b, g, be, RunningStats(3), True),
          [(2, 2, 4, 4), (3, 2, 3, 3), 3, 3, 3], {}),
-        (lambda x: T.adaptive_avg_pool1d(x, 3), [(2, 3, 10)], {}),
-        (lambda x: T.adaptive_avg_pool2d(x, (2, 3)), [(2, 2, 5, 7)], {}),
+        (lambda x: T.adaptive_avg_pool(x, (3,)), [(2, 3, 10)], {}),
+        (lambda x: T.adaptive_avg_pool(x, (2, 3)), [(2, 2, 5, 7)], {}),
     ]
     for kind, shape in ((att.PA, (2, 3, 4)), (att.SE1D, (2, 3, 4)),
                         (att.SE2D, (2, 3, 3, 4)), (att.VSE, (2, 3, 3, 4))):
@@ -151,7 +151,7 @@ def check_adam_in_backward():
     live, ref = (models.build(config, (5, 5, 4), seed=6) for _ in range(2))
     x, y = rng.uniform(-1, 1, (6, 14)), np.array([0, 1, 1, 0, 1, 0])
     moments = {n: (np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in ref.params.items()}
-    optimizer = training.Adam(live.named_parameters())
+    optimizer = training.Adam(live.params.items())
     for t, lr in enumerate((1e-2, 5e-3, 2e-3), start=1):
         tapes = T.Tape(), T.Tape()
         tapes[1].ROW_BLOCK = 16  # fc0.w (14 x 8) goes over in 7 blocks of 2 rows

@@ -58,11 +58,11 @@ __all__ = [
     "mul",
     "matmul",
     "linear",
-    "adaptive_avg_pool1d",
-    "adaptive_avg_pool2d",
+    "adaptive_avg_pool",
     "leaky_relu",
     "conv_block",
     "relu",
+    "logistic",
     "sigmoid",
     "log_softmax",
     "mean",
@@ -176,7 +176,7 @@ class Tape:
             due.setdefault(self._first.get(id(p.slot), len(self._rules)), []).append(p)
         self._first = {}
         loss.grad = np.ones_like(loss.data)
-        self._optimizer, _LOCAL.replay = optimizer, self
+        self._optimizer = optimizer
         self._due = {id(p.slot): p for p in due.pop(len(self._rules), ())}  # read by no rule
         try:
             while True:
@@ -188,7 +188,7 @@ class Tape:
                 self._due = {id(p.slot): p for p in due.pop(len(self._rules) - 1, ())}
                 self._rules.pop()()
         finally:
-            self._optimizer, self._due, _LOCAL.replay = None, {}, None
+            self._optimizer, self._due = None, {}
 
 
 # The active-tape stack is thread-local so independent sessions can run in
@@ -259,17 +259,17 @@ def _accumulate(slot: _Slot | None, g: np.ndarray, own: bool = False) -> None:
         slot.grad += g
 
 
-def _weight_grad(slot: _Slot, a: np.ndarray, g: np.ndarray) -> None:
+def _weight_grad(tape: Tape, slot: _Slot, a: np.ndarray, g: np.ndarray) -> None:
     """Give ``slot`` the gradient ``a.T @ g`` of a matmul's right operand.
 
-    When an optimizing backward updates that parameter right after this rule
-    and nothing else has given it a gradient, the product goes to the
-    optimizer in row blocks of about ``Tape.ROW_BLOCK`` elements instead, one
-    block at a time, so no whole gradient of the weight is held. A block of
-    two or more rows has the bytes of the same rows of the whole product.
+    When the backward pass of ``tape``, which recorded the matmul, updates
+    that parameter right after this rule and nothing else has given it a
+    gradient, the product goes to the optimizer in row blocks of about
+    ``Tape.ROW_BLOCK`` elements instead, one block at a time, so no whole
+    gradient of the weight is held. A block of two or more rows has the
+    bytes of the same rows of the whole product.
     """
-    tape = getattr(_LOCAL, "replay", None)
-    p = tape._due.pop(id(slot), None) if tape is not None and slot.grad is None else None
+    p = tape._due.pop(id(slot), None) if slot.grad is None else None
     if p is None:
         _accumulate(slot, a.T @ g, own=True)
         return
@@ -375,7 +375,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul needs MxK by KxN, got {a.data.shape} and {b.data.shape}"
         )
     out = Tensor(a.data @ b.data)
-    sa, sb = _slot(a), _slot(b)
+    sa, sb, tape = _slot(a), _slot(b), active_tape()
     # Each operand is kept only for the other's gradient.
     ad, bd = (a.data if sb else None), (b.data if sa else None)
 
@@ -383,7 +383,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if sa:  # before the weight's update, which may run inside _weight_grad
             _accumulate(sa, g @ bd.T, own=True)
         if sb:
-            _weight_grad(sb, ad, g)
+            _weight_grad(tape, sb, ad, g)
 
     return _finish(out, (a, b), rule)
 
@@ -396,25 +396,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # pooling
 
-# Bin i covers [floor(i*L/O), ceil((i+1)*L/O)); bins overlap when O does not
-# divide L, and each input element inside a bin receives 1/binsize of the
-# output gradient.
+def adaptive_avg_pool(x: Tensor, output_size: tuple[int, ...]) -> Tensor:
+    """Adaptive average pooling of a BxCx(spatial) input to ``output_size``,
+    one size per spatial axis.
 
-
-def _pool_bins(length: int, out: int) -> list[tuple[int, int]]:
-    return [(i * length // out, -((-(i + 1) * length) // out)) for i in range(out)]
-
-
-def _pool(x: Tensor, outs: tuple[int, ...]) -> Tensor:
-    """Adaptive average pooling of the trailing ``len(outs)`` axes.
-
-    Each axis whose size changes is pooled by one GEMM with a 0/1 membership
-    matrix (bin sums) divided by the bin sizes; per-bin means would run one
+    Bin i of an axis of size L pooled to O covers [floor(i*L/O),
+    ceil((i+1)*L/O)), so bins overlap when O does not divide L. Each axis
+    whose size changes is pooled by one GEMM with a 0/1 membership matrix
+    (bin sums) divided by the bin sizes; per-bin means would run one
     short reduction per row and bin. Axes that keep their size are skipped,
     so pooling to the input size is a C-ordered copy. Returning the input
     instead saves nothing: every model flattens the pooled array next, and
     flattening a channel-major conv output copies it there.
     """
+    outs, spatial = tuple(output_size), x.data.shape[2:]
+    if x.data.ndim < 3 or len(outs) != len(spatial):
+        raise DimensionError(
+            f"adaptive_avg_pool needs a BxC input with one output size per spatial axis, "
+            f"got {x.data.shape} and {outs}"
+        )
+    if not all(1 <= o <= n for o, n in zip(outs, spatial)):
+        raise DimensionError(
+            f"pool output size {outs} invalid for input size {'x'.join(map(str, spatial))}"
+        )
     steps = []
     data = x.data
     for axis, out_size in zip(range(-len(outs), 0), outs):
@@ -422,8 +426,8 @@ def _pool(x: Tensor, outs: tuple[int, ...]) -> Tensor:
         if out_size == length:
             continue
         member = np.zeros((length, out_size), dtype=np.float64)
-        for i, (s, e) in enumerate(_pool_bins(length, out_size)):
-            member[s:e, i] = 1.0
+        for i in range(out_size):
+            member[i * length // out_size:-(-(i + 1) * length // out_size), i] = 1.0
         sizes = member.sum(axis=0)
         data = np.moveaxis((np.moveaxis(data, axis, -1) @ member) / sizes, -1, axis)
         steps.append((axis, member, sizes))
@@ -436,29 +440,6 @@ def _pool(x: Tensor, outs: tuple[int, ...]) -> Tensor:
         _accumulate(sx, g, own=True)
 
     return _finish(out, (x,), rule)
-
-
-def adaptive_avg_pool1d(x: Tensor, output_size: int) -> Tensor:
-    if x.data.ndim != 3:
-        raise DimensionError(f"adaptive_avg_pool1d needs BxCxL input, got {x.data.shape}")
-    length = x.data.shape[2]
-    if output_size < 1 or output_size > length:
-        raise DimensionError(
-            f"pool output size {output_size} invalid for input length {length}"
-        )
-    return _pool(x, (output_size,))
-
-
-def adaptive_avg_pool2d(x: Tensor, output_size: tuple[int, int]) -> Tensor:
-    if x.data.ndim != 4:
-        raise DimensionError(f"adaptive_avg_pool2d needs BxCxHxW input, got {x.data.shape}")
-    _, _, h, w = x.data.shape
-    oh, ow = output_size
-    if oh < 1 or ow < 1 or oh > h or ow > w:
-        raise DimensionError(
-            f"pool output size {output_size} invalid for input size {h}x{w}"
-        )
-    return _pool(x, (oh, ow))
 
 
 # ---------------------------------------------------------------------------

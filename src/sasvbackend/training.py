@@ -17,10 +17,10 @@ import numpy as np
 
 from . import tensor as T
 from ._mem import tune_malloc
-from .data import EmbeddingStore, Protocol, Trial, TrialRows, compile_trials
+from .data import EmbeddingStore, Protocol, Trial, TrialRows, compile_trials, numbered_trial_ids
 from .fusion import fuse_batch
 from .metrics import EerReport, ScoreSet, evaluate
-from .models import Model
+from .models import Model, softmax_scores
 from .tensor import Tensor
 
 
@@ -191,7 +191,9 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
 
 def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store: EmbeddingStore,
                  batch_size: int = 256) -> np.ndarray:
-    """Per-trial target probabilities in protocol order (eval mode).
+    """Per-trial target probabilities in protocol order: the softmax of
+    ``model.forward`` in eval mode, which reads the running statistics and
+    changes nothing in the model.
 
     The bytes of the scores depend on ``batch_size``, not only on the model
     and the trials. OpenBLAS picks a product's kernel by its shape: a
@@ -204,16 +206,11 @@ def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    mode = model.config.fusion_mode
     rows = compile_trials(store, trials)
-    was_training = model.training
-    model.eval()
     out = np.empty(len(rows))
     for i in range(0, len(rows), batch_size):
-        batch = fuse_batch(store, rows[i : i + batch_size], mode)
-        out[i : i + len(batch)] = model.score_batch(batch)
-    if was_training:
-        model.train()
+        batch = fuse_batch(store, rows[i : i + batch_size], model.config.fusion_mode)
+        out[i : i + len(batch)] = softmax_scores(model.forward(batch).data)
     return out
 
 
@@ -221,8 +218,7 @@ def evaluate_trials(model: Model, trials: list[Trial] | TrialRows, store: Embedd
                     batch_size: int = 256):
     rows = compile_trials(store, trials)
     scores = score_trials(model, rows, store, batch_size)
-    ids = [f"t{i:06d}" for i in range(len(rows))]
-    return evaluate(ScoreSet(ids, scores, rows.labels.tolist()))
+    return evaluate(ScoreSet(numbered_trial_ids(len(rows)), scores, rows.labels.tolist()))
 
 
 def fit(
@@ -240,7 +236,7 @@ def fit(
     epoch; with ``cfg.select_best`` (the default; turn it off when dev was
     part of the training data) the parameters with the lowest dev SASV-EER
     are restored at the end, otherwise the final epoch stays.
-    The model is returned in eval mode with no gradients held.
+    The model is returned with no gradients held.
 
     Each step's Adam update runs inside its backward pass (``Adam.step``):
     a parameter is updated as soon as its gradient is complete, while the
@@ -263,7 +259,7 @@ def fit(
     mode = model.config.fusion_mode
     dev_rows = compile_trials(store, dev_trials) if dev_trials is not None else None
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(model.named_parameters())
+    optimizer = Adam(model.params.items())
     result = FitResult()
     best_eer = np.inf
     best_state = None
@@ -271,7 +267,6 @@ def fit(
     step = 0
 
     model.zero_grads()  # each backward leaves every parameter without a gradient
-    model.train()
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         total = 0.0
@@ -282,7 +277,7 @@ def fit(
                 with np.errstate(over="raise", invalid="raise"):
                     batch = fuse_batch(store, train_rows[idx], mode)
                     with T.recording() as tape:
-                        logits = model.forward(batch)
+                        logits = model.forward(batch, training=True)
                         loss = weighted_cross_entropy(logits, y[idx], cfg.class_weights)
                     loss_value = loss.item()
                     if not np.isfinite(loss_value):
@@ -306,7 +301,6 @@ def fit(
                 result.best_epoch = epoch
         result.logs.append(log)
 
-    model.eval()
     if best_state is not None:  # only with cfg.select_best and dev trials
         model.load_state_arrays(best_state)
     return result

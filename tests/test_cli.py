@@ -684,6 +684,23 @@ class TestEval:
         assert [payload[k] for k in ("sasv_eer", "spf_eer", "sv_eer")] == [None, None, None]
         assert payload["counts"] == {"nontarget": 0, "spoof": 0, "target": 0}
 
+    @pytest.mark.parametrize("labels", [("nontarget", "spoof", "spoof"), ("target", "target")],
+                             ids=["no-targets", "no-non-targets"])
+    def test_det_out_needs_both_sides_before_any_output(self, tmp_path, capsys, labels):
+        (tmp_path / "p.protocol").write_text(
+            "".join(f"e{i}\tu{i}\t{label}\n" for i, label in enumerate(labels)))
+        (tmp_path / "p.scores").write_text(
+            "".join(f"t{i:06d}\t0.{i}\n" for i in range(len(labels))))
+        code = cli.main(["--workdir", str(tmp_path), "eval", "--scores", "p.scores",
+                         "--protocol", "p.protocol", "--json-out", "r.json",
+                         "--det-out", "det.tsv"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith(f"error[invalid-input]: {tmp_path / 'p.protocol'}: --det-out "
+                              f"needs target and non-target trials")
+        assert out == ""
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "det.tsv").exists()
+
     def test_missing_score_file_gives_categorized_error(self, workspace):
         result = run_cli(
             ["eval", "--scores", "nope.scores", "--protocol", "data/eval.protocol"],
@@ -812,6 +829,26 @@ class TestWorkdir:
         code, stderr = run_main(["--workdir", root, "train", "--run-file", "run.cfg"], capsys)
         assert code == 0, stderr
         assert (root / "run1" / "checkpoint.ckpt").exists()
+
+
+    def test_config_digest_does_not_depend_on_workdir(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        """train.log digests the run file's values as written: runs under two
+        workdirs and one from inside the first, without --workdir, agree."""
+        for name in ("w1", "w2"):
+            shutil.copytree(workspace / "data", tmp_path / name / "data")
+            (tmp_path / name / "run.cfg").write_text(RUN_FILE.replace("epochs=3", "epochs=1"))
+        heads, checkpoints = set(), set()
+        for workdir, cwd in (("w1", tmp_path), ("w2", tmp_path), (None, tmp_path / "w1")):
+            monkeypatch.chdir(cwd)
+            flags = ["--workdir", workdir] if workdir else []
+            code, stderr = run_main([*flags, "train", "--run-file", "run.cfg"], capsys)
+            assert code == 0, stderr
+            run_dir = cwd / (workdir or ".") / "run1"
+            heads.add((run_dir / "train.log").read_text().splitlines()[0])
+            checkpoints.add((run_dir / "checkpoint.ckpt").read_bytes())
+        assert len(checkpoints) == 1
+        assert len(heads) == 1
 
 
 class TestSelftest:

@@ -109,7 +109,7 @@ class TestBuild:
     def test_same_seed_bit_identical(self):
         a = build("CNN1D_PA", DESK_DIMS, seed=42)
         b = build("CNN1D_PA", DESK_DIMS, seed=42)
-        for (name_a, pa), (name_b, pb) in zip(a.named_parameters(), b.named_parameters()):
+        for (name_a, pa), (name_b, pb) in zip(a.params.items(), b.params.items()):
             assert name_a == name_b
             assert np.array_equal(pa.data, pb.data)
 
@@ -163,14 +163,34 @@ class TestForward:
         assert np.all(np.isfinite(logits.data))
 
     def test_eval_mode_deterministic(self, rng):
-        model = build("CNN1D_SE", DESK_DIMS, seed=0).eval()
+        model = build("CNN1D_SE", DESK_DIMS, seed=0)
         batch = random_trial_batch(rng, 3, fusion.STACK1D)
         one = model.forward(batch).data
         two = model.forward(batch).data
         assert np.array_equal(one, two)
 
+    def test_training_is_an_argument_not_a_mode(self, rng):
+        """The model holds no mode: an eval forward reads the running stats
+        and changes nothing, a training forward normalizes with the batch
+        moments and moves the running stats."""
+        model = build("CNN1D_SE", DESK_DIMS, seed=4)
+        assert not [a for a in ("training", "train", "eval", "score_batch", "named_parameters")
+                    if hasattr(model, a)]
+        batch = random_trial_batch(rng, 3, fusion.STACK1D)
+
+        def stats():
+            return [(st.mean.tobytes(), st.var.tobytes()) for st in model.bn_stats.values()]
+
+        before = stats()
+        scored = model.forward(batch).data.tobytes()
+        assert stats() == before
+        trained = model.forward(batch, training=True).data.tobytes()
+        assert trained != scored and stats() != before
+        moved = stats()
+        assert model.forward(batch).data.tobytes() != scored and stats() == moved
+
     def test_batch_independence_in_eval(self, rng):
-        model = build("CNN2D_SE", DESK_DIMS, seed=1).eval()
+        model = build("CNN2D_SE", DESK_DIMS, seed=1)
         batch = random_trial_batch(rng, 5, fusion.CIRC2D)
         full = model.forward(batch).data
         stacked = np.concatenate(
@@ -183,10 +203,10 @@ class TestForward:
         ("Extend512_DNN", fusion.STACK1D),
     ])
     def test_wrong_rank_batch_rejected(self, rng, name, mode):
-        model = build(name, DESK_DIMS, seed=0).eval()
+        model = build(name, DESK_DIMS, seed=0)
         batch = random_trial_batch(rng, 2, mode)
         with pytest.raises(T.DimensionError):
-            model.score_batch(batch)
+            model.forward(batch)
 
     @pytest.mark.parametrize("name", list(PRESETS))
     def test_features_give_one_head_row_per_trial(self, rng, name):
@@ -199,8 +219,8 @@ class TestForward:
     def test_attention_ablation_matches_plain_cnn(self, rng):
         """CNN1D_SE with its SE gate saturated to 1 reproduces CNN1D given
         identical shared weights."""
-        plain = build("CNN1D", DESK_DIMS, seed=3).eval()
-        gated = build("CNN1D_SE", DESK_DIMS, seed=3).eval()
+        plain = build("CNN1D", DESK_DIMS, seed=3)
+        gated = build("CNN1D_SE", DESK_DIMS, seed=3)
         for name, p in plain.params.items():
             gated.params[name].data = p.data.copy()
         wa = gated.params["att.wa"]
@@ -233,7 +253,7 @@ class TestFusedConvBlocks:
         """Logits, parameter gradients and running stats of one recorded step."""
         model.zero_grads()
         with T.recording() as tape:
-            logits = forward(batch)
+            logits = forward(batch, training=True)
             loss = training.weighted_cross_entropy(logits, labels, (0.5, 0.5))
         tape.backward(loss)
         stats = {k: (st.mean.tobytes(), st.var.tobytes()) for k, st in model.bn_stats.items()}
@@ -241,13 +261,13 @@ class TestFusedConvBlocks:
 
     @pytest.mark.parametrize("name", CNN_PRESETS)
     def test_training_and_scoring_match_unfused_ops(self, rng, monkeypatch, name):
-        model = build(name, DESK_DIMS, seed=2).train()
+        model = build(name, DESK_DIMS, seed=2)
         mode, fused = model.config.fusion_mode, model.forward
 
-        def reference(batch):
+        def reference(batch, training=False):
             with monkeypatch.context() as patch:
                 patch.setattr(T, "conv_block", reference_block)
-                return model.forward(batch)
+                return model.forward(batch, training)
 
         labels = np.array([0, 1, 1, 0])
         for step in range(2):
@@ -265,7 +285,6 @@ class TestFusedConvBlocks:
             assert got[2] == want[2], f"step {step}: running stats differ"
             for p in model.params.values():
                 p.data -= 0.05 * p.grad
-        model.eval()
         batch = random_trial_batch(rng, 5, mode)
         assert fused(batch).data.tobytes() == reference(batch).data.tobytes()
 
@@ -283,16 +302,10 @@ class TestScoring:
             models.softmax_scores(logits), oracles.softmax_prob1_loop(logits), atol=1e-12
         )
 
-    def test_score_batch_requires_eval_mode(self, rng):
-        model = build("Extend512_DNN", DESK_DIMS, seed=0).train()
-        batch = random_trial_batch(rng, 2, fusion.CONCAT)
-        with pytest.raises(RuntimeError, match="eval"):
-            model.score_batch(batch)
-
     def test_eer_invariant_probability_vs_logit_difference(self, rng):
         """Scoring by softmax probability or by raw logit difference gives
         the same EER (monotone transform)."""
-        model = build("Extend512_DNN", DESK_DIMS, seed=0).eval()
+        model = build("Extend512_DNN", DESK_DIMS, seed=0)
         labels = ["target"] * 30 + ["nontarget"] * 20 + ["spoof"] * 10
         batch = random_trial_batch(rng, len(labels), fusion.CONCAT)
         logits = model.forward(batch).data
@@ -307,14 +320,14 @@ class TestScoring:
 
 class TestCheckpoint:
     def test_round_trip_preserves_scores(self, rng, tmp_path):
-        model = build("CNN1D_SE", DESK_DIMS, seed=5).eval()
+        model = build("CNN1D_SE", DESK_DIMS, seed=5)
         batch = random_trial_batch(rng, 3, fusion.STACK1D)
-        expected = model.score_batch(batch)
+        expected = models.softmax_scores(model.forward(batch).data)
         path = tmp_path / "model.ckpt"
         models.save_checkpoint(model, str(path))
-        loaded = models.load_checkpoint(str(path)).eval()
+        loaded = models.load_checkpoint(str(path))
         assert loaded.config == model.config
-        np.testing.assert_array_equal(loaded.score_batch(batch), expected)
+        np.testing.assert_array_equal(models.softmax_scores(loaded.forward(batch).data), expected)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a_path, b_path = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -224,22 +224,22 @@ class TestIm2colKernel:
 
 class TestAdaptivePool:
     def test_halving(self):
-        out = T.adaptive_avg_pool1d(Tensor([[[1.0, 2.0, 3.0, 4.0]]]), 2)
+        out = T.adaptive_avg_pool(Tensor([[[1.0, 2.0, 3.0, 4.0]]]), (2,))
         np.testing.assert_array_equal(out.data, [[[1.5, 3.5]]])
 
     def test_same_size_is_identity(self, rng):
         x = rng.uniform(-1, 1, (2, 3, 7))
-        out = T.adaptive_avg_pool1d(Tensor(x), 7)
+        out = T.adaptive_avg_pool(Tensor(x), (7,))
         np.testing.assert_array_equal(out.data, x)
 
     def test_uneven_bins_match_oracle(self, rng):
         x = rng.uniform(-1, 1, (2, 3, 10))
-        out = T.adaptive_avg_pool1d(Tensor(x), 3)
+        out = T.adaptive_avg_pool(Tensor(x), (3,))
         np.testing.assert_allclose(out.data, oracles.adaptive_pool1d_loops(x, 3), atol=1e-12)
 
     def test_2d_matches_oracle(self, rng):
         x = rng.uniform(-1, 1, (2, 2, 7, 9))
-        out = T.adaptive_avg_pool2d(Tensor(x), (3, 4))
+        out = T.adaptive_avg_pool(Tensor(x), (3, 4))
         np.testing.assert_allclose(
             out.data, oracles.adaptive_pool2d_loops(x, 3, 4), atol=1e-12
         )
@@ -247,19 +247,25 @@ class TestAdaptivePool:
     @pytest.mark.parametrize("size", [(7, 4), (3, 9), (7, 9)], ids=["w-only", "h-only", "same"])
     def test_2d_pools_only_changed_axes(self, rng, size):
         x = rng.uniform(-1, 1, (2, 2, 7, 9))
-        out = T.adaptive_avg_pool2d(Tensor(x), size)
+        out = T.adaptive_avg_pool(Tensor(x), size)
         np.testing.assert_allclose(out.data, oracles.adaptive_pool2d_loops(x, *size), atol=1e-12)
 
     @pytest.mark.parametrize("size", [0, 11])
     def test_bad_output_size(self, size):
         with pytest.raises(DimensionError):
-            T.adaptive_avg_pool1d(Tensor(np.ones((1, 1, 10))), size)
+            T.adaptive_avg_pool(Tensor(np.ones((1, 1, 10))), (size,))
+
+    @pytest.mark.parametrize("shape, size", [((1, 1, 10), (2, 2)), ((1, 1, 6, 5), (2,)),
+                                             ((2, 10), ())], ids=["1d", "2d", "no-axes"])
+    def test_one_output_size_per_spatial_axis(self, shape, size):
+        with pytest.raises(DimensionError, match="one output size per spatial axis"):
+            T.adaptive_avg_pool(Tensor(np.ones(shape)), size)
 
     @pytest.mark.parametrize("size", [(0, 3), (3, 0), (7, 3), (3, 6)],
                              ids=["h-zero", "w-zero", "h-too-big", "w-too-big"])
     def test_bad_output_size_2d(self, size):
         with pytest.raises(DimensionError, match="invalid for input size 6x5"):
-            T.adaptive_avg_pool2d(Tensor(np.ones((1, 1, 6, 5))), size)
+            T.adaptive_avg_pool(Tensor(np.ones((1, 1, 6, 5))), size)
 
 
 # (input shape, output channels, kernel). 16384 elements per output channel
@@ -409,7 +415,7 @@ class TestConvBlock:
             a = T.conv_block(x, *first, RunningStats(8), True)
             gated = att.apply_attention(a, params)
             b = T.conv_block(gated, *second, RunningStats(8), True)
-            loss = T.sum_all(T.adaptive_avg_pool2d(b, (2, 2)))
+            loss = T.sum_all(T.adaptive_avg_pool(b, (2, 2)))
         kept = [weakref.ref(a.data), weakref.ref(gated.data)]
         freed = weakref.ref(b.data)
         del a, gated, b
@@ -821,7 +827,7 @@ class TestGradientChecks:
         x = rt(rng, 2, 3, 10)
         err = finite_difference_check(
             lambda: random_projection_loss(
-                T.adaptive_avg_pool1d(x, 3), np.random.default_rng(0)
+                T.adaptive_avg_pool(x, (3,)), np.random.default_rng(0)
             ),
             {"x": x},
         )
@@ -832,7 +838,7 @@ class TestGradientChecks:
         x = rt(rng, 2, 2, 7, 9)
         err = finite_difference_check(
             lambda: random_projection_loss(
-                T.adaptive_avg_pool2d(x, size), np.random.default_rng(0)
+                T.adaptive_avg_pool(x, size), np.random.default_rng(0)
             ),
             {"x": x},
         )

@@ -196,14 +196,14 @@ class TestAdamInBackward:
         config = models.ModelConfig(
             name="vse", fusion_mode=fusion.CIRC2D, conv_channels=(4, 8), conv_kernels=(3, 3),
             pool_size=(2, 2), dnn_nodes=(6,), attention_kind="VSE", attention_position=1)
-        live, ref = (models.build(config, (5, 5, 4), seed=3).train() for _ in range(2))
+        live, ref = (models.build(config, (5, 5, 4), seed=3) for _ in range(2))
         batch, labels = rng.uniform(-1, 1, (4, 3, 5, 5)), [0, 1, 1, 0]
         with T.recording() as tape:
-            loss = weighted_cross_entropy(ref.forward(batch), labels, (0.1, 0.9))
+            loss = weighted_cross_entropy(ref.forward(batch, training=True), labels, (0.1, 0.9))
         tape.backward(loss)
-        adam = SpyAdam(live.named_parameters())
+        adam = SpyAdam(live.params.items())
         with T.recording() as tape:
-            loss = weighted_cross_entropy(live.forward(batch), labels, (0.1, 0.9))
+            loss = weighted_cross_entropy(live.forward(batch, training=True), labels, (0.1, 0.9))
         adam.step(1e-3, 1e-3, tape, loss)
         wa = [(rows, grad) for name, rows, grad, _ in adam.calls if name == "att.wa"]
         assert wa == [(slice(None), ref.params["att.wa"].grad.tobytes())]
@@ -227,7 +227,7 @@ class TestAdamInBackward:
         model = models.build(TINY_DNN, (8, 8, 6), seed=7)
         cfg = TrainConfig(batch_size=16, epochs=2, seed=7)
         fit(model, protos["train"].trials, cfg, store)
-        ref = models.build(TINY_DNN, (8, 8, 6), seed=7).train()
+        ref = models.build(TINY_DNN, (8, 8, 6), seed=7)
         rows = data.compile_trials(store, protos["train"].trials)
         y = (rows.labels == "target").astype(np.intp)
         moments = {n: (np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in ref.params.items()}
@@ -236,7 +236,7 @@ class TestAdamInBackward:
             for idx in training._batches(len(rows), cfg.batch_size, rng.permutation(len(rows))):
                 batch = fusion.fuse_batch(store, rows[idx], fusion.CONCAT)
                 with T.recording() as tape:
-                    loss = weighted_cross_entropy(ref.forward(batch), y[idx],
+                    loss = weighted_cross_entropy(ref.forward(batch, training=True), y[idx],
                                                   cfg.class_weights)
                 tape.backward(loss)
                 step += 1
@@ -421,12 +421,12 @@ class TestFit:
 class TestScoreTrials:
     def test_empty_trial_list_gives_no_scores(self):
         store, _ = tiny_synth(seed=2)
-        model = models.build(TINY_DNN, (8, 8, 6), seed=2).eval()
+        model = models.build(TINY_DNN, (8, 8, 6), seed=2)
         assert training.score_trials(model, [], store).shape == (0,)
 
     def test_scores_align_with_protocol_order(self, rng):
         store, protos = tiny_synth(seed=2)
-        model = models.build(TINY_DNN, (8, 8, 6), seed=2).eval()
+        model = models.build(TINY_DNN, (8, 8, 6), seed=2)
         trials = protos["eval"].trials[:10]
         scores = training.score_trials(model, trials, store, batch_size=4)
         assert scores.shape == (10,)
