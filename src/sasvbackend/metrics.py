@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,14 +103,20 @@ def _validated(scores, name: str) -> np.ndarray:
 
 
 def _sweep(pos: np.ndarray, neg: np.ndarray):
-    """(far, frr, thresholds) arrays over all distinct scores + sentinel."""
+    """(far, frr, thresholds) arrays over all distinct scores + sentinel.
+
+    The sentinel accepts nothing (FAR 0, FRR 1). Its threshold is the
+    maximum + 1 where that is larger, else the next float up (from
+    |max| >= 2**53), and the maximum itself at the float64 limit, so every
+    threshold is finite.
+    """
     uniq = np.unique(np.concatenate([pos, neg]))
-    thresholds = np.append(uniq, uniq[-1] + 1.0)
-    pos_sorted = np.sort(pos)
-    neg_sorted = np.sort(neg)
-    far = (neg.size - np.searchsorted(neg_sorted, thresholds, side="left")) / neg.size
-    frr = np.searchsorted(pos_sorted, thresholds, side="left") / pos.size
-    return far, frr, thresholds
+    top = uniq[-1] + 1.0
+    if top == uniq[-1]:
+        top = min(math.nextafter(uniq[-1], math.inf), sys.float_info.max)
+    far = (neg.size - np.searchsorted(np.sort(neg), uniq, side="left")) / neg.size
+    frr = np.searchsorted(np.sort(pos), uniq, side="left") / pos.size
+    return np.append(far, 0.0), np.append(frr, 1.0), np.append(uniq, top)
 
 
 def det_points(pos_scores, neg_scores) -> list[tuple[float, float, float]]:
@@ -137,7 +144,10 @@ def eer(pos_scores, neg_scores) -> tuple[float, float]:
     j = k - 1
     t = diff[j] / (diff[j] - diff[k])
     value = far[j] + t * (far[k] - far[j])
-    threshold = thr[j] + t * (thr[k] - thr[j])
+    lo, hi = float(thr[j]), float(thr[k])
+    threshold = lo + t * (hi - lo)
+    if not math.isfinite(threshold):  # hi - lo overflows near the float64 limit
+        threshold = (1.0 - t) * lo + t * hi
     return float(value), float(threshold)
 
 

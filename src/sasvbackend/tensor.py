@@ -8,7 +8,8 @@ That convolution is the CNNs' whole conv block, ``conv_block``: a same-size
 flip), bias, batch normalization and LeakyReLU, as one op with one gradient
 rule. Between its passes it keeps its input and xhat, not its output or an
 im2col matrix, and it never builds an im2col matrix of more than
-``_COLS_BUDGET`` elements: its GEMMs run over chunks of one.
+``_COLS_BUDGET`` elements, split evenly between scoring lanes
+(``_lanes``): its GEMMs run over chunks of one.
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
@@ -45,6 +46,8 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
+
+from . import _lanes
 
 __all__ = [
     "DimensionError",
@@ -533,7 +536,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # view (Cin, B, *sizes) of the input: im2col and a GEMM per chunk of batch
 # items (``_item_chunks``), each product written into its columns of the
 # (Cout, B, *sizes) output, which is read back as a transposed view without
-# copying it. One buffer of at most ``_COLS_BUDGET`` elements serves every
+# copying it. One buffer of at most ``_cols_budget()`` elements serves every
 # chunk. The rule keeps the block's input instead of the im2col matrix: for
 # dW the backward rebuilds the im2col rows of a power-of-two run of input
 # channels at a time (``_pow2_chunks``) into such a buffer, and for dx it
@@ -595,9 +598,16 @@ def _channel_blocks(c: int, n: int, budget: int = 32768) -> list[slice]:
 _COLS_BUDGET = 1 << 23
 
 
+def _cols_budget() -> int:
+    """This thread's share of ``_COLS_BUDGET``: the budget over the lanes
+    that run side by side (``_lanes.SHARE``), so their peak stays that of
+    one."""
+    return _COLS_BUDGET // _lanes.SHARE.get()
+
+
 def _pow2_chunks(c: int, n: int) -> list[slice]:
     """Input-channel slices (``n`` im2col elements per channel) for the conv
-    block's backward: one slice if all ``c`` fit ``_COLS_BUDGET``, else runs
+    block's backward: one slice if all ``c`` fit ``_cols_budget()``, else runs
     of the largest power of two, at least 2, that fits. A trailing single
     channel joins the run before it.
 
@@ -606,16 +616,17 @@ def _pow2_chunks(c: int, n: int) -> list[slice]:
     10 or 20 channels changed them at cin 32 and 64; as ``cols @ gmat.T``,
     the form used here, runs of 6 to 20 kept them too.
     """
-    if c * n <= _COLS_BUDGET:
+    budget = _cols_budget()
+    if c * n <= budget:
         return [slice(0, c)]
-    step = 1 << max(1, (_COLS_BUDGET // n).bit_length() - 1)
+    step = 1 << max(1, (budget // n).bit_length() - 1)
     return _channel_blocks(c, 1, step)
 
 
 def _item_chunks(b: int, n: int, pos: int) -> list[slice]:
     """Batch-item slices for the conv block's forward and input gradient,
     each a column split of their GEMMs: one slice if all ``b`` items (``n``
-    im2col elements and ``pos`` columns each) fit ``_COLS_BUDGET``, else
+    im2col elements and ``pos`` columns each) fit ``_cols_budget()``, else
     slices of about equal size that fit it, each but the last spanning a
     multiple of 16 columns (more than the budget only where 16 columns of
     items do not fit).
@@ -627,10 +638,11 @@ def _item_chunks(b: int, n: int, pos: int) -> list[slice]:
     piece of a product whose width is no multiple of 16. Hence slices of
     about equal size, not full ones and a remainder.
     """
-    if b * n <= _COLS_BUDGET:
+    budget = _cols_budget()
+    if b * n <= budget:
         return [slice(0, b)]
     unit = 16 // math.gcd(pos, 16)  # items per 16 columns
-    count = -(-b // max(unit, _COLS_BUDGET // n // unit * unit))
+    count = -(-b // max(unit, budget // n // unit * unit))
     units, rest = divmod(b, unit)
     sizes = [(units // count + (i < units % count)) * unit for i in range(count)]
     sizes[-1] += rest

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lanes
 from . import tensor as T
 from ._mem import tune_malloc
 from .data import EmbeddingStore, Protocol, Trial, TrialRows, compile_trials, numbered_trial_ids
@@ -203,14 +204,26 @@ def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store
     (at batch 30 by 1.1e-16). Splitting a conv GEMM by columns, or a wider
     dense product into pieces of two or more rows, changes no byte. Scores
     are reproducible bit for bit only at the same batch size.
+
+    The batches are spread over one lane per CPU (``_lanes.run``), each
+    batch computed whole on one thread with a one-thread OpenBLAS. That
+    changes no byte: a batch's products keep their shapes, OpenBLAS splits
+    a product's rows and columns between its threads but never its inner
+    dimension, and a lane's conv blocks split their im2col GEMMs by columns
+    at multiples of 16 (``tensor._item_chunks``). An error is the one the
+    plain loop raises, from the earliest failing batch, and numpy's
+    ``errstate`` holds on every lane.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rows = compile_trials(store, trials)
     out = np.empty(len(rows))
-    for i in range(0, len(rows), batch_size):
+
+    def score(i: int) -> None:
         batch = fuse_batch(store, rows[i : i + batch_size], model.config.fusion_mode)
         out[i : i + len(batch)] = softmax_scores(model.forward(batch).data)
+
+    _lanes.run(score, range(0, len(rows), batch_size))
     return out
 
 

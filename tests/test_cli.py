@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sasvbackend
-from sasvbackend import cli, data, metrics, training
+from sasvbackend import _lanes, cli, data, metrics, training
 
 try:
     from numpy._core._exceptions import _ArrayMemoryError
@@ -474,6 +474,32 @@ class TestScore:
         bad.write_bytes(header + b"\n" + weights.tobytes())
         stderr = self._score(workspace, tmp_path, capsys, bad)
         assert f"{bad}: model gives non-finite scores" in stderr
+
+    def test_overflow_on_a_worker_lane_rejected(self, workspace, tmp_path, capsys, monkeypatch):
+        """At two lanes and batch 2, trials 2-3 are the second batch, which
+        the worker lane scores; only trial 2 reads an embedding that makes
+        the model overflow. The error is the caller's, as on one lane."""
+        monkeypatch.setattr(_lanes, "count", lambda: 2)
+        huge = ",".join(["1.7e308", "-1.7e308"] * 4)
+        emb = tmp_path / "emb.tsv"
+        emb.write_text((workspace / "data" / "embeddings.tsv").read_text()
+                       + f"huge\tspk\t{huge}\nhuge\tcm\t{huge[:huge.rindex(',1.7')]}\n")
+        trials = [t for t in (workspace / "data" / "eval.protocol").read_text().splitlines()
+                  if not t.startswith("#")][:6]
+        enroll, _, label = trials[2].split("\t")
+        trials[2] = f"{enroll}\thuge\t{label}"
+        protocol = tmp_path / "eval.protocol"
+        protocol.write_text("\n".join(trials) + "\n")
+        ckpt, out = workspace / "run1" / "checkpoint.ckpt", tmp_path / "x.scores"
+        args = ["score", "--checkpoint", ckpt, "--embeddings", emb, "--protocol", protocol,
+                "--out", out, "--batch-size", "2"]
+        code, stderr = run_main(args, capsys)
+        assert code == 2 and stderr.startswith("error[invalid-input]")
+        assert f"{ckpt}: model gives non-finite scores" in stderr
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        trials[2] = trials[3]  # the same file without the overflowing trial scores
+        protocol.write_text("\n".join(trials) + "\n")
+        assert run_main(args, capsys)[0] == 0 and out.exists()
 
     def test_directory_embeddings_path_is_categorized(self, workspace, tmp_path, capsys):
         code, stderr = run_main(

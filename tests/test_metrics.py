@@ -74,6 +74,31 @@ class TestEer:
             transformed, _ = metrics.eer(f(pos), f(neg))
             assert transformed == pytest.approx(base, abs=1e-9)
 
+    def test_large_scores_keep_the_sentinel_above_the_maximum(self):
+        """From |max| >= 2**53, max + 1 rounds to max; the sentinel must still
+        accept nothing."""
+        assert metrics.eer([0, 1e17], [1e17])[0] == metrics.eer([0, 1], [1])[0]
+
+    @given(
+        pos=st.lists(st.integers(-1000, 1000).map(lambda k: k / 1000.0), min_size=1, max_size=40),
+        neg=st.lists(st.integers(-1000, 1000).map(lambda k: k / 1000.0), min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_positive_scaling(self, pos, neg):
+        pos, neg = np.array(pos), np.array(neg)
+        base, _ = metrics.eer(pos, neg)
+        for scale in (1e-300, 1e-3, 7.0, 2.0**53, 1e17, 1e100, 1e300):
+            value, threshold = metrics.eer(scale * pos, scale * neg)
+            assert value == base and np.isfinite(threshold)
+
+    def test_thresholds_finite_at_the_float64_limit(self):
+        top = np.finfo(np.float64).max
+        for pos, neg in (([top], [top]), ([-top, -top, top], [-top, top]), ([top], [-top])):
+            _, threshold = metrics.eer(pos, neg)
+            assert np.isfinite(threshold)
+            assert all(np.isfinite(t) for _, _, t in metrics.det_points(pos, neg))
+            assert metrics.det_points(pos, neg)[-1][:2] == (0.0, 1.0)
+
     @given(
         pos=st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=40),
         neg=st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=40),
