@@ -45,9 +45,6 @@ from ._mem import tune_malloc
 # Lanes sharing the machine in this context: 1 outside a lane.
 SHARE = contextvars.ContextVar("sasvbackend_lane_share", default=1)
 
-_SYMBOLS = ("openblas_set_num_threads_local", "scipy_openblas_set_num_threads_local64_",
-            "openblas_set_num_threads_local64_")
-
 
 def _find_set_threads():
     """``int openblas_set_num_threads_local(int)`` of numpy's bundled
@@ -59,12 +56,11 @@ def _find_set_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in _SYMBOLS:
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = [ctypes.c_int]
-                return fn
+        fn = getattr(lib, "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            fn.argtypes = [ctypes.c_int]
+            return fn
     return None
 
 
