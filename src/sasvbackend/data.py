@@ -1,10 +1,10 @@
 """Embedding storage, trial protocols, and the synthetic workload generator.
 
 Every text input (embeddings, protocols, score files, run files) goes
-through ``read_lines``, so all four formats share one convention: UTF-8,
-lines end at ``\n`` (a trailing ``\r`` is dropped), blank lines and lines
-starting with ``#`` are skipped, and every error names the input as
-``path:line: message``.
+through one line scanner (``_scan``, behind ``read_lines``), so all four
+formats share one convention: UTF-8, lines end at ``\n`` (a trailing
+``\r`` is dropped), blank lines and lines starting with ``#`` are skipped,
+and every error names the input as ``path:line: message``.
 
 * Embedding file: header ``#EMB v1 d_spk=<int> d_cm=<int>`` on line 1, then
   one line per stored vector: ``utt_id<TAB>spk|cm<TAB>comma-separated
@@ -16,6 +16,15 @@ starting with ``#`` are skipped, and every error names the input as
   ``enroll_ids(comma-joined)<TAB>test_id<TAB>label`` with label one of
   target / nontarget / spoof.
 
+A large embedding file is parsed on every CPU (``load_embeddings``): its
+lines are cut into one byte range per CPU in the affinity mask, this
+process parses the first and one child interpreter per further range
+parses the others, and the rows are merged in file order. The children
+are processes because numpy's text parser holds the GIL: two threads
+parsed a 72 MB file no faster than one (0.69 s against 0.61 s). A child
+takes about 0.2 s to start and parsing about 15 ns per byte, so the file
+is split only where every range holds at least ``_MIN_PART_BYTES``.
+
 The store keeps one matrix per embedding kind. ``compile_trials`` turns a
 trial list into row indices once (``TrialRows``); ``fusion.fuse_batch``
 then gathers whole batches from those rows.
@@ -23,10 +32,16 @@ then gathers whole batches from those rows.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import io
+import itertools
+import json
 import math
 import os
 import re
-from contextlib import contextmanager
+import subprocess
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,9 +53,14 @@ _EMB_HEADER = re.compile(r"^#EMB v1 d_spk=(\d+) d_cm=(\d+)$", re.ASCII)
 # Embedding lines held pending and then parsed with one np.loadtxt call per
 # kind: about 1 MB of text at SASV-2022 sizes.
 _CHUNK_ROWS = 256
+# The smallest byte range worth a child process. A child takes about 0.2 s
+# to start (an interpreter, numpy and this package on a 2-vCPU Xeon), the
+# parse of about 13 MB at 15 ns per byte: a 32 MB file split in two ends
+# only a little sooner than one pass, and a smaller one is read in one.
+_MIN_PART_BYTES = 16 << 20
 
 
-@contextmanager
+@contextlib.contextmanager
 def atomic_write(path: str, mode: str = "w"):
     """Write to a temp file and rename on success, so readers never see
     a truncated artifact."""
@@ -64,44 +84,53 @@ class MissingIdError(KeyError):
 
 
 class LineError(ValueError):
-    """A fault found after its line was read; ``read_lines`` reports it at
-    ``lineno`` instead of the line being read."""
+    """A fault at line ``lineno``, which may be a line before the one being
+    read."""
 
     def __init__(self, lineno: int, message):
         super().__init__(str(message))
         self.lineno = lineno
 
+    def at(self, path: str) -> ValueError:
+        """The error as a reader raises it: ``path:N: message``."""
+        return ValueError(f"{path}:{self.lineno}: {self}")
 
-def read_lines(path: str, parse_line, *, header=None, strip: bool = False,
-               numbered: bool = False, end=None) -> list:
-    """``[parse_line(line) ...]`` over a UTF-8 text file, skipping blank and
-    ``#`` lines (after a whitespace strip when ``strip`` is set); ``header``
-    gets line 1 whatever it holds, and ``numbered`` passes ``(lineno, line)``.
-    A ValueError raised while decoding or parsing line N comes out as
-    ``path:N: message``. ``end`` finishes deferred work, which holds only
-    lines before the one being read: after the last line, and before a
-    fault is raised, so that the fault of a deferred line (a ``LineError``)
-    comes first."""
-    lineno, out, fault = 1, [], None
+
+def _scan(raws, parse_line, first: int = 1, *, strip: bool = False, numbered: bool = False,
+          end=None):
+    """``[parse_line(line) ...]`` over raw UTF-8 lines numbered from
+    ``first``, skipping blank and ``#`` lines (after a whitespace strip when
+    ``strip`` is set); ``numbered`` passes ``(lineno, line)``. Returns the
+    results, the number of lines read and the first fault, a ``LineError``
+    or None: a ValueError raised while decoding or parsing line N is a fault
+    at N. ``end`` finishes deferred work, which holds only lines before the
+    one being read: after the last line, and before a fault is returned, so
+    that the fault of a deferred line (a ``LineError`` that ``end`` or
+    ``parse_line`` raises) comes first."""
+    out, lineno, fault = [], first - 1, None
+    try:
+        for lineno, raw in enumerate(raws, first):
+            line = raw.decode("utf-8")
+            line = line.strip() if strip else line.rstrip("\r\n")
+            if line and not line.startswith("#"):
+                out.append(parse_line(lineno, line) if numbered else parse_line(line))
+    except ValueError as exc:
+        fault = exc if isinstance(exc, LineError) else LineError(lineno, exc)
+    try:
+        if end is not None:
+            end()
+    except LineError as exc:
+        fault = exc
+    return out, lineno - first + 1, fault
+
+
+def read_lines(path: str, parse_line, *, strip: bool = False, numbered: bool = False) -> list:
+    """``_scan`` over a UTF-8 text file; its fault is raised as
+    ``path:N: message``."""
     with open(path, "rb") as fh:
-        try:
-            if header is not None:
-                header(fh.readline().decode("utf-8").rstrip("\r\n"))
-            for lineno, raw in enumerate(fh, start=1 if header is None else 2):
-                line = raw.decode("utf-8")
-                line = line.strip() if strip else line.rstrip("\r\n")
-                if line and not line.startswith("#"):
-                    out.append(parse_line(lineno, line) if numbered else parse_line(line))
-        except ValueError as exc:
-            fault = exc
-        try:
-            if end is not None:
-                end()
-        except ValueError as exc:
-            fault = exc
+        out, _, fault = _scan(fh, parse_line, strip=strip, numbered=numbered)
     if fault is not None:
-        lineno = fault.lineno if isinstance(fault, LineError) else lineno
-        raise ValueError(f"{path}:{lineno}: {fault}")
+        raise fault.at(path)
     return out
 
 
@@ -248,38 +277,44 @@ def _parse_floats(payloads) -> np.ndarray:
         raise ValueError("malformed float payload") from None
 
 
-def load_embeddings(path: str) -> EmbeddingStore:
-    """Read an embedding file. Lines are checked as they are read and held
-    in file order; every ``_CHUNK_ROWS`` lines their payloads are parsed, one
-    call per kind, and a fault is reported at the first faulty line."""
-    store = None
-    pending = []  # (lineno, utt_id, kind, payload) in file order, one chunk at most
+def _store_kinds(store: EmbeddingStore, columns: dict, block) -> None:
+    """Add ``columns[kind] = (lines, ids, items)``, rows in file order, with
+    one ``add_rows`` call per kind, ``block(items)`` giving its matrix. Where
+    a kind's call fails, its rows go one at a time, in file order across the
+    kinds, and the first faulty row raises a ``LineError`` at its line."""
+    failed = []
+    for kind, (_, ids, items) in columns.items():
+        if ids:
+            try:
+                store.add_rows(kind, ids, block(items))
+            except ValueError:
+                failed.append(kind)
+    for lineno, kind, i in sorted((n, k, i) for k in failed for i, n in enumerate(columns[k][0])):
+        _, ids, items = columns[kind]
+        try:
+            store.add_rows(kind, ids[i:i + 1], block(items[i:i + 1]))
+        except ValueError as exc:
+            raise LineError(lineno, exc) from None
 
-    def header(line):
-        nonlocal store
-        m = _EMB_HEADER.match(line)
-        if not m:
-            raise ValueError(f"bad embedding header {line!r}")
-        store = EmbeddingStore(int(m.group(1)), int(m.group(2)), path)
+
+def _load_range(store: EmbeddingStore, raws, first: int):
+    """Parse embedding lines ``raws``, numbered from ``first``, into
+    ``store``. Lines are checked as they are read and held in file order;
+    every ``_CHUNK_ROWS`` lines their payloads are parsed, one call per
+    kind. Returns the number of lines read, the line of every row read per
+    kind, and the first fault (a ``LineError``) or None."""
+    pending = []  # (lineno, utt_id, kind, payload) in file order, one chunk at most
+    lines = {kind: [] for kind in _KIND_NAMES}
 
     def flush():
         chunk = pending[:]
         pending.clear()
-        failed = set()  # kinds of which nothing was stored
+        columns = {}
         for kind in _KIND_NAMES:
-            rows = [(utt_id, payload) for _, utt_id, k, payload in chunk if k == kind]
-            if rows:
-                ids, payloads = zip(*rows)
-                try:
-                    store.add_rows(kind, ids, _parse_floats(payloads))
-                except ValueError:
-                    failed.add(kind)
-        for lineno, utt_id, kind, payload in chunk:  # row by row, to name the first faulty line
-            if kind in failed:
-                try:
-                    store.add_rows(kind, [utt_id], _parse_floats([payload]))
-                except ValueError as exc:
-                    raise LineError(lineno, exc) from None
+            rows = [(lineno, utt_id, payload) for lineno, utt_id, k, payload in chunk if k == kind]
+            columns[kind] = tuple(zip(*rows)) or ((), (), ())
+            lines[kind] += columns[kind][0]
+        _store_kinds(store, columns, _parse_floats)
 
     def record(lineno, line):
         parts = line.split("\t")
@@ -294,8 +329,217 @@ def load_embeddings(path: str) -> EmbeddingStore:
         if len(pending) == _CHUNK_ROWS:
             flush()
 
-    read_lines(path, record, header=header, numbered=True, end=flush)
-    return store
+    _, n, fault = _scan(raws, record, first, numbered=True, end=flush)
+    return n, lines, fault
+
+
+class _Range(io.RawIOBase):
+    """Bytes [pos, stop) of the open file ``fd``, read with ``os.pread``,
+    which leaves the offset alone that the processes sharing ``fd`` see."""
+
+    def __init__(self, fd: int, pos: int, stop: int):
+        super().__init__()
+        self.fd, self.pos, self.stop = fd, pos, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = os.pread(self.fd, min(len(buf), self.stop - self.pos), self.pos)
+        buf[:len(got)] = got
+        self.pos += len(got)
+        return len(got)
+
+
+def _lines(fd: int, start: int, stop: int):
+    """The lines of bytes [start, stop) of ``fd``, each with its ``\\n``."""
+    return io.BufferedReader(_Range(fd, start, stop), 1 << 16)
+
+
+def _parse_range(fd: int, start: int, stop: int, d_spk: int, d_cm: int):
+    """Bytes [start, stop) of ``fd`` parsed into a store of their own, lines
+    numbered from 1: ``(lines read, {kind: (lines, ids, matrix)}, fault)``,
+    with the rows before the fault only."""
+    store = EmbeddingStore(d_spk, d_cm)
+    n, lines, fault = _load_range(store, _lines(fd, start, stop), 1)
+    end = math.inf if fault is None else fault.lineno
+    columns = {}
+    for kind, rows in store._rows.items():
+        m = bisect.bisect_left(lines[kind], end, 0, len(rows))
+        columns[kind] = (lines[kind][:m], list(itertools.islice(rows, m)), store.matrix(kind)[:m])
+    return n, columns, fault
+
+
+def _merge(store: EmbeddingStore, part, offset: int):
+    """Add a part's rows to ``store`` in file order, its line 1 being line
+    ``offset + 1`` of the file. Returns its first fault: a row whose id an
+    earlier part stored, else the part's own fault."""
+    _, columns, fault = part
+    try:
+        _store_kinds(store, {kind: ([n + offset for n in lines], ids, matrix)
+                             for kind, (lines, ids, matrix) in columns.items()}, np.asarray)
+    except LineError as exc:
+        return exc
+    return None if fault is None else LineError(fault.lineno + offset, fault)
+
+
+# A child imports this package from where its parent did, which need not be
+# an installed copy.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); from sasvbackend import data; "
+          "data._child(*map(int, sys.argv[2:]))")
+
+
+def _child(fd: int, start: int, stop: int, d_spk: int, d_cm: int) -> None:
+    """A child's work: parse one range and write the part to stdout, as a
+    JSON line of the counts, fault, lines and ids, then each kind's matrix
+    as raw float64."""
+    n, columns, fault = _parse_range(fd, start, stop, d_spk, d_cm)
+    head = {"lines": n, "fault": fault and [fault.lineno, str(fault)],
+            "rows": {kind: [lines, ids] for kind, (lines, ids, _) in columns.items()}}
+    out = sys.stdout.buffer
+    out.write(json.dumps(head).encode() + b"\n")
+    for _, _, matrix in columns.values():
+        out.write(memoryview(matrix))
+    out.flush()
+
+
+def _spawn(stack: contextlib.ExitStack, fd: int, start: int, stop: int, store: EmbeddingStore):
+    """A child parsing bytes [start, stop) of ``fd``, killed and waited for
+    when ``stack`` closes; None if none could start."""
+    if not sys.executable:
+        return None
+    args = [sys.executable, "-c", _CHILD, _PACKAGE_ROOT,
+            *map(str, (fd, start, stop, store.d_spk, store.d_cm))]
+    try:
+        proc = subprocess.Popen(args, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, pass_fds=(fd,),
+                                env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    except OSError:
+        return None
+    stack.callback(_reap, proc)
+    return proc
+
+
+def _reap(proc: subprocess.Popen) -> None:
+    proc.kill()  # no-op once it has exited
+    proc.wait()
+    proc.stdout.close()
+
+
+def _result(proc, store: EmbeddingStore):
+    """The part a child wrote (as ``_parse_range`` returns it), or None if
+    it did not start, exited non-zero or wrote a part cut short."""
+    if proc is None:
+        return None
+    out = proc.stdout.read()
+    if proc.wait() != 0:
+        return None
+    try:
+        nl = out.index(b"\n")
+        head = json.loads(out[:nl])
+        pos, columns = nl + 1, {}
+        for kind, d in (("spk", store.d_spk), ("cm", store.d_cm)):
+            lines, ids = head["rows"][kind]
+            matrix = np.frombuffer(out, np.float64, len(ids) * d, pos).reshape(len(ids), d)
+            pos += matrix.nbytes
+            columns[kind] = (lines, ids, matrix)
+        return head["lines"], columns, head["fault"] and LineError(*head["fault"])
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _line_start(fd: int, at: int, stop: int) -> int:
+    """The first line start at or after ``at`` (> 0), or ``stop``: one past
+    the first ``\\n`` at or after ``at - 1``."""
+    pos = at - 1
+    while pos < stop:
+        block = os.pread(fd, 1 << 16, pos)
+        nl = block.find(b"\n")
+        if nl >= 0:
+            return min(pos + nl + 1, stop)
+        if not block:
+            break
+        pos += len(block)
+    return stop
+
+
+def _ranges(fd: int, start: int, stop: int, parts: int) -> list[tuple[int, int]]:
+    """[start, stop) cut into at most ``parts`` ranges of about equal size,
+    each beginning at a line. The first is kept even when empty."""
+    bounds = [start]
+    for k in range(1, parts):
+        bounds.append(max(bounds[-1], _line_start(fd, start + k * (stop - start) // parts, stop)))
+    bounds.append(stop)
+    return [(a, b) for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b or i == 0]
+
+
+def _header(line: str, path: str) -> EmbeddingStore:
+    m = _EMB_HEADER.match(line)
+    if not m:
+        raise ValueError(f"bad embedding header {line!r}")
+    return EmbeddingStore(int(m.group(1)), int(m.group(2)), path)
+
+
+def load_embeddings(path: str) -> EmbeddingStore:
+    """Read an embedding file into a store.
+
+    The lines after the header are cut into one byte range per CPU in the
+    affinity mask, at most one per ``_MIN_PART_BYTES``, each starting at a
+    line; a smaller file is one range. This process parses the first range
+    straight into the store. Each further range goes to a child process,
+    since numpy's text parser holds the GIL and threads would take turns.
+    A child is a fresh ``sys.executable`` (never a fork of this process,
+    whose BLAS and lane threads a fork would copy in whatever state they
+    are). It imports this package from where this process did, runs with
+    ``OPENBLAS_NUM_THREADS=1`` and reads the file this process opened,
+    passed as a descriptor, so a file replaced meanwhile cannot mix two
+    versions. It runs the same ``_load_range`` over its range and writes
+    back its rows up to its first fault, with their lines. The rows are
+    merged in file order through ``EmbeddingStore.add_rows``, so the
+    matrices, the id order and the error, ``path:N: message`` at the first
+    faulty line of the file, are those of one pass over the file. A range
+    whose child did not start, exited non-zero or wrote a part cut short is
+    parsed here. Every child is killed and waited for before this returns
+    or raises."""
+    return _load(path)[0]
+
+
+def _load(path: str, parts: int | None = None) -> tuple[EmbeddingStore, int]:
+    """``load_embeddings`` with ``parts`` ranges if given, and the number of
+    ranges that a child parsed."""
+    with open(path, "rb") as fh:
+        try:
+            store = _header(fh.readline().decode("utf-8").rstrip("\r\n"), path)
+        except ValueError as exc:
+            raise LineError(1, exc).at(path) from None
+        fd, start = fh.fileno(), fh.tell()
+        stop = os.fstat(fd).st_size
+        if parts is None:
+            parts = min(_cpus(), (stop - start) // _MIN_PART_BYTES)
+        ranges = _ranges(fd, start, stop, max(parts, 1))
+        by_child = 0
+        with contextlib.ExitStack() as stack:
+            children = [_spawn(stack, fd, a, b, store) for a, b in ranges[1:]]
+            lines, _, fault = _load_range(store, _lines(fd, *ranges[0]), 2)
+            offset = 1 + lines
+            for child, (a, b) in zip(children, ranges[1:]):
+                if fault is not None:
+                    break
+                part = _result(child, store)
+                by_child += part is not None
+                part = part or _parse_range(fd, a, b, store.d_spk, store.d_cm)
+                fault = _merge(store, part, offset)
+                offset += part[0]
+    if fault is not None:
+        raise fault.at(path)
+    return store, by_child
 
 
 def save_protocol(protocol: Protocol, path: str, comments: tuple[str, ...] = ()) -> None:
@@ -341,26 +585,31 @@ class TrialRows:
 
 
 def compile_trials(store: EmbeddingStore, trials) -> TrialRows:
-    """Resolve every id of a trial list or ``Protocol`` to its store row,
-    trial by trial, so an unknown id raises the store's KeyError here,
-    prefixed with the protocol's file and line when it was read from one;
+    """Resolve every id of a trial list or ``Protocol`` to its store row, so
+    an unknown id raises the store's KeyError here: the first in trial order,
+    prefixed with the protocol's file and line when it was read from one.
     TrialRows pass through."""
     if isinstance(trials, TrialRows):
         return trials
     protocol = trials if isinstance(trials, Protocol) else Protocol(trials)
-    enroll, test_spk, test_cm = [], [], []
-    for i, t in enumerate(protocol.trials):
-        try:
-            enroll.append([store.row("spk", e) for e in t.enroll_ids])
-            test_spk.append(store.row("spk", t.test_id))
-            test_cm.append(store.row("cm", t.test_id))
-        except MissingIdError as exc:
-            raise MissingIdError(f"{protocol.where(i)}{exc}") from None
-    count = np.array([len(r) for r in enroll], dtype=np.intp)
-    width = max(count, default=1)
-    padded = np.array([r + [0] * (width - len(r)) for r in enroll], dtype=np.intp)
-    return TrialRows(padded.reshape(len(enroll), width), count, np.array(test_spk, dtype=np.intp),
-                     np.array(test_cm, dtype=np.intp), np.array(protocol.labels()))
+    spk, cm = store._rows["spk"], store._rows["cm"]
+    try:
+        enrolled = [spk[e] for t in protocol.trials for e in t.enroll_ids]
+        test_spk = np.array([spk[t.test_id] for t in protocol.trials], dtype=np.intp)
+        test_cm = np.array([cm[t.test_id] for t in protocol.trials], dtype=np.intp)
+    except KeyError:
+        for i, t in enumerate(protocol.trials):  # trial by trial, to name the first missing id
+            try:
+                for kind, utt_id in [*(("spk", e) for e in t.enroll_ids),
+                                     ("spk", t.test_id), ("cm", t.test_id)]:
+                    store.row(kind, utt_id)
+            except MissingIdError as exc:
+                raise MissingIdError(f"{protocol.where(i)}{exc}") from None
+        raise
+    count = np.array([len(t.enroll_ids) for t in protocol.trials], dtype=np.intp)
+    enroll = np.zeros((len(count), count.max(initial=1)), dtype=np.intp)  # padded with row 0
+    enroll[np.arange(enroll.shape[1]) < count[:, None]] = enrolled
+    return TrialRows(enroll, count, test_spk, test_cm, np.array(protocol.labels()))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ on seeded cases and returns ``(ok, detail)``. A check that raises has failed. No
 harness is needed.
 """
 
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from . import attention as att
-from . import fusion, metrics, models, oracles, training
+from . import data, fusion, metrics, models, oracles, training
 from . import tensor as T
 from .tensor import RunningStats, Tensor
 
@@ -111,6 +113,26 @@ def check_conv_block_chunks():
     return same, f"output, running stats and gradient bytes {'equal' if same else 'differ'}"
 
 
+def check_embeddings_split():
+    """An embedding file parsed in three byte ranges, two of them by child
+    processes, against one pass: matrices and id order, byte for byte. A
+    range whose child cannot start is parsed in this process with the same
+    bytes, so the check fails unless both children ran: on a box where no
+    child can start, the split is not in use."""
+    rng = np.random.default_rng(8)
+    store = data.EmbeddingStore(5, 3)
+    for i in range(30):
+        store.add(f"u{i:02d}", spk=rng.normal(size=5), cm=rng.normal(size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "emb.tsv")
+        data.save_embeddings(store, path, comments=("selftest",))
+        (whole, _), (split, children) = data._load(path, 1), data._load(path, 3)
+    same = all(whole.matrix(k).tobytes() == split.matrix(k).tobytes()
+               and list(whole._rows[k]) == list(split._rows[k]) for k in ("spk", "cm"))
+    return same and children == 2, (f"matrices and ids {'equal' if same else 'differ'}, "
+                                     f"{children} of 2 ranges parsed by a child")
+
+
 def check_circulant():
     rng = np.random.default_rng(2)
     for v in (rng.normal(size=int(rng.integers(1, 32))) for _ in range(20)):
@@ -182,6 +204,7 @@ CHECKS = [
     ("conv-block-2d-vs-loop-oracles",
      lambda: check_conv_block(oracles.conv2d_loops, (2, 3, 6, 5))),
     ("conv-block-chunked-vs-whole", check_conv_block_chunks),
+    ("embeddings-split-vs-whole", check_embeddings_split),
     ("circulant-algebra", check_circulant),
     ("eer-vs-exhaustive-threshold-oracle", check_eer),
     ("adam-vs-scalar-reference", check_adam),

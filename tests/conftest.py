@@ -1,6 +1,9 @@
+import subprocess
+
 import numpy as np
 import pytest
 
+from sasvbackend import data
 from sasvbackend._mem import tune_malloc
 
 tune_malloc()
@@ -9,3 +12,21 @@ tune_malloc()
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every child process that ``data.load_embeddings`` starts in the test,
+    with ``_MIN_PART_BYTES`` at 1 so that even a toy file splits; each child
+    must have been waited for by the end of the test."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(data.subprocess, "Popen", Recorded)
+    monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
+    yield procs
+    assert all(p.returncode is not None for p in procs)

@@ -444,6 +444,47 @@ class TestScore:
         assert stderr.startswith(f"error[invalid-input]: {emb}:702: malformed float payload")
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
+    def test_split_embeddings_score_the_same_bytes(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, spawned):
+        monkeypatch.setattr(data, "_cpus", lambda: 3)
+        out = tmp_path / "x.scores"
+        code, stderr = run_main(
+            ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt",
+             "--embeddings", workspace / "data" / "embeddings.tsv",
+             "--protocol", workspace / "data" / "eval.protocol", "--out", out], capsys)
+        assert code == 0, stderr
+        assert out.read_bytes() == (workspace / "run1" / "eval.scores").read_bytes()
+        assert [p.returncode for p in spawned] == [0, 0]
+
+    def test_bad_token_in_a_child_range_names_its_line(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, spawned):
+        monkeypatch.setattr(data, "_cpus", lambda: 2)
+        lines = (workspace / "data" / "embeddings.tsv").read_text().splitlines()
+        for i in range(300):
+            lines += [f"pad{i}\tspk\t{','.join(['0.5'] * 8)}",
+                      f"pad{i}\tcm\t{','.join(['0.5'] * 6)}"]
+        utt_id, kind, payload = lines[701].split("\t")
+        lines[701] = "\t".join([utt_id, kind, payload.replace(",", ",0.5e+x,", 1)])
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("\n".join(lines) + "\n")
+        text = emb.read_bytes()
+        with open(emb, "rb") as fh:
+            fh.readline()
+            (_, end), _ = data._ranges(fh.fileno(), fh.tell(), len(text), 2)
+        assert text.count(b"\n", 0, end) < 701  # line 702 is in the child's range
+        out = tmp_path / "x.scores"
+        args = ["score", "--checkpoint", workspace / "run1" / "checkpoint.ckpt",
+                "--embeddings", emb, "--protocol", workspace / "data" / "eval.protocol",
+                "--out", out]
+        code, stderr = run_main(args, capsys)
+        assert code == 2
+        assert stderr == f"error[invalid-input]: {emb}:702: malformed float payload\n"
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        assert len(spawned) == 1
+        monkeypatch.setattr(data, "_cpus", lambda: 1)  # one process: the same error
+        assert run_main(args, capsys) == (code, stderr)
+        assert len(spawned) == 1
+
     def test_non_finite_checkpoint_payload_rejected(self, workspace, tmp_path, capsys):
         header, blob = (workspace / "run1" / "checkpoint.ckpt").read_bytes().split(b"\n", 1)
         bad = tmp_path / "nan.ckpt"

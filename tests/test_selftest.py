@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,8 @@ BREAKS = {
     "conv-block-1d-vs-loop-oracles": (T, "conv_block", _conv_without_bias),
     "conv-block-2d-vs-loop-oracles": (T, "_MOMENTUM", lambda momentum: 2 * momentum),
     "conv-block-chunked-vs-whole": (T, "np", lambda numpy: _KSplitNumpy()),
+    # no child can start, so every range is parsed in process
+    "embeddings-split-vs-whole": (sys, "executable", lambda executable: ""),
     "weighted-cross-entropy-vs-loop": (training, "weighted_cross_entropy", _scaled_ce_weights),
 }
 
@@ -84,6 +88,7 @@ def test_check_names():
         "conv-block-1d-vs-loop-oracles",
         "conv-block-2d-vs-loop-oracles",
         "conv-block-chunked-vs-whole",
+        "embeddings-split-vs-whole",
         "circulant-algebra",
         "eer-vs-exhaustive-threshold-oracle",
         "adam-vs-scalar-reference",
