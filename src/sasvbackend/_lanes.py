@@ -1,23 +1,44 @@
-"""Lanes: whole work items spread over the CPUs, OpenBLAS on one thread.
+"""Lanes: work items spread over the CPUs, OpenBLAS on one thread.
 
 ``run(fn, items)`` calls ``fn(item)`` for every item on one lane per CPU
 in the affinity mask: the calling thread plus one worker thread per extra
 CPU, started once and kept. Lane ``j`` of ``n`` runs items ``j``,
-``j + n``, ... in order, each whole on its thread. For the length of the
-run OpenBLAS uses one thread, set with ``openblas_set_num_threads_local``
-(found through ctypes in numpy's bundled OpenBLAS) and restored once the
-last lane has ended. Without that call (another BLAS, an older OpenBLAS),
-or with one CPU, there is one lane: the plain loop on the caller's thread.
+``j + n``, ... in order, each whole on its thread. Two kinds of work use
+it: whole scoring batches (``training.score_trials``), and the passes
+between a training step's GEMMs, cut into blocks (the conv block's im2col,
+col2im and epilogues, ``Adam.update``); those GEMMs themselves stay on
+OpenBLAS's own threads.
 
-Why one OpenBLAS thread: after a GEMM on two threads, OpenBLAS's workers
-keep spinning for a while and take the second core from the Python-side
-passes around it. Two items side by side on one-thread GEMMs keep both
-cores busy. Despite its name, the call sets the count of the whole
-process in OpenBLAS 0.3.31 (a thread started after it reads 1, and its
-GEMMs run at one-thread speed), so ``run`` makes it once, on the caller,
-around all lanes: lanes that each restored the count they found could
-leave the process at one thread. BLAS calls from other threads of the
-process run on one thread while a run lasts.
+For the length of the run OpenBLAS uses one thread, set with
+``openblas_set_num_threads_local`` (found through ctypes in numpy's bundled
+OpenBLAS) and restored once the last lane has ended. Without that call
+(another BLAS, an older OpenBLAS), or with one CPU, there is one lane: the
+plain loop on the caller's thread. Despite its name, the call sets the
+count of the whole process in OpenBLAS 0.3.31 (a thread started after it
+reads 1, and its GEMMs run at one-thread speed), so ``run`` makes it once,
+on the caller, around all lanes: lanes that each restored the count they
+found could leave the process at one thread. BLAS calls from other threads
+of the process run on one thread while a run lasts.
+
+Park: after a GEMM on two threads, OpenBLAS's workers keep spinning for a
+while and take the second core from the lanes. So right after setting one
+thread, and before any lane starts, ``run`` stops those workers with
+``blas_thread_shutdown_``; restoring the count starts them again. On a
+2-vCPU box setting the count and parking took 32 us, the restore 29 us.
+It parks only where no thread but the caller and the idle lane workers
+exists, so none can be inside OpenBLAS: a shutdown while another thread
+ran two-thread GEMMs gave one of them a wrong result and then hung that
+thread. Nor does it park when the count it found was 1. Without the
+symbol there is no park.
+
+Block size: a lane holds the GIL between numpy calls, so the ufuncs of an
+elementwise pass overlap only while each runs long enough. Two threads
+each running a multiply and an add over n elements ran 0.78x as fast as
+one at n = 8K, 1.40x at 32K and 1.70x at 128K (same box). A pass over
+more than ``WIDE_BLOCK`` (128K) elements therefore walks blocks of that
+size where a run here spreads them over lanes; a smaller pass, and every
+pass inside a lane or with one lane, walks blocks of ``BLOCK`` (32K, which
+stays in cache; ``block``).
 
 A lane runs in its own copy of the caller's ``contextvars`` context, so
 numpy's ``errstate`` holds there as in the caller, and it sets ``SHARE``,
@@ -25,8 +46,9 @@ the number of lanes, which splits the conv block's im2col budget between
 them. The error ``run`` raises is the one the plain loop would raise, as
 raised: the earliest failing item's. A lane stops before an item past
 the earliest failure so far, and every earlier item still runs, so no
-earlier error is missed. A lane never starts lanes: a worker waiting for
-lanes of its own would wait for itself.
+earlier error is missed; the items after it that other lanes had started
+have run as well. A lane never starts lanes: a worker waiting for lanes
+of its own would wait for itself, so there ``run`` is the plain loop.
 """
 
 from __future__ import annotations
@@ -46,25 +68,33 @@ from ._mem import tune_malloc
 SHARE = contextvars.ContextVar("sasvbackend_lane_share", default=1)
 
 
-def _find_set_threads():
+def _find_blas():
     """``int openblas_set_num_threads_local(int)`` of numpy's bundled
-    OpenBLAS, which sets the thread count and returns the old one, or
-    None."""
+    OpenBLAS, which sets the thread count and returns the old one, and
+    ``int blas_thread_shutdown_(void)`` of the same library, which stops
+    its worker threads (None where it is missing), or (None, None)."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "*openblas*")):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        fn = getattr(lib, "openblas_set_num_threads_local", None)
-        if fn is not None:
-            fn.restype = ctypes.c_int
-            fn.argtypes = [ctypes.c_int]
-            return fn
-    return None
+        set_threads = getattr(lib, "openblas_set_num_threads_local", None)
+        if set_threads is not None:
+            set_threads.restype = ctypes.c_int
+            set_threads.argtypes = [ctypes.c_int]
+            park = getattr(lib, "blas_thread_shutdown_", None)
+            if park is not None:
+                park.restype = ctypes.c_int
+                park.argtypes = []
+            return set_threads, park
+    return None, None
 
 
-_set_threads = _find_set_threads()
+_set_threads, _park = _find_blas()
+
+# Elements per block of a blocked elementwise pass (see the module docstring).
+BLOCK, WIDE_BLOCK = 1 << 15, 1 << 17
 
 
 def count() -> int:
@@ -73,6 +103,19 @@ def count() -> int:
     if _set_threads is None or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def width() -> int:
+    """Lanes a ``run`` started here spreads its items over: ``count()``
+    outside a lane, 1 inside one."""
+    return count() if SHARE.get() == 1 else 1
+
+
+def block(size: int) -> int:
+    """Elements per block of a pass over ``size`` elements: ``WIDE_BLOCK``
+    where the pass spans more than one and a run here would spread them,
+    else ``BLOCK``."""
+    return WIDE_BLOCK if size > WIDE_BLOCK and width() > 1 else BLOCK
 
 
 _tasks: queue.SimpleQueue = queue.SimpleQueue()
@@ -131,11 +174,11 @@ class _Run:
 
 
 def run(fn, items) -> None:
-    """Call ``fn(item)`` for each of ``items``, on ``count()`` lanes; raise
+    """Call ``fn(item)`` for each of ``items``, on ``width()`` lanes; raise
     the error of the earliest item that failed."""
     items = list(items)
-    lanes = min(count(), len(items))
-    if lanes <= 1 or SHARE.get() > 1:
+    lanes = min(width(), len(items))
+    if lanes <= 1:
         for item in items:
             fn(item)
         return
@@ -145,6 +188,10 @@ def run(fn, items) -> None:
     done = [threading.Event() for _ in range(1, lanes)]
     old = _set_threads(1) if _set_threads is not None else None
     try:
+        # Only the caller and the idle workers exist: no thread is in OpenBLAS.
+        if (_park is not None and old is not None and old > 1
+                and threading.active_count() == 1 + len(_workers)):
+            _park()
         for first, event in enumerate(done, start=1):
             ctx = contextvars.copy_context()
 

@@ -5,14 +5,16 @@ on seeded cases and returns ``(ok, detail)``. A check that raises has failed. No
 harness is needed.
 """
 
+import dataclasses
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import attention as att
-from . import data, fusion, metrics, models, oracles, training
+from . import _lanes, data, fusion, metrics, models, oracles, training
 from . import tensor as T
 from .tensor import RunningStats, Tensor
 
@@ -75,19 +77,29 @@ def check_conv_block(conv_loops, x_shape):
     return _worst(pairs, 1e-12)
 
 
+@contextmanager
+def _set(owner, **values):
+    """``owner``'s attributes set to ``values`` for the body."""
+    saved = {name: getattr(owner, name) for name in values}
+    for name, value in values.items():
+        setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(owner, name, value)
+
+
 def _block_bytes(x, w, vecs, g, training, budget):
     """Output, running stats and gradient bytes of one recorded conv_block
     whose im2col matrices hold at most ``budget`` elements."""
-    saved, T._COLS_BUDGET = T._COLS_BUDGET, budget
-    try:
+    with _set(T, _COLS_BUDGET=budget):
         ts = [Tensor(a, requires_grad=True) for a in (x, w, *vecs)]
         stats = RunningStats(w.shape[0])
         with T.recording() as tape:
             out = T.conv_block(*ts, stats, training)
             loss = T.sum_all(T.mul(out, Tensor(g)))
         tape.backward(loss)
-    finally:
-        T._COLS_BUDGET = saved
     return [a.tobytes() for a in (out.data, stats.mean, stats.var, *(t.grad for t in ts))]
 
 
@@ -111,6 +123,37 @@ def check_conv_block_chunks():
                                   for budget in (cols, cols // 4))
                 same &= whole == chunked
     return same, f"output, running stats and gradient bytes {'equal' if same else 'differ'}"
+
+
+def _step_bytes(config, x, y, lanes):
+    """Parameter and running-statistic bytes after one training step on
+    ``x``, ``y`` whose passes between the GEMMs run on ``lanes`` lanes, in
+    blocks of 4096 elements where they spread, so that toy arrays do."""
+    model = models.build(config, (16, 16, 12), seed=9)
+    with _set(_lanes, count=lambda: lanes, WIDE_BLOCK=1 << 12):
+        with T.recording() as tape:
+            logits = model.forward(x, training=True)
+            loss = training.weighted_cross_entropy(logits, y, (0.1, 0.9))
+        training.Adam(model.params.items()).step(1e-2, 1e-3, tape, loss)
+    return [a.tobytes() for a in model.state_arrays().values()]
+
+
+def check_training_step_lanes():
+    """One training step of a toy CNN1D_SE and of a toy CNN2D_SE on two
+    lanes (im2col, col2im, the conv blocks' epilogues and Adam spread over
+    them) against one lane, byte for byte. That the lanes keep the bytes
+    rests on numpy's reductions over blocks of channels, so it is checked
+    on the one installed."""
+    rng = np.random.default_rng(9)
+    y = np.array([0, 1, 1, 0, 1, 0])
+    same = True
+    for name, spatial, channels in (("CNN1D_SE", (16,), (16, 8, 8)),
+                                    ("CNN2D_SE", (16, 16), (8, 16, 16, 16))):
+        config = dataclasses.replace(models.PRESETS[name], conv_channels=channels,
+                                     pool_size=(4,) * len(spatial), dnn_nodes=(16, 8))
+        x = rng.uniform(-1, 1, (len(y), 3) + spatial)
+        same &= _step_bytes(config, x, y, 1) == _step_bytes(config, x, y, 2)
+    return same, f"parameter and running-statistic bytes {'equal' if same else 'differ'}"
 
 
 def check_embeddings_split():
@@ -153,7 +196,7 @@ def check_eer():
 
 def check_adam():
     rng = np.random.default_rng(4)
-    n = training.Adam.BLOCK + 3  # crosses a block boundary of the blocked update
+    n = _lanes.BLOCK + 3  # crosses a block boundary of the blocked update
     p0, grads = rng.uniform(-1, 1, n), rng.uniform(-1, 1, (5, n))
     p = Tensor(p0.copy(), requires_grad=True)
     state = training.Adam([("p", p)])
@@ -204,6 +247,7 @@ CHECKS = [
     ("conv-block-2d-vs-loop-oracles",
      lambda: check_conv_block(oracles.conv2d_loops, (2, 3, 6, 5))),
     ("conv-block-chunked-vs-whole", check_conv_block_chunks),
+    ("training-step-lanes-vs-one", check_training_step_lanes),
     ("embeddings-split-vs-whole", check_embeddings_split),
     ("circulant-algebra", check_circulant),
     ("eer-vs-exhaustive-threshold-oracle", check_eer),

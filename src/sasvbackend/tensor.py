@@ -9,7 +9,9 @@ flip), bias, batch normalization and LeakyReLU, as one op with one gradient
 rule. Between its passes it keeps its input and xhat, not its output or an
 im2col matrix, and it never builds an im2col matrix of more than
 ``_COLS_BUDGET`` elements, split evenly between scoring lanes
-(``_lanes``): its GEMMs run over chunks of one.
+(``_lanes``): its GEMMs run over chunks of one. Its passes between the
+GEMMs run over channel blocks spread over the lanes (``_lanes.run``); the
+GEMMs run on OpenBLAS's own threads.
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
@@ -574,10 +576,10 @@ class RunningStats:
         self.var = np.ones(channels, dtype=np.float64)
 
 
-def _channel_blocks(c: int, n: int, budget: int = 32768) -> list[slice]:
-    """Channel slices of about ``budget`` elements each (``n`` per channel),
-    which stay in cache: the batch norm and the im2col/col2im walk them.
-    ``_weight_grad`` cuts a weight's rows the same way.
+def _channel_blocks(c: int, n: int, budget: int) -> list[slice]:
+    """Channel slices of about ``budget`` elements each (``n`` per channel).
+    ``_pass_blocks`` sizes them for the conv block's passes; ``_weight_grad``
+    cuts a weight's rows the same way.
 
     Every block holds at least two channels: numpy reduces a slice of two or
     more channels in the same order as the whole array, but a one-channel
@@ -589,6 +591,14 @@ def _channel_blocks(c: int, n: int, budget: int = 32768) -> list[slice]:
     if len(starts) > 1 and c - starts[-1] == 1:
         starts.pop()
     return [slice(s, e) for s, e in zip(starts, starts[1:] + [c])]
+
+
+def _pass_blocks(c: int, n: int) -> list[slice]:
+    """The channel blocks of a conv-block pass over ``c`` channels of ``n``
+    elements, which ``_lanes.run`` spreads over the lanes: of
+    ``_lanes.block`` elements, so they stay in cache on one lane and
+    outweigh the GIL's switches on several."""
+    return _channel_blocks(c, n, _lanes.block(c * n))
 
 
 # Elements of the largest im2col matrix a conv block builds at once (64 MB).
@@ -695,11 +705,13 @@ def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> 
 
     Each tap is one shifted run over a block of ``_flat(xc)``, or, where
     that is None, over a block-sized flat copy of the block (col2im: a zeroed
-    block, added into ``xc`` once its taps are in)."""
+    block, added into ``xc`` once its taps are in). The channel blocks
+    (``_pass_blocks``) run on the lanes; no two write the same elements."""
     xf = _flat(xc)
     cf = cols.reshape(cols.shape[0], len(plan), -1)
     n = xc[0].size
-    for blk in _channel_blocks(xc.shape[0], n):
+
+    def copy(blk: slice) -> None:
         xb = xc[blk]
         if xf is not None:
             flat = xf[blk]
@@ -719,6 +731,8 @@ def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> 
                 win += col
         if add and xf is None:
             xb += flat.reshape(xb.shape)
+
+    _lanes.run(copy, _pass_blocks(xc.shape[0], n))
 
 
 def conv_block(
@@ -749,6 +763,14 @@ def conv_block(
     GEMM-shaped output gradient for dbias, dW and col2im. The rule keeps x
     when w or x needs a gradient: dW rebuilds its im2col rows from it, and
     dx takes its layout.
+
+    Each blocked pass (im2col, col2im and the two epilogues) is one
+    ``_lanes.run`` over its channel blocks (``_pass_blocks``), so outside a
+    scoring lane the blocks spread over the CPUs, with OpenBLAS's workers
+    parked (``_lanes``), and every GEMM runs between those runs, on
+    OpenBLAS's threads. A block writes only its own channels, and the bytes
+    depend on neither the block size nor the lane that takes a block.
+    Inside a scoring lane the passes run inline, in cache-sized blocks.
     """
     nd = x.data.ndim - 2
     if nd not in (1, 2) or w.data.ndim != x.data.ndim:
@@ -787,7 +809,7 @@ def conv_block(
     y = gmat.reshape(cout, b, *sizes)
     xhat = y.transpose(_cm(y.ndim))  # the conv output view, normalized in place
     axes, n = (0,) + tuple(range(2, y.ndim)), y[0].size
-    blocks = _channel_blocks(cout, n)
+    blocks = _pass_blocks(cout, n)
     mu, var = (np.empty(cout), np.empty(cout)) if training else (stats.mean, stats.var)
     inv = np.empty(cout)
 
@@ -801,7 +823,8 @@ def conv_block(
         return ob
 
     out_data = np.empty_like(xhat)
-    for blk in blocks:
+
+    def epilogue(blk: slice) -> None:
         hb, ob = xhat[:, blk], out_data[:, blk]
         hb += cs(bias.data[blk])
         if training:
@@ -813,6 +836,8 @@ def conv_block(
         hb *= cs(inv[blk])
         affine(blk, hb, ob)
         np.maximum(ob, np.multiply(ob, _SLOPE), out=ob)
+
+    _lanes.run(epilogue, blocks)
     if training:
         stats.mean = (1.0 - _MOMENTUM) * stats.mean + _MOMENTUM * mu
         stats.var = (1.0 - _MOMENTUM) * stats.var + _MOMENTUM * var
@@ -837,7 +862,7 @@ def conv_block(
 
         # gg lives in bn_dx, so it is freed before the next block and before
         # dx; this order of frees also keeps the heap's high-water mark down.
-        for blk in blocks:
+        def epilogue_grad(blk: slice) -> None:
             hb = xhat[:, blk]
             # The factor needs the sign of the batch-norm output, recomputed
             # here bit for bit; the output's own sign differs where
@@ -850,6 +875,8 @@ def conv_block(
                 dgamma[blk] = (gb * hb).sum(axis=axes)
             if conv_grads:
                 bn_dx(blk, gb, hb)
+
+        _lanes.run(epilogue_grad, blocks)
         _accumulate(sbeta, dbeta, own=True)
         _accumulate(sgamma, dgamma, own=True)
         # gmat now holds the conv output's gradient

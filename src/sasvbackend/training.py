@@ -93,16 +93,21 @@ class Adam:
     updated before that keep their new values.
 
     ``update`` is the one update path, and only ``Tape.backward`` calls it.
-    It walks the parameter's flat data, gradient and moments in blocks of
-    ``BLOCK`` elements with two scratch blocks and in-place ufuncs, so every
-    block stays in cache instead of each operation making a full pass over
-    memory. Per element it keeps the whole-array formula's operation order,
-    so the result is bit-identical to it, whatever rows a call covers:
-    ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``; ``v = b2*v + ((1-b2)*g)*g``;
-    ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
+    It walks the parameter's flat data, gradient and moments in blocks with
+    two scratch blocks and in-place ufuncs, so every block stays in cache
+    instead of each operation making a full pass over memory. The blocks
+    are spread over the lanes (``_lanes.run``), each lane with two scratch
+    blocks of its own; they hold ``_lanes.block`` elements: 128K where the
+    parameter (or the rows a call covers) spans more than that and more
+    than one lane runs, else 32K. Per element it keeps
+    the whole-array formula's operation order, so the result is
+    bit-identical to it, whatever rows a call covers and whichever lane
+    takes a block: ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``;
+    ``v = b2*v + ((1-b2)*g)*g``; ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
+    If an update raises (an overflow under ``errstate``), the lanes may
+    already have updated blocks after the failing one.
     """
 
-    BLOCK = 1 << 15
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, named_params):
@@ -137,26 +142,34 @@ class Adam:
         p.data = np.ascontiguousarray(p.data)
         flat_p, flat_g = p.data[rows].reshape(-1), np.ravel(grad)
         flat_m, flat_v = self.m[i][rows].reshape(-1), self.v[i][rows].reshape(-1)
-        scratch_a, scratch_b = np.empty((2, min(self.BLOCK, flat_p.size)))
-        for s in range(0, flat_p.size, self.BLOCK):
-            blk = slice(s, s + self.BLOCK)
-            pb, mb, vb = flat_p[blk], flat_m[blk], flat_v[blk]
-            a, b = scratch_a[: pb.size], scratch_b[: pb.size]
-            g = flat_g[blk]
-            if weight_decay:
-                np.multiply(weight_decay, pb, out=a)
-                g = np.add(g, a, out=a)
-            mb *= b1
-            mb += np.multiply(1.0 - b1, g, out=b)
-            vb *= b2
-            np.multiply(1.0 - b2, g, out=b)
-            vb += np.multiply(b, g, out=b)
-            np.divide(mb, c1, out=a)
-            np.multiply(lr, a, out=a)
-            np.divide(vb, c2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, eps, out=b)
-            pb -= np.divide(a, b, out=a)
+        size = flat_p.size
+        block = _lanes.block(size)
+        starts = range(0, size, block)
+        lanes = min(_lanes.width(), len(starts))
+
+        def lane(j: int) -> None:
+            scratch_a, scratch_b = np.empty((2, min(block, size)))
+            for s in starts[j::lanes]:
+                blk = slice(s, s + block)
+                pb, mb, vb = flat_p[blk], flat_m[blk], flat_v[blk]
+                a, b = scratch_a[: pb.size], scratch_b[: pb.size]
+                g = flat_g[blk]
+                if weight_decay:
+                    np.multiply(weight_decay, pb, out=a)
+                    g = np.add(g, a, out=a)
+                mb *= b1
+                mb += np.multiply(1.0 - b1, g, out=b)
+                vb *= b2
+                np.multiply(1.0 - b2, g, out=b)
+                vb += np.multiply(b, g, out=b)
+                np.divide(mb, c1, out=a)
+                np.multiply(lr, a, out=a)
+                np.divide(vb, c2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                pb -= np.divide(a, b, out=a)
+
+        _lanes.run(lane, range(lanes))
 
 
 @dataclass
@@ -212,7 +225,9 @@ def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store
     dimension, and a lane's conv blocks split their im2col GEMMs by columns
     at multiples of 16 (``tensor._item_chunks``). An error is the one the
     plain loop raises, from the earliest failing batch, and numpy's
-    ``errstate`` holds on every lane.
+    ``errstate`` holds on every lane. Inside a lane the conv blocks' passes
+    run inline, as a lane starts no lanes. The run parks OpenBLAS's workers
+    (``_lanes``), which a training step's GEMMs may have left spinning.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -254,7 +269,15 @@ def fit(
     Each step's Adam update runs inside its backward pass (``Adam.step``):
     a parameter is updated as soon as its gradient is complete, while the
     rules of earlier layers still run. An error in the middle of a backward
-    pass can leave the parameters partly updated.
+    pass can leave the parameters partly updated, and since Adam spreads a
+    large parameter's blocks over the lanes, a lane may already have
+    updated blocks after the one that failed.
+
+    The passes between a step's GEMMs (the conv blocks' im2col, col2im and
+    epilogues, and Adam) run on one lane per CPU (``_lanes.run``), with
+    OpenBLAS's spinning workers parked where no other thread could be in
+    OpenBLAS, and the GEMMs on OpenBLAS's own threads. The dev check scores on the lanes too (``score_trials``). No
+    byte depends on the number of lanes.
 
     Each step runs with numpy's overflow and invalid-operation errors
     raised: one ends training with a RuntimeError naming the epoch and

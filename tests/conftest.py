@@ -3,7 +3,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from sasvbackend import data
+from sasvbackend import _lanes, data
 from sasvbackend._mem import tune_malloc
 
 tune_malloc()
@@ -30,3 +30,15 @@ def spawned(monkeypatch):
     monkeypatch.setattr(data, "_MIN_PART_BYTES", 1)
     yield procs
     assert all(p.returncode is not None for p in procs)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Set the lane count of the test, two by default, so that the lanes
+    run on a one-CPU machine too. A pass spread over lanes walks blocks of
+    4096 elements, so that toy arrays spread as well."""
+    def force(n):
+        monkeypatch.setattr(_lanes, "count", lambda: n)
+    monkeypatch.setattr(_lanes, "WIDE_BLOCK", 1 << 12)
+    force(2)
+    return force

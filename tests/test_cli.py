@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -133,6 +134,30 @@ class TestTrain:
         assert code == 5
         assert stderr.startswith("error[runtime]: floating-point overflow encountered in ")
         assert " at epoch 1, step " in stderr
+        assert not (tmp_path / "run1").exists()
+
+    def test_overflow_on_a_worker_lane_is_a_runtime_error(self, tmp_path, capsys, monkeypatch,
+                                                          lanes):
+        """fc0's Adam blocks spread over two lanes; the worker lane's sqrt
+        overflows."""
+        class OverflowOffTheCaller:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sqrt(x, out=None):
+                if threading.current_thread() is not threading.main_thread():
+                    np.float64(1e308) * 10.0
+                return np.sqrt(x, out=out)
+
+        code, stderr = run_main(["--workdir", tmp_path, *GEN_ARGS], capsys)
+        assert code == 0, stderr
+        (tmp_path / "run.cfg").write_text(RUN_FILE)
+        monkeypatch.setattr(training, "np", OverflowOffTheCaller())
+        code, stderr = run_main(["--workdir", tmp_path, "train", "--run-file", "run.cfg"], capsys)
+        assert code == 5
+        assert stderr.startswith("error[runtime]: floating-point overflow encountered in ")
+        assert " at epoch 1, step 0" in stderr
         assert not (tmp_path / "run1").exists()
 
     def test_preset_too_large_for_the_embeddings_names_file_and_model(self, workspace, tmp_path,

@@ -1,9 +1,12 @@
-"""Scoring lanes (``_lanes``), forced to two lanes so that the path runs on
+"""Lanes (``_lanes``) for scoring batches and for the passes of a training
+step, forced to two lanes (the ``lanes`` fixture) so that the path runs on
 a one-CPU machine too."""
 
 import ctypes
 import glob
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -39,15 +42,6 @@ needs_openblas = pytest.mark.skipif(
     BLAS_THREADS is None or _lanes._set_threads is None,
     reason="needs numpy's OpenBLAS with openblas_set_num_threads_local",
 )
-
-
-@pytest.fixture
-def lanes(monkeypatch):
-    """Set the lane count of the test; the default is two."""
-    def force(n):
-        monkeypatch.setattr(_lanes, "count", lambda: n)
-    force(2)
-    return force
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +108,208 @@ class TestBlasThreads:
             assert counts and set(counts) == {1}
         finally:
             _lanes._set_threads(old)
+
+
+@pytest.fixture
+def parks(monkeypatch):
+    """Every park of the test, in order with what the items record."""
+    events = []
+    real = _lanes._park
+
+    def park():
+        events.append("park")
+        return real()
+
+    monkeypatch.setattr(_lanes, "_park", park)
+    return events
+
+
+@needs_openblas
+@pytest.mark.skipif(_lanes._park is None, reason="needs blas_thread_shutdown_")
+class TestPark:
+    @pytest.fixture(autouse=True)
+    def two_blas_threads(self):
+        old = _lanes._set_threads(2)
+        yield
+        _lanes._set_threads(old)
+
+    def test_parks_before_the_first_lane_starts(self, lanes, parks):
+        _lanes.run(parks.append, range(4))
+        assert parks[0] == "park" and sorted(parks[1:]) == [0, 1, 2, 3]
+        assert BLAS_THREADS() == 2
+        ones = np.ones((300, 300))
+        assert np.array_equal(ones @ ones, np.full((300, 300), 300.0))
+
+    def test_one_lane_does_not_park(self, lanes, parks):
+        lanes(1)
+        _lanes.run(parks.append, range(4))
+        assert parks == [0, 1, 2, 3]
+
+    def test_a_lane_does_not_park(self, lanes, parks):
+        _lanes.run(lambda i: _lanes.run(parks.append, [i]), range(2))
+        assert parks.count("park") == 1
+
+    def test_a_count_of_one_is_not_parked(self, lanes, parks):
+        _lanes._set_threads(1)
+        _lanes.run(parks.append, range(4))
+        assert "park" not in parks
+
+    def test_another_thread_stops_the_park(self, lanes, parks):
+        """Another thread could be inside a two-thread GEMM."""
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            _lanes.run(parks.append, range(4))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and "park" not in parks
+
+
+@pytest.fixture(scope="module")
+def toy_train():
+    """12 training and 12 dev trials over (16, 16, 12)-d embeddings."""
+    return data.generate_synthetic(data.SynthConfig(
+        train_speakers=6, dev_speakers=2, eval_speakers=4, utterances_per_speaker=3,
+        d_spk=16, d_cm=12, train_trials_per_label=4, dev_trials_per_label=4,
+        eval_trials_per_label=7, seed=3,
+    ))
+
+
+@pytest.fixture
+def worker_items(monkeypatch):
+    """The first item of every worker lane the test ran."""
+    firsts = []
+    lane = _lanes._Run.lane
+
+    def recorded(self, first):
+        if first:
+            firsts.append(first)
+        return lane(self, first)
+
+    monkeypatch.setattr(_lanes._Run, "lane", recorded)
+    return firsts
+
+
+class TestTrainingStep:
+    CFG = training.TrainConfig(batch_size=6, epochs=2, seed=1)
+
+    # Two epochs of two steps, a dev check after each and the best epoch
+    # restored; at the small budget the conv blocks run in chunks.
+    @pytest.mark.parametrize("name", list(models.PRESETS))
+    def test_two_lanes_train_the_bytes_of_one(self, toy_train, lanes, worker_items,
+                                              monkeypatch, tmp_path, name):
+        store, protos = toy_train
+        for budget in (T._COLS_BUDGET, 1 << 15):
+            monkeypatch.setattr(T, "_COLS_BUDGET", budget)
+            runs = []
+            for n in (1, 2):
+                lanes(n)
+                model = models.build(name, (16, 16, 12), seed=1)
+                result = training.fit(model, protos["train"].trials, self.CFG, store,
+                                      dev_trials=protos["dev"].trials)
+                path = tmp_path / f"{n}.ckpt"
+                models.save_checkpoint(model, str(path))
+                runs.append((path.read_bytes(), result))
+            assert runs[1] == runs[0], budget
+        assert worker_items
+
+    @pytest.mark.parametrize("k, n, row_block", [(300, 64, 8192), (77, 130, 1 << 20),
+                                                 (600, 10, 5000)])
+    def test_adam_two_lanes_update_the_bytes_of_one(self, rng, lanes, worker_items,
+                                                    k, n, row_block):
+        """A linear layer's weight goes to Adam in row blocks of about
+        ``row_block`` elements (``_weight_grad``), its bias whole."""
+        x, proj = rng.uniform(-1, 1, (6, k)), rng.uniform(-1, 1, (6, n))
+        w0, b0 = rng.uniform(-1, 1, (k, n)), rng.uniform(-1, 1, n)
+        params = []
+        for lane_count in (1, 2):
+            lanes(lane_count)
+            w, b = (T.Tensor(v.copy(), requires_grad=True) for v in (w0, b0))
+            adam = training.Adam([("w", w), ("b", b)])
+            for lr in (1e-2, 5e-3, 2e-3):
+                tape = T.Tape()
+                tape.ROW_BLOCK = row_block
+                with T.recording(tape):
+                    loss = T.sum_all(T.mul(T.linear(T.Tensor(x), w, b), T.Tensor(proj)))
+                adam.step(lr, 1e-3, tape, loss)
+            params.append((w.data.tobytes(), b.data.tobytes()))
+        assert params[1] == params[0]
+        assert worker_items
+
+    def test_overflow_on_a_worker_lane_ends_fit_with_a_runtime_error(self, toy_train, lanes,
+                                                                    worker_items, monkeypatch):
+        store, protos = toy_train
+        grad = T._leaky_relu_grad
+
+        def overflows_off_the_caller(g, nonneg):
+            if threading.current_thread() is not threading.main_thread():
+                np.float64(1e308) * 10.0
+            return grad(g, nonneg)
+
+        monkeypatch.setattr(T, "_leaky_relu_grad", overflows_off_the_caller)
+        model = models.build("CNN1D", (16, 16, 12), seed=1)
+        with pytest.raises(RuntimeError, match=r"^floating-point overflow .* at epoch 1, step 0$"):
+            training.fit(model, protos["train"].trials, self.CFG, store)
+        assert worker_items
+
+    @needs_openblas
+    def test_gemms_of_another_thread_stay_exact_beside_fit(self):
+        """A park while another thread ran a two-thread GEMM gave that GEMM a
+        wrong result and hung the thread; with that thread alive, fit's
+        lanes must not park. A fresh interpreter runs it, so that a hang
+        ends in the timeout."""
+        root = os.path.dirname(os.path.dirname(_lanes.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        child = subprocess.run([sys.executable, "-c", GEMMS_BESIDE_FIT], env=env, text=True,
+                               capture_output=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        done, wrong, parks = map(int, child.stdout.split())
+        assert done and not wrong and not parks
+
+
+# Two lanes over 4096-element blocks, a thread that loops 400 x 400 GEMMs
+# and one CNN1D_SE fit beside it; prints the GEMMs done, those with a
+# result of neither one nor two BLAS threads, and the parks.
+GEMMS_BESIDE_FIT = """
+import threading
+import numpy as np
+from sasvbackend import _lanes, data, models, training
+
+_lanes.count = lambda: 2
+_lanes.WIDE_BLOCK = 1 << 12
+parks, park = [], _lanes._park
+_lanes._park = lambda: parks.append(1) or park()
+store, protos = data.generate_synthetic(data.SynthConfig(
+    train_speakers=6, dev_speakers=2, eval_speakers=4, utterances_per_speaker=3,
+    d_spk=16, d_cm=12, train_trials_per_label=4, dev_trials_per_label=4,
+    eval_trials_per_label=7, seed=3))
+a = np.random.default_rng(0).uniform(-1, 1, (400, 400))
+_lanes._set_threads(1)
+want = {(a @ a).tobytes()}
+_lanes._set_threads(2)
+want.add((a @ a).tobytes())
+stop, wrong, done = threading.Event(), [], []
+
+def gemms():
+    while not stop.is_set():
+        if (a @ a).tobytes() not in want:
+            wrong.append(len(done))
+        done.append(1)
+
+other = threading.Thread(target=gemms)
+other.start()
+try:
+    training.fit(models.build("CNN1D_SE", (16, 16, 12), seed=1), protos["train"].trials,
+                 training.TrainConfig(batch_size=6, epochs=2, seed=1), store,
+                 dev_trials=protos["dev"].trials)
+finally:
+    stop.set()
+    other.join()
+print(len(done), len(wrong), len(parks))
+"""
 
 
 class TestErrors:

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from sasvbackend import fusion, metrics, selftest, training
+from sasvbackend import _lanes, fusion, metrics, selftest, training
 from sasvbackend import tensor as T
 
 
@@ -54,6 +54,11 @@ class _KSplitNumpy:
         return out
 
 
+def _every_lane_from_the_first_item(orig):
+    # Each lane runs items 0, n, 2n, ...: some items twice, others never.
+    return lambda self, first: orig(self, 0)
+
+
 def _scaled_ce_weights(orig):
     return lambda logits, labels, weights: orig(logits, labels, [1.01 * v for v in weights])
 
@@ -67,6 +72,7 @@ BREAKS = {
     "conv-block-1d-vs-loop-oracles": (T, "conv_block", _conv_without_bias),
     "conv-block-2d-vs-loop-oracles": (T, "_MOMENTUM", lambda momentum: 2 * momentum),
     "conv-block-chunked-vs-whole": (T, "np", lambda numpy: _KSplitNumpy()),
+    "training-step-lanes-vs-one": (_lanes._Run, "lane", _every_lane_from_the_first_item),
     # no child can start, so every range is parsed in process
     "embeddings-split-vs-whole": (sys, "executable", lambda executable: ""),
     "weighted-cross-entropy-vs-loop": (training, "weighted_cross_entropy", _scaled_ce_weights),
@@ -88,6 +94,7 @@ def test_check_names():
         "conv-block-1d-vs-loop-oracles",
         "conv-block-2d-vs-loop-oracles",
         "conv-block-chunked-vs-whole",
+        "training-step-lanes-vs-one",
         "embeddings-split-vs-whole",
         "circulant-algebra",
         "eer-vs-exhaustive-threshold-oracle",

@@ -323,6 +323,22 @@ class TestConvBlock:
             assert layout(got[0]) == layout(want[0])
             assert layout(got[3]) == layout(want[3]) == layout(arrays["x"])
 
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=block_case_id)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("x_order", ["C", "CM"])
+    def test_two_lanes_give_the_bytes_of_one(self, rng, lanes, case, training, x_order):
+        """With two lanes the passes between the GEMMs spread their channel
+        blocks over them."""
+        arrays = block_arrays(rng, *case)
+        arrays["x"] = in_layout(arrays["x"], x_order)
+        g = in_layout(rng.uniform(-1, 1, out_shape(arrays)), "CM")
+        runs = []
+        for n in (1, 2):
+            lanes(n)
+            runs.append(run_block(T.conv_block, arrays, training, g))
+        for name, a, b in zip(self.NAMES, *runs):
+            assert a.tobytes() == b.tobytes(), f"{name} bytes differ"
+
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_factor_follows_batch_norm_output_not_activation(self, rng, training):
         """With gamma 0 and beta -5e-324 the batch-norm output is -5e-324, so
@@ -353,12 +369,12 @@ class TestConvBlock:
             assert a.tobytes() == b.tobytes(), f"{name} bytes differ"
 
     def test_channel_blocks(self):
-        assert T._channel_blocks(1, 16384) == [slice(0, 1)]
-        assert T._channel_blocks(5, 16384) == [slice(0, 2), slice(2, 5)]
-        assert T._channel_blocks(6, 16384) == [slice(0, 2), slice(2, 4), slice(4, 6)]
-        assert T._channel_blocks(7, 10240) == [slice(0, 3), slice(3, 7)]
-        assert T._channel_blocks(9, 100) == [slice(0, 9)]
-        assert T._channel_blocks(4, 10**6) == [slice(0, 2), slice(2, 4)]
+        assert T._channel_blocks(1, 16384, 32768) == [slice(0, 1)]
+        assert T._channel_blocks(5, 16384, 32768) == [slice(0, 2), slice(2, 5)]
+        assert T._channel_blocks(6, 16384, 32768) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        assert T._channel_blocks(7, 10240, 32768) == [slice(0, 3), slice(3, 7)]
+        assert T._channel_blocks(9, 100, 32768) == [slice(0, 9)]
+        assert T._channel_blocks(4, 10**6, 32768) == [slice(0, 2), slice(2, 4)]
 
     def test_records_one_rule(self, rng):
         x, w, bias, gamma, beta = rt(rng, 2, 3, 5, 5), rt(rng, 4, 3, 3, 3), rt(rng, 4), rt(rng, 4), rt(rng, 4)

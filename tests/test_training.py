@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from sasvbackend import data, fusion, models, oracles, training
+from sasvbackend import _lanes, data, fusion, models, oracles, training
 from sasvbackend import tensor as T
 from sasvbackend.models import ModelConfig
 from sasvbackend.tensor import Tensor
@@ -121,7 +121,7 @@ class TestAdam:
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
                              ids=["1", "block-1", "block", "block+1", "3block+7"])
     def test_blocked_step_is_bit_identical_to_vectorised(self, rng, blocks, extra, weight_decay):
-        n = blocks * Adam.BLOCK + extra
+        n = blocks * _lanes.BLOCK + extra
         p0, grads = rng.uniform(-1, 1, n), rng.uniform(-1, 1, (5, n))
         p = Tensor(p0.copy(), requires_grad=True)
         state = Adam([("p", p)])
