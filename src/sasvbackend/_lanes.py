@@ -13,12 +13,14 @@ For the length of the run OpenBLAS uses one thread, set with
 ``openblas_set_num_threads_local`` (found through ctypes in numpy's bundled
 OpenBLAS) and restored once the last lane has ended. Without that call
 (another BLAS, an older OpenBLAS), or with one CPU, there is one lane: the
-plain loop on the caller's thread. Despite its name, the call sets the
-count of the whole process in OpenBLAS 0.3.31 (a thread started after it
-reads 1, and its GEMMs run at one-thread speed), so ``run`` makes it once,
-on the caller, around all lanes: lanes that each restored the count they
-found could leave the process at one thread. BLAS calls from other threads
-of the process run on one thread while a run lasts.
+plain loop on the caller's thread, which keeps OpenBLAS's count unless
+``pin`` is set (scoring): then it too runs with one thread, so an item's
+GEMMs give the bytes they give on a lane. Despite its name, the call sets
+the count of the whole process in OpenBLAS 0.3.31 (a thread started after
+it reads 1, and its GEMMs run at one-thread speed), so ``run`` makes it
+once, on the caller, around all lanes: lanes that each restored the count
+they found could leave the process at one thread. BLAS calls from other
+threads of the process run on one thread while a run lasts.
 
 Park: after a GEMM on two threads, OpenBLAS's workers keep spinning for a
 while and take the second core from the lanes. So right after setting one
@@ -34,11 +36,11 @@ symbol there is no park.
 Block size: a lane holds the GIL between numpy calls, so the ufuncs of an
 elementwise pass overlap only while each runs long enough. Two threads
 each running a multiply and an add over n elements ran 0.78x as fast as
-one at n = 8K, 1.40x at 32K and 1.70x at 128K (same box). A pass over
-more than ``WIDE_BLOCK`` (128K) elements therefore walks blocks of that
-size where a run here spreads them over lanes; a smaller pass, and every
-pass inside a lane or with one lane, walks blocks of ``BLOCK`` (32K, which
-stays in cache; ``block``).
+one at n = 8K, 1.40x at 32K and 1.70x at 128K (same box). Every blocked
+pass walks blocks of ``BLOCK`` (64K) elements, on lanes or not: on the
+``cnn1d-dev`` conv blocks the backward epilogue took 27.0-27.3 ms per
+step at 64K, 26.8-27.9 at 128K and 30.8-31.9 at 32K, and ``Adam.update``
+on 1M elements over two lanes 5.08 ms at 64K and at 32K, 5.87 at 128K.
 
 A lane runs in its own copy of the caller's ``contextvars`` context, so
 numpy's ``errstate`` holds there as in the caller, and it sets ``SHARE``,
@@ -53,6 +55,7 @@ of its own would wait for itself, so there ``run`` is the plain loop.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import glob
@@ -94,7 +97,7 @@ def _find_blas():
 _set_threads, _park = _find_blas()
 
 # Elements per block of a blocked elementwise pass (see the module docstring).
-BLOCK, WIDE_BLOCK = 1 << 15, 1 << 17
+BLOCK = 1 << 16
 
 
 def count() -> int:
@@ -109,13 +112,6 @@ def width() -> int:
     """Lanes a ``run`` started here spreads its items over: ``count()``
     outside a lane, 1 inside one."""
     return count() if SHARE.get() == 1 else 1
-
-
-def block(size: int) -> int:
-    """Elements per block of a pass over ``size`` elements: ``WIDE_BLOCK``
-    where the pass spans more than one and a run here would spread them,
-    else ``BLOCK``."""
-    return WIDE_BLOCK if size > WIDE_BLOCK and width() > 1 else BLOCK
 
 
 _tasks: queue.SimpleQueue = queue.SimpleQueue()
@@ -173,25 +169,38 @@ class _Run:
                     self.failed = min(self.failed, i)
 
 
-def run(fn, items) -> None:
-    """Call ``fn(item)`` for each of ``items``, on ``width()`` lanes; raise
-    the error of the earliest item that failed."""
-    items = list(items)
-    lanes = min(width(), len(items))
-    if lanes <= 1:
-        for item in items:
-            fn(item)
-        return
-    tune_malloc()  # one heap arena before any worker allocates
-    _grow(lanes - 1)
-    work = _Run(fn, items, lanes)
-    done = [threading.Event() for _ in range(1, lanes)]
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread for the body, its workers parked where no
+    other thread can be inside it; the count found is restored after."""
     old = _set_threads(1) if _set_threads is not None else None
     try:
         # Only the caller and the idle workers exist: no thread is in OpenBLAS.
         if (_park is not None and old is not None and old > 1
                 and threading.active_count() == 1 + len(_workers)):
             _park()
+        yield
+    finally:
+        if old is not None:
+            _set_threads(old)
+
+
+def run(fn, items, *, pin: bool = False) -> None:
+    """Call ``fn(item)`` for each of ``items``, on ``width()`` lanes; raise
+    the error of the earliest item that failed. With ``pin`` a run on one
+    lane, too, holds OpenBLAS at one thread."""
+    items = list(items)
+    lanes = min(width(), len(items))
+    if lanes <= 1:
+        with _one_blas_thread() if pin else contextlib.nullcontext():
+            for item in items:
+                fn(item)
+        return
+    tune_malloc()  # one heap arena before any worker allocates
+    _grow(lanes - 1)
+    work = _Run(fn, items, lanes)
+    done = [threading.Event() for _ in range(1, lanes)]
+    with _one_blas_thread():
         for first, event in enumerate(done, start=1):
             ctx = contextvars.copy_context()
 
@@ -205,8 +214,5 @@ def run(fn, items) -> None:
         contextvars.copy_context().run(work.lane, 0)
         for event in done:
             event.wait()
-    finally:
-        if old is not None:
-            _set_threads(old)
     if work.errors:
         raise work.errors[work.failed]

@@ -19,7 +19,9 @@ and every error names the input as ``path:line: message``.
 A large embedding file is parsed on every CPU (``load_embeddings``): its
 lines are cut into one byte range per CPU in the affinity mask, this
 process parses the first and one child interpreter per further range
-parses the others, and the rows are merged in file order. The children
+parses the others. A child sends back its rows only when its whole range
+is clean; they are merged in file order. Every other range is parsed
+again in this process, and that one pass names every fault. The children
 are processes because numpy's text parser holds the GIL: two threads
 parsed a 72 MB file no faster than one (0.69 s against 0.61 s). A child
 takes about 0.2 s to start and parsing about 15 ns per byte, so the file
@@ -32,10 +34,8 @@ then gathers whole batches from those rows.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import io
-import itertools
 import json
 import math
 import os
@@ -277,22 +277,22 @@ def _parse_floats(payloads) -> np.ndarray:
         raise ValueError("malformed float payload") from None
 
 
-def _store_kinds(store: EmbeddingStore, columns: dict, block) -> None:
-    """Add ``columns[kind] = (lines, ids, items)``, rows in file order, with
-    one ``add_rows`` call per kind, ``block(items)`` giving its matrix. Where
-    a kind's call fails, its rows go one at a time, in file order across the
-    kinds, and the first faulty row raises a ``LineError`` at its line."""
+def _store_kinds(store: EmbeddingStore, columns: dict) -> None:
+    """Add ``columns[kind] = (lines, ids, payloads)``, rows in file order,
+    with one ``add_rows`` call per kind. Where a kind's call fails, its rows
+    go one at a time, in file order across the kinds, and the first faulty
+    row raises a ``LineError`` at its line."""
     failed = []
-    for kind, (_, ids, items) in columns.items():
+    for kind, (_, ids, payloads) in columns.items():
         if ids:
             try:
-                store.add_rows(kind, ids, block(items))
+                store.add_rows(kind, ids, _parse_floats(payloads))
             except ValueError:
                 failed.append(kind)
     for lineno, kind, i in sorted((n, k, i) for k in failed for i, n in enumerate(columns[k][0])):
-        _, ids, items = columns[kind]
+        _, ids, payloads = columns[kind]
         try:
-            store.add_rows(kind, ids[i:i + 1], block(items[i:i + 1]))
+            store.add_rows(kind, ids[i:i + 1], _parse_floats(payloads[i:i + 1]))
         except ValueError as exc:
             raise LineError(lineno, exc) from None
 
@@ -301,10 +301,9 @@ def _load_range(store: EmbeddingStore, raws, first: int):
     """Parse embedding lines ``raws``, numbered from ``first``, into
     ``store``. Lines are checked as they are read and held in file order;
     every ``_CHUNK_ROWS`` lines their payloads are parsed, one call per
-    kind. Returns the number of lines read, the line of every row read per
-    kind, and the first fault (a ``LineError``) or None."""
+    kind. Returns the number of lines read and the first fault (a
+    ``LineError``) or None."""
     pending = []  # (lineno, utt_id, kind, payload) in file order, one chunk at most
-    lines = {kind: [] for kind in _KIND_NAMES}
 
     def flush():
         chunk = pending[:]
@@ -313,8 +312,7 @@ def _load_range(store: EmbeddingStore, raws, first: int):
         for kind in _KIND_NAMES:
             rows = [(lineno, utt_id, payload) for lineno, utt_id, k, payload in chunk if k == kind]
             columns[kind] = tuple(zip(*rows)) or ((), (), ())
-            lines[kind] += columns[kind][0]
-        _store_kinds(store, columns, _parse_floats)
+        _store_kinds(store, columns)
 
     def record(lineno, line):
         parts = line.split("\t")
@@ -330,7 +328,7 @@ def _load_range(store: EmbeddingStore, raws, first: int):
             flush()
 
     _, n, fault = _scan(raws, record, first, numbered=True, end=flush)
-    return n, lines, fault
+    return n, fault
 
 
 class _Range(io.RawIOBase):
@@ -356,33 +354,6 @@ def _lines(fd: int, start: int, stop: int):
     return io.BufferedReader(_Range(fd, start, stop), 1 << 16)
 
 
-def _parse_range(fd: int, start: int, stop: int, d_spk: int, d_cm: int):
-    """Bytes [start, stop) of ``fd`` parsed into a store of their own, lines
-    numbered from 1: ``(lines read, {kind: (lines, ids, matrix)}, fault)``,
-    with the rows before the fault only."""
-    store = EmbeddingStore(d_spk, d_cm)
-    n, lines, fault = _load_range(store, _lines(fd, start, stop), 1)
-    end = math.inf if fault is None else fault.lineno
-    columns = {}
-    for kind, rows in store._rows.items():
-        m = bisect.bisect_left(lines[kind], end, 0, len(rows))
-        columns[kind] = (lines[kind][:m], list(itertools.islice(rows, m)), store.matrix(kind)[:m])
-    return n, columns, fault
-
-
-def _merge(store: EmbeddingStore, part, offset: int):
-    """Add a part's rows to ``store`` in file order, its line 1 being line
-    ``offset + 1`` of the file. Returns its first fault: a row whose id an
-    earlier part stored, else the part's own fault."""
-    _, columns, fault = part
-    try:
-        _store_kinds(store, {kind: ([n + offset for n in lines], ids, matrix)
-                             for kind, (lines, ids, matrix) in columns.items()}, np.asarray)
-    except LineError as exc:
-        return exc
-    return None if fault is None else LineError(fault.lineno + offset, fault)
-
-
 # A child imports this package from where its parent did, which need not be
 # an installed copy.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -391,16 +362,19 @@ _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); from sasvbackend import 
 
 
 def _child(fd: int, start: int, stop: int, d_spk: int, d_cm: int) -> None:
-    """A child's work: parse one range and write the part to stdout, as a
-    JSON line of the counts, fault, lines and ids, then each kind's matrix
-    as raw float64."""
-    n, columns, fault = _parse_range(fd, start, stop, d_spk, d_cm)
-    head = {"lines": n, "fault": fault and [fault.lineno, str(fault)],
-            "rows": {kind: [lines, ids] for kind, (lines, ids, _) in columns.items()}}
+    """A child's work: parse one range, lines numbered from 1, and write
+    the part to stdout: a JSON line of the line count and each kind's ids,
+    then each kind's matrix as raw float64. A range with a fault exits
+    non-zero and writes nothing."""
+    store = EmbeddingStore(d_spk, d_cm)
+    n, fault = _load_range(store, _lines(fd, start, stop), 1)
+    if fault is not None:
+        sys.exit(1)
     out = sys.stdout.buffer
-    out.write(json.dumps(head).encode() + b"\n")
-    for _, _, matrix in columns.values():
-        out.write(memoryview(matrix))
+    out.write(json.dumps({"lines": n, "ids": {k: list(r) for k, r in store._rows.items()}})
+              .encode() + b"\n")
+    for kind in store._rows:
+        out.write(memoryview(store.matrix(kind)))
     out.flush()
 
 
@@ -428,8 +402,9 @@ def _reap(proc: subprocess.Popen) -> None:
 
 
 def _result(proc, store: EmbeddingStore):
-    """The part a child wrote (as ``_parse_range`` returns it), or None if
-    it did not start, exited non-zero or wrote a part cut short."""
+    """The part a child wrote, ``(lines read, {kind: (ids, matrix)})``, or
+    None if it did not start, exited non-zero or wrote a part cut short or
+    followed by more bytes."""
     if proc is None:
         return None
     out = proc.stdout.read()
@@ -440,11 +415,11 @@ def _result(proc, store: EmbeddingStore):
         head = json.loads(out[:nl])
         pos, columns = nl + 1, {}
         for kind, d in (("spk", store.d_spk), ("cm", store.d_cm)):
-            lines, ids = head["rows"][kind]
+            ids = head["ids"][kind]
             matrix = np.frombuffer(out, np.float64, len(ids) * d, pos).reshape(len(ids), d)
             pos += matrix.nbytes
-            columns[kind] = (lines, ids, matrix)
-        return head["lines"], columns, head["fault"] and LineError(*head["fault"])
+            columns[kind] = (ids, matrix)
+        return (head["lines"], columns) if pos == len(out) else None
     except (ValueError, KeyError, TypeError):
         return None
 
@@ -500,14 +475,17 @@ def load_embeddings(path: str) -> EmbeddingStore:
     are). It imports this package from where this process did, runs with
     ``OPENBLAS_NUM_THREADS=1`` and reads the file this process opened,
     passed as a descriptor, so a file replaced meanwhile cannot mix two
-    versions. It runs the same ``_load_range`` over its range and writes
-    back its rows up to its first fault, with their lines. The rows are
-    merged in file order through ``EmbeddingStore.add_rows``, so the
-    matrices, the id order and the error, ``path:N: message`` at the first
-    faulty line of the file, are those of one pass over the file. A range
-    whose child did not start, exited non-zero or wrote a part cut short is
-    parsed here. Every child is killed and waited for before this returns
-    or raises."""
+    versions. It runs the same ``_load_range`` over its range; only if the
+    whole range is clean does it write back the range's ids and matrices,
+    and on a fault it exits non-zero and writes nothing. The parts are
+    taken in file order: a clean part none of whose ids is stored yet is
+    merged with one ``EmbeddingStore.add_rows`` per kind. Any other range
+    (a fault, a child that did not start, exited non-zero or wrote a part
+    cut short, or an id of an earlier range) is parsed here, straight into
+    the store at the range's line offset, which names the first faulty
+    line as ``path:N: message``. So the matrices, the id order and the
+    error are those of one pass over the file. Every child is killed and
+    waited for before this returns or raises."""
     return _load(path)[0]
 
 
@@ -527,16 +505,20 @@ def _load(path: str, parts: int | None = None) -> tuple[EmbeddingStore, int]:
         by_child = 0
         with contextlib.ExitStack() as stack:
             children = [_spawn(stack, fd, a, b, store) for a, b in ranges[1:]]
-            lines, _, fault = _load_range(store, _lines(fd, *ranges[0]), 2)
+            lines, fault = _load_range(store, _lines(fd, *ranges[0]), 2)
             offset = 1 + lines
             for child, (a, b) in zip(children, ranges[1:]):
                 if fault is not None:
                     break
                 part = _result(child, store)
-                by_child += part is not None
-                part = part or _parse_range(fd, a, b, store.d_spk, store.d_cm)
-                fault = _merge(store, part, offset)
-                offset += part[0]
+                if part is not None and all(store._rows[kind].keys().isdisjoint(ids)
+                                            for kind, (ids, _) in part[1].items()):
+                    for kind, (ids, matrix) in part[1].items():
+                        store.add_rows(kind, ids, matrix)
+                    lines, by_child = part[0], by_child + 1
+                else:  # the one pass that names a fault
+                    lines, fault = _load_range(store, _lines(fd, a, b), offset + 1)
+                offset += lines
     if fault is not None:
         raise fault.at(path)
     return store, by_child

@@ -128,9 +128,9 @@ def check_conv_block_chunks():
 def _step_bytes(config, x, y, lanes):
     """Parameter and running-statistic bytes after one training step on
     ``x``, ``y`` whose passes between the GEMMs run on ``lanes`` lanes, in
-    blocks of 4096 elements where they spread, so that toy arrays do."""
+    blocks of 4096 elements, so that toy arrays spread."""
     model = models.build(config, (16, 16, 12), seed=9)
-    with _set(_lanes, count=lambda: lanes, WIDE_BLOCK=1 << 12):
+    with _set(_lanes, count=lambda: lanes, BLOCK=1 << 12):
         with T.recording() as tape:
             logits = model.forward(x, training=True)
             loss = training.weighted_cross_entropy(logits, y, (0.1, 0.9))
@@ -154,6 +154,24 @@ def check_training_step_lanes():
         x = rng.uniform(-1, 1, (len(y), 3) + spatial)
         same &= _step_bytes(config, x, y, 1) == _step_bytes(config, x, y, 2)
     return same, f"parameter and running-statistic bytes {'equal' if same else 'differ'}"
+
+
+def check_score_batches():
+    """An Extend512_DNN batch of 400 trials at dims (133, 133, 134) scored
+    alone and as the first of two batches on two lanes, byte for byte. A
+    lone batch runs its GEMMs on one OpenBLAS thread, as a lane does; this
+    shape gives other bytes on two threads, and that one thread keeps them
+    equal is a property of the BLAS, so it is checked on the one
+    installed."""
+    store, protocols = data.generate_synthetic(
+        data.SynthConfig(d_spk=133, d_cm=134, eval_trials_per_label=267, seed=10))
+    trials = protocols["eval"].trials[:800]
+    model = models.build("Extend512_DNN", (133, 133, 134), seed=10)
+    with _set(_lanes, count=lambda: 2):
+        alone, among = (training.score_trials(model, t, store, 400)[:400]
+                        for t in (trials[:400], trials))
+    same = alone.tobytes() == among.tobytes()
+    return same, f"score bytes {'equal' if same else 'differ'}"
 
 
 def check_embeddings_split():
@@ -248,6 +266,7 @@ CHECKS = [
      lambda: check_conv_block(oracles.conv2d_loops, (2, 3, 6, 5))),
     ("conv-block-chunked-vs-whole", check_conv_block_chunks),
     ("training-step-lanes-vs-one", check_training_step_lanes),
+    ("scores-one-batch-vs-two", check_score_batches),
     ("embeddings-split-vs-whole", check_embeddings_split),
     ("circulant-algebra", check_circulant),
     ("eer-vs-exhaustive-threshold-oracle", check_eer),

@@ -596,9 +596,9 @@ def _channel_blocks(c: int, n: int, budget: int) -> list[slice]:
 def _pass_blocks(c: int, n: int) -> list[slice]:
     """The channel blocks of a conv-block pass over ``c`` channels of ``n``
     elements, which ``_lanes.run`` spreads over the lanes: of
-    ``_lanes.block`` elements, so they stay in cache on one lane and
+    ``_lanes.BLOCK`` elements, so they stay in cache on one lane and
     outweigh the GIL's switches on several."""
-    return _channel_blocks(c, n, _lanes.block(c * n))
+    return _channel_blocks(c, n, _lanes.BLOCK)
 
 
 # Elements of the largest im2col matrix a conv block builds at once (64 MB).

@@ -97,12 +97,10 @@ class Adam:
     two scratch blocks and in-place ufuncs, so every block stays in cache
     instead of each operation making a full pass over memory. The blocks
     are spread over the lanes (``_lanes.run``), each lane with two scratch
-    blocks of its own; they hold ``_lanes.block`` elements: 128K where the
-    parameter (or the rows a call covers) spans more than that and more
-    than one lane runs, else 32K. Per element it keeps
-    the whole-array formula's operation order, so the result is
-    bit-identical to it, whatever rows a call covers and whichever lane
-    takes a block: ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``;
+    blocks of its own; they hold ``_lanes.BLOCK`` (64K) elements. Per
+    element it keeps the whole-array formula's operation order, so the
+    result is bit-identical to it, whatever rows a call covers and
+    whichever lane takes a block: ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``;
     ``v = b2*v + ((1-b2)*g)*g``; ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
     If an update raises (an overflow under ``errstate``), the lanes may
     already have updated blocks after the failing one.
@@ -143,7 +141,7 @@ class Adam:
         flat_p, flat_g = p.data[rows].reshape(-1), np.ravel(grad)
         flat_m, flat_v = self.m[i][rows].reshape(-1), self.v[i][rows].reshape(-1)
         size = flat_p.size
-        block = _lanes.block(size)
+        block = _lanes.BLOCK
         starts = range(0, size, block)
         lanes = min(_lanes.width(), len(starts))
 
@@ -219,15 +217,20 @@ def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store
     are reproducible bit for bit only at the same batch size.
 
     The batches are spread over one lane per CPU (``_lanes.run``), each
-    batch computed whole on one thread with a one-thread OpenBLAS. That
-    changes no byte: a batch's products keep their shapes, OpenBLAS splits
-    a product's rows and columns between its threads but never its inner
-    dimension, and a lane's conv blocks split their im2col GEMMs by columns
-    at multiples of 16 (``tensor._item_chunks``). An error is the one the
-    plain loop raises, from the earliest failing batch, and numpy's
-    ``errstate`` holds on every lane. Inside a lane the conv blocks' passes
-    run inline, as a lane starts no lanes. The run parks OpenBLAS's workers
-    (``_lanes``), which a training step's GEMMs may have left spinning.
+    batch computed whole on one thread, and every batch runs its GEMMs on a
+    one-thread OpenBLAS, on a lane or on the caller (``pin``). So a batch's
+    bytes depend neither on how many batches the call has nor on the
+    number of lanes: OpenBLAS 0.3.31 gives some products other bytes on
+    two threads than on one (square 300, 400 and 1000 products, and an
+    Extend512_DNN batch of 400 rows at dims (133, 133, 134) by up to
+    6.7e-16), so a lone batch on a two-thread OpenBLAS would differ from
+    the same batch on a lane. A lane's conv blocks split their im2col
+    GEMMs by columns at multiples of 16 (``tensor._item_chunks``), which
+    changes no byte. An error is the one the plain loop raises, from the
+    earliest failing batch, and numpy's ``errstate`` holds on every lane.
+    Inside a lane the conv blocks' passes run inline, as a lane starts no
+    lanes. The run parks OpenBLAS's workers (``_lanes``), which a training
+    step's GEMMs may have left spinning.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -238,7 +241,7 @@ def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store
         batch = fuse_batch(store, rows[i : i + batch_size], model.config.fusion_mode)
         out[i : i + len(batch)] = softmax_scores(model.forward(batch).data)
 
-    _lanes.run(score, range(0, len(rows), batch_size))
+    _lanes.run(score, range(0, len(rows), batch_size), pin=True)
     return out
 
 
@@ -276,8 +279,9 @@ def fit(
     The passes between a step's GEMMs (the conv blocks' im2col, col2im and
     epilogues, and Adam) run on one lane per CPU (``_lanes.run``), with
     OpenBLAS's spinning workers parked where no other thread could be in
-    OpenBLAS, and the GEMMs on OpenBLAS's own threads. The dev check scores on the lanes too (``score_trials``). No
-    byte depends on the number of lanes.
+    OpenBLAS, and the GEMMs on OpenBLAS's own threads. The dev check scores
+    on one-thread OpenBLAS (``score_trials``). No byte depends on the number
+    of lanes, but the step's GEMMs can depend on OpenBLAS's thread count.
 
     Each step runs with numpy's overflow and invalid-operation errors
     raised: one ends training with a RuntimeError naming the epoch and

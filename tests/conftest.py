@@ -35,10 +35,10 @@ def spawned(monkeypatch):
 @pytest.fixture
 def lanes(monkeypatch):
     """Set the lane count of the test, two by default, so that the lanes
-    run on a one-CPU machine too. A pass spread over lanes walks blocks of
-    4096 elements, so that toy arrays spread as well."""
+    run on a one-CPU machine too. Every blocked pass walks blocks of 4096
+    elements, so that toy arrays spread over the lanes as well."""
     def force(n):
         monkeypatch.setattr(_lanes, "count", lambda: n)
-    monkeypatch.setattr(_lanes, "WIDE_BLOCK", 1 << 12)
+    monkeypatch.setattr(_lanes, "BLOCK", 1 << 12)
     force(2)
     return force

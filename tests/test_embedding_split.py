@@ -5,6 +5,7 @@ The ``spawned`` fixture sets ``_MIN_PART_BYTES`` to 1 and ``load_split``
 sets ``_cpus`` to the number of ranges wanted, so toy files split as a
 large file does on that many CPUs."""
 
+import contextlib
 import os
 import signal
 import sys
@@ -111,6 +112,20 @@ class TestSplitMatchesOnePass:
         monkeypatch.setattr(data, "_MIN_PART_BYTES", path.stat().st_size)
         assert_same(load_split(monkeypatch, path, 4), load_whole(path))
         assert spawned == []
+
+
+@pytest.fixture
+def parsed_here(monkeypatch):
+    """The first line number of every range that this process parses."""
+    firsts = []
+    real = data._load_range
+
+    def recorded(store, raws, first):
+        firsts.append(first)
+        return real(store, raws, first)
+
+    monkeypatch.setattr(data, "_load_range", recorded)
+    return firsts
 
 
 def fault_message(path, load):
@@ -241,6 +256,52 @@ class TestSplitErrors:
         assert message == (f"{tmp_path / 'emb.tsv'}:{first + 3}: "
                            "x: cm embedding contains non-finite values")
 
+    def test_a_child_sends_nothing_back_for_a_faulty_range(self, tmp_path, spawned):
+        lines = rows(20)
+        at, = self.split_lines(tmp_path, lines)
+        lines[at + 1] = self.FAULTS["malformed"]
+        path = tmp_path / "emb.tsv"
+        write(path, lines)
+        assert self.starts(tmp_path)[0] <= at + 3
+        with open(path, "rb") as fh, contextlib.ExitStack() as stack:
+            fh.readline()
+            _, (a, b) = data._ranges(fh.fileno(), fh.tell(), path.stat().st_size, 2)
+            child = data._spawn(stack, fh.fileno(), a, b, data.EmbeddingStore(3, 2))
+            assert child.stdout.read() == b""
+            assert child.wait() != 0
+
+    def test_a_faulty_range_is_parsed_here(self, tmp_path, monkeypatch, spawned, parsed_here):
+        """Of two child ranges, the clean one is merged from its child and
+        the faulty one parsed here, with the one-pass message."""
+        lines = rows(30)
+        first, second = self.split_lines(tmp_path, lines, 3)
+        lines[second + 1] = "x\tcm\t1"
+        path = tmp_path / "emb.tsv"
+        write(path, lines)
+        whole = fault_message(path, load_whole)
+        starts = self.starts(tmp_path, 3)
+        assert starts[0] <= first + 3 < starts[1] <= second + 3
+        parsed_here.clear()
+        assert fault_message(path, lambda p: load_split(monkeypatch, p, 3)) == whole
+        assert parsed_here == [2, starts[1]]
+        assert [p.returncode != 0 for p in spawned] == [False, True]
+
+    def test_a_clean_part_with_an_earlier_id_is_parsed_here(self, tmp_path, monkeypatch,
+                                                            spawned, parsed_here):
+        lines = rows(20)
+        at, = self.split_lines(tmp_path, lines)
+        lines[at + 2] = lines[at - 6]
+        utt_id, kind, _ = lines[at + 2].split("\t")
+        path = tmp_path / "emb.tsv"
+        write(path, lines)
+        start, = self.starts(tmp_path)
+        assert at - 4 < start <= at + 4
+        name = {"spk": "speaker", "cm": "CM"}[kind]
+        assert fault_message(path, lambda p: load_split(monkeypatch, p, 2)) == (
+            f"{path}:{at + 4}: duplicate {name} embedding for {utt_id!r}")
+        assert parsed_here == [2, start]
+        assert spawned[0].returncode == 0
+
     def test_no_child_outlives_a_fault_in_the_first_range(self, tmp_path, monkeypatch,
                                                           spawned):
         lines = rows(20)
@@ -280,6 +341,17 @@ class TestChildFailures:
         assert_same(load_split(monkeypatch, path, 3), load_whole(path))
         assert len(spawned) == 2
         assert capfd.readouterr().err == ""
+
+    def test_a_part_followed_by_more_bytes_is_parsed_here(self, tmp_path, monkeypatch,
+                                                          spawned, parsed_here):
+        monkeypatch.setattr(data, "_CHILD", self.CHILDREN["trailing bytes"])
+        path = tmp_path / "emb.tsv"
+        write(path, rows(12))
+        want = load_whole(path)
+        parsed_here.clear()
+        assert_same(load_split(monkeypatch, path, 2), want)
+        assert parsed_here == first_lines(path, 2)
+        assert spawned[0].returncode == 0
 
     @pytest.mark.parametrize("executable", ["", "/nonexistent/python"])
     def test_child_cannot_start(self, tmp_path, monkeypatch, spawned, executable):

@@ -55,6 +55,15 @@ def toy():
     return store, protos["eval"].trials
 
 
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS on two threads for the test, where the count can be set."""
+    old = _lanes._set_threads(2) if _lanes._set_threads is not None else None
+    yield
+    if old is not None:
+        _lanes._set_threads(old)
+
+
 class TestScoreBytes:
     # 21 trials at batch 5: five batches, the last of one trial; at 11: two
     # (11 and 10).
@@ -84,6 +93,25 @@ class TestScoreBytes:
             assert len(seen) == 2 and seen[0] == seen[1]
             assert (seen[0] == [slice(0, 10)]) is whole
             assert max(s.stop - s.start for s in seen[0]) * 100 <= 1000 // n
+
+    # Shapes whose products OpenBLAS 0.3.31 computes to other bytes on two
+    # threads than on one.
+    @pytest.mark.parametrize("name, dims, batch", [("Extend512_DNN", (133, 133, 134), 400),
+                                                   ("Extend1024_DNN", (150, 150, 100), 250)])
+    def test_a_batch_scores_the_same_alone_and_among_others(self, lanes, two_blas_threads,
+                                                            name, dims, batch):
+        """A lone batch, and every batch of a one-lane run, runs its GEMMs on
+        one OpenBLAS thread as a lane does."""
+        store, protocols = data.generate_synthetic(data.SynthConfig(
+            d_spk=dims[0], d_cm=dims[2], eval_trials_per_label=-(-2 * batch // 3)))
+        trials = protocols["eval"].trials[:2 * batch]
+        model = models.build(name, dims, seed=1)
+        want = training.score_trials(model, trials, store, batch)  # two batches, two lanes
+        for n in (1, 2):
+            lanes(n)
+            for part in (slice(None), slice(0, batch), slice(batch, None)):
+                got = training.score_trials(model, trials[part], store, batch)
+                assert got.tobytes() == want[part].tobytes(), (n, part)
 
 
 @needs_openblas
@@ -126,13 +154,8 @@ def parks(monkeypatch):
 
 @needs_openblas
 @pytest.mark.skipif(_lanes._park is None, reason="needs blas_thread_shutdown_")
+@pytest.mark.usefixtures("two_blas_threads")
 class TestPark:
-    @pytest.fixture(autouse=True)
-    def two_blas_threads(self):
-        old = _lanes._set_threads(2)
-        yield
-        _lanes._set_threads(old)
-
     def test_parks_before_the_first_lane_starts(self, lanes, parks):
         _lanes.run(parks.append, range(4))
         assert parks[0] == "park" and sorted(parks[1:]) == [0, 1, 2, 3]
@@ -279,7 +302,7 @@ import numpy as np
 from sasvbackend import _lanes, data, models, training
 
 _lanes.count = lambda: 2
-_lanes.WIDE_BLOCK = 1 << 12
+_lanes.BLOCK = 1 << 12
 parks, park = [], _lanes._park
 _lanes._park = lambda: parks.append(1) or park()
 store, protos = data.generate_synthetic(data.SynthConfig(

@@ -59,6 +59,11 @@ def _every_lane_from_the_first_item(orig):
     return lambda self, first: orig(self, 0)
 
 
+def _unpinned(orig):
+    # A lone scoring batch keeps OpenBLAS's thread count.
+    return lambda fn, items, pin=False: orig(fn, items)
+
+
 def _scaled_ce_weights(orig):
     return lambda logits, labels, weights: orig(logits, labels, [1.01 * v for v in weights])
 
@@ -73,6 +78,7 @@ BREAKS = {
     "conv-block-2d-vs-loop-oracles": (T, "_MOMENTUM", lambda momentum: 2 * momentum),
     "conv-block-chunked-vs-whole": (T, "np", lambda numpy: _KSplitNumpy()),
     "training-step-lanes-vs-one": (_lanes._Run, "lane", _every_lane_from_the_first_item),
+    "scores-one-batch-vs-two": (_lanes, "run", _unpinned),
     # no child can start, so every range is parsed in process
     "embeddings-split-vs-whole": (sys, "executable", lambda executable: ""),
     "weighted-cross-entropy-vs-loop": (training, "weighted_cross_entropy", _scaled_ce_weights),
@@ -95,6 +101,7 @@ def test_check_names():
         "conv-block-2d-vs-loop-oracles",
         "conv-block-chunked-vs-whole",
         "training-step-lanes-vs-one",
+        "scores-one-batch-vs-two",
         "embeddings-split-vs-whole",
         "circulant-algebra",
         "eer-vs-exhaustive-threshold-oracle",
