@@ -1,37 +1,43 @@
 """Lanes: work items spread over the CPUs, OpenBLAS on one thread.
 
 ``run(fn, items)`` calls ``fn(item)`` for every item on one lane per CPU
-in the affinity mask: the calling thread plus one worker thread per extra
-CPU, started once and kept. Lane ``j`` of ``n`` runs items ``j``,
+in the affinity mask: the calling thread runs lane 0, and the run starts
+one thread for each further lane and joins them all before it returns, so
+no lane thread outlives its run. Lane ``j`` of ``n`` runs items ``j``,
 ``j + n``, ... in order, each whole on its thread. Two kinds of work use
 it: whole scoring batches (``training.score_trials``), and the passes
 between a training step's GEMMs, cut into blocks (the conv block's im2col,
 col2im and epilogues, ``Adam.update``); those GEMMs themselves stay on
-OpenBLAS's own threads.
+OpenBLAS's own threads. Starting and joining its thread took a two-lane
+run of empty items 80-96 us, against 20-40 us to hand the lane to a
+thread kept between runs (2-vCPU box); a training step makes about 3
+such runs on ``perfbench`` ``dnn-ensemble``, 15 on ``cnn1d-dev`` and 47
+on ``cnn2d-train``, under 1% of its time.
 
 For the length of the run OpenBLAS uses one thread, set with
 ``openblas_set_num_threads_local`` (found through ctypes in numpy's bundled
-OpenBLAS) and restored once the last lane has ended. Without that call
-(another BLAS, an older OpenBLAS), or with one CPU, there is one lane: the
-plain loop on the caller's thread, which keeps OpenBLAS's count unless
-``pin`` is set (scoring): then it too runs with one thread, so an item's
-GEMMs give the bytes they give on a lane. Despite its name, the call sets
-the count of the whole process in OpenBLAS 0.3.31 (a thread started after
-it reads 1, and its GEMMs run at one-thread speed), so ``run`` makes it
-once, on the caller, around all lanes: lanes that each restored the count
-they found could leave the process at one thread. BLAS calls from other
-threads of the process run on one thread while a run lasts.
+OpenBLAS) and restored once every lane thread has been joined, also when
+one failed to start. Without that call (another BLAS, an older OpenBLAS),
+or with one CPU, there is one lane: the plain loop on the caller's thread,
+which keeps OpenBLAS's count unless ``pin`` is set (scoring): then it too
+runs with one thread, so an item's GEMMs give the bytes they give on a
+lane. Despite its name, the call sets the count of the whole process in
+OpenBLAS 0.3.31 (a thread started after it reads 1, and its GEMMs run at
+one-thread speed), so ``run`` makes it once, on the caller, around all
+lanes: lanes that each restored the count they found could leave the
+process at one thread. BLAS calls from other threads of the process run
+on one thread while a run lasts.
 
 Park: after a GEMM on two threads, OpenBLAS's workers keep spinning for a
 while and take the second core from the lanes. So right after setting one
 thread, and before any lane starts, ``run`` stops those workers with
 ``blas_thread_shutdown_``; restoring the count starts them again. On a
 2-vCPU box setting the count and parking took 32 us, the restore 29 us.
-It parks only where no thread but the caller and the idle lane workers
-exists, so none can be inside OpenBLAS: a shutdown while another thread
-ran two-thread GEMMs gave one of them a wrong result and then hung that
-thread. Nor does it park when the count it found was 1. Without the
-symbol there is no park.
+It parks only where the caller is the one Python thread
+(``threading.active_count() == 1``), so no other can be inside OpenBLAS:
+a shutdown while another thread ran two-thread GEMMs gave one of them a
+wrong result and then hung that thread. Nor does it park when the count
+it found was 1. Without the symbol there is no park.
 
 Block size: a lane holds the GIL between numpy calls, so the ufuncs of an
 elementwise pass overlap only while each runs long enough. Two threads
@@ -49,8 +55,9 @@ them. The error ``run`` raises is the one the plain loop would raise, as
 raised: the earliest failing item's. A lane stops before an item past
 the earliest failure so far, and every earlier item still runs, so no
 earlier error is missed; the items after it that other lanes had started
-have run as well. A lane never starts lanes: a worker waiting for lanes
-of its own would wait for itself, so there ``run`` is the plain loop.
+have run as well. A lane never starts lanes, and there ``run`` is the
+plain loop: the run's lanes already take every CPU, and ``SHARE`` splits
+the im2col budget (``tensor._cols_budget``) over one level of lanes.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ import contextvars
 import ctypes
 import glob
 import os
-import queue
 import threading
 
 import numpy as np
@@ -108,43 +114,6 @@ def count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def width() -> int:
-    """Lanes a ``run`` started here spreads its items over: ``count()``
-    outside a lane, 1 inside one."""
-    return count() if SHARE.get() == 1 else 1
-
-
-_tasks: queue.SimpleQueue = queue.SimpleQueue()
-_workers: list[threading.Thread] = []
-_grow_lock = threading.Lock()
-
-
-def _serve() -> None:
-    while True:
-        _tasks.get()()
-
-
-def _grow(n: int) -> None:
-    """Start worker threads until there are ``n``."""
-    with _grow_lock:
-        while len(_workers) < n:
-            worker = threading.Thread(target=_serve, daemon=True,
-                                      name=f"sasvbackend-lane-{len(_workers) + 1}")
-            worker.start()
-            _workers.append(worker)
-
-
-def _forget_workers() -> None:
-    """A forked child has none of its parent's threads."""
-    global _tasks
-    _tasks = queue.SimpleQueue()
-    _workers.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
 class _Run:
     """The items of one ``run``: lane ``j`` of ``lanes`` takes items ``j``,
     ``j + lanes``, ... in order, and stops at an item past the earliest
@@ -175,9 +144,9 @@ def _one_blas_thread():
     other thread can be inside it; the count found is restored after."""
     old = _set_threads(1) if _set_threads is not None else None
     try:
-        # Only the caller and the idle workers exist: no thread is in OpenBLAS.
+        # Only the caller exists: no other thread is in OpenBLAS.
         if (_park is not None and old is not None and old > 1
-                and threading.active_count() == 1 + len(_workers)):
+                and threading.active_count() == 1):
             _park()
         yield
     finally:
@@ -186,33 +155,30 @@ def _one_blas_thread():
 
 
 def run(fn, items, *, pin: bool = False) -> None:
-    """Call ``fn(item)`` for each of ``items``, on ``width()`` lanes; raise
-    the error of the earliest item that failed. With ``pin`` a run on one
-    lane, too, holds OpenBLAS at one thread."""
+    """Call ``fn(item)`` for each of ``items``, on ``count()`` lanes (one
+    inside a lane); raise the error of the earliest item that failed. With
+    ``pin`` a run on one lane, too, holds OpenBLAS at one thread."""
     items = list(items)
-    lanes = min(width(), len(items))
+    lanes = min(count() if SHARE.get() == 1 else 1, len(items))
     if lanes <= 1:
         with _one_blas_thread() if pin else contextlib.nullcontext():
             for item in items:
                 fn(item)
         return
-    tune_malloc()  # one heap arena before any worker allocates
-    _grow(lanes - 1)
+    tune_malloc()  # one heap arena before any lane thread allocates
     work = _Run(fn, items, lanes)
-    done = [threading.Event() for _ in range(1, lanes)]
     with _one_blas_thread():
-        for first, event in enumerate(done, start=1):
-            ctx = contextvars.copy_context()
-
-            def task(ctx=ctx, first=first, event=event):
-                try:
-                    ctx.run(work.lane, first)
-                finally:
-                    event.set()
-
-            _tasks.put(task)
-        contextvars.copy_context().run(work.lane, 0)
-        for event in done:
-            event.wait()
+        threads = []
+        try:
+            for first in range(1, lanes):
+                thread = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(work.lane, first),
+                                          name=f"sasvbackend-lane-{first}")
+                thread.start()
+                threads.append(thread)
+            contextvars.copy_context().run(work.lane, 0)
+        finally:
+            for thread in threads:
+                thread.join()
     if work.errors:
         raise work.errors[work.failed]

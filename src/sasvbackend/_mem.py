@@ -10,9 +10,9 @@ pairs, 2-vCPU box, OpenBLAS): with the tuning 46.8 train and 167.8 score
 trials/s, without it 40.8 and 140.3, at the same peak RSS (1461 against
 1465 MB).
 
-``M_ARENA_MAX`` is set to 1, so the worker threads of scoring lanes
-(``_lanes``) allocate from the main heap too and reuse its freed blocks,
-instead of each growing an arena of its own that is never trimmed.
+``M_ARENA_MAX`` is set to 1, so the lane threads (``_lanes``) allocate
+from the main heap too and reuse its freed blocks, instead of each
+growing an arena of its own that is never trimmed.
 Without it, two-lane scoring raised the peak RSS of ``perfbench``
 ``cnn2d-train`` from 723 to 790 MB and of ``cnn1d-dev`` from 160 to
 200 MB (one job each, seed 41, same score bytes).

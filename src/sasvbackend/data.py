@@ -433,16 +433,7 @@ def _cpus() -> int:
 def _line_start(fd: int, at: int, stop: int) -> int:
     """The first line start at or after ``at`` (> 0), or ``stop``: one past
     the first ``\\n`` at or after ``at - 1``."""
-    pos = at - 1
-    while pos < stop:
-        block = os.pread(fd, 1 << 16, pos)
-        nl = block.find(b"\n")
-        if nl >= 0:
-            return min(pos + nl + 1, stop)
-        if not block:
-            break
-        pos += len(block)
-    return stop
+    return at - 1 + len(_lines(fd, at - 1, stop).readline())
 
 
 def _ranges(fd: int, start: int, stop: int, parts: int) -> list[tuple[int, int]]:

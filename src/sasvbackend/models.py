@@ -40,7 +40,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -127,72 +127,23 @@ def _is_int(value) -> bool:
 
 # Attention sits after the third conv block (index 2) in every attention
 # preset; the 1D pool target of 16 mirrors the 2D preset's 16x16.
-PRESETS: dict[str, ModelConfig] = {
-    "Extend512_DNN": ModelConfig(
-        name="Extend512_DNN", fusion_mode=fusion.CONCAT, dnn_nodes=(512, 256, 128, 64)
-    ),
-    "Extend1024_DNN": ModelConfig(
-        name="Extend1024_DNN",
-        fusion_mode=fusion.CONCAT,
-        dnn_nodes=(1024, 512, 256, 128, 64),
-    ),
-    "CNN1D": ModelConfig(
-        name="CNN1D",
-        fusion_mode=fusion.STACK1D,
-        conv_channels=(256, 128, 64),
-        conv_kernels=(3, 3, 3),
-        pool_size=(16,),
-        dnn_nodes=(512, 256, 64),
-    ),
-    "CNN1D_SE": ModelConfig(
-        name="CNN1D_SE",
-        fusion_mode=fusion.STACK1D,
-        conv_channels=(256, 128, 64),
-        conv_kernels=(3, 3, 3),
-        pool_size=(16,),
-        dnn_nodes=(512, 256, 64),
-        attention_kind=att.SE1D,
-        attention_position=2,
-    ),
-    "CNN1D_PA": ModelConfig(
-        name="CNN1D_PA",
-        fusion_mode=fusion.STACK1D,
-        conv_channels=(256, 128, 64),
-        conv_kernels=(3, 3, 3),
-        pool_size=(16,),
-        dnn_nodes=(512, 256, 64),
-        attention_kind=att.PA,
-        attention_position=2,
-    ),
-    "CNN2D": ModelConfig(
-        name="CNN2D",
-        fusion_mode=fusion.CIRC2D,
-        conv_channels=(32, 64, 128, 256),
-        conv_kernels=(5, 3, 3, 3),
-        pool_size=(16, 16),
-        dnn_nodes=(256, 128, 64),
-    ),
-    "CNN2D_SE": ModelConfig(
-        name="CNN2D_SE",
-        fusion_mode=fusion.CIRC2D,
-        conv_channels=(32, 64, 128, 256),
-        conv_kernels=(5, 3, 3, 3),
-        pool_size=(16, 16),
-        dnn_nodes=(256, 128, 64),
-        attention_kind=att.SE2D,
-        attention_position=2,
-    ),
-    "CNN2D_VSE": ModelConfig(
-        name="CNN2D_VSE",
-        fusion_mode=fusion.CIRC2D,
-        conv_channels=(32, 64, 128, 256),
-        conv_kernels=(5, 3, 3, 3),
-        pool_size=(16, 16),
-        dnn_nodes=(256, 128, 64),
-        attention_kind=att.VSE,
-        attention_position=2,
-    ),
-}
+_DNN512 = ModelConfig(name="Extend512_DNN", fusion_mode=fusion.CONCAT,
+                      dnn_nodes=(512, 256, 128, 64))
+_CNN1D = ModelConfig(name="CNN1D", fusion_mode=fusion.STACK1D, conv_channels=(256, 128, 64),
+                     conv_kernels=(3, 3, 3), pool_size=(16,), dnn_nodes=(512, 256, 64))
+_CNN2D = ModelConfig(name="CNN2D", fusion_mode=fusion.CIRC2D,
+                     conv_channels=(32, 64, 128, 256), conv_kernels=(5, 3, 3, 3),
+                     pool_size=(16, 16), dnn_nodes=(256, 128, 64))
+PRESETS: dict[str, ModelConfig] = {config.name: config for config in (
+    _DNN512,
+    replace(_DNN512, name="Extend1024_DNN", dnn_nodes=(1024, 512, 256, 128, 64)),
+    _CNN1D,
+    replace(_CNN1D, name="CNN1D_SE", attention_kind=att.SE1D, attention_position=2),
+    replace(_CNN1D, name="CNN1D_PA", attention_kind=att.PA, attention_position=2),
+    _CNN2D,
+    replace(_CNN2D, name="CNN2D_SE", attention_kind=att.SE2D, attention_position=2),
+    replace(_CNN2D, name="CNN2D_VSE", attention_kind=att.VSE, attention_position=2),
+)}
 
 
 def preset(name: str) -> ModelConfig:

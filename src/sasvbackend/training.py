@@ -95,9 +95,9 @@ class Adam:
     ``update`` is the one update path, and only ``Tape.backward`` calls it.
     It walks the parameter's flat data, gradient and moments in blocks with
     two scratch blocks and in-place ufuncs, so every block stays in cache
-    instead of each operation making a full pass over memory. The blocks
-    are spread over the lanes (``_lanes.run``), each lane with two scratch
-    blocks of its own; they hold ``_lanes.BLOCK`` (64K) elements. Per
+    instead of each operation making a full pass over memory. The blocks,
+    of ``_lanes.BLOCK`` (64K) elements, go to ``_lanes.run`` like the conv
+    blocks' passes, and each makes its own two scratch blocks. Per
     element it keeps the whole-array formula's operation order, so the
     result is bit-identical to it, whatever rows a call covers and
     whichever lane takes a block: ``g = grad + wd*p``; ``m = b1*m + (1-b1)*g``;
@@ -140,34 +140,29 @@ class Adam:
         p.data = np.ascontiguousarray(p.data)
         flat_p, flat_g = p.data[rows].reshape(-1), np.ravel(grad)
         flat_m, flat_v = self.m[i][rows].reshape(-1), self.v[i][rows].reshape(-1)
-        size = flat_p.size
         block = _lanes.BLOCK
-        starts = range(0, size, block)
-        lanes = min(_lanes.width(), len(starts))
 
-        def lane(j: int) -> None:
-            scratch_a, scratch_b = np.empty((2, min(block, size)))
-            for s in starts[j::lanes]:
-                blk = slice(s, s + block)
-                pb, mb, vb = flat_p[blk], flat_m[blk], flat_v[blk]
-                a, b = scratch_a[: pb.size], scratch_b[: pb.size]
-                g = flat_g[blk]
-                if weight_decay:
-                    np.multiply(weight_decay, pb, out=a)
-                    g = np.add(g, a, out=a)
-                mb *= b1
-                mb += np.multiply(1.0 - b1, g, out=b)
-                vb *= b2
-                np.multiply(1.0 - b2, g, out=b)
-                vb += np.multiply(b, g, out=b)
-                np.divide(mb, c1, out=a)
-                np.multiply(lr, a, out=a)
-                np.divide(vb, c2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                pb -= np.divide(a, b, out=a)
+        def update_block(s: int) -> None:
+            blk = slice(s, s + block)
+            pb, mb, vb = flat_p[blk], flat_m[blk], flat_v[blk]
+            a, b = np.empty((2, pb.size))
+            g = flat_g[blk]
+            if weight_decay:
+                np.multiply(weight_decay, pb, out=a)
+                g = np.add(g, a, out=a)
+            mb *= b1
+            mb += np.multiply(1.0 - b1, g, out=b)
+            vb *= b2
+            np.multiply(1.0 - b2, g, out=b)
+            vb += np.multiply(b, g, out=b)
+            np.divide(mb, c1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            pb -= np.divide(a, b, out=a)
 
-        _lanes.run(lane, range(lanes))
+        _lanes.run(update_block, range(0, flat_p.size, block))
 
 
 @dataclass

@@ -138,6 +138,53 @@ class TestBlasThreads:
             _lanes._set_threads(old)
 
 
+@pytest.mark.usefixtures("two_blas_threads")
+class TestForkJoin:
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_lane_thread_outlives_its_run(self, lanes, fails):
+        before = threading.active_count()
+
+        def item(i):
+            if fails and i == 3:
+                raise ValueError("item 3")
+
+        if fails:
+            with pytest.raises(ValueError, match="item 3"):
+                _lanes.run(item, range(4))
+        else:
+            _lanes.run(item, range(4))
+        assert threading.active_count() == before
+
+    def test_a_lane_that_fails_to_start_is_raised_after_the_started_lane_ends(
+            self, lanes, monkeypatch):
+        """With three lanes the second lane thread cannot start: the run
+        raises that error once the first has ended, and only then restores
+        OpenBLAS's count."""
+        lanes(3)
+        started, start = [], threading.Thread.start
+
+        def start_one(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+            started.append(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        ran, counts = [], []
+
+        def item(i):
+            time.sleep(0.05)
+            counts.append(BLAS_THREADS() if BLAS_THREADS is not None else None)
+            ran.append(i)
+
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _lanes.run(item, range(6))
+        assert len(started) == 1 and not started[0].is_alive()
+        assert ran == [1, 4]  # the started lane's items, run to the end
+        if BLAS_THREADS is not None and _lanes._set_threads is not None:
+            assert counts == [1, 1] and BLAS_THREADS() == 2
+
+
 @pytest.fixture
 def parks(monkeypatch):
     """Every park of the test, in order with what the items record."""
