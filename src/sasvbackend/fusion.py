@@ -33,22 +33,15 @@ MODES = tuple(RANK)
 
 @lru_cache(maxsize=None)
 def _circulant_index(n: int) -> np.ndarray:
-    """DxD table (j - i) mod D, read-only because it is shared."""
+    """DxD table (j - i) mod D, read-only because it is shared.
+
+    Taking a vector v through it gives v's circulant: row i is v rotated i
+    places to the right, entry [i, j] = v[(j - i) mod D], so every row and
+    column holds each element of v exactly once.
+    """
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     idx.setflags(write=False)
     return idx
-
-
-def circulant(v: np.ndarray) -> np.ndarray:
-    """DxD matrix whose row i is v rotated i elements to the right.
-
-    Entry [i, j] = v[(j - i) mod D], so every row and column holds each
-    element of v exactly once.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"circulant needs a non-empty vector, got shape {v.shape}")
-    return np.take(v, _circulant_index(v.size))
 
 
 def fuse_batch(store: EmbeddingStore, rows: TrialRows, mode: str) -> np.ndarray:

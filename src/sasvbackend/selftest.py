@@ -9,7 +9,7 @@ import dataclasses
 import os
 import tempfile
 import time
-from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -77,23 +77,10 @@ def check_conv_block(conv_loops, x_shape):
     return _worst(pairs, 1e-12)
 
 
-@contextmanager
-def _set(owner, **values):
-    """``owner``'s attributes set to ``values`` for the body."""
-    saved = {name: getattr(owner, name) for name in values}
-    for name, value in values.items():
-        setattr(owner, name, value)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            setattr(owner, name, value)
-
-
 def _block_bytes(x, w, vecs, g, training, budget):
     """Output, running stats and gradient bytes of one recorded conv_block
     whose im2col matrices hold at most ``budget`` elements."""
-    with _set(T, _COLS_BUDGET=budget):
+    with mock.patch.multiple(T, _COLS_BUDGET=budget):
         ts = [Tensor(a, requires_grad=True) for a in (x, w, *vecs)]
         stats = RunningStats(w.shape[0])
         with T.recording() as tape:
@@ -130,7 +117,7 @@ def _step_bytes(config, x, y, lanes):
     ``x``, ``y`` whose passes between the GEMMs run on ``lanes`` lanes, in
     blocks of 4096 elements, so that toy arrays spread."""
     model = models.build(config, (16, 16, 12), seed=9)
-    with _set(_lanes, count=lambda: lanes, BLOCK=1 << 12):
+    with mock.patch.multiple(_lanes, count=lambda: lanes, BLOCK=1 << 12):
         with T.recording() as tape:
             logits = model.forward(x, training=True)
             loss = training.weighted_cross_entropy(logits, y, (0.1, 0.9))
@@ -167,7 +154,7 @@ def check_score_batches():
         data.SynthConfig(d_spk=133, d_cm=134, eval_trials_per_label=267, seed=10))
     trials = protocols["eval"].trials[:800]
     model = models.build("Extend512_DNN", (133, 133, 134), seed=10)
-    with _set(_lanes, count=lambda: 2):
+    with mock.patch.multiple(_lanes, count=lambda: 2):
         alone, among = (training.score_trials(model, t, store, 400)[:400]
                         for t in (trials[:400], trials))
     same = alone.tobytes() == among.tobytes()
@@ -195,12 +182,21 @@ def check_embeddings_split():
 
 
 def check_circulant():
+    """``fusion.fuse_batch``'s circ2d channels of a one-utterance trial
+    against the loop circulant of its stack1d channels, exactly, and their
+    row sums, at D = 1 and at random dims up to 31."""
     rng = np.random.default_rng(2)
-    for v in (rng.normal(size=int(rng.integers(1, 32))) for _ in range(20)):
-        mat = fusion.circulant(v)
-        if not (np.array_equal(mat, oracles.circulant_loops(v))
-                and np.allclose(mat.sum(axis=1), v.sum(), atol=1e-9)):
-            return False, f"loop oracle or row sums broken at D={v.size}"
+    trial = data.Trial(("u",), "u", "target")
+    for d, q in [(1, 1), *rng.integers(1, 32, (20, 2)).tolist()]:
+        store = data.EmbeddingStore(d, q)
+        store.add("u", spk=rng.normal(size=d), cm=rng.normal(size=q))
+        rows = data.compile_trials(store, [trial])
+        stacked, circ = (fusion.fuse_batch(store, rows, mode)[0]
+                         for mode in (fusion.STACK1D, fusion.CIRC2D))
+        for v, mat in zip(stacked, circ):
+            if not (np.array_equal(mat, oracles.circulant_loops(v))
+                    and np.allclose(mat.sum(axis=1), v.sum(), atol=1e-9)):
+                return False, f"loop oracle or row sums broken at D={v.size}"
     return True, "matches the loop oracle and row sums hold"
 
 
@@ -218,7 +214,7 @@ def check_adam():
     p0, grads = rng.uniform(-1, 1, n), rng.uniform(-1, 1, (5, n))
     p = Tensor(p0.copy(), requires_grad=True)
     state = training.Adam([("p", p)])
-    with _set(_lanes, BLOCK=1 << 12):
+    with mock.patch.multiple(_lanes, BLOCK=1 << 12):
         for g in grads:
             with T.recording() as tape:  # the gradient of sum(p * g) is exactly g
                 loss = T.sum_all(T.mul(p, Tensor(g)))

@@ -33,11 +33,14 @@ in row blocks, so the whole gradient is never held.
 Layout rule: the bytes of a result depend on the memory layout of the arrays
 it was reduced from, not only on their values (numpy sums in memory order,
 and a GEMM blocks by layout). So every op returns its output in the layout
-the whole-array formula would give it (a conv block's output is
-channel-major, an elementwise op keeps its input's layout), and every
-reduction sees an operand of that same layout. ``conv_block`` walks its
-arrays in cache-sized slices of two or more channels, which numpy reduces in
-the same order as the whole array.
+the whole-array formula would give it, and every reduction sees an operand
+of that same layout. A conv block's output is channel-major. An elementwise
+op's output takes the layout numpy gives it: its operands' common memory
+order where they agree, C order where they do not. So a channel-major
+(B, C, H, W) tensor times a (1, C, 1, 1) scale stays channel-major, but
+times a (B, C, 1, 1) gate, as SE applies it, comes out C-ordered.
+``conv_block`` walks its arrays in cache-sized slices of two or more
+channels, which numpy reduces in the same order as the whole array.
 """
 
 from __future__ import annotations
@@ -690,8 +693,11 @@ def _plan(sizes: list[int], k: int) -> list:
 def _flat(xc: np.ndarray) -> np.ndarray | None:
     """The channel-major ``xc`` (C, B, *sizes) as a (C, B*prod(sizes)) view,
     or None where that needs a copy, which would take col2im's adds away
-    from dx. A conv's own output merges; a C-ordered input of more than one
-    channel does not."""
+    from dx. A conv's own output merges, as does a slice of its batch items;
+    a C-ordered input of more than one channel does not. Two preset blocks
+    read such an input, so ``_im2col`` copies it block by block in their
+    forward, dW runs and col2im: every CNN's first block (the fused batch)
+    and conv4 of CNN2D_SE and CNN2D_VSE (the SE or VSE gate's product)."""
     try:
         return np.reshape(xc, (xc.shape[0], -1), copy=False)
     except ValueError:
@@ -822,7 +828,10 @@ def conv_block(
         ob += cs(beta.data[blk])
         return ob
 
-    out_data = np.empty_like(xhat)
+    # An unrecorded eval block writes its output over xhat, which no rule
+    # reads then, so it holds one activation; training writes x*x into the
+    # second buffer.
+    out_data = np.empty_like(xhat) if training or _records(inputs) else xhat
 
     def epilogue(blk: slice) -> None:
         hb, ob = xhat[:, blk], out_data[:, blk]

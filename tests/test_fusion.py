@@ -86,23 +86,30 @@ class TestPadToCommon:
         np.testing.assert_array_equal(out[0 if d < q else 2, min(d, q):], 0.0)
 
 
+def circulant(v):
+    """v's circulant as ``fuse_batch`` builds it: the circ2d channel of a
+    trial whose CM embedding is v."""
+    return fuse_one(fusion.CIRC2D, [v], v, v)[2]
+
+
 class TestCirculant:
     def test_three_elements(self):
         np.testing.assert_array_equal(
-            fusion.circulant(np.array([1.0, 2.0, 3.0])),
+            circulant([1.0, 2.0, 3.0]),
             [[1, 2, 3], [3, 1, 2], [2, 3, 1]],
         )
 
     def test_singleton(self):
-        np.testing.assert_array_equal(fusion.circulant(np.array([7.0])), [[7.0]])
+        np.testing.assert_array_equal(circulant([7.0]), [[7.0]])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fusion.circulant(np.array([]))
+        # no store holds the empty vector whose circulant would be 0x0
+        with pytest.raises(ValueError, match="dims must be positive"):
+            EmbeddingStore(0, 0)
 
     def test_rows_are_index_formula(self, rng):
         v = rng.normal(size=8)
-        mat = fusion.circulant(v)
+        mat = circulant(v)
         x = rng.normal(size=8)
         # matrix action agrees with the direct sum over v[(j-i) mod D]
         for i in range(8):
@@ -112,16 +119,15 @@ class TestCirculant:
     @given(finite_vec)
     @settings(max_examples=60, deadline=None)
     def test_row_rotation_property(self, vals):
-        v = np.array(vals)
-        mat = fusion.circulant(v)
-        for i in range(len(v) - 1):
+        mat = circulant(vals)
+        for i in range(len(vals) - 1):
             np.testing.assert_array_equal(np.roll(mat[i], 1), mat[i + 1])
 
     @given(finite_vec)
     @settings(max_examples=60, deadline=None)
     def test_toeplitz_index_structure(self, vals):
         v = np.array(vals)
-        mat = fusion.circulant(v)
+        mat = circulant(v)
         n = len(v)
         for i in range(n):
             for j in range(n):
@@ -131,12 +137,16 @@ class TestCirculant:
     @settings(max_examples=60, deadline=None)
     def test_row_sums_equal_vector_sum(self, vals):
         v = np.array(vals)
-        mat = fusion.circulant(v)
+        mat = circulant(v)
         np.testing.assert_allclose(mat.sum(axis=1), np.full(len(v), v.sum()), atol=1e-9)
 
     def test_matches_loop_reference(self, rng):
-        v = rng.normal(size=11)
-        np.testing.assert_array_equal(fusion.circulant(v), oracles.circulant_loops(v))
+        """Every circ2d channel, the zero-padded CM one too, is the loop
+        circulant of the same trial's stack1d channel."""
+        args = ([rng.normal(size=11)], rng.normal(size=11), rng.normal(size=7))
+        stacked, circ = (fuse_one(mode, *args) for mode in (fusion.STACK1D, fusion.CIRC2D))
+        for v, mat in zip(stacked, circ):
+            np.testing.assert_array_equal(mat, oracles.circulant_loops(v))
 
 
 class TestStacking:

@@ -137,6 +137,32 @@ class TestBlasThreads:
         finally:
             _lanes._set_threads(old)
 
+    @needs_openblas
+    @pytest.mark.parametrize("name, dims", [("Extend512_DNN", (192, 192, 160)),
+                                            ("CNN1D_SE", (64, 64, 48)),
+                                            ("CNN2D_SE", (16, 16, 12))])
+    def test_one_and_two_threads_train_the_same_bytes(self, name, dims):
+        """A one-epoch fit of three steps at batch 30, its GEMMs on one
+        OpenBLAS thread and on two: parameter and running-statistic bytes
+        equal. Ensemble members trained in one-thread worker processes
+        rely on it, so a BLAS or shape where they differ fails here."""
+        store, protos = data.generate_synthetic(data.SynthConfig(
+            d_spk=dims[0], d_cm=dims[2], train_trials_per_label=30, dev_trials_per_label=1,
+            eval_trials_per_label=1, seed=4))
+        cfg = training.TrainConfig(batch_size=30, epochs=1, seed=1)
+        runs = []
+        for threads in (1, 2):
+            old = _lanes._set_threads(threads)
+            try:
+                if BLAS_THREADS() != threads:
+                    pytest.skip(f"OpenBLAS cannot run {threads} threads here")
+                model = models.build(name, dims, seed=1)
+                training.fit(model, protos["train"].trials, cfg, store)
+            finally:
+                _lanes._set_threads(old)
+            runs.append([a.tobytes() for a in model.state_arrays().values()])
+        assert runs[1] == runs[0]
+
 
 @pytest.mark.usefixtures("two_blas_threads")
 class TestForkJoin:

@@ -8,7 +8,7 @@ from sasvbackend import tensor as T
 
 
 def _transposed_circulant(orig):
-    return lambda v: orig(v).T
+    return lambda n: orig(n).T
 
 
 def _offset_eer(orig):
@@ -69,7 +69,7 @@ def _scaled_ce_weights(orig):
 
 
 BREAKS = {
-    "circulant-algebra": (fusion, "circulant", _transposed_circulant),
+    "circulant-algebra": (fusion, "_circulant_index", _transposed_circulant),
     "eer-vs-exhaustive-threshold-oracle": (metrics, "eer", _offset_eer),
     "adam-vs-scalar-reference": (training.Adam, "step", _doubled_adam_step),
     "adam-in-backward-vs-whole-array": (training.Adam, "update", _update_ignoring_rows),

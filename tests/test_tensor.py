@@ -411,6 +411,35 @@ class TestConvBlock:
         assert len(tape) == len(blocks)
         assert held / x.data.nbytes < len(blocks) * 2
 
+    def test_unrecorded_eval_block_holds_one_activation(self, rng):
+        """An eval block that records no rule writes its output over xhat:
+        besides its one output-sized array it allocates only the im2col
+        matrix (0.28 of an output here) and block-sized temporaries, where
+        a second output-sized array would peak at 2 or more. The output has
+        the bytes and layout of the same block under a tape."""
+        arrays = block_arrays(rng, (16, 1, 32, 32), 32, 3)
+        inputs = [arrays[k] for k in ("x", "w", "bias", "gamma", "beta")]
+
+        def block(requires_grad):
+            stats = RunningStats(32)
+            stats.mean, stats.var = arrays["mean"], arrays["var"]
+            tensors = [Tensor(a, requires_grad=requires_grad) for a in inputs]
+            return T.conv_block(*tensors, stats, False)
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = block(False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / out.data.nbytes < 1.5
+        with T.recording() as tape:
+            recorded = block(True)
+        assert len(tape) == 1
+        assert out.data.tobytes() == recorded.data.tobytes()
+        assert out.data.strides == recorded.data.strides
+
     def test_rules_free_the_activations_they_do_not_read(self, rng):
         """In a recorded conv block -> SE2D -> conv block -> pool chain, the
         pool's input (the second block's output) is freed when the forward
