@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import data, metrics, models, score_fusion, selftest, training
+from . import data, metrics, models, score_fusion, training
 from ._mem import tune_malloc
 from .tensor import DimensionError
 
@@ -262,6 +262,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # imported here: it pulls in unittest.mock and asyncio
+
     return 0 if selftest.run() else 1
 
 

@@ -19,10 +19,13 @@ accumulates gradients into every tensor that requires them. A rule holds
 the gradient slots of its output and inputs (``Tensor.slot``) and the
 arrays it reads, never a whole input tensor, so an activation that no rule
 reads (the pool's input, for one) is freed when the forward pass lets go of
-it. Each rule is popped off the tape before it runs, so the arrays it saved
-and the output gradient it consumed are freed as soon as it returns, not at
-the end of the pass. With no active tape, ops are plain forward
-computations (evaluation mode).
+it. A one-input op states only its output and its gradient (``_unary``),
+with every array or shape that gradient reads bound beforehand; an op of
+several inputs builds its own rule and records it with ``_finish``. Each
+rule is popped off the tape before it runs, so the arrays it saved and the
+output gradient it consumed are freed as soon as it returns, not at the end
+of the pass. With no active tape, ops are plain forward computations
+(evaluation mode).
 
 Given an optimizer, ``Tape.backward`` also updates every parameter as soon
 as its last gradient contribution is in: right after the first rule that
@@ -245,6 +248,16 @@ def _finish(out: Tensor, inputs: tuple[Tensor, ...], rule) -> Tensor:
     return out
 
 
+def _unary(x: Tensor, data: np.ndarray, grad) -> Tensor:
+    """The output ``data`` of a one-input op on ``x``. Under a tape, its rule
+    gives x the gradient ``grad(g)``, which x's slot takes without a copy, so
+    it must be a fresh array, a view of g, or g itself. ``grad`` reads only
+    what it was bound to, never x, so x's array is freed with x unless the
+    gradient needs it."""
+    sx = x.slot
+    return _finish(Tensor(data), (x,), lambda g: _accumulate(sx, grad(g), own=True))
+
+
 def _slot(t: Tensor) -> _Slot | None:
     """The slot a rule accumulates ``t``'s gradient into, or None if ``t``
     needs none."""
@@ -330,46 +343,26 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    sx, x_shape = _slot(x), x.data.shape
-
-    def rule(g):
-        _accumulate(sx, g.reshape(x_shape), own=True)
-
-    return _finish(out, (x,), rule)
+    x_shape = x.data.shape
+    return _unary(x, x.data.reshape(shape), lambda g: g.reshape(x_shape))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.transpose(axes))
-    sx, inverse = _slot(x), tuple(np.argsort(axes))
-
-    def rule(g):
-        _accumulate(sx, g.transpose(inverse), own=True)
-
-    return _finish(out, (x,), rule)
+    inverse = tuple(np.argsort(axes))
+    return _unary(x, x.data.transpose(axes), lambda g: g.transpose(inverse))
 
 
 def mean(x: Tensor, axis: int) -> Tensor:
     """Mean over a single axis (no keepdims)."""
-    axis = axis % x.data.ndim
-    n = x.data.shape[axis]
-    out = Tensor(x.data.mean(axis=axis))
-    sx, x_shape = _slot(x), x.data.shape
-
-    def rule(g):
-        _accumulate(sx, np.broadcast_to(np.expand_dims(g, axis), x_shape) / n, own=True)
-
-    return _finish(out, (x,), rule)
+    axis, x_shape = axis % x.data.ndim, x.data.shape
+    n = x_shape[axis]
+    return _unary(x, x.data.mean(axis=axis),
+                  lambda g: np.broadcast_to(np.expand_dims(g, axis), x_shape) / n)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-    sx, x_shape = _slot(x), x.data.shape
-
-    def rule(g):
-        _accumulate(sx, np.broadcast_to(g, x_shape).copy(), own=True)
-
-    return _finish(out, (x,), rule)
+    x_shape = x.data.shape
+    return _unary(x, x.data.sum(), lambda g: np.broadcast_to(g, x_shape).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +432,13 @@ def adaptive_avg_pool(x: Tensor, output_size: tuple[int, ...]) -> Tensor:
         sizes = member.sum(axis=0)
         data = np.moveaxis((np.moveaxis(data, axis, -1) @ member) / sizes, -1, axis)
         steps.append((axis, member, sizes))
-    out = Tensor(data if steps else data.copy())
-    sx = _slot(x)
 
-    def rule(g):
+    def grad(g):
         for axis, member, sizes in reversed(steps):
             g = np.moveaxis((np.moveaxis(g, axis, -1) / sizes) @ member.T, -1, axis)
-        _accumulate(sx, g, own=True)
+        return g
 
-    return _finish(out, (x,), rule)
+    return _unary(x, data if steps else data.copy(), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +467,15 @@ def leaky_relu(x: Tensor) -> Tensor:
     # np.multiply, not `*`: numpy may write `a * temporary` into the temporary,
     # which changes the product's memory layout and the bits of later GEMMs.
     # The scaled copy is in x's layout, and the max is written over it.
-    scaled = np.multiply(x.data, _SLOPE)
-    out = Tensor(np.maximum(x.data, scaled, out=scaled))
-    sx, xd = _slot(x), x.data
-
-    def rule(g):
-        _accumulate(sx, _leaky_relu_grad(g, xd >= 0), own=True)
-
-    return _finish(out, (x,), rule)
+    xd = x.data  # the rule reads its sign
+    scaled = np.multiply(xd, _SLOPE)
+    return _unary(x, np.maximum(xd, scaled, out=scaled),
+                  lambda g: _leaky_relu_grad(g, xd >= 0))
 
 
 def relu(x: Tensor) -> Tensor:
     pos = x.data >= 0
-    out = Tensor(np.where(pos, x.data, 0.0))
-    sx = _slot(x)
-
-    def rule(g):
-        _accumulate(sx, g * pos, own=True)
-
-    return _finish(out, (x,), rule)
+    return _unary(x, np.where(pos, x.data, 0.0), lambda g: g * pos)
 
 
 def logistic(d: np.ndarray) -> np.ndarray:
@@ -508,28 +489,15 @@ def logistic(d: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = logistic(x.data)
-    out = Tensor(out_data)
-    sx = _slot(x)
-
-    def rule(g):
-        _accumulate(sx, g * out_data * (1.0 - out_data), own=True)
-
-    return _finish(out, (x,), rule)
+    out = logistic(x.data)
+    return _unary(x, out, lambda g: g * out * (1.0 - out))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     axis = axis % x.data.ndim
-    m = x.data.max(axis=axis, keepdims=True)
-    z = x.data - m
-    out_data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = Tensor(out_data)
-    sx = _slot(x)
-
-    def rule(g):
-        _accumulate(sx, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), own=True)
-
-    return _finish(out, (x,), rule)
+    z = x.data - x.data.max(axis=axis, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    return _unary(x, out, lambda g: g - np.exp(out) * g.sum(axis=axis, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sasvbackend
-from sasvbackend import _lanes, cli, data, metrics, training
+from sasvbackend import _lanes, cli, data, metrics, selftest, training
 
 try:
     from numpy._core._exceptions import _ArrayMemoryError
@@ -948,7 +948,7 @@ class TestSelftest:
         result = run_cli(["selftest"], tmp_path)
         assert result.returncode == 0
         lines = [l for l in result.stdout.splitlines() if l.startswith("ok")]
-        assert len(lines) == len(cli.selftest.CHECKS)
+        assert len(lines) == len(selftest.CHECKS)
 
     def test_imports_without_test_extras(self, tmp_path):
         code = ("import sys, sasvbackend.oracles, sasvbackend.selftest; "
@@ -958,3 +958,12 @@ class TestSelftest:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_cli_import_leaves_selftest_out(self, tmp_path):
+        # selftest imports unittest.mock, which imports asyncio: every command
+        # would pay for both if the CLI imported it up front
+        code = ("import sys, sasvbackend.cli; print(sorted("
+                "{'sasvbackend.selftest', 'unittest.mock', 'asyncio'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=CLI_ENV,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -383,6 +383,7 @@ class TestCheckpoint:
     # (header field, value, message): configs, dims and seeds that no conv
     # block or head can build, each of which once built something or crashed.
     BAD_HEADERS = [
+        ("dnn_nodes", [], "at least one DNN layer is required"),
         ("dnn_nodes", [0], "dnn_nodes must be positive integers"),
         ("dnn_nodes", [True, 256, 64], "dnn_nodes must be positive integers"),
         ("conv_channels", [0, 128, 64], "conv_channels must be positive integers"),
@@ -418,6 +419,17 @@ class TestCheckpoint:
             models.load_checkpoint(str(path))
         assert str(info.value).startswith(f"{path}: checkpoint config, dims or seed build no model")
         assert message in str(info.value)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(build("Extend512_DNN", DESK_DIMS, seed=0), str(path))
+        header, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["version"] = 2
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(ValueError) as info:
+            models.load_checkpoint(str(path))
+        assert str(info.value) == f"{path}: unsupported checkpoint version 2"
 
     def test_truncated_payload_rejected(self, tmp_path):
         model = build("Extend512_DNN", DESK_DIMS, seed=0)

@@ -806,6 +806,37 @@ class TestBackward:
         assert (max(forward_peak, peak) - begin) / activation < 14
 
 
+# The nine one-input ops on a (4, 3, 4, 4) input, and whether the op's rule
+# reads the input's array (LeakyReLU's reads its sign).
+ONE_INPUT_OPS = {
+    "reshape": (lambda x: T.reshape(x, (4, 48)), False),
+    "transpose": (lambda x: T.transpose(x, (0, 2, 3, 1)), False),
+    "mean": (lambda x: T.mean(x, 1), False),
+    "sum_all": (T.sum_all, False),
+    "pool": (lambda x: T.adaptive_avg_pool(x, (2, 3)), False),
+    "pool-copy": (lambda x: T.adaptive_avg_pool(x, (4, 4)), False),
+    "leaky_relu": (T.leaky_relu, True),
+    "relu": (T.relu, False),
+    "sigmoid": (T.sigmoid, False),
+    "log_softmax": (lambda x: T.log_softmax(x, 1), False),
+}
+
+
+class TestOneInputOps:
+    @pytest.mark.parametrize("name", list(ONE_INPUT_OPS))
+    def test_rule_holds_no_input_it_does_not_read(self, rng, name):
+        op, reads_input = ONE_INPUT_OPS[name]
+        x = rt(rng, 4, 3, 4, 4)
+        with T.recording() as tape:
+            out = op(x)
+        data, sx, so, g = weakref.ref(x.data), x.slot, out.slot, np.ones_like(out.data)
+        del x, out
+        assert (data() is not None) == reads_input
+        tape.record(lambda: setattr(so, "grad", g))
+        tape.backward(Tensor(0.0))
+        assert sx.grad.shape == (4, 3, 4, 4)
+
+
 class TestGradientChecks:
     """Central finite differences vs the tape, per op (more shapes in the
     acceptance suite)."""

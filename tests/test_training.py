@@ -288,6 +288,22 @@ class TestTrainConfigValidation:
 
 
 class TestFit:
+    def test_trailing_singleton_joins_the_chunk_before(self):
+        chunks = training._batches(7, 3, np.arange(7)[::-1])
+        assert [c.tolist() for c in chunks] == [[6, 5, 4], [3, 2, 1, 0]]
+
+    def test_cnn_fit_with_one_trial_past_a_full_batch(self):
+        """120 train trials at batch 17 leave one over: a conv block in
+        training mode would reject a batch of one."""
+        store, protos = tiny_synth(seed=3)
+        assert len(protos["train"].trials) % 17 == 1
+        config = ModelConfig(name="tiny1d", fusion_mode=fusion.STACK1D, conv_channels=(4,),
+                             conv_kernels=(3,), pool_size=(2,), dnn_nodes=(6,))
+        model = models.build(config, (8, 8, 6), seed=7)
+        result = fit(model, protos["train"].trials, TrainConfig(batch_size=17, epochs=1, seed=7),
+                     store)
+        assert np.isfinite(result.logs[0].mean_loss)
+
     def test_separable_two_point_toy(self):
         store = data.EmbeddingStore(2, 2)
         store.add("enroll", spk=[1.0, 0.0], cm=[0.0, 0.0])
