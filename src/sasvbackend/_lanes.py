@@ -9,10 +9,13 @@ it: whole scoring batches (``training.score_trials``), and the passes
 between a training step's GEMMs, cut into blocks (the conv block's im2col,
 col2im and epilogues, ``Adam.update``); those GEMMs themselves stay on
 OpenBLAS's own threads. Starting and joining its thread took a two-lane
-run of empty items 80-96 us, against 20-40 us to hand the lane to a
-thread kept between runs (2-vCPU box); a training step makes about 3
-such runs on ``perfbench`` ``dnn-ensemble``, 15 on ``cnn1d-dev`` and 47
-on ``cnn2d-train``, under 1% of its time.
+run of empty items 96-144 us back to back, against 20-40 us to hand the
+lane to a thread kept between runs. But most runs of a training step
+follow a two-thread GEMM, and there the same run took 204-227 us
+(medians of 40, 2-vCPU box). A training step makes 2-3 such runs on
+``perfbench`` ``dnn-ensemble``, 15 on ``cnn1d-dev`` and 47 on
+``cnn2d-train``: about 4% of an 87 ms ``cnn1d-dev`` step and 1% of a
+1 s ``cnn2d-train`` one.
 
 For the length of the run OpenBLAS uses one thread, set with
 ``openblas_set_num_threads_local`` (found through ctypes in numpy's bundled
@@ -31,8 +34,9 @@ on one thread while a run lasts.
 Park: after a GEMM on two threads, OpenBLAS's workers keep spinning for a
 while and take the second core from the lanes. So right after setting one
 thread, and before any lane starts, ``run`` stops those workers with
-``blas_thread_shutdown_``; restoring the count starts them again. On a
-2-vCPU box setting the count and parking took 32 us, the restore 29 us.
+``blas_thread_shutdown_``; restoring the count starts them again.
+Setting the count, parking and restoring took 75-93 us of a run right
+after a two-thread GEMM, and 23-32 us back to back (same box).
 It parks only where the caller is the one Python thread
 (``threading.active_count() == 1``), so no other can be inside OpenBLAS:
 a shutdown while another thread ran two-thread GEMMs gave one of them a

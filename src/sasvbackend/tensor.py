@@ -24,8 +24,10 @@ with every array or shape that gradient reads bound beforehand; an op of
 several inputs builds its own rule and records it with ``_finish``. Each
 rule is popped off the tape before it runs, so the arrays it saved and the
 output gradient it consumed are freed as soon as it returns, not at the end
-of the pass. With no active tape, ops are plain forward computations
-(evaluation mode).
+of the pass. A conv block's rule frees its output gradient sooner, once its
+backward epilogue has read it, unless the output tensor is still alive and
+a caller may read its ``grad``. With no active tape, ops are plain forward
+computations (evaluation mode).
 
 Given an optimizer, ``Tape.backward`` also updates every parameter as soon
 as its last gradient contribution is in: right after the first rule that
@@ -51,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -104,7 +107,7 @@ class Tensor:
     (see ``Tape.backward``).
     """
 
-    __slots__ = ("data", "slot", "requires_grad")
+    __slots__ = ("data", "slot", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -163,9 +166,11 @@ class Tape:
 
         Each rule is popped before it runs: once it returns, nothing holds its
         closure, so its saved arrays and the gradient of its output are freed
-        at once. The peak is then the live frontier of the backward pass, not
-        every activation and gradient of the step. The tape ends empty, so a
-        session can reuse it.
+        at once. A conv block's rule drops its output's gradient halfway, before
+        it allocates dW and dx, where no live tensor can read it (see
+        ``conv_block``). The peak is then the live frontier of the backward
+        pass, not every activation and gradient of the step. The tape ends
+        empty, so a session can reuse it.
 
         With an ``optimizer`` (``named_params`` and ``update(p, grad,
         rows)``), each of its parameters that a rule read is updated with its
@@ -517,6 +522,16 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # and batch 90 the four CNN2D block inputs take 40 MiB, their im2col
 # matrices 366 MiB.
 #
+# The output gradient g is read only by the backward epilogue, which leaves
+# its GEMM-shaped result in the conv output's buffer. So the rule drops g
+# right after that pass, before it allocates the dW/dx buffer and dx: one
+# output-sized array less at the rule's peak, which in a CNN training step
+# is the step's peak or near it (CNN2D_SE's last block at D=16 and batch 90:
+# 47 MB). The output's slot lets go of g too, but only once the output
+# tensor is dead: a caller that still holds the output may read its
+# ``grad`` after the backward. No rule left on the tape reads that slot:
+# every op that read the output was recorded later, so its rule has run.
+#
 # im2col and col2im share one loop (``_im2col``): it walks the input channels
 # in cache-sized blocks (``_channel_blocks``) and finishes every tap of a
 # block before the next. Since the conv keeps its size, each tap is one
@@ -821,6 +836,7 @@ def conv_block(
     out = Tensor(out_data)
     sx, sw, sbias, sgamma, sbeta = (_slot(t) for t in inputs)
     wd, xd = w.data, (x.data if sx or sw else None)
+    so, out_ref = out.slot, weakref.ref(out)
 
     def rule(g):
         dgamma = np.empty(cout) if sgamma else None
@@ -854,6 +870,11 @@ def conv_block(
                 bn_dx(blk, gb, hb)
 
         _lanes.run(epilogue_grad, blocks)
+        # g is read no more: drop it before dW and dx allocate. Its slot lets
+        # go of it too unless a caller still holds the output to read it.
+        del g
+        if out_ref() is None:
+            so.grad = None
         _accumulate(sbeta, dbeta, own=True)
         _accumulate(sgamma, dgamma, own=True)
         # gmat now holds the conv output's gradient

@@ -471,6 +471,67 @@ class TestConvBlock:
         tape.backward(loss)
         assert all(t.grad is not None for t in first + second)
 
+    def test_rule_frees_output_gradient_of_dropped_output(self, rng):
+        """Once its backward epilogue has read it, a block's rule drops the
+        output gradient before it allocates the im2col buffer and dx, unless
+        the caller still holds the output: then the output keeps its grad,
+        and the backward peaks one output array higher. The output gradient
+        is made inside the backward, so only the tape and the output hold
+        it; the 1 KB allowance is for small Python objects."""
+        def backward_peak(keep):
+            x = rt(rng, 8, 4, 16, 16)
+            params = rt(rng, 4, 4, 3, 3), rt(rng, 4), rt(rng, 4), rt(rng, 4)
+            with T.recording() as tape:
+                out = T.conv_block(x, *params, RunningStats(4), True)
+            so, shape, nbytes = out.slot, out.shape, out.data.nbytes
+            tape.record(lambda: setattr(so, "grad", np.ones(shape)))
+            held = out if keep else None
+            del out
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tape.backward(Tensor(0.0))
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert all(t.grad is not None for t in (x,) + params)
+            assert (so.grad is not None) == keep
+            if keep:
+                assert held.grad is so.grad
+            return peak, nbytes
+
+        dropped, output = backward_peak(False)
+        held, _ = backward_peak(True)
+        assert held - dropped >= output - 1024
+
+    def test_freeing_changes_no_gradient_byte(self, rng):
+        """A recorded 3-block training chain gives its parameters and input
+        the same gradient bytes whether the caller holds every block output
+        or none; the held outputs keep their gradients."""
+        x = rng.uniform(-1, 1, (6, 3, 8, 8))
+        shapes = [(4, 3, 3, 3), (5, 4, 3, 3), (3, 5, 3, 3)]
+        weights = [[rng.uniform(-1, 1, s)] + [rng.uniform(-1, 1, s[0]) for _ in range(3)]
+                   for s in shapes]
+
+        def run(hold):
+            xt = Tensor(x, requires_grad=True)
+            params = [[Tensor(a, requires_grad=True) for a in block] for block in weights]
+            outs = []
+            with T.recording() as tape:
+                out = xt
+                for p in params:
+                    out = T.conv_block(out, *p, RunningStats(len(p[1].data)), True)
+                    if hold:
+                        outs.append(out)
+                loss = T.sum_all(T.mul(out, out))
+            del out
+            tape.backward(loss)
+            assert all(o.grad is not None and o.grad.shape == o.shape for o in outs)
+            return [xt.grad] + [t.grad for p in params for t in p]
+
+        for a, b in zip(run(True), run(False)):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("bad, match", [
         ({"x": (2, 3, 5, 5, 5), "w": (4, 3, 3, 3, 3)}, "conv_block needs"),
         ({"w": (4, 3, 3)}, "conv_block needs"),
