@@ -24,6 +24,10 @@ def _worst(pairs, tol, label="max deviation"):
     return worst < tol, f"{label} {worst:.3g}"
 
 
+def _equal(same, what="parameter and running-statistic bytes"):
+    return same, f"{what} {'equal' if same else 'differ'}"
+
+
 def check_layer_gradients():
     rng = np.random.default_rng(0)
     cases = [  # (op, shapes of its random inputs, further tensors to check)
@@ -109,38 +113,102 @@ def check_conv_block_chunks():
                 whole, chunked = (_block_bytes(layout(x), w, vecs, g, training, budget)
                                   for budget in (cols, cols // 4))
                 same &= whole == chunked
-    return same, f"output, running stats and gradient bytes {'equal' if same else 'differ'}"
+    return _equal(same, "output, running stats and gradient bytes")
 
 
-def _step_bytes(config, x, y, lanes):
-    """Parameter and running-statistic bytes after one training step on
-    ``x``, ``y`` whose passes between the GEMMs run on ``lanes`` lanes, in
-    blocks of 4096 elements, so that toy arrays spread."""
+def _toy(name):
+    """A preset at toy size: a CNN gets few channels, a 4-wide pool and a
+    (16, 8) DNN; a DNN stays as it is."""
+    config = models.PRESETS[name]
+    nd = len(config.pool_size)
+    if not nd:
+        return config
+    return dataclasses.replace(config, conv_channels=(16, 8, 8) if nd == 1 else (8, 16, 16, 16),
+                               pool_size=(4,) * nd, dnn_nodes=(16, 8))
+
+
+def _toy_batch(rng, config, size):
+    """A random fused batch of ``size`` trials for ``config`` at dims (16,
+    16, 12), and labels."""
+    nd = len(config.pool_size)
+    x = rng.uniform(-1, 1, (size, 3) + (16,) * nd if nd else (size, 44))
+    return x, np.resize([0, 1, 1, 0, 1, 0], size)
+
+
+def _step_bytes(config, x, y, steps=1):
+    """Parameter and running-statistic bytes after ``steps`` training steps
+    on ``x``, ``y``."""
     model = models.build(config, (16, 16, 12), seed=9)
-    with mock.patch.multiple(_lanes, count=lambda: lanes, BLOCK=1 << 12):
+    optimizer = training.Adam(model.params.items())
+    for _ in range(steps):
         with T.recording() as tape:
             logits = model.forward(x, training=True)
             loss = training.weighted_cross_entropy(logits, y, (0.1, 0.9))
-        training.Adam(model.params.items()).step(1e-2, 1e-3, tape, loss)
+        optimizer.step(1e-2, 1e-3, tape, loss)
     return [a.tobytes() for a in model.state_arrays().values()]
 
 
 def check_training_step_lanes():
     """One training step of a toy CNN1D_SE and of a toy CNN2D_SE on two
     lanes (im2col, col2im, the conv blocks' epilogues and Adam spread over
-    them) against one lane, byte for byte. That the lanes keep the bytes
-    rests on numpy's reductions over blocks of channels, so it is checked
-    on the one installed."""
+    them, in blocks of 4096 elements, so that toy arrays spread) against one
+    lane, byte for byte. That the lanes keep the bytes rests on numpy's
+    reductions over blocks of channels, so it is checked on the one
+    installed."""
     rng = np.random.default_rng(9)
-    y = np.array([0, 1, 1, 0, 1, 0])
     same = True
-    for name, spatial, channels in (("CNN1D_SE", (16,), (16, 8, 8)),
-                                    ("CNN2D_SE", (16, 16), (8, 16, 16, 16))):
-        config = dataclasses.replace(models.PRESETS[name], conv_channels=channels,
-                                     pool_size=(4,) * len(spatial), dnn_nodes=(16, 8))
-        x = rng.uniform(-1, 1, (len(y), 3) + spatial)
-        same &= _step_bytes(config, x, y, 1) == _step_bytes(config, x, y, 2)
-    return same, f"parameter and running-statistic bytes {'equal' if same else 'differ'}"
+    for name in ("CNN1D_SE", "CNN2D_SE"):
+        config = _toy(name)
+        x, y = _toy_batch(rng, config, 6)
+        runs = []
+        for lanes in (1, 2):
+            with mock.patch.multiple(_lanes, count=lambda: lanes, BLOCK=1 << 12):
+                runs.append(_step_bytes(config, x, y))
+        same &= runs[0] == runs[1]
+    return _equal(same)
+
+
+def check_training_step_recomputed():
+    """One training step of toy CNN1D_SE, CNN1D_PA, CNN2D_SE and CNN2D_VSE
+    as built, whose rules recompute each conv-block output and gated product
+    from xhat (``tensor._Recipe``), against rules that hold every input
+    array (``tensor._keep`` patched), byte for byte."""
+    rng = np.random.default_rng(11)
+    same = True
+    for name in ("CNN1D_SE", "CNN1D_PA", "CNN2D_SE", "CNN2D_VSE"):
+        config = _toy(name)
+        x, y = _toy_batch(rng, config, 6)
+        built = _step_bytes(config, x, y)
+        with mock.patch.object(T, "_keep", lambda t: t.data):
+            same &= built == _step_bytes(config, x, y)
+    return _equal(same)
+
+
+def check_blas_threads():
+    """Three training steps of toy Extend512_DNN, CNN1D_SE and CNN2D_SE at
+    batch 30, their GEMMs on one OpenBLAS thread and then on two, byte for
+    byte. Ensemble members trained in one-thread processes would rely on
+    it, and it is a property of the BLAS, so it is checked on the one
+    installed; where two threads cannot be set, it is not checked."""
+    if _lanes._set_threads is None:
+        return True, "not checked: numpy's BLAS has no openblas_set_num_threads_local"
+    rng = np.random.default_rng(12)
+    old = _lanes._set_threads(2)
+    try:
+        if _lanes._set_threads(2) != 2:  # the count it returns is the one set before
+            return True, "not checked: OpenBLAS cannot run 2 threads here"
+        same = True
+        for name in ("Extend512_DNN", "CNN1D_SE", "CNN2D_SE"):
+            config = _toy(name)
+            x, y = _toy_batch(rng, config, 30)
+            runs = []
+            for threads in (1, 2):
+                _lanes._set_threads(threads)
+                runs.append(_step_bytes(config, x, y, steps=3))
+            same &= runs[0] == runs[1]
+    finally:
+        _lanes._set_threads(old)
+    return _equal(same)
 
 
 def check_score_batches():
@@ -157,8 +225,7 @@ def check_score_batches():
     with mock.patch.multiple(_lanes, count=lambda: 2):
         alone, among = (training.score_trials(model, t, store, 400)[:400]
                         for t in (trials[:400], trials))
-    same = alone.tobytes() == among.tobytes()
-    return same, f"score bytes {'equal' if same else 'differ'}"
+    return _equal(alone.tobytes() == among.tobytes(), "score bytes")
 
 
 def check_embeddings_split():
@@ -245,8 +312,8 @@ def check_adam_in_backward():
             oracles.adam_whole_array(p.data, *moments[name], p.grad, t, lr, 1e-3)
             p.zero_grad()
         optimizer.step(lr, 1e-3, tapes[1], losses[1])
-    same = all(live.params[n].data.tobytes() == p.data.tobytes() for n, p in ref.params.items())
-    return same, f"parameter bytes {'equal' if same else 'differ'}"
+    return _equal(all(live.params[n].data.tobytes() == p.data.tobytes()
+                      for n, p in ref.params.items()), "parameter bytes")
 
 
 def check_cross_entropy():
@@ -263,6 +330,8 @@ CHECKS = [
      lambda: check_conv_block(oracles.conv2d_loops, (2, 3, 6, 5))),
     ("conv-block-chunked-vs-whole", check_conv_block_chunks),
     ("training-step-lanes-vs-one", check_training_step_lanes),
+    ("training-step-recomputed-vs-held", check_training_step_recomputed),
+    ("training-one-vs-two-blas-threads", check_blas_threads),
     ("scores-one-batch-vs-two", check_score_batches),
     ("embeddings-split-vs-whole", check_embeddings_split),
     ("circulant-algebra", check_circulant),

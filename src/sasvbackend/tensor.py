@@ -6,8 +6,9 @@ reshapes/reductions used to compose attention blocks, and one convolution.
 That convolution is the CNNs' whole conv block, ``conv_block``: a same-size
 1D or 2D cross-correlation (stride 1, odd kernel, padding k // 2, no kernel
 flip), bias, batch normalization and LeakyReLU, as one op with one gradient
-rule. Between its passes it keeps its input and xhat, not its output or an
-im2col matrix, and it never builds an im2col matrix of more than
+rule. Between its passes it keeps xhat, not its output or an im2col
+matrix, and its input only where that is no conv output or gated product
+(see Recomputation below). It never builds an im2col matrix of more than
 ``_COLS_BUDGET`` elements, split evenly between scoring lanes
 (``_lanes``): its GEMMs run over chunks of one. Its passes between the
 GEMMs run over channel blocks spread over the lanes (``_lanes.run``); the
@@ -16,18 +17,33 @@ GEMMs run on OpenBLAS's own threads.
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
 accumulates gradients into every tensor that requires them. A rule holds
-the gradient slots of its output and inputs (``Tensor.slot``) and the
-arrays it reads, never a whole input tensor, so an activation that no rule
-reads (the pool's input, for one) is freed when the forward pass lets go of
-it. A one-input op states only its output and its gradient (``_unary``),
-with every array or shape that gradient reads bound beforehand; an op of
-several inputs builds its own rule and records it with ``_finish``. Each
+the gradient slots of its output and inputs (``Tensor.slot``) and what it
+reads: derived arrays, or an input's data through ``_keep``, never a whole
+input tensor. So an activation that no rule reads (the pool's input, for
+one) is freed when the forward pass lets go of it. A one-input op states
+only its output and its gradient (``_unary``), with every array or shape
+that gradient reads bound beforehand; an op of several inputs builds its
+own rule and records it with ``_finish``. Each
 rule is popped off the tape before it runs, so the arrays it saved and the
 output gradient it consumed are freed as soon as it returns, not at the end
 of the pass. A conv block's rule frees its output gradient sooner, once its
 backward epilogue has read it, unless the output tensor is still alive and
 a caller may read its ``grad``. With no active tape, ops are plain forward
 computations (evaluation mode).
+
+Recomputation: no rule keeps a conv block's output, or a gate's product
+with one (SE, PA, VSE). A recorded block's output is LeakyReLU(gamma * xhat
++ beta), and the product that of its factors, so each gets a recipe
+(``Tensor.recipe``, a ``_Recipe``) that makes its data again bit for bit
+from xhat, gamma and beta, which the block's own rule keeps anyway, and
+from the other factor. A rule that reads such an input keeps the recipe
+(``_keep``) and recomputes the input when it runs; a conv block's dW makes
+it one channel block at a time, on the lanes. The recipe holds until the
+rule of the op that made it runs: every rule that reads the output was
+recorded later, so it runs first, and the optimizer updates gamma and beta
+only after the block's rule. An unrecorded eval block makes none. This is
+activation rematerialization (Chen et al., arXiv 1604.06174), as In-Place
+ABN (Rota Bulo et al., arXiv 1712.02616) applies it to batch-norm blocks.
 
 Given an optimizer, ``Tape.backward`` also updates every parameter as soon
 as its last gradient contribution is in: right after the first rule that
@@ -104,15 +120,20 @@ class Tensor:
 
     Tensors are treated as immutable during a recorded forward pass; an
     optimizing backward updates each parameter once no rule left reads it
-    (see ``Tape.backward``).
+    (see ``Tape.backward``). The output of a recorded conv block, or of a
+    recorded ``mul`` whose rule keeps both operands, has a ``recipe``
+    (``_Recipe``) that gives its data again from arrays the tape holds
+    anyway, until the op's own rule runs; rules read it instead of the data
+    (``_keep``).
     """
 
-    __slots__ = ("data", "slot", "requires_grad", "__weakref__")
+    __slots__ = ("data", "slot", "requires_grad", "recipe", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.slot = _Slot()
         self.requires_grad = requires_grad
+        self.recipe: _Recipe | None = None
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -169,8 +190,10 @@ class Tape:
         at once. A conv block's rule drops its output's gradient halfway, before
         it allocates dW and dx, where no live tensor can read it (see
         ``conv_block``). The peak is then the live frontier of the backward
-        pass, not every activation and gradient of the step. The tape ends
-        empty, so a session can reuse it.
+        pass, not every activation and gradient of the step; and since no
+        rule keeps a conv block's output or a gated product (``_Recipe``),
+        such an input is whole only while the rule that reads it runs. The
+        tape ends empty, so a session can reuse it.
 
         With an ``optimizer`` (``named_params`` and ``update(p, grad,
         rows)``), each of its parameters that a rule read is updated with its
@@ -240,13 +263,28 @@ def _records(inputs: tuple[Tensor, ...]) -> bool:
     return active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
-def _finish(out: Tensor, inputs: tuple[Tensor, ...], rule) -> Tensor:
+def _finish(out: Tensor, inputs: tuple[Tensor, ...], rule, recipe: _Recipe | None = None) -> Tensor:
     """Record ``rule(g)``, which runs in backward with the gradient of
-    ``out`` unless it has none. The tape holds out's slot, not out."""
+    ``out`` unless it has none. The tape holds out's slot, not out.
+
+    A ``recipe`` becomes out's, read by the rules recorded after this one,
+    which run before it. Once this rule is due, out drops it: the rule
+    overwrites what the recipe reads, and the optimizer updates out's
+    parameters after it."""
     if _records(inputs):
         out.requires_grad = True
         slot, tape = out.slot, active_tape()
-        tape.record(lambda: slot.grad is None or rule(slot.grad))
+        if recipe is None:
+            tape.record(lambda: slot.grad is None or rule(slot.grad))
+        else:
+            out.recipe, out_ref = recipe, weakref.ref(out)
+
+            def step():
+                if (alive := out_ref()) is not None:
+                    alive.recipe = None
+                return slot.grad is None or rule(slot.grad)
+
+            tape.record(step)
         for t in inputs:
             if t.requires_grad:
                 tape._first.setdefault(id(t.slot), len(tape) - 1)
@@ -261,6 +299,53 @@ def _unary(x: Tensor, data: np.ndarray, grad) -> Tensor:
     gradient needs it."""
     sx = x.slot
     return _finish(Tensor(data), (x,), lambda g: _accumulate(sx, grad(g), own=True))
+
+
+class _Recipe:
+    """Gives a tensor's data again, bit for bit, from arrays the tape keeps
+    anyway, so that no rule keeps the data itself.
+
+    ``write(blk, out)`` writes the data's channels ``blk`` (axis 1) into
+    ``out``, an array of their shape in any layout, with elementwise ops
+    only. ``r()`` is the whole data in its own layout, written in channel
+    blocks on the lanes; ``r(blk)`` is a fresh channel-major (C, B, ...)
+    array of channels ``blk``, the view im2col reads; ``r.zeros()`` is zeros
+    in the data's layout. A recipe reads its arrays when called, so it holds
+    only until the op that made it is due in the backward (``_finish``).
+    """
+
+    __slots__ = ("write", "shape", "_order")
+
+    def __init__(self, data: np.ndarray, write):
+        self.write, self.shape = write, data.shape
+        self._order = sorted(range(data.ndim), key=lambda i: -data.strides[i])  # slowest first
+
+    def _alloc(self, fill=np.empty) -> np.ndarray:
+        order = self._order
+        return fill([self.shape[i] for i in order]).transpose(np.argsort(order))
+
+    def zeros(self) -> np.ndarray:
+        return self._alloc(np.zeros)
+
+    def __call__(self, blk: slice | None = None) -> np.ndarray:
+        if blk is None:
+            out, c = self._alloc(), self.shape[1]
+            _lanes.run(lambda b: self.write(b, out[:, b]), _pass_blocks(c, out.size // c))
+            return out
+        xc = np.empty((blk.stop - blk.start, self.shape[0]) + self.shape[2:])
+        self.write(blk, xc.transpose(_cm(xc.ndim)))
+        return xc
+
+
+def _keep(t: Tensor):
+    """What a rule keeps to read ``t``'s data in the backward: its recipe if
+    it has one, else the array."""
+    return t.data if t.recipe is None else t.recipe
+
+
+def _load(kept) -> np.ndarray:
+    """The whole array of what ``_keep`` gave."""
+    return kept() if isinstance(kept, _Recipe) else kept
 
 
 def _slot(t: Tensor) -> _Slot | None:
@@ -332,19 +417,36 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
+    """Elementwise product with numpy broadcasting.
+
+    Where the rule keeps both factors, of equal rank of at least 2, the
+    product gets a recipe that multiplies them again, channel block by
+    channel block, so no rule keeps the product: SE, PA and VSE gate a conv
+    output this way."""
     out = Tensor(a.data * b.data)
     sa, sb, a_shape, b_shape = _slot(a), _slot(b), a.data.shape, b.data.shape
     # Each factor is kept only for the other's gradient.
-    ad, bd = (a.data if sb else None), (b.data if sa else None)
+    ad, bd = (_keep(a) if sb else None), (_keep(b) if sa else None)
 
+    # np.multiply, not `*`: a recomputed factor is a temporary, which numpy
+    # may write the product into, in that factor's layout, not g's.
     def rule(g):
         if sa:
-            _accumulate(sa, _unbroadcast(g * bd, a_shape), own=True)
+            _accumulate(sa, _unbroadcast(np.multiply(g, _load(bd)), a_shape), own=True)
         if sb:
-            _accumulate(sb, _unbroadcast(g * ad, b_shape), own=True)
+            _accumulate(sb, _unbroadcast(np.multiply(g, _load(ad)), b_shape), own=True)
 
-    return _finish(out, (a, b), rule)
+    def part(kept, blk: slice) -> np.ndarray:  # a factor's share of channels blk
+        blk = slice(0, 1) if kept.shape[1] == 1 else blk
+        if not isinstance(kept, _Recipe):
+            return kept[:, blk]
+        return kept(blk).transpose(_cm(len(kept.shape)))
+
+    def write(blk: slice, ob: np.ndarray) -> None:
+        np.multiply(part(ad, blk), part(bd, blk), out=ob)
+
+    keeps_both = sa and sb and a.data.ndim == b.data.ndim >= 2
+    return _finish(out, (a, b), rule, _Recipe(out.data, write) if keeps_both else None)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -383,13 +485,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
     sa, sb, tape = _slot(a), _slot(b), active_tape()
     # Each operand is kept only for the other's gradient.
-    ad, bd = (a.data if sb else None), (b.data if sa else None)
+    ad, bd = (_keep(a) if sb else None), (_keep(b) if sa else None)
 
     def rule(g):
         if sa:  # before the weight's update, which may run inside _weight_grad
-            _accumulate(sa, g @ bd.T, own=True)
+            _accumulate(sa, g @ _load(bd).T, own=True)
         if sb:
-            _weight_grad(tape, sb, ad, g)
+            _weight_grad(tape, sb, _load(ad), g)
 
     return _finish(out, (a, b), rule)
 
@@ -472,10 +574,10 @@ def leaky_relu(x: Tensor) -> Tensor:
     # np.multiply, not `*`: numpy may write `a * temporary` into the temporary,
     # which changes the product's memory layout and the bits of later GEMMs.
     # The scaled copy is in x's layout, and the max is written over it.
-    xd = x.data  # the rule reads its sign
+    xd, kept = x.data, _keep(x)  # the rule reads its sign
     scaled = np.multiply(xd, _SLOPE)
     return _unary(x, np.maximum(xd, scaled, out=scaled),
-                  lambda g: _leaky_relu_grad(g, xd >= 0))
+                  lambda g: _leaky_relu_grad(g, _load(kept) >= 0))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -515,12 +617,20 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # items (``_item_chunks``), each product written into its columns of the
 # (Cout, B, *sizes) output, which is read back as a transposed view without
 # copying it. One buffer of at most ``_cols_budget()`` elements serves every
-# chunk. The rule keeps the block's input instead of the im2col matrix: for
-# dW the backward rebuilds the im2col rows of a power-of-two run of input
-# channels at a time (``_pow2_chunks``) into such a buffer, and for dx it
-# writes each item chunk's dcols there before col2im adds them in. At D=16
-# and batch 90 the four CNN2D block inputs take 40 MiB, their im2col
-# matrices 366 MiB.
+# chunk. The rule keeps the block's input (``_keep``) instead of the im2col
+# matrix: for dW the backward rebuilds the im2col rows of a power-of-two run
+# of input channels at a time (``_pow2_chunks``) into such a buffer, and for
+# dx it writes each item chunk's dcols there before col2im adds them in. At
+# D=16 and batch 90 the four CNN2D block inputs take 40 MiB, their im2col
+# matrices 366 MiB. Three of those inputs are a block's output or the SE
+# gate's product with one, so the rule keeps their recipe, not the array:
+# ``_im2col`` makes each channel block of the input on its lane, from the
+# producing block's xhat, gamma and beta (and the gate), and dx takes the
+# layout the recipe reports. Only the fused batch, 0.5 MiB, is kept whole.
+# Making the whole input at the start of the rule instead puts it beside
+# the rule's own buffers: in a traced batch-90 training step, CNN1D_SE's
+# second block peaked at 78.3 MB against 66.5, and CNN2D_SE's conv4 at
+# 196.2 MB against 172.6, above every other rule.
 #
 # The output gradient g is read only by the backward epilogue, which leaves
 # its GEMM-shaped result in the conv output's buffer. So the rule drops g
@@ -542,7 +652,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # dx starts at +0.0, and a sum that starts at +0.0 is never -0.0. An input
 # whose channel-major view does not merge (the first block's C-ordered input,
 # or a gated output in CNN2D) goes through a cache-sized flat copy of each
-# channel block.
+# channel block; a block made from a recipe is channel-major already.
 
 
 def init_weight(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -678,33 +788,41 @@ def _flat(xc: np.ndarray) -> np.ndarray | None:
     or None where that needs a copy, which would take col2im's adds away
     from dx. A conv's own output merges, as does a slice of its batch items;
     a C-ordered input of more than one channel does not. Two preset blocks
-    read such an input, so ``_im2col`` copies it block by block in their
-    forward, dW runs and col2im: every CNN's first block (the fused batch)
-    and conv4 of CNN2D_SE and CNN2D_VSE (the SE or VSE gate's product)."""
+    read such an input, so ``_im2col`` copies it block by block: every
+    CNN's first block (the fused batch) in its forward and dW runs, and
+    conv4 of CNN2D_SE and CNN2D_VSE (the SE or VSE gate's product) in its
+    forward and col2im; conv4's dW runs make channel-major blocks from the
+    product's recipe."""
     try:
         return np.reshape(xc, (xc.shape[0], -1), copy=False)
     except ValueError:
         return None
 
 
-def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> None:
+def _im2col(xc, cols: np.ndarray, plan: list, add: bool = False) -> None:
     """im2col: copy the taps of the channel-major input ``xc`` (Cin, B,
     *sizes) into ``cols`` (Cin, taps, B, *sizes). col2im (``add``): add the
-    taps of ``cols`` into ``xc``, in tap order for every element.
+    taps of ``cols`` into ``xc``, in tap order for every element. For
+    im2col, ``xc`` may instead be a function that makes channel block
+    ``blk`` of the input as a fresh channel-major array (a recipe's block).
 
-    Each tap is one shifted run over a block of ``_flat(xc)``, or, where
-    that is None, over a block-sized flat copy of the block (col2im: a zeroed
-    block, added into ``xc`` once its taps are in). The channel blocks
-    (``_pass_blocks``) run on the lanes; no two write the same elements."""
-    xf = _flat(xc)
+    Each tap is one shifted run over a block of ``_flat(xc)`` or a made
+    block, or, where ``_flat`` is None, over a block-sized flat copy of the
+    block (col2im: a zeroed block, added into ``xc`` once its taps are in).
+    The channel blocks (``_pass_blocks``) run on the lanes; no two write the
+    same elements."""
+    made = callable(xc)
+    xf = None if made else _flat(xc)
     cf = cols.reshape(cols.shape[0], len(plan), -1)
-    n = xc[0].size
+    n = cols[0, 0].size  # elements per channel
 
     def copy(blk: slice) -> None:
-        xb = xc[blk]
-        if xf is not None:
+        if made:
+            flat = xc(blk).reshape(-1, n)
+        elif xf is not None:
             flat = xf[blk]
         else:
+            xb = xc[blk]
             flat = (np.zeros if add else np.empty)((xb.shape[0], n))
             if not add:
                 flat.reshape(xb.shape)[...] = xb
@@ -721,7 +839,7 @@ def _im2col(xc: np.ndarray, cols: np.ndarray, plan: list, add: bool = False) -> 
         if add and xf is None:
             xb += flat.reshape(xb.shape)
 
-    _lanes.run(copy, _pass_blocks(xc.shape[0], n))
+    _lanes.run(copy, _pass_blocks(cols.shape[0], n))
 
 
 def conv_block(
@@ -749,9 +867,13 @@ def conv_block(
     whole-array operand order, so the bytes do not depend on the blocking.
     The backward is one blocked pass too: the LeakyReLU factor, then the
     batch-norm gradient written over each xhat block, which leaves the
-    GEMM-shaped output gradient for dbias, dW and col2im. The rule keeps x
-    when w or x needs a gradient: dW rebuilds its im2col rows from it, and
-    dx takes its layout.
+    GEMM-shaped output gradient for dbias, dW and col2im. When w or x needs
+    a gradient, the rule keeps x through ``_keep``: x's array, or, where x
+    is a conv output or a gated product, its recipe, which dW calls one
+    channel block at a time to rebuild its im2col rows; dx takes x's layout
+    either way. A recorded block's output gets a recipe too: the forward
+    epilogue's last steps (``activate``) over xhat, gamma and beta, so no
+    later rule keeps the output.
 
     Each blocked pass (im2col, col2im and the two epilogues) is one
     ``_lanes.run`` over its channel blocks (``_pass_blocks``), so outside a
@@ -811,10 +933,17 @@ def conv_block(
         ob += cs(beta.data[blk])
         return ob
 
+    def activate(blk: slice, ob: np.ndarray) -> None:
+        """The output's channels ``blk`` from xhat, written into ``ob``: in
+        the forward and, as the output's recipe, in later rules."""
+        affine(blk, xhat[:, blk], ob)
+        np.maximum(ob, np.multiply(ob, _SLOPE), out=ob)
+
     # An unrecorded eval block writes its output over xhat, which no rule
     # reads then, so it holds one activation; training writes x*x into the
     # second buffer.
-    out_data = np.empty_like(xhat) if training or _records(inputs) else xhat
+    records = _records(inputs)
+    out_data = np.empty_like(xhat) if training or records else xhat
 
     def epilogue(blk: slice) -> None:
         hb, ob = xhat[:, blk], out_data[:, blk]
@@ -826,8 +955,7 @@ def conv_block(
             var[blk] = np.multiply(hb, hb, out=ob).sum(axis=axes) / n
         inv[blk] = 1.0 / np.sqrt(var[blk] + _EPS)
         hb *= cs(inv[blk])
-        affine(blk, hb, ob)
-        np.maximum(ob, np.multiply(ob, _SLOPE), out=ob)
+        activate(blk, ob)
 
     _lanes.run(epilogue, blocks)
     if training:
@@ -835,7 +963,7 @@ def conv_block(
         stats.var = (1.0 - _MOMENTUM) * stats.var + _MOMENTUM * var
     out = Tensor(out_data)
     sx, sw, sbias, sgamma, sbeta = (_slot(t) for t in inputs)
-    wd, xd = w.data, (x.data if sx or sw else None)
+    wd, xk = w.data, (_keep(x) if sx or sw else None)
     so, out_ref = out.slot, weakref.ref(out)
 
     def rule(g):
@@ -884,16 +1012,21 @@ def conv_block(
         # one buffer for both loops: the widest channel run or item chunk
         buf = np.empty(max([(r.stop - r.start) * b for r in runs]
                            + [cin * most if sx else 0]) * taps * pos)
+        made = isinstance(xk, _Recipe)
         if sw:  # dW's rows, transposed, from im2col rows rebuilt per channel run
             dwt = np.empty((cin * taps, cout))
-            for blk in runs:
-                cols = buf[: (blk.stop - blk.start) * taps * b * pos].reshape(-1, taps, b, *sizes)
-                _im2col(xd.transpose(_cm(xd.ndim))[blk], cols, plan)
+            for run in runs:
+                cols = buf[: (run.stop - run.start) * taps * b * pos].reshape(-1, taps, b, *sizes)
+                if made:  # x's blocks, made on the lanes
+                    _im2col(lambda blk, at=run.start: xk(slice(at + blk.start, at + blk.stop)),
+                            cols, plan)
+                else:
+                    _im2col(xk.transpose(_cm(xk.ndim))[run], cols, plan)
                 np.matmul(cols.reshape(-1, b * pos), gmat.T,
-                          out=dwt[blk.start * taps:blk.stop * taps])
+                          out=dwt[run.start * taps:run.stop * taps])
             _accumulate(sw, np.ascontiguousarray(dwt.T).reshape(wd.shape), own=True)
         if sx:  # dcols per chunk of batch items, added into dx by col2im
-            dx = np.zeros_like(xd)  # in x's layout
+            dx = xk.zeros() if made else np.zeros_like(xk)  # in x's layout
             for blk in items:
                 cols = buf[: cin * taps * (blk.stop - blk.start) * pos]
                 cols = cols.reshape(cin, taps, -1, *sizes)
@@ -902,4 +1035,4 @@ def conv_block(
                 _im2col(dx.transpose(_cm(dx.ndim))[:, blk], cols, plan, add=True)
             _accumulate(sx, dx, own=True)
 
-    return _finish(out, inputs, rule)
+    return _finish(out, inputs, rule, _Recipe(out_data, activate) if records else None)

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -54,6 +55,11 @@ class _KSplitNumpy:
         return out
 
 
+def _c_ordered_zeros(orig):
+    # A conv block's dx in C order, not in the layout of the input it recomputes.
+    return lambda self: np.zeros(self.shape)
+
+
 def _every_lane_from_the_first_item(orig):
     # Each lane runs items 0, n, 2n, ...: some items twice, others never.
     return lambda self, first: orig(self, 0)
@@ -78,6 +84,7 @@ BREAKS = {
     "conv-block-2d-vs-loop-oracles": (T, "_MOMENTUM", lambda momentum: 2 * momentum),
     "conv-block-chunked-vs-whole": (T, "np", lambda numpy: _KSplitNumpy()),
     "training-step-lanes-vs-one": (_lanes._Run, "lane", _every_lane_from_the_first_item),
+    "training-step-recomputed-vs-held": (T._Recipe, "zeros", _c_ordered_zeros),
     "scores-one-batch-vs-two": (_lanes, "run", _unpinned),
     # no child can start, so every range is parsed in process
     "embeddings-split-vs-whole": (sys, "executable", lambda executable: ""),
@@ -101,6 +108,8 @@ def test_check_names():
         "conv-block-2d-vs-loop-oracles",
         "conv-block-chunked-vs-whole",
         "training-step-lanes-vs-one",
+        "training-step-recomputed-vs-held",
+        "training-one-vs-two-blas-threads",
         "scores-one-batch-vs-two",
         "embeddings-split-vs-whole",
         "circulant-algebra",
@@ -127,3 +136,18 @@ def test_conv_rows_check_channel_major_input(monkeypatch):
     assert selftest.run(out=lines.append) is False
     for name in ("conv-block-1d-vs-loop-oracles", "conv-block-2d-vs-loop-oracles"):
         assert any(line.startswith(f"FAIL {name} (") for line in lines), lines
+
+
+@pytest.mark.parametrize("set_threads", [None, lambda n: 1], ids=["no-setter", "one-thread"])
+def test_blas_row_not_checked_without_two_threads(monkeypatch, set_threads):
+    monkeypatch.setattr(_lanes, "_set_threads", set_threads)
+    ok, detail = selftest.check_blas_threads()
+    assert ok and detail.startswith("not checked: "), detail
+
+
+@pytest.mark.skipif(_lanes._set_threads is None, reason="needs openblas_set_num_threads_local")
+def test_blas_row_reports_differing_bytes(monkeypatch):
+    """Bytes that differ between one and two threads fail the row."""
+    calls = itertools.count()
+    monkeypatch.setattr(selftest, "_step_bytes", lambda *args, **kwargs: [next(calls)])
+    assert selftest.check_blas_threads() == (False, "parameter and running-statistic bytes differ")

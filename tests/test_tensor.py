@@ -52,6 +52,8 @@ def held_arrays(tape):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
             out.append(obj)
+        elif isinstance(obj, T._Recipe):
+            todo.append(obj.write)
         elif callable(obj) and getattr(obj, "__closure__", None):
             todo.extend(cell.cell_contents for cell in obj.__closure__)
         elif isinstance(obj, (list, tuple)):
@@ -386,14 +388,15 @@ class TestConvBlock:
                          RunningStats(4), True)
         assert len(tape) == 0
 
-    def test_recorded_chain_holds_inputs_and_xhat(self, rng):
-        """A recorded 3-block chain of 3x3 convs keeps, per block, its input
-        (dW rebuilds the im2col rows from it) and xhat, and nothing else of
-        activation size: 2 activations a block, less the chain's input,
-        which was allocated before. Keeping the im2col matrix instead held
-        9 + 1 a block. The unfused conv, batch norm and LeakyReLU kept three
-        more: the conv output, the batch-norm output and the LeakyReLU
-        output."""
+    def test_recorded_chain_holds_xhat_and_no_output(self, rng):
+        """A recorded 3-block chain of 3x3 convs keeps, per block, its xhat
+        and nothing else of activation size: a block's input, which dW
+        rebuilds its im2col rows from, is the block before's output, made
+        again from that block's xhat (``tensor._Recipe``). So about one
+        activation a block, where keeping each block's input too held 2 a
+        block (5.17 here), and the im2col matrix instead 9 + 1. The
+        unfused conv, batch norm and LeakyReLU kept three more: the conv
+        output, the batch-norm output and the LeakyReLU output."""
         b, c, h = 8, 8, 16
         x = Tensor(rng.uniform(-1, 1, (b, c, h, h)))
         blocks = [(rt(rng, c, c, 3, 3), rt(rng, c), rt(rng, c), rt(rng, c)) for _ in range(3)]
@@ -409,7 +412,7 @@ class TestConvBlock:
         finally:
             tracemalloc.stop()
         assert len(tape) == len(blocks)
-        assert held / x.data.nbytes < len(blocks) * 2
+        assert held / x.data.nbytes < len(blocks) + 1
 
     def test_unrecorded_eval_block_holds_one_activation(self, rng):
         """An eval block that records no rule writes its output over xhat:
@@ -441,11 +444,12 @@ class TestConvBlock:
         assert out.data.strides == recorded.data.strides
 
     def test_rules_free_the_activations_they_do_not_read(self, rng):
-        """In a recorded conv block -> SE2D -> conv block -> pool chain, the
-        pool's input (the second block's output) is freed when the forward
-        pass lets go of it. Each block keeps its input, which dW rebuilds its
-        im2col rows from, and the gate keeps the first block's output; no
-        rule holds an array as large as a block's im2col matrix."""
+        """In a recorded conv block -> SE2D -> conv block -> pool chain,
+        every block output and the gated product are freed when the forward
+        pass lets go of them: the pool reads none of its input, and the
+        gate's rule and the second block's, which read the first block's
+        output and the gated product, recompute them from the first block's
+        xhat. No rule holds an array as large as a block's im2col matrix."""
         from sasvbackend import attention as att
 
         def block(cin, cout):
@@ -461,11 +465,9 @@ class TestConvBlock:
             gated = att.apply_attention(a, params)
             b = T.conv_block(gated, *second, RunningStats(8), True)
             loss = T.sum_all(T.adaptive_avg_pool(b, (2, 2)))
-        kept = [weakref.ref(a.data), weakref.ref(gated.data)]
-        freed = weakref.ref(b.data)
+        freed = [weakref.ref(t.data) for t in (a, gated, b)]
         del a, gated, b
-        assert all(ref() is not None for ref in kept)
-        assert freed() is None
+        assert all(ref() is None for ref in freed)
         smallest_cols = 3 * 9 * x.data[:, 0].size * 8  # the first block's im2col bytes
         assert max(arr.nbytes for arr in held_arrays(tape)) < smallest_cols
         tape.backward(loss)
@@ -550,6 +552,75 @@ class TestConvBlock:
         ts = [Tensor(np.ones(shapes[k])) for k in ("x", "w", "bias", "gamma", "beta")]
         with pytest.raises(DimensionError, match=match):
             T.conv_block(*ts, RunningStats(4), True)
+
+
+def recorded_block(rng, shape, cout, training=True):
+    """A recorded conv block's output on a random input of ``shape``."""
+    k, nd = 3, len(shape) - 2
+    params = rt(rng, cout, shape[1], *(k,) * nd), rt(rng, cout), rt(rng, cout), rt(rng, cout)
+    return T.conv_block(rt(rng, *shape), *params, RunningStats(cout), training)
+
+
+def gate(rng, kind, t):
+    """``t`` gated by a random attention block of ``kind``."""
+    from sasvbackend import attention as att
+    params = att.AttentionParams.init(kind, rng, channels=t.shape[1], features=t.shape[-1],
+                                      reduction=2)
+    return att.apply_attention(t, params)
+
+
+class TestRecipe:
+    """A recorded conv block's output, and a product whose rule keeps both
+    factors, carry a recipe that gives their data again from arrays the
+    tape holds anyway, so that no rule keeps the data."""
+
+    @pytest.mark.parametrize("case", ["conv1d", "conv2d", "SE2D", "PA", "VSE"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_gives_the_bytes_and_strides_of_the_data(self, rng, case, training):
+        shape = (5, 4, 7) if case in ("conv1d", "PA") else (5, 4, 6, 7)
+        with T.recording():
+            out = recorded_block(rng, shape, 6, training)
+            if case not in ("conv1d", "conv2d"):
+                out = gate(rng, case, out)
+        recipe = out.recipe
+        assert recipe is not None
+        if case.startswith("conv"):  # channel-major: the batch and spatial axes merge
+            assert out.data.transpose(T._cm(out.data.ndim)).flags.c_contiguous
+        whole = recipe()
+        assert whole.tobytes() == out.data.tobytes()
+        assert whole.strides == out.data.strides
+        zeros = recipe.zeros()
+        assert zeros.strides == out.data.strides and not zeros.any()
+        part = recipe(slice(2, 5))  # channel-major (C, B, ...), as im2col reads it
+        assert part.flags.c_contiguous
+        assert part.tobytes() == np.ascontiguousarray(
+            out.data[:, 2:5].transpose(T._cm(out.data.ndim))).tobytes()
+
+    def test_unrecorded_eval_block_makes_none(self, rng):
+        assert recorded_block(rng, (5, 4, 6, 7), 6, training=False).recipe is None
+
+    def test_product_with_one_graded_factor_makes_none(self, rng):
+        with T.recording():
+            t = recorded_block(rng, (5, 4, 7), 6)
+            gated = T.mul(t, Tensor(rng.uniform(-1, 1, (5, 6, 1))))
+        assert t.recipe is not None and gated.recipe is None
+
+    def test_held_outputs_keep_data_and_grad(self, rng):
+        """A caller that holds a block output and a gated product reads their
+        data and gradients after the backward; the rules that made them
+        dropped the recipes, which were stale once those rules ran."""
+        with T.recording() as tape:
+            a = recorded_block(rng, (5, 4, 6, 7), 6)
+            gated = gate(rng, "SE2D", a)
+            b = T.conv_block(gated, rt(rng, 3, 6, 3, 3), rt(rng, 3), rt(rng, 3), rt(rng, 3),
+                             RunningStats(3), True)
+            loss = T.sum_all(T.mul(b, b))
+        data = [t.data.copy() for t in (a, gated, b)]
+        tape.backward(loss)
+        for t, before in zip((a, gated, b), data):
+            assert t.data.tobytes() == before.tobytes()
+            assert t.grad is not None and t.grad.shape == t.shape
+            assert t.recipe is None
 
 
 # (input shape, output channels, kernel) of every preset's conv blocks at the
