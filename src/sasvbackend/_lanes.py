@@ -12,10 +12,11 @@ OpenBLAS's own threads. Starting and joining its thread took a two-lane
 run of empty items 96-144 us back to back, against 20-40 us to hand the
 lane to a thread kept between runs. But most runs of a training step
 follow a two-thread GEMM, and there the same run took 204-227 us
-(medians of 40, 2-vCPU box). A training step makes 2-3 such runs on
-``perfbench`` ``dnn-ensemble``, 15 on ``cnn1d-dev`` and 47 on
-``cnn2d-train``: about 4% of an 87 ms ``cnn1d-dev`` step and 1% of a
-1 s ``cnn2d-train`` one.
+(medians of 40, 2-vCPU box). A training step makes 2-3 runs of two or
+more items on ``perfbench`` ``dnn-ensemble``, 26 on ``cnn1d-dev`` and 87
+on ``cnn2d-train``, most of them one im2col or col2im per item chunk or
+dW run of a conv block (``tensor._PIECE_BUDGET``): about 6% of an 87 ms
+``cnn1d-dev`` step and 2% of a 1 s ``cnn2d-train`` one.
 
 For the length of the run OpenBLAS uses one thread, set with
 ``openblas_set_num_threads_local`` (found through ctypes in numpy's bundled

@@ -83,8 +83,9 @@ def check_conv_block(conv_loops, x_shape):
 
 def _block_bytes(x, w, vecs, g, training, budget):
     """Output, running stats and gradient bytes of one recorded conv_block
-    whose im2col matrices hold at most ``budget`` elements."""
-    with mock.patch.multiple(T, _COLS_BUDGET=budget):
+    whose im2col pieces, item chunks and dW runs alike, hold at most
+    ``budget`` elements."""
+    with mock.patch.multiple(T, _COLS_BUDGET=budget, _PIECE_BUDGET=budget):
         ts = [Tensor(a, requires_grad=True) for a in (x, w, *vecs)]
         stats = RunningStats(w.shape[0])
         with T.recording() as tape:

@@ -8,9 +8,13 @@ That convolution is the CNNs' whole conv block, ``conv_block``: a same-size
 flip), bias, batch normalization and LeakyReLU, as one op with one gradient
 rule. Between its passes it keeps xhat, not its output or an im2col
 matrix, and its input only where that is no conv output or gated product
-(see Recomputation below). It never builds an im2col matrix of more than
-``_COLS_BUDGET`` elements, split evenly between scoring lanes
-(``_lanes``): its GEMMs run over chunks of one. Its passes between the
+(see Recomputation below). Its GEMMs run over pieces of the im2col
+matrix, each sized by the operand its GEMM packs again: chunks of batch
+items of at most ``_PIECE_BUDGET`` elements for the forward and dx, whose
+GEMMs pack the weight, and runs of input channels for dW, whose GEMMs
+pack the whole output gradient, so each run holds up to twice that. No
+piece holds more than ``_COLS_BUDGET`` elements, and both budgets are
+split evenly between scoring lanes (``_lanes``). Its passes between the
 GEMMs run over channel blocks spread over the lanes (``_lanes.run``); the
 GEMMs run on OpenBLAS's own threads.
 
@@ -37,8 +41,9 @@ with one (SE, PA, VSE). A recorded block's output is LeakyReLU(gamma * xhat
 (``Tensor.recipe``, a ``_Recipe``) that makes its data again bit for bit
 from xhat, gamma and beta, which the block's own rule keeps anyway, and
 from the other factor. A rule that reads such an input keeps the recipe
-(``_keep``) and recomputes the input when it runs; a conv block's dW makes
-it one channel block at a time, on the lanes. The recipe holds until the
+(``_keep``) and recomputes the input when it runs; a conv block's dW, and
+a gate's gradient reduced from its product with the input, make it one
+channel block at a time, on the lanes. The recipe holds until the
 rule of the op that made it runs: every rule that reads the output was
 recorded later, so it runs first, and the optimizer updates gamma and beta
 only after the block's rule. An unrecorded eval block makes none. This is
@@ -309,32 +314,50 @@ class _Recipe:
     ``out``, an array of their shape in any layout, with elementwise ops
     only. ``r()`` is the whole data in its own layout, written in channel
     blocks on the lanes; ``r(blk)`` is a fresh channel-major (C, B, ...)
-    array of channels ``blk``, the view im2col reads; ``r.zeros()`` is zeros
-    in the data's layout. A recipe reads its arrays when called, so it holds
-    only until the op that made it is due in the backward (``_finish``).
+    array of channels ``blk``, the view im2col reads; ``r.part(blk)`` is
+    channels ``blk`` in the data's own layout; ``r.zeros()`` is zeros in the
+    data's layout. A recipe reads its arrays when called, so it holds only
+    until the op that made it is due in the backward (``_finish``).
     """
 
     __slots__ = ("write", "shape", "_order")
 
     def __init__(self, data: np.ndarray, write):
         self.write, self.shape = write, data.shape
-        self._order = sorted(range(data.ndim), key=lambda i: -data.strides[i])  # slowest first
-
-    def _alloc(self, fill=np.empty) -> np.ndarray:
-        order = self._order
-        return fill([self.shape[i] for i in order]).transpose(np.argsort(order))
+        self._order = _axis_order(data)
 
     def zeros(self) -> np.ndarray:
-        return self._alloc(np.zeros)
+        return _alloc(self.shape, self._order, np.zeros)
+
+    def part(self, blk: slice) -> np.ndarray:
+        out = _alloc(_channels(self.shape, blk), self._order)
+        self.write(blk, out)
+        return out
 
     def __call__(self, blk: slice | None = None) -> np.ndarray:
         if blk is None:
-            out, c = self._alloc(), self.shape[1]
+            out, c = _alloc(self.shape, self._order), self.shape[1]
             _lanes.run(lambda b: self.write(b, out[:, b]), _pass_blocks(c, out.size // c))
             return out
         xc = np.empty((blk.stop - blk.start, self.shape[0]) + self.shape[2:])
         self.write(blk, xc.transpose(_cm(xc.ndim)))
         return xc
+
+
+def _axis_order(a: np.ndarray) -> list[int]:
+    """The axes of ``a``, slowest in memory first."""
+    return sorted(range(a.ndim), key=lambda i: -a.strides[i])
+
+
+def _alloc(shape: tuple[int, ...], order: list[int], fill=np.empty) -> np.ndarray:
+    """An array of ``shape`` whose axes lie in memory in ``order``, slowest
+    first."""
+    return fill([shape[i] for i in order]).transpose(np.argsort(order))
+
+
+def _channels(shape: tuple[int, ...], blk: slice) -> tuple[int, ...]:
+    """``shape`` with only channels ``blk`` on axis 1."""
+    return shape[:1] + (blk.stop - blk.start,) + shape[2:]
 
 
 def _keep(t: Tensor):
@@ -422,19 +445,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     Where the rule keeps both factors, of equal rank of at least 2, the
     product gets a recipe that multiplies them again, channel block by
     channel block, so no rule keeps the product: SE, PA and VSE gate a conv
-    output this way."""
+    output this way. The gate's gradient is then reduced from the recipe of
+    the conv output one channel block at a time (``_product_grad``)."""
     out = Tensor(a.data * b.data)
     sa, sb, a_shape, b_shape = _slot(a), _slot(b), a.data.shape, b.data.shape
     # Each factor is kept only for the other's gradient.
     ad, bd = (_keep(a) if sb else None), (_keep(b) if sa else None)
 
-    # np.multiply, not `*`: a recomputed factor is a temporary, which numpy
-    # may write the product into, in that factor's layout, not g's.
     def rule(g):
         if sa:
-            _accumulate(sa, _unbroadcast(np.multiply(g, _load(bd)), a_shape), own=True)
+            _accumulate(sa, _product_grad(g, bd, a_shape), own=True)
         if sb:
-            _accumulate(sb, _unbroadcast(np.multiply(g, _load(ad)), b_shape), own=True)
+            _accumulate(sb, _product_grad(g, ad, b_shape), own=True)
 
     def part(kept, blk: slice) -> np.ndarray:  # a factor's share of channels blk
         blk = slice(0, 1) if kept.shape[1] == 1 else blk
@@ -447,6 +469,37 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     keeps_both = sa and sb and a.data.ndim == b.data.ndim >= 2
     return _finish(out, (a, b), rule, _Recipe(out.data, write) if keeps_both else None)
+
+
+def _product_grad(g: np.ndarray, kept, shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` times the factor ``kept`` (``_keep``), summed down to
+    ``shape``: a product's gradient for its other factor.
+
+    Where the factor is a recipe of g's shape and the sum keeps the batch
+    and channel axes (a gate of one value per channel, or per channel and
+    position, as SE, PA and VSE apply to a conv output), the product and
+    its sum are made one channel block (``_pass_blocks``) at a time on the
+    lanes from ``kept.part``, so the factor is never whole. Each block
+    reduces the same positions of each (b, c) in the layout the whole
+    product would have, and the result takes the layout of the blocks'
+    sums, so its bytes and strides are those of the whole sum."""
+    # np.multiply, not `*`: a recomputed factor is a temporary, which numpy
+    # may write the product into, in that factor's layout, not g's.
+    if not (isinstance(kept, _Recipe) and kept.shape == g.shape != shape
+            and len(shape) == g.ndim and shape[:2] == g.shape[:2]):
+        return _unbroadcast(np.multiply(g, _load(kept)), shape)
+    blocks = _pass_blocks(g.shape[1], g.size // g.shape[1])
+    sums = [None] * len(blocks)
+
+    def reduce(i: int) -> None:
+        blk = blocks[i]
+        sums[i] = _unbroadcast(np.multiply(g[:, blk], kept.part(blk)), _channels(shape, blk))
+
+    _lanes.run(reduce, range(len(blocks)))
+    out = _alloc(shape, _axis_order(sums[0]))
+    for blk, part in zip(blocks, sums):
+        out[:, blk] = part
+    return out
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -616,11 +669,16 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # view (Cin, B, *sizes) of the input: im2col and a GEMM per chunk of batch
 # items (``_item_chunks``), each product written into its columns of the
 # (Cout, B, *sizes) output, which is read back as a transposed view without
-# copying it. One buffer of at most ``_cols_budget()`` elements serves every
-# chunk. The rule keeps the block's input (``_keep``) instead of the im2col
-# matrix: for dW the backward rebuilds the im2col rows of a power-of-two run
-# of input channels at a time (``_pow2_chunks``) into such a buffer, and for
-# dx it writes each item chunk's dcols there before col2im adds them in. At
+# copying it. One buffer serves every chunk. A chunk's GEMM packs again only
+# the weight (at most 2.4 MB in the presets), so the chunks are small: at
+# most ``_PIECE_BUDGET`` elements. The rule keeps the block's input
+# (``_keep``) instead of the im2col matrix: for dW the backward rebuilds the
+# im2col rows of a power-of-two run of input channels at a time
+# (``_pow2_chunks``), and for dx it writes each item chunk's dcols into the
+# same buffer before col2im adds them in. Each dW run's GEMM packs the whole
+# output gradient again (47 MB for CNN2D conv4 at batch 90), so a run holds
+# up to twice that, and at least ``_PIECE_BUDGET``; no piece of either kind
+# holds more than ``_cols_budget()``. At
 # D=16 and batch 90 the four CNN2D block inputs take 40 MiB, their im2col
 # matrices 366 MiB. Three of those inputs are a block's output or the SE
 # gate's product with one, so the rule keeps their recipe, not the array:
@@ -697,11 +755,26 @@ def _pass_blocks(c: int, n: int) -> list[slice]:
     return _channel_blocks(c, n, _lanes.BLOCK)
 
 
-# Elements of the largest im2col matrix a conv block builds at once (64 MB).
-# At D=16 and batch 90, 32 MB made a CNN2D_SE training step about 5% slower
-# (more GEMM calls, each packing its other operand again) with the same peak
-# RSS; 128 MB raised the peak RSS by 100 MB.
+# Elements of the largest im2col piece a conv block builds at once (64 MB),
+# the cap on both kinds of piece below. At D=16 and batch 90, one budget of
+# 32 MB for both made a CNN2D_SE training step about 5% slower (more GEMM
+# calls, each packing its other operand again) with the same peak RSS; 128
+# MB raised the peak RSS by 100 MB.
 _COLS_BUDGET = 1 << 23
+
+# Elements of an item chunk's im2col piece (16 MB), whose GEMM packs again
+# only the weight, and the least a dW run's piece may hold. With one
+# budget for every piece, CNN1D_SE's 256->128 block on ``cnn1d-dev`` built
+# its whole 35 MB im2col matrix in the forward and again in dW, the traced
+# peak of a training step (63.4 MiB above its start, batch 90, 2 vCPUs).
+# Pieces of 8, 16 and 32 MB took it to 38.5, 41.3 and 46.5 MiB; at 16 MB
+# ``cnn1d-dev``'s peak RSS went 150.2 -> 124.5 MB (medians of 12 pairs).
+# The cost is more, smaller GEMMs: ``cnn2d-train``'s conv4 backward, its
+# dx in 13 item chunks instead of 4, took 361 against 331 ms (medians of
+# 10). One 16 MB budget for both kinds would also cut conv4's dW from 4
+# runs to 16, each packing the whole output gradient again: its backward
+# without dx took 221 against 194 ms (medians of 8).
+_PIECE_BUDGET = 1 << 21
 
 
 def _cols_budget() -> int:
@@ -711,18 +784,21 @@ def _cols_budget() -> int:
     return _COLS_BUDGET // _lanes.SHARE.get()
 
 
-def _pow2_chunks(c: int, n: int) -> list[slice]:
+def _pow2_chunks(c: int, n: int, g: int) -> list[slice]:
     """Input-channel slices (``n`` im2col elements per channel) for the conv
-    block's backward: one slice if all ``c`` fit ``_cols_budget()``, else runs
-    of the largest power of two, at least 2, that fits. A trailing single
-    channel joins the run before it.
+    block's dW, whose GEMMs each pack the whole output gradient (``g``
+    elements) again: one slice if all ``c`` channels fit the budget, else
+    runs of the largest power of two, at least 2, that fits. The budget is
+    ``2 * g``, so packing g stays a small share of a run's own work, but at
+    least ``_PIECE_BUDGET`` and at most ``_cols_budget()``. A trailing
+    single channel joins the run before it.
 
     Runs of a power of two channels kept dW's bytes in every shape tried,
     with dW computed either way round. Written as ``gmat @ cols.T``, runs of
     10 or 20 channels changed them at cin 32 and 64; as ``cols @ gmat.T``,
     the form used here, runs of 6 to 20 kept them too.
     """
-    budget = _cols_budget()
+    budget = min(_cols_budget(), max(_PIECE_BUDGET, 2 * g))
     if c * n <= budget:
         return [slice(0, c)]
     step = 1 << max(1, (budget // n).bit_length() - 1)
@@ -731,11 +807,13 @@ def _pow2_chunks(c: int, n: int) -> list[slice]:
 
 def _item_chunks(b: int, n: int, pos: int) -> list[slice]:
     """Batch-item slices for the conv block's forward and input gradient,
-    each a column split of their GEMMs: one slice if all ``b`` items (``n``
-    im2col elements and ``pos`` columns each) fit ``_cols_budget()``, else
-    slices of about equal size that fit it, each but the last spanning a
-    multiple of 16 columns (more than the budget only where 16 columns of
-    items do not fit).
+    each a column split of their GEMMs, which pack again only the weight:
+    one slice if all ``b`` items (``n`` im2col elements and ``pos`` columns
+    each) fit the budget, else slices of about equal size that fit it, each
+    but the last spanning a multiple of 16 columns (more than the budget
+    only where 16 columns of items do not fit). The budget is
+    ``_PIECE_BUDGET`` split between the lanes as ``_cols_budget()`` splits
+    its own, and at most ``_cols_budget()``.
 
     With OpenBLAS, column splits kept the bytes in every shape tried where
     each piece starts at a multiple of 16 columns and none is small. They
@@ -744,7 +822,7 @@ def _item_chunks(b: int, n: int, pos: int) -> list[slice]:
     piece of a product whose width is no multiple of 16. Hence slices of
     about equal size, not full ones and a remainder.
     """
-    budget = _cols_budget()
+    budget = min(_cols_budget(), _PIECE_BUDGET // _lanes.SHARE.get())
     if b * n <= budget:
         return [slice(0, b)]
     unit = 16 // math.gcd(pos, 16)  # items per 16 columns
@@ -1008,7 +1086,7 @@ def conv_block(
         # gmat now holds the conv output's gradient
         if sbias:
             _accumulate(sbias, gmat.sum(axis=1), own=True)
-        runs = _pow2_chunks(cin, taps * b * pos) if sw else []
+        runs = _pow2_chunks(cin, taps * b * pos, gmat.size) if sw else []
         # one buffer for both loops: the widest channel run or item chunk
         buf = np.empty(max([(r.stop - r.start) * b for r in runs]
                            + [cin * most if sx else 0]) * taps * pos)

@@ -219,12 +219,13 @@ def score_trials(model: Model, trials: list[Trial] | Protocol | TrialRows, store
     two threads than on one (square 300, 400 and 1000 products, and an
     Extend512_DNN batch of 400 rows at dims (133, 133, 134) by up to
     6.7e-16), so a lone batch on a two-thread OpenBLAS would differ from
-    the same batch on a lane. A lane's conv blocks split their im2col
-    GEMMs by columns at multiples of 16 (``tensor._item_chunks``), which
-    changes no byte. An error is the one the plain loop raises, from the
-    earliest failing batch, and numpy's ``errstate`` holds on every lane.
-    Inside a lane the conv blocks' passes run inline, as a lane starts no
-    lanes. The run parks OpenBLAS's workers (``_lanes``), which a training
+    the same batch on a lane. The conv blocks split their im2col GEMMs by
+    columns at multiples of 16 into pieces of at most
+    ``tensor._PIECE_BUDGET`` elements, split between the lanes
+    (``tensor._item_chunks``), which changes no byte. An error is the one
+    the plain loop raises, from the earliest failing batch, and numpy's
+    ``errstate`` holds on every lane. Inside a lane the conv blocks'
+    passes run inline, as a lane starts no lanes. The run parks OpenBLAS's workers (``_lanes``), which a training
     step's GEMMs may have left spinning.
     """
     if batch_size < 1:

@@ -289,6 +289,39 @@ class TestFusedConvBlocks:
         assert fused(batch).data.tobytes() == reference(batch).data.tobytes()
 
 
+class TestTrainingStepMemory:
+    def test_cnn1d_se_step_peak(self, rng):
+        """One CNN1D_SE training step at dims (64, 64, 48) and batch 90,
+        after a first step has made Adam's moments, rises above its start
+        by less than 4.5 outputs of the first block (90 x 256 x 64 float64,
+        11.25 MiB): 3.7 with item chunks of ``tensor._PIECE_BUDGET`` and dW
+        runs sized by the output gradient, 5.7 where either could take the
+        whole 64 MB ``_COLS_BUDGET``, as the 256->128 block's 35 MB im2col
+        matrix then did in its forward and again in its dW."""
+        dims = (64, 64, 48)
+        model = build("CNN1D_SE", dims, seed=4)
+        optimizer = training.Adam(model.params.items())
+        batch = random_trial_batch(rng, 90, model.config.fusion_mode, dims)
+        labels = np.resize([0, 1, 1, 0, 1, 0], 90)
+        unit = 90 * 256 * 64 * 8
+
+        def step():
+            with T.recording() as tape:
+                logits = model.forward(batch, training=True)
+                loss = training.weighted_cross_entropy(logits, labels, (0.1, 0.9))
+            optimizer.step(1e-3, 1e-4, tape, loss)
+
+        step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / unit < 4.5
+
+
 class TestScoring:
     def test_equal_logits_give_half(self):
         assert models.softmax_scores(np.array([[0.0, 0.0]]))[0] == 0.5

@@ -92,13 +92,33 @@ BREAKS = {
 }
 
 
+def run_rows(monkeypatch, names):
+    """``selftest.run`` over the rows ``names`` only: its result and lines."""
+    rows = dict(selftest.CHECKS)
+    monkeypatch.setattr(selftest, "CHECKS", [(name, rows[name]) for name in names])
+    lines = []
+    return selftest.run(out=lines.append), lines
+
+
 @pytest.mark.parametrize("name", sorted(BREAKS))
 def test_broken_library_call_fails_its_check(monkeypatch, name):
     owner, attr, breaker = BREAKS[name]
     monkeypatch.setattr(owner, attr, breaker(getattr(owner, attr)))
+    ok, lines = run_rows(monkeypatch, [name])
+    assert ok is False
+    assert lines[0].startswith(f"FAIL {name} ("), lines
+
+
+def test_run_reports_each_row_and_fails_on_one(monkeypatch):
+    """The whole run: one line per row, in order, and False when one fails."""
+    name = "eer-vs-exhaustive-threshold-oracle"
+    owner, attr, breaker = BREAKS[name]
+    monkeypatch.setattr(owner, attr, breaker(getattr(owner, attr)))
     lines = []
     assert selftest.run(out=lines.append) is False
-    assert any(line.startswith(f"FAIL {name} (") for line in lines), lines
+    assert [line.split()[1] for line in lines] == [row for row, _ in selftest.CHECKS]
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        line for line in lines if line.startswith(f"FAIL {name} (")], lines
 
 
 def test_check_names():
@@ -132,10 +152,10 @@ def test_conv_rows_check_channel_major_input(monkeypatch):
         return None if flat is None else flat[::-1]
 
     monkeypatch.setattr(T, "_flat", reversed_channels)
-    lines = []
-    assert selftest.run(out=lines.append) is False
-    for name in ("conv-block-1d-vs-loop-oracles", "conv-block-2d-vs-loop-oracles"):
-        assert any(line.startswith(f"FAIL {name} (") for line in lines), lines
+    names = ["conv-block-1d-vs-loop-oracles", "conv-block-2d-vs-loop-oracles"]
+    ok, lines = run_rows(monkeypatch, names)
+    assert ok is False
+    assert [line.split(" (")[0] for line in lines] == [f"FAIL {name}" for name in names], lines
 
 
 @pytest.mark.parametrize("set_threads", [None, lambda n: 1], ids=["no-setter", "one-thread"])

@@ -1,3 +1,5 @@
+import contextvars
+import itertools
 import tracemalloc
 import weakref
 
@@ -596,6 +598,35 @@ class TestRecipe:
         assert part.tobytes() == np.ascontiguousarray(
             out.data[:, 2:5].transpose(T._cm(out.data.ndim))).tobytes()
 
+    @pytest.mark.parametrize("g_order", ["C", "CM", "F"])
+    def test_gate_gradient_is_reduced_block_by_block(self, rng, monkeypatch, g_order):
+        """A product's gradient for a gate of one value per channel, or per
+        channel and position, made from a recipe one channel block at a
+        time: the bytes and layout of the sum of the whole product, and the
+        whole factor is never made."""
+        with T.recording():
+            conv1d = recorded_block(rng, (6, 16, 9), 16)
+            conv2d = recorded_block(rng, (6, 16, 5, 7), 16)
+            gated = gate(rng, "VSE", recorded_block(rng, (6, 16, 5, 7), 16))
+        cases = [(conv1d, (6, 16, 1))] + [(t, s) for t in (conv2d, gated)
+                                          for s in ((6, 16, 1, 1), (6, 16, 5, 1), (6, 16, 1, 7))]
+        monkeypatch.setattr(T._lanes, "BLOCK", 1 << 7)  # two channels a block
+        for t, shape in cases:
+            g = in_layout(rng.uniform(-1, 1, t.shape), g_order)
+            want = T._unbroadcast(np.multiply(g, t.recipe()), shape)
+            calls, call = [], T._Recipe.__call__
+
+            def spy(recipe, blk=None):
+                calls.append(blk)
+                return call(recipe, blk)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(T._Recipe, "__call__", spy)
+                got = T._product_grad(g, t.recipe, shape)
+            assert None not in calls, shape  # no whole remake
+            assert got.tobytes() == want.tobytes(), shape
+            assert layout(got) == layout(want), shape
+
     def test_unrecorded_eval_block_makes_none(self, rng):
         assert recorded_block(rng, (5, 4, 6, 7), 6, training=False).recipe is None
 
@@ -624,39 +655,56 @@ class TestRecipe:
 
 
 # (input shape, output channels, kernel) of every preset's conv blocks at the
-# synthetic default D=16 and the benchmark's training batch of 90.
+# synthetic default D=16 and the benchmark's training batch of 90, and of
+# the 1D blocks at the 64 positions of the benchmark's 1D workload.
 PRESET_BLOCKS = [((90, 3, 16, 16), 32, 5), ((90, 32, 16, 16), 64, 3), ((90, 64, 16, 16), 128, 3),
                  ((90, 128, 16, 16), 256, 3), ((90, 3, 16), 256, 3), ((90, 256, 16), 128, 3),
-                 ((90, 128, 16), 64, 3)]
+                 ((90, 128, 16), 64, 3), ((90, 3, 64), 256, 3), ((90, 256, 64), 128, 3),
+                 ((90, 128, 64), 64, 3)]
 
-WHOLE = 1 << 62  # a _COLS_BUDGET that any im2col matrix fits
+WHOLE = 1 << 62  # an im2col budget that any im2col matrix fits
+
+
+def set_budgets(monkeypatch, budget):
+    """im2col pieces of at most ``budget`` elements of either kind (item
+    chunks and dW runs)."""
+    for name in ("_COLS_BUDGET", "_PIECE_BUDGET"):
+        monkeypatch.setattr(T, name, budget)
 
 
 class TestConvBlockChunks:
     """``conv_block`` builds im2col matrices of at most ``_COLS_BUDGET``
-    elements: chunks of batch items for the forward and dx, and runs of a
-    power of two input channels, rebuilt from the block's input, for dW.
-    Every chunking gives the bytes of one whole chunk: the output, the
-    running stats and all five gradients. The budgets here cut each block
-    into three to five chunks, whose products stay as large as the default
-    budget makes them: OpenBLAS runs small products with other kernels."""
+    elements: chunks of batch items for the forward and dx, of at most
+    ``_PIECE_BUDGET``, and runs of a power of two input channels, rebuilt
+    from the block's input, for dW. Every chunking gives the bytes of one
+    whole chunk: the output, the running stats and all five gradients. The
+    budgets here cut each block into three to five chunks, whose products
+    stay as large as the default budget makes them: OpenBLAS runs small
+    products with other kernels."""
 
     NAMES = TestConvBlock.NAMES
 
     def _check(self, monkeypatch, arrays, training, g, budgets, nan_fill=False):
+        """``budgets``: each caps both kinds of piece; None for the module's
+        own sizes."""
         x, k = arrays["x"], arrays["w"].shape[-1]
         b, cin, pos = x.shape[0], x.shape[1], x[0, 0].size
-        per_item = cin * k ** (x.ndim - 2) * pos
-        monkeypatch.setattr(T, "_COLS_BUDGET", WHOLE)
-        want = run_block(T.conv_block, arrays, training, g)
+        per_item, g_size = cin * k ** (x.ndim - 2) * pos, g.size
+        with monkeypatch.context() as patch:
+            set_budgets(patch, WHOLE)
+            assert T._item_chunks(b, per_item, pos) == [slice(0, b)]
+            assert T._pow2_chunks(cin, per_item * b // cin, g_size) == [slice(0, cin)]
+            want = run_block(T.conv_block, arrays, training, g)
         if nan_fill:
             fill_empty_with_nan(monkeypatch)
         for budget in budgets:
-            monkeypatch.setattr(T, "_COLS_BUDGET", budget)
-            assert len(T._item_chunks(b, per_item, pos)) > 1
-            # three channels never split: a run has two or more
-            assert len(T._pow2_chunks(cin, per_item * b // cin)) > 1 or cin == 3
-            got = run_block(T.conv_block, arrays, training, g)
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    set_budgets(patch, budget)
+                assert len(T._item_chunks(b, per_item, pos)) > 1
+                # three channels never split: a run has two or more
+                assert len(T._pow2_chunks(cin, per_item * b // cin, g_size)) > 1 or cin == 3
+                got = run_block(T.conv_block, arrays, training, g)
             for name, a, ref in zip(self.NAMES, got, want):
                 assert a.tobytes() == ref.tobytes(), f"{name} bytes differ at budget {budget}"
             assert layout(got[3]) == layout(want[3]) == layout(x)
@@ -679,15 +727,17 @@ class TestConvBlockChunks:
     def test_preset_blocks_at_batch_90(self, rng, monkeypatch, case):
         """Each preset block in training mode on the input layout it gets in
         a model: C-ordered for the first block, channel-major after. A third
-        of the whole im2col matrix, and the default budget where that splits
-        the block (cin 64 and 128 in 2D)."""
+        of the whole im2col matrix, and the module's own sizes where they
+        split the block (cin 32 and up in 2D, and the 1D blocks at 64
+        positions from cin 128)."""
         arrays = block_arrays(rng, *case)
         if case[0][1] != 3:
             arrays["x"] = in_layout(arrays["x"], "CM")
         g = in_layout(rng.uniform(-1, 1, out_shape(arrays)), "CM")
-        cols = arrays["w"][0].size * arrays["x"][:, 0].size
-        budgets = [cols // 3] + ([T._COLS_BUDGET] if cols > T._COLS_BUDGET else [])
-        self._check(monkeypatch, arrays, True, g, budgets)
+        x = arrays["x"]
+        cols = arrays["w"][0].size * x[:, 0].size
+        splits = len(T._item_chunks(x.shape[0], cols // x.shape[0], x[0, 0].size)) > 1
+        self._check(monkeypatch, arrays, True, g, [cols // 3] + ([None] if splits else []))
 
     def test_chunk_sizes(self, monkeypatch):
         monkeypatch.setattr(T, "_COLS_BUDGET", 100)
@@ -699,12 +749,45 @@ class TestConvBlockChunks:
         assert T._item_chunks(8, 10, 4) == [slice(0, 8)]
         assert T._item_chunks(12, 10, 4) == [slice(0, 8), slice(8, 12)]  # 4 items per 16 columns
         assert T._item_chunks(20, 30, 9) == [slice(0, 16), slice(16, 20)]  # 16 over budget
-        assert T._pow2_chunks(10, 10) == [slice(0, 10)]
-        assert T._pow2_chunks(11, 10) == [slice(0, 8), slice(8, 11)]
-        assert T._pow2_chunks(17, 6) == [slice(0, 17)]  # 16 + 1: the single joins
-        assert T._pow2_chunks(9, 12) == [slice(0, 9)]
-        assert T._pow2_chunks(5, 40) == [slice(0, 2), slice(2, 5)]
-        assert T._pow2_chunks(6, 1000) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        assert T._pow2_chunks(10, 10, 0) == [slice(0, 10)]
+        assert T._pow2_chunks(11, 10, 0) == [slice(0, 8), slice(8, 11)]
+        assert T._pow2_chunks(17, 6, 0) == [slice(0, 17)]  # 16 + 1: the single joins
+        assert T._pow2_chunks(9, 12, 0) == [slice(0, 9)]
+        assert T._pow2_chunks(5, 40, 0) == [slice(0, 2), slice(2, 5)]
+        assert T._pow2_chunks(6, 1000, 0) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        # Item chunks hold _PIECE_BUDGET; dW runs twice the output gradient,
+        # but at least _PIECE_BUDGET and at most _COLS_BUDGET.
+        monkeypatch.setattr(T, "_PIECE_BUDGET", 40)
+        assert T._item_chunks(7, 10, 16) == [slice(0, 4), slice(4, 7)]
+        assert T._pow2_chunks(11, 10, 0) == [slice(0, 4), slice(4, 8), slice(8, 11)]
+        assert T._pow2_chunks(11, 10, 30) == [slice(0, 4), slice(4, 8), slice(8, 11)]
+        assert T._pow2_chunks(11, 10, 40) == [slice(0, 8), slice(8, 11)]
+        assert T._pow2_chunks(11, 10, 1000) == [slice(0, 8), slice(8, 11)]
+        assert T._pow2_chunks(9, 10, 45) == [slice(0, 9)]  # 90 fits twice 45
+
+    @pytest.mark.parametrize("share", [1, 2])
+    def test_dw_runs_are_powers_of_two_within_the_budget(self, monkeypatch, share):
+        """dW's runs of a split block are one power of two of at least 2
+        channels that fits ``_cols_budget()``, and a last run of at most
+        one channel more, for every split of the budget between the lanes."""
+        monkeypatch.setattr(T, "_COLS_BUDGET", 1 << 12)
+        monkeypatch.setattr(T, "_PIECE_BUDGET", 1 << 9)
+
+        def check():
+            budget = T._cols_budget()
+            for c, n, g in itertools.product([2, 3, 5, 17, 64, 100], [1, 7, 64, 250, budget // 2],
+                                             [0, 100, 1000, 1 << 14]):
+                runs = T._pow2_chunks(c, n, g)
+                sizes = [r.stop - r.start for r in runs]
+                assert runs[0].start == 0 and sum(sizes) == c
+                if len(runs) > 1:
+                    step = sizes[0]
+                    assert step >= 2 and step & (step - 1) == 0 and step * n <= budget
+                    assert sizes[:-1] == [step] * (len(runs) - 1) and 2 <= sizes[-1] <= step + 1
+
+        context = contextvars.copy_context()
+        context.run(T._lanes.SHARE.set, share)
+        context.run(check)
 
 
 def plain_block(x, w, bias=None, gamma=None, beta=None, training=False, stats=None):
