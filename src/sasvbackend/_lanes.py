@@ -55,14 +55,14 @@ on 1M elements over two lanes 5.08 ms at 64K and at 32K, 5.87 at 128K.
 
 A lane runs in its own copy of the caller's ``contextvars`` context, so
 numpy's ``errstate`` holds there as in the caller, and it sets ``SHARE``,
-the number of lanes, which splits the conv block's im2col budget between
-them. The error ``run`` raises is the one the plain loop would raise, as
-raised: the earliest failing item's. A lane stops before an item past
-the earliest failure so far, and every earlier item still runs, so no
+the number of lanes, which splits the conv block's item-chunk budget
+between them. The error ``run`` raises is the one the plain loop would
+raise, as raised: the earliest failing item's. A lane stops before an item
+past the earliest failure so far, and every earlier item still runs, so no
 earlier error is missed; the items after it that other lanes had started
 have run as well. A lane never starts lanes, and there ``run`` is the
 plain loop: the run's lanes already take every CPU, and ``SHARE`` splits
-the im2col budget (``tensor._cols_budget``) over one level of lanes.
+the item-chunk budget (``tensor._item_chunks``) over one level of lanes.
 """
 
 from __future__ import annotations

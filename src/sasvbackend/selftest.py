@@ -5,6 +5,7 @@ on seeded cases and returns ``(ok, detail)``. A check that raises has failed. No
 harness is needed.
 """
 
+import contextlib
 import dataclasses
 import os
 import tempfile
@@ -83,9 +84,9 @@ def check_conv_block(conv_loops, x_shape):
 
 def _block_bytes(x, w, vecs, g, training, budget):
     """Output, running stats and gradient bytes of one recorded conv_block
-    whose im2col pieces, item chunks and dW runs alike, hold at most
-    ``budget`` elements."""
-    with mock.patch.multiple(T, _COLS_BUDGET=budget, _PIECE_BUDGET=budget):
+    whose im2col pieces are sized by ``budget`` elements
+    (``tensor._PIECE_BUDGET``)."""
+    with mock.patch.object(T, "_PIECE_BUDGET", budget):
         ts = [Tensor(a, requires_grad=True) for a in (x, w, *vecs)]
         stats = RunningStats(w.shape[0])
         with T.recording() as tape:
@@ -96,11 +97,11 @@ def _block_bytes(x, w, vecs, g, training, budget):
 
 
 def check_conv_block_chunks():
-    """conv_block cut into four chunks (of batch items for the forward and
-    dx, of input channels for dW) against one whole chunk, byte for byte:
-    1D and 2D, train and eval mode, C-ordered and channel-major input. That
-    a split keeps the bytes is a property of the BLAS, so it is checked on
-    the one installed."""
+    """conv_block cut into pieces (four chunks of batch items for the
+    forward and dx, two or four runs of input channels for dW) against one
+    whole piece, byte for byte: 1D and 2D, train and eval mode, C-ordered
+    and channel-major input. That a split keeps the bytes is a property of
+    the BLAS, so it is checked on the one installed."""
     rng = np.random.default_rng(7)
     same = True
     for x_shape, cout in (((16, 64, 64), 64), ((12, 16, 16, 16), 32)):
@@ -149,24 +150,28 @@ def _step_bytes(config, x, y, steps=1):
     return [a.tobytes() for a in model.state_arrays().values()]
 
 
+def _same_steps(seed, names, size, ways, steps=1):
+    """Whether toy presets ``names`` (``_toy``), trained for ``steps`` steps
+    on a batch of ``size`` drawn from ``seed``, end with the same bytes in
+    each of the two context managers ``ways``."""
+    rng = np.random.default_rng(seed)
+    cases = [(config, *_toy_batch(rng, config, size)) for config in map(_toy, names)]
+    runs = []
+    for way in ways:
+        with way:
+            runs.append([_step_bytes(config, x, y, steps) for config, x, y in cases])
+    return _equal(runs[0] == runs[1])
+
+
 def check_training_step_lanes():
-    """One training step of a toy CNN1D_SE and of a toy CNN2D_SE on two
-    lanes (im2col, col2im, the conv blocks' epilogues and Adam spread over
-    them, in blocks of 4096 elements, so that toy arrays spread) against one
-    lane, byte for byte. That the lanes keep the bytes rests on numpy's
+    """One training step of a toy CNN1D_SE and of a toy CNN2D_SE on one
+    lane and on two (im2col, col2im, the conv blocks' epilogues and Adam
+    spread over them, in blocks of 4096 elements, so that toy arrays
+    spread), byte for byte. That the lanes keep the bytes rests on numpy's
     reductions over blocks of channels, so it is checked on the one
     installed."""
-    rng = np.random.default_rng(9)
-    same = True
-    for name in ("CNN1D_SE", "CNN2D_SE"):
-        config = _toy(name)
-        x, y = _toy_batch(rng, config, 6)
-        runs = []
-        for lanes in (1, 2):
-            with mock.patch.multiple(_lanes, count=lambda: lanes, BLOCK=1 << 12):
-                runs.append(_step_bytes(config, x, y))
-        same &= runs[0] == runs[1]
-    return _equal(same)
+    return _same_steps(9, ("CNN1D_SE", "CNN2D_SE"), 6, [
+        mock.patch.multiple(_lanes, count=lambda n=n: n, BLOCK=1 << 12) for n in (1, 2)])
 
 
 def check_training_step_recomputed():
@@ -174,15 +179,8 @@ def check_training_step_recomputed():
     as built, whose rules recompute each conv-block output and gated product
     from xhat (``tensor._Recipe``), against rules that hold every input
     array (``tensor._keep`` patched), byte for byte."""
-    rng = np.random.default_rng(11)
-    same = True
-    for name in ("CNN1D_SE", "CNN1D_PA", "CNN2D_SE", "CNN2D_VSE"):
-        config = _toy(name)
-        x, y = _toy_batch(rng, config, 6)
-        built = _step_bytes(config, x, y)
-        with mock.patch.object(T, "_keep", lambda t: t.data):
-            same &= built == _step_bytes(config, x, y)
-    return _equal(same)
+    return _same_steps(11, ("CNN1D_SE", "CNN1D_PA", "CNN2D_SE", "CNN2D_VSE"), 6, (
+        contextlib.nullcontext(), mock.patch.object(T, "_keep", lambda t: t.data)))
 
 
 def check_blas_threads():
@@ -193,23 +191,14 @@ def check_blas_threads():
     installed; where two threads cannot be set, it is not checked."""
     if _lanes._set_threads is None:
         return True, "not checked: numpy's BLAS has no openblas_set_num_threads_local"
-    rng = np.random.default_rng(12)
     old = _lanes._set_threads(2)
     try:
         if _lanes._set_threads(2) != 2:  # the count it returns is the one set before
             return True, "not checked: OpenBLAS cannot run 2 threads here"
-        same = True
-        for name in ("Extend512_DNN", "CNN1D_SE", "CNN2D_SE"):
-            config = _toy(name)
-            x, y = _toy_batch(rng, config, 30)
-            runs = []
-            for threads in (1, 2):
-                _lanes._set_threads(threads)
-                runs.append(_step_bytes(config, x, y, steps=3))
-            same &= runs[0] == runs[1]
+        return _same_steps(12, ("Extend512_DNN", "CNN1D_SE", "CNN2D_SE"), 30,
+                           (_lanes._one_blas_thread(), contextlib.nullcontext()), steps=3)
     finally:
         _lanes._set_threads(old)
-    return _equal(same)
 
 
 def check_score_batches():

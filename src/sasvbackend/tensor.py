@@ -6,49 +6,29 @@ reshapes/reductions used to compose attention blocks, and one convolution.
 That convolution is the CNNs' whole conv block, ``conv_block``: a same-size
 1D or 2D cross-correlation (stride 1, odd kernel, padding k // 2, no kernel
 flip), bias, batch normalization and LeakyReLU, as one op with one gradient
-rule. Between its passes it keeps xhat, not its output or an im2col
-matrix, and its input only where that is no conv output or gated product
-(see Recomputation below). Its GEMMs run over pieces of the im2col
-matrix, each sized by the operand its GEMM packs again: chunks of batch
-items of at most ``_PIECE_BUDGET`` elements for the forward and dx, whose
-GEMMs pack the weight, and runs of input channels for dW, whose GEMMs
-pack the whole output gradient, so each run holds up to twice that. No
-piece holds more than ``_COLS_BUDGET`` elements, and both budgets are
-split evenly between scoring lanes (``_lanes``). Its passes between the
-GEMMs run over channel blocks spread over the lanes (``_lanes.run``); the
-GEMMs run on OpenBLAS's own threads.
+rule. The comment block that opens the conv-block section below is the
+one account of how it runs: its im2col pieces and their one budget, what
+its rule keeps and makes again, and its passes on the lanes (``_lanes``).
 
 Ops executed while a tape is active append a gradient rule to it;
 ``Tape.backward`` replays the rules in exact reverse recording order and
 accumulates gradients into every tensor that requires them. A rule holds
 the gradient slots of its output and inputs (``Tensor.slot``) and what it
-reads: derived arrays, or an input's data through ``_keep``, never a whole
-input tensor. So an activation that no rule reads (the pool's input, for
-one) is freed when the forward pass lets go of it. A one-input op states
-only its output and its gradient (``_unary``), with every array or shape
-that gradient reads bound beforehand; an op of several inputs builds its
-own rule and records it with ``_finish``. Each
-rule is popped off the tape before it runs, so the arrays it saved and the
-output gradient it consumed are freed as soon as it returns, not at the end
-of the pass. A conv block's rule frees its output gradient sooner, once its
-backward epilogue has read it, unless the output tensor is still alive and
-a caller may read its ``grad``. With no active tape, ops are plain forward
-computations (evaluation mode).
+reads: derived arrays, or an input's data, never a whole input tensor. So
+an activation that no rule reads (the pool's input, for one) is freed when
+the forward pass lets go of it. A one-input op states only its output and
+its gradient (``_unary``), with every array or shape that gradient reads
+bound beforehand; an op of several inputs builds its own rule and records
+it with ``_finish``. Each rule is popped off the tape before it runs, so
+the arrays it saved and the output gradient it consumed are freed as soon
+as it returns, not at the end of the pass. A conv block's rule frees its
+output gradient sooner, once its backward epilogue has read it, unless the
+output tensor is still alive and a caller may read its ``grad``. With no
+active tape, ops are plain forward computations (evaluation mode).
 
 Recomputation: no rule keeps a conv block's output, or a gate's product
-with one (SE, PA, VSE). A recorded block's output is LeakyReLU(gamma * xhat
-+ beta), and the product that of its factors, so each gets a recipe
-(``Tensor.recipe``, a ``_Recipe``) that makes its data again bit for bit
-from xhat, gamma and beta, which the block's own rule keeps anyway, and
-from the other factor. A rule that reads such an input keeps the recipe
-(``_keep``) and recomputes the input when it runs; a conv block's dW, and
-a gate's gradient reduced from its product with the input, make it one
-channel block at a time, on the lanes. The recipe holds until the
-rule of the op that made it runs: every rule that reads the output was
-recorded later, so it runs first, and the optimizer updates gamma and beta
-only after the block's rule. An unrecorded eval block makes none. This is
-activation rematerialization (Chen et al., arXiv 1604.06174), as In-Place
-ABN (Rota Bulo et al., arXiv 1712.02616) applies it to batch-norm blocks.
+with one (SE, PA, VSE); each gets a recipe (``_Recipe``) that makes it
+again, bit for bit, as the conv-block comment block below sets out.
 
 Given an optimizer, ``Tape.backward`` also updates every parameter as soon
 as its last gradient contribution is in: right after the first rule that
@@ -128,8 +108,8 @@ class Tensor:
     (see ``Tape.backward``). The output of a recorded conv block, or of a
     recorded ``mul`` whose rule keeps both operands, has a ``recipe``
     (``_Recipe``) that gives its data again from arrays the tape holds
-    anyway, until the op's own rule runs; rules read it instead of the data
-    (``_keep``).
+    anyway, until the op's own rule runs; the rules of ``conv_block`` and
+    ``mul`` keep it instead of the data (``_keep``).
     """
 
     __slots__ = ("data", "slot", "requires_grad", "recipe", "__weakref__")
@@ -313,11 +293,13 @@ class _Recipe:
     ``write(blk, out)`` writes the data's channels ``blk`` (axis 1) into
     ``out``, an array of their shape in any layout, with elementwise ops
     only. ``r()`` is the whole data in its own layout, written in channel
-    blocks on the lanes; ``r(blk)`` is a fresh channel-major (C, B, ...)
-    array of channels ``blk``, the view im2col reads; ``r.part(blk)`` is
-    channels ``blk`` in the data's own layout; ``r.zeros()`` is zeros in the
-    data's layout. A recipe reads its arrays when called, so it holds only
-    until the op that made it is due in the backward (``_finish``).
+    blocks on the lanes, for the one gradient that needs it whole (PA's
+    feature gate, in ``_product_grad``); ``r(blk)`` is a fresh channel-major
+    (C, B, ...) array of channels ``blk``, a block im2col reads for a conv
+    block's dW; ``r.part(blk)`` is channels ``blk`` in the data's own
+    layout; ``r.zeros()`` is zeros in the data's layout. A recipe reads its
+    arrays when called, so it holds only until the op that made it is due
+    in the backward (``_finish``).
     """
 
     __slots__ = ("write", "shape", "_order")
@@ -361,14 +343,10 @@ def _channels(shape: tuple[int, ...], blk: slice) -> tuple[int, ...]:
 
 
 def _keep(t: Tensor):
-    """What a rule keeps to read ``t``'s data in the backward: its recipe if
-    it has one, else the array."""
+    """What the rule of a ``conv_block`` or ``mul`` keeps to read ``t``'s
+    data in the backward: its recipe if it has one, else the array. No
+    input of another op has a recipe, so their rules keep the array."""
     return t.data if t.recipe is None else t.recipe
-
-
-def _load(kept) -> np.ndarray:
-    """The whole array of what ``_keep`` gave."""
-    return kept() if isinstance(kept, _Recipe) else kept
 
 
 def _slot(t: Tensor) -> _Slot | None:
@@ -482,12 +460,15 @@ def _product_grad(g: np.ndarray, kept, shape: tuple[int, ...]) -> np.ndarray:
     lanes from ``kept.part``, so the factor is never whole. Each block
     reduces the same positions of each (b, c) in the layout the whole
     product would have, and the result takes the layout of the blocks'
-    sums, so its bytes and strides are those of the whole sum."""
+    sums, so its bytes and strides are those of the whole sum. A recipe
+    that must be whole (PA's feature gate, one value per feature, sums over
+    the channels) is made whole, on the lanes."""
     # np.multiply, not `*`: a recomputed factor is a temporary, which numpy
     # may write the product into, in that factor's layout, not g's.
-    if not (isinstance(kept, _Recipe) and kept.shape == g.shape != shape
+    recipe = isinstance(kept, _Recipe)
+    if not (recipe and kept.shape == g.shape != shape
             and len(shape) == g.ndim and shape[:2] == g.shape[:2]):
-        return _unbroadcast(np.multiply(g, _load(kept)), shape)
+        return _unbroadcast(np.multiply(g, kept() if recipe else kept), shape)
     blocks = _pass_blocks(g.shape[1], g.size // g.shape[1])
     sums = [None] * len(blocks)
 
@@ -538,13 +519,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
     sa, sb, tape = _slot(a), _slot(b), active_tape()
     # Each operand is kept only for the other's gradient.
-    ad, bd = (_keep(a) if sb else None), (_keep(b) if sa else None)
+    ad, bd = (a.data if sb else None), (b.data if sa else None)
 
     def rule(g):
         if sa:  # before the weight's update, which may run inside _weight_grad
-            _accumulate(sa, g @ _load(bd).T, own=True)
+            _accumulate(sa, g @ bd.T, own=True)
         if sb:
-            _weight_grad(tape, sb, _load(ad), g)
+            _weight_grad(tape, sb, ad, g)
 
     return _finish(out, (a, b), rule)
 
@@ -627,10 +608,10 @@ def leaky_relu(x: Tensor) -> Tensor:
     # np.multiply, not `*`: numpy may write `a * temporary` into the temporary,
     # which changes the product's memory layout and the bits of later GEMMs.
     # The scaled copy is in x's layout, and the max is written over it.
-    xd, kept = x.data, _keep(x)  # the rule reads its sign
+    xd = x.data  # the rule reads its sign
     scaled = np.multiply(xd, _SLOPE)
     return _unary(x, np.maximum(xd, scaled, out=scaled),
-                  lambda g: _leaky_relu_grad(g, _load(kept) >= 0))
+                  lambda g: _leaky_relu_grad(g, xd >= 0))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -665,30 +646,69 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 # ``conv_block`` is the one convolution: conv -> bias -> batch norm ->
 # LeakyReLU, at stride 1 with an odd square kernel and zero padding k // 2,
-# so every block keeps its input's size. The conv works on the channel-major
-# view (Cin, B, *sizes) of the input: im2col and a GEMM per chunk of batch
-# items (``_item_chunks``), each product written into its columns of the
-# (Cout, B, *sizes) output, which is read back as a transposed view without
-# copying it. One buffer serves every chunk. A chunk's GEMM packs again only
-# the weight (at most 2.4 MB in the presets), so the chunks are small: at
-# most ``_PIECE_BUDGET`` elements. The rule keeps the block's input
-# (``_keep``) instead of the im2col matrix: for dW the backward rebuilds the
-# im2col rows of a power-of-two run of input channels at a time
-# (``_pow2_chunks``), and for dx it writes each item chunk's dcols into the
-# same buffer before col2im adds them in. Each dW run's GEMM packs the whole
-# output gradient again (47 MB for CNN2D conv4 at batch 90), so a run holds
-# up to twice that, and at least ``_PIECE_BUDGET``; no piece of either kind
-# holds more than ``_cols_budget()``. At
-# D=16 and batch 90 the four CNN2D block inputs take 40 MiB, their im2col
-# matrices 366 MiB. Three of those inputs are a block's output or the SE
-# gate's product with one, so the rule keeps their recipe, not the array:
-# ``_im2col`` makes each channel block of the input on its lane, from the
-# producing block's xhat, gamma and beta (and the gate), and dx takes the
-# layout the recipe reports. Only the fused batch, 0.5 MiB, is kept whole.
-# Making the whole input at the start of the rule instead puts it beside
-# the rule's own buffers: in a traced batch-90 training step, CNN1D_SE's
-# second block peaked at 78.3 MB against 66.5, and CNN2D_SE's conv4 at
-# 196.2 MB against 172.6, above every other rule.
+# so every block keeps its input's size.
+#
+# Pieces. The conv works on the channel-major view (Cin, B, *sizes) of the
+# input, over pieces of its im2col matrix, each sized by the operand its
+# GEMM packs again, all from one budget, ``_PIECE_BUDGET``:
+# - The forward and dx run im2col and a GEMM per chunk of batch items
+#   (``_item_chunks``), a column split of GEMMs that pack again only the
+#   weight (at most 2.4 MB in the presets), so the chunks are small: at
+#   most ``_PIECE_BUDGET`` elements, split evenly between scoring lanes
+#   (``_lanes.SHARE``). The forward writes each product into its columns
+#   of the (Cout, B, *sizes) output, which is read back as a transposed
+#   view without copying it; dx writes each chunk's dcols into the same
+#   buffer before col2im adds them in. One buffer serves every chunk.
+# - dW rebuilds the im2col rows of a power-of-two run of input channels at
+#   a time (``_pow2_chunks``) from the block's input, which the rule keeps
+#   (``_keep``) instead of the im2col matrix. Each run's GEMM packs the
+#   whole output gradient again (47 MB for CNN2D conv4 at batch 90), so a
+#   run holds up to twice that, at least ``_PIECE_BUDGET`` and at most four
+#   times it. dW runs only in a training step, never in a scoring lane, so
+#   its budget is not split.
+# At D=16 and batch 90 the four CNN2D block inputs take 40 MiB, their
+# im2col matrices 366 MiB.
+#
+# Recomputation. No rule keeps a conv block's output, or a gate's product
+# with one (SE, PA, VSE). A recorded block's output is LeakyReLU(gamma *
+# xhat + beta), and the product that of its factors, so each gets a recipe
+# (``Tensor.recipe``, a ``_Recipe``) that makes its data again bit for bit
+# from xhat, gamma and beta, which the block's own rule keeps anyway, and
+# from the other factor. Only the rules of ``conv_block`` and ``mul`` read
+# such an input; they keep its recipe (``_keep``) and make the input again
+# when they run, one channel block at a time on the lanes: a conv block's
+# dW in ``_im2col``, and a gate's gradient reduced from its product with
+# the input in ``_product_grad``. One gradient needs the input whole, PA's
+# feature gate, which sums over the channels; ``_product_grad`` makes it
+# whole, on the lanes. Three of the four CNN2D block inputs are such an
+# input; only the fused batch, 0.5 MiB, is kept whole, and dx takes the
+# layout the recipe reports (``_Recipe.zeros``). Making the whole input at
+# the start of a conv block's rule instead puts it beside the rule's own
+# buffers: in a traced batch-90 training step, CNN1D_SE's second block
+# peaked at 78.3 MB against 66.5, and CNN2D_SE's conv4 at 196.2 MB against
+# 172.6, above every other rule. A recipe holds until the rule of the op
+# that made it runs (``_finish``): every rule that reads the output was
+# recorded later, so it runs first, and the optimizer updates gamma and
+# beta only after the block's rule. An unrecorded eval block makes none.
+# This is activation rematerialization (Chen et al., arXiv 1604.06174), as
+# In-Place ABN (Rota Bulo et al., arXiv 1712.02616) applies it to
+# batch-norm blocks.
+#
+# Passes. The forward runs im2col and the GEMM per item chunk, then one
+# pass over channel blocks of the GEMM output: bias, batch norm (the
+# product becomes xhat in place) and LeakyReLU per block, each block small
+# enough to stay in cache and run with the whole-array formulas in the
+# whole-array operand order, so the bytes do not depend on the blocking.
+# The backward is one blocked pass too: the LeakyReLU factor, then the
+# batch-norm gradient written over each xhat block, which leaves the
+# GEMM-shaped output gradient for dbias, dW and col2im. Each blocked pass
+# (im2col, col2im and the two epilogues) is one ``_lanes.run`` over its
+# channel blocks (``_pass_blocks``), so outside a scoring lane the blocks
+# spread over the CPUs, with OpenBLAS's workers parked (``_lanes``), and
+# every GEMM runs between those runs, on OpenBLAS's threads. A block writes
+# only its own channels, and the bytes depend on neither the block size nor
+# the lane that takes a block. Inside a scoring lane the passes run inline,
+# in cache-sized blocks.
 #
 # The output gradient g is read only by the backward epilogue, which leaves
 # its GEMM-shaped result in the conv output's buffer. So the rule drops g
@@ -707,10 +727,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # positions where that run wraps into the next row or batch item are exactly
 # the tap's padding strips, which im2col zeroes after its copy and col2im
 # zeroes in dcols before its add. Adding +0.0 changes no sum there, because
-# dx starts at +0.0, and a sum that starts at +0.0 is never -0.0. An input
-# whose channel-major view does not merge (the first block's C-ordered input,
-# or a gated output in CNN2D) goes through a cache-sized flat copy of each
-# channel block; a block made from a recipe is channel-major already.
+# dx starts at +0.0, and a sum that starts at +0.0 is never -0.0. Each
+# channel block of the input, a view of an array or a block made from a
+# recipe, is read through ``_flat``, which says which ones go through a
+# cache-sized flat copy.
 
 
 def init_weight(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -755,33 +775,26 @@ def _pass_blocks(c: int, n: int) -> list[slice]:
     return _channel_blocks(c, n, _lanes.BLOCK)
 
 
-# Elements of the largest im2col piece a conv block builds at once (64 MB),
-# the cap on both kinds of piece below. At D=16 and batch 90, one budget of
-# 32 MB for both made a CNN2D_SE training step about 5% slower (more GEMM
-# calls, each packing its other operand again) with the same peak RSS; 128
-# MB raised the peak RSS by 100 MB.
-_COLS_BUDGET = 1 << 23
-
-# Elements of an item chunk's im2col piece (16 MB), whose GEMM packs again
-# only the weight, and the least a dW run's piece may hold. With one
-# budget for every piece, CNN1D_SE's 256->128 block on ``cnn1d-dev`` built
-# its whole 35 MB im2col matrix in the forward and again in dW, the traced
-# peak of a training step (63.4 MiB above its start, batch 90, 2 vCPUs).
-# Pieces of 8, 16 and 32 MB took it to 38.5, 41.3 and 46.5 MiB; at 16 MB
-# ``cnn1d-dev``'s peak RSS went 150.2 -> 124.5 MB (medians of 12 pairs).
-# The cost is more, smaller GEMMs: ``cnn2d-train``'s conv4 backward, its
-# dx in 13 item chunks instead of 4, took 361 against 331 ms (medians of
-# 10). One 16 MB budget for both kinds would also cut conv4's dW from 4
-# runs to 16, each packing the whole output gradient again: its backward
-# without dx took 221 against 194 ms (medians of 8).
+# The conv block's one im2col budget, in elements: an item chunk's piece
+# holds at most this (16 MB), as its GEMM packs again only the weight, and
+# a dW run's piece at least this and at most four times it (64 MB), the
+# largest piece a conv block builds at once.
+# - The dW cap: at D=16 and batch 90, a cap of 32 MB on every piece made a
+#   CNN2D_SE training step about 5% slower (more GEMM calls, each packing
+#   its other operand again) with the same peak RSS; 128 MB raised the
+#   peak RSS by 100 MB.
+# - Item chunks: with 64 MB for every piece, CNN1D_SE's 256->128 block on
+#   ``cnn1d-dev`` built its whole 35 MB im2col matrix in the forward and
+#   again in dW, the traced peak of a training step (63.4 MiB above its
+#   start, batch 90, 2 vCPUs). Pieces of 8, 16 and 32 MB took it to 38.5,
+#   41.3 and 46.5 MiB; at 16 MB ``cnn1d-dev``'s peak RSS went 150.2 ->
+#   124.5 MB (medians of 12 pairs). The cost is more, smaller GEMMs:
+#   ``cnn2d-train``'s conv4 backward, its dx in 13 item chunks instead of
+#   4, took 361 against 331 ms (medians of 10).
+# - dW runs: 16 MB for them too would cut conv4's dW from 4 runs to 16,
+#   each packing the whole output gradient again: its backward without dx
+#   took 221 against 194 ms (medians of 8).
 _PIECE_BUDGET = 1 << 21
-
-
-def _cols_budget() -> int:
-    """This thread's share of ``_COLS_BUDGET``: the budget over the lanes
-    that run side by side (``_lanes.SHARE``), so their peak stays that of
-    one."""
-    return _COLS_BUDGET // _lanes.SHARE.get()
 
 
 def _pow2_chunks(c: int, n: int, g: int) -> list[slice]:
@@ -790,15 +803,16 @@ def _pow2_chunks(c: int, n: int, g: int) -> list[slice]:
     elements) again: one slice if all ``c`` channels fit the budget, else
     runs of the largest power of two, at least 2, that fits. The budget is
     ``2 * g``, so packing g stays a small share of a run's own work, but at
-    least ``_PIECE_BUDGET`` and at most ``_cols_budget()``. A trailing
-    single channel joins the run before it.
+    least ``_PIECE_BUDGET`` and at most four times it. A trailing single
+    channel joins the run before it. It is not split between lanes: dW runs
+    only in a training step, never in a scoring lane.
 
     Runs of a power of two channels kept dW's bytes in every shape tried,
     with dW computed either way round. Written as ``gmat @ cols.T``, runs of
     10 or 20 channels changed them at cin 32 and 64; as ``cols @ gmat.T``,
     the form used here, runs of 6 to 20 kept them too.
     """
-    budget = min(_cols_budget(), max(_PIECE_BUDGET, 2 * g))
+    budget = min(4 * _PIECE_BUDGET, max(_PIECE_BUDGET, 2 * g))
     if c * n <= budget:
         return [slice(0, c)]
     step = 1 << max(1, (budget // n).bit_length() - 1)
@@ -812,8 +826,8 @@ def _item_chunks(b: int, n: int, pos: int) -> list[slice]:
     each) fit the budget, else slices of about equal size that fit it, each
     but the last spanning a multiple of 16 columns (more than the budget
     only where 16 columns of items do not fit). The budget is
-    ``_PIECE_BUDGET`` split between the lanes as ``_cols_budget()`` splits
-    its own, and at most ``_cols_budget()``.
+    ``_PIECE_BUDGET`` split between the lanes that run side by side
+    (``_lanes.SHARE``), so their peak stays that of one.
 
     With OpenBLAS, column splits kept the bytes in every shape tried where
     each piece starts at a multiple of 16 columns and none is small. They
@@ -822,7 +836,7 @@ def _item_chunks(b: int, n: int, pos: int) -> list[slice]:
     piece of a product whose width is no multiple of 16. Hence slices of
     about equal size, not full ones and a remainder.
     """
-    budget = min(_cols_budget(), _PIECE_BUDGET // _lanes.SHARE.get())
+    budget = _PIECE_BUDGET // _lanes.SHARE.get()
     if b * n <= budget:
         return [slice(0, b)]
     unit = 16 // math.gcd(pos, 16)  # items per 16 columns
@@ -869,8 +883,8 @@ def _flat(xc: np.ndarray) -> np.ndarray | None:
     read such an input, so ``_im2col`` copies it block by block: every
     CNN's first block (the fused batch) in its forward and dW runs, and
     conv4 of CNN2D_SE and CNN2D_VSE (the SE or VSE gate's product) in its
-    forward and col2im; conv4's dW runs make channel-major blocks from the
-    product's recipe."""
+    forward and col2im; conv4's dW runs read blocks made from the product's
+    recipe, which merge."""
     try:
         return np.reshape(xc, (xc.shape[0], -1), copy=False)
     except ValueError:
@@ -880,27 +894,23 @@ def _flat(xc: np.ndarray) -> np.ndarray | None:
 def _im2col(xc, cols: np.ndarray, plan: list, add: bool = False) -> None:
     """im2col: copy the taps of the channel-major input ``xc`` (Cin, B,
     *sizes) into ``cols`` (Cin, taps, B, *sizes). col2im (``add``): add the
-    taps of ``cols`` into ``xc``, in tap order for every element. For
-    im2col, ``xc`` may instead be a function that makes channel block
-    ``blk`` of the input as a fresh channel-major array (a recipe's block).
+    taps of ``cols`` into ``xc``, in tap order for every element. ``xc`` is
+    an array, or a reader that gives its channel block ``blk`` as a
+    channel-major array (a view, or a block made from a recipe).
 
-    Each tap is one shifted run over a block of ``_flat(xc)`` or a made
-    block, or, where ``_flat`` is None, over a block-sized flat copy of the
-    block (col2im: a zeroed block, added into ``xc`` once its taps are in).
-    The channel blocks (``_pass_blocks``) run on the lanes; no two write the
-    same elements."""
-    made = callable(xc)
-    xf = None if made else _flat(xc)
+    Each tap is one shifted run over the block's ``_flat`` view, or, where
+    that is None, over a block-sized flat copy of the block (col2im: a
+    zeroed block, added into the view once its taps are in). The channel
+    blocks (``_pass_blocks``) run on the lanes; no two write the same
+    elements."""
+    read = xc if callable(xc) else xc.__getitem__
     cf = cols.reshape(cols.shape[0], len(plan), -1)
     n = cols[0, 0].size  # elements per channel
 
     def copy(blk: slice) -> None:
-        if made:
-            flat = xc(blk).reshape(-1, n)
-        elif xf is not None:
-            flat = xf[blk]
-        else:
-            xb = xc[blk]
+        xb = read(blk)
+        flat = merged = _flat(xb)
+        if merged is None:
             flat = (np.zeros if add else np.empty)((xb.shape[0], n))
             if not add:
                 flat.reshape(xb.shape)[...] = xb
@@ -914,7 +924,7 @@ def _im2col(xc, cols: np.ndarray, plan: list, add: bool = False) -> None:
                 cols[blk, t][strip] = 0.0
             if add:
                 win += col
-        if add and xf is None:
+        if add and merged is None:
             xb += flat.reshape(xb.shape)
 
     _lanes.run(copy, _pass_blocks(cols.shape[0], n))
@@ -938,28 +948,10 @@ def conv_block(
     moments (biased variance) and moves ``stats`` toward them with momentum
     0.1; eval mode normalizes with ``stats``. The LeakyReLU slope is 0.01.
 
-    The forward runs im2col and the GEMM over chunks of batch items, then
-    one pass over channel blocks of the GEMM output: bias, batch norm (the
-    product becomes xhat in place) and LeakyReLU per block, each block small
-    enough to stay in cache and run with the whole-array formulas in the
-    whole-array operand order, so the bytes do not depend on the blocking.
-    The backward is one blocked pass too: the LeakyReLU factor, then the
-    batch-norm gradient written over each xhat block, which leaves the
-    GEMM-shaped output gradient for dbias, dW and col2im. When w or x needs
-    a gradient, the rule keeps x through ``_keep``: x's array, or, where x
-    is a conv output or a gated product, its recipe, which dW calls one
-    channel block at a time to rebuild its im2col rows; dx takes x's layout
-    either way. A recorded block's output gets a recipe too: the forward
-    epilogue's last steps (``activate``) over xhat, gamma and beta, so no
-    later rule keeps the output.
-
-    Each blocked pass (im2col, col2im and the two epilogues) is one
-    ``_lanes.run`` over its channel blocks (``_pass_blocks``), so outside a
-    scoring lane the blocks spread over the CPUs, with OpenBLAS's workers
-    parked (``_lanes``), and every GEMM runs between those runs, on
-    OpenBLAS's threads. A block writes only its own channels, and the bytes
-    depend on neither the block size nor the lane that takes a block.
-    Inside a scoring lane the passes run inline, in cache-sized blocks.
+    A recorded block's output gets a recipe (``Tensor.recipe``), so no
+    later rule keeps it. How the block runs (its im2col pieces and their
+    budget, what its rule keeps and makes again, and its passes on the
+    lanes) is set out once, in the comment block that opens this section.
     """
     nd = x.data.ndim - 2
     if nd not in (1, 2) or w.data.ndim != x.data.ndim:
@@ -1092,14 +1084,12 @@ def conv_block(
                            + [cin * most if sx else 0]) * taps * pos)
         made = isinstance(xk, _Recipe)
         if sw:  # dW's rows, transposed, from im2col rows rebuilt per channel run
+            read = xk if made else xk.transpose(_cm(xk.ndim)).__getitem__
             dwt = np.empty((cin * taps, cout))
             for run in runs:
                 cols = buf[: (run.stop - run.start) * taps * b * pos].reshape(-1, taps, b, *sizes)
-                if made:  # x's blocks, made on the lanes
-                    _im2col(lambda blk, at=run.start: xk(slice(at + blk.start, at + blk.stop)),
-                            cols, plan)
-                else:
-                    _im2col(xk.transpose(_cm(xk.ndim))[run], cols, plan)
+                _im2col(lambda blk, at=run.start: read(slice(at + blk.start, at + blk.stop)),
+                        cols, plan)
                 np.matmul(cols.reshape(-1, b * pos), gmat.T,
                           out=dwt[run.start * taps:run.stop * taps])
             _accumulate(sw, np.ascontiguousarray(dwt.T).reshape(wd.shape), own=True)

@@ -56,6 +56,55 @@ def toy():
 
 
 @pytest.fixture
+def traffic(monkeypatch):
+    """What the conv blocks and the ops around them were given in the test.
+    ``pieces``: (function, lanes sharing the budget, piece count) of every
+    call of ``tensor._item_chunks`` and ``tensor._pow2_chunks``.
+    ``recipe_inputs``: each ``matmul`` or ``leaky_relu`` call with an input
+    that has a recipe. ``whole``: (calling function, its ``shape``) of
+    every call that makes a whole ``_Recipe``."""
+    seen = {"pieces": [], "recipe_inputs": [], "whole": []}
+
+    def pieces(fn):
+        def spy(*args):
+            out = fn(*args)
+            seen["pieces"].append((fn.__name__, _lanes.SHARE.get(), len(out)))
+            return out
+        return spy
+
+    def reads(fn):
+        def spy(*inputs):
+            if any(t.recipe is not None for t in inputs):
+                seen["recipe_inputs"].append(fn.__name__)
+            return fn(*inputs)
+        return spy
+
+    call = T._Recipe.__call__
+
+    def whole(self, blk=None):
+        if blk is None:
+            caller = sys._getframe(1)
+            seen["whole"].append((caller.f_code.co_name, caller.f_locals.get("shape")))
+        return call(self, blk)
+
+    for name in ("_item_chunks", "_pow2_chunks"):
+        monkeypatch.setattr(T, name, pieces(getattr(T, name)))
+    for name in ("matmul", "leaky_relu"):
+        monkeypatch.setattr(T, name, reads(getattr(T, name)))
+    monkeypatch.setattr(T._Recipe, "__call__", whole)
+    return seen
+
+
+def splits(traffic) -> bool:
+    """Whether a conv block of the test was cut into more than one piece."""
+    return any(count > 1 for _, _, count in traffic["pieces"])
+
+
+def is_cnn(name) -> bool:
+    return bool(models.PRESETS[name].conv_channels)
+
+
+@pytest.fixture
 def two_blas_threads():
     """OpenBLAS on two threads for the test, where the count can be set."""
     old = _lanes._set_threads(2) if _lanes._set_threads is not None else None
@@ -68,24 +117,28 @@ class TestScoreBytes:
     # 21 trials at batch 5: five batches, the last of one trial; at 11: two
     # (11 and 10).
     @pytest.mark.parametrize("name", list(models.PRESETS))
-    def test_two_lanes_score_the_bytes_of_one(self, toy, lanes, monkeypatch, name):
+    def test_two_lanes_score_the_bytes_of_one(self, toy, lanes, traffic, monkeypatch, name):
         store, trials = toy
         model = models.build(name, (16, 16, 12), seed=1)
         # At the two small budgets most conv blocks run in item chunks, and
         # two lanes (half the budget each) cut them other than one lane.
-        for budget in (T._COLS_BUDGET, 1 << 15, 1 << 18):
-            monkeypatch.setattr(T, "_COLS_BUDGET", budget)
+        default = T._PIECE_BUDGET
+        for budget in (default, 1 << 15, 1 << 18):
+            monkeypatch.setattr(T, "_PIECE_BUDGET", budget)
+            traffic["pieces"].clear()
             for batch_size in (5, 11):
                 lanes(1)
                 one = training.score_trials(model, trials, store, batch_size)
                 lanes(2)
                 two = training.score_trials(model, trials, store, batch_size)
                 assert two.tobytes() == one.tobytes(), (budget, batch_size)
+            if budget != default:
+                assert splits(traffic) == is_cnn(name), budget
 
     def test_a_lane_splits_the_im2col_budget(self, lanes, monkeypatch):
         """Each of two lanes builds im2col matrices of at most half the
         budget; one lane keeps the whole."""
-        monkeypatch.setattr(T, "_COLS_BUDGET", 1000)
+        monkeypatch.setattr(T, "_PIECE_BUDGET", 1000)
         for n, whole in ((2, False), (1, True)):
             lanes(n)
             seen = []
@@ -292,13 +345,18 @@ class TestTrainingStep:
     CFG = training.TrainConfig(batch_size=6, epochs=2, seed=1)
 
     # Two epochs of two steps, a dev check after each and the best epoch
-    # restored; at the small budget the conv blocks run in chunks.
+    # restored; at the small budget the conv blocks run in chunks. Every
+    # preset's traffic is pinned too: dW runs only outside the scoring lanes,
+    # no matmul or leaky_relu input has a recipe, and only CNN1D_PA makes a
+    # whole recipe, for its feature gate's gradient (one value per feature).
     @pytest.mark.parametrize("name", list(models.PRESETS))
-    def test_two_lanes_train_the_bytes_of_one(self, toy_train, lanes, worker_items,
+    def test_two_lanes_train_the_bytes_of_one(self, toy_train, lanes, worker_items, traffic,
                                               monkeypatch, tmp_path, name):
         store, protos = toy_train
-        for budget in (T._COLS_BUDGET, 1 << 15):
-            monkeypatch.setattr(T, "_COLS_BUDGET", budget)
+        default = T._PIECE_BUDGET
+        for budget in (default, 1 << 15):
+            monkeypatch.setattr(T, "_PIECE_BUDGET", budget)
+            traffic["pieces"].clear()
             runs = []
             for n in (1, 2):
                 lanes(n)
@@ -309,7 +367,14 @@ class TestTrainingStep:
                 models.save_checkpoint(model, str(path))
                 runs.append((path.read_bytes(), result))
             assert runs[1] == runs[0], budget
+            if budget != default:
+                assert splits(traffic) == is_cnn(name)
+            assert all(share == 1 for fn, share, _ in traffic["pieces"] if fn == "_pow2_chunks")
         assert worker_items
+        assert traffic["recipe_inputs"] == []
+        whole = traffic["whole"]
+        assert all(caller == "_product_grad" and shape[1] == 1 for caller, shape in whole)
+        assert bool(whole) == (name == "CNN1D_PA")
 
     @pytest.mark.parametrize("k, n, row_block", [(300, 64, 8192), (77, 130, 1 << 20),
                                                  (600, 10, 5000)])

@@ -295,9 +295,9 @@ class TestTrainingStepMemory:
         after a first step has made Adam's moments, rises above its start
         by less than 4.5 outputs of the first block (90 x 256 x 64 float64,
         11.25 MiB): 3.7 with item chunks of ``tensor._PIECE_BUDGET`` and dW
-        runs sized by the output gradient, 5.7 where either could take the
-        whole 64 MB ``_COLS_BUDGET``, as the 256->128 block's 35 MB im2col
-        matrix then did in its forward and again in its dW."""
+        runs sized by the output gradient, 5.7 where either could take 64
+        MB (four times ``_PIECE_BUDGET``), as the 256->128 block's 35 MB
+        im2col matrix then did in its forward and again in its dW."""
         dims = (64, 64, 48)
         model = build("CNN1D_SE", dims, seed=4)
         optimizer = training.Adam(model.params.items())

@@ -1,4 +1,3 @@
-import contextvars
 import itertools
 import tracemalloc
 import weakref
@@ -665,19 +664,18 @@ PRESET_BLOCKS = [((90, 3, 16, 16), 32, 5), ((90, 32, 16, 16), 64, 3), ((90, 64, 
 WHOLE = 1 << 62  # an im2col budget that any im2col matrix fits
 
 
-def set_budgets(monkeypatch, budget):
-    """im2col pieces of at most ``budget`` elements of either kind (item
-    chunks and dW runs)."""
-    for name in ("_COLS_BUDGET", "_PIECE_BUDGET"):
-        monkeypatch.setattr(T, name, budget)
+def set_budget(monkeypatch, budget):
+    """im2col pieces sized by ``budget`` elements: item chunks of at most
+    that, dW runs of up to four times that."""
+    monkeypatch.setattr(T, "_PIECE_BUDGET", budget)
 
 
 class TestConvBlockChunks:
-    """``conv_block`` builds im2col matrices of at most ``_COLS_BUDGET``
-    elements: chunks of batch items for the forward and dx, of at most
-    ``_PIECE_BUDGET``, and runs of a power of two input channels, rebuilt
-    from the block's input, for dW. Every chunking gives the bytes of one
-    whole chunk: the output, the running stats and all five gradients. The
+    """``conv_block`` builds im2col pieces sized by ``_PIECE_BUDGET``:
+    chunks of batch items of at most that for the forward and dx, and runs
+    of a power of two input channels, rebuilt from the block's input, of up
+    to four times that for dW. Every chunking gives the bytes of one whole
+    chunk: the output, the running stats and all five gradients. The
     budgets here cut each block into three to five chunks, whose products
     stay as large as the default budget makes them: OpenBLAS runs small
     products with other kernels."""
@@ -685,13 +683,13 @@ class TestConvBlockChunks:
     NAMES = TestConvBlock.NAMES
 
     def _check(self, monkeypatch, arrays, training, g, budgets, nan_fill=False):
-        """``budgets``: each caps both kinds of piece; None for the module's
+        """``budgets``: each sizes both kinds of piece; None for the module's
         own sizes."""
         x, k = arrays["x"], arrays["w"].shape[-1]
         b, cin, pos = x.shape[0], x.shape[1], x[0, 0].size
         per_item, g_size = cin * k ** (x.ndim - 2) * pos, g.size
         with monkeypatch.context() as patch:
-            set_budgets(patch, WHOLE)
+            set_budget(patch, WHOLE)
             assert T._item_chunks(b, per_item, pos) == [slice(0, b)]
             assert T._pow2_chunks(cin, per_item * b // cin, g_size) == [slice(0, cin)]
             want = run_block(T.conv_block, arrays, training, g)
@@ -700,7 +698,7 @@ class TestConvBlockChunks:
         for budget in budgets:
             with monkeypatch.context() as patch:
                 if budget is not None:
-                    set_budgets(patch, budget)
+                    set_budget(patch, budget)
                 assert len(T._item_chunks(b, per_item, pos)) > 1
                 # three channels never split: a run has two or more
                 assert len(T._pow2_chunks(cin, per_item * b // cin, g_size)) > 1 or cin == 3
@@ -740,7 +738,7 @@ class TestConvBlockChunks:
         self._check(monkeypatch, arrays, True, g, [cols // 3] + ([None] if splits else []))
 
     def test_chunk_sizes(self, monkeypatch):
-        monkeypatch.setattr(T, "_COLS_BUDGET", 100)
+        monkeypatch.setattr(T, "_PIECE_BUDGET", 100)
         assert T._item_chunks(3, 30, 16) == [slice(0, 3)]
         assert T._item_chunks(5, 30, 16) == [slice(0, 3), slice(3, 5)]
         assert T._item_chunks(7, 30, 16) == [slice(0, 3), slice(3, 5), slice(5, 7)]  # not 3+3+1
@@ -755,39 +753,38 @@ class TestConvBlockChunks:
         assert T._pow2_chunks(9, 12, 0) == [slice(0, 9)]
         assert T._pow2_chunks(5, 40, 0) == [slice(0, 2), slice(2, 5)]
         assert T._pow2_chunks(6, 1000, 0) == [slice(0, 2), slice(2, 4), slice(4, 6)]
-        # Item chunks hold _PIECE_BUDGET; dW runs twice the output gradient,
-        # but at least _PIECE_BUDGET and at most _COLS_BUDGET.
+        # Item chunks hold the budget; dW runs twice the output gradient,
+        # but at least the budget and at most four times it.
         monkeypatch.setattr(T, "_PIECE_BUDGET", 40)
         assert T._item_chunks(7, 10, 16) == [slice(0, 4), slice(4, 7)]
         assert T._pow2_chunks(11, 10, 0) == [slice(0, 4), slice(4, 8), slice(8, 11)]
         assert T._pow2_chunks(11, 10, 30) == [slice(0, 4), slice(4, 8), slice(8, 11)]
         assert T._pow2_chunks(11, 10, 40) == [slice(0, 8), slice(8, 11)]
-        assert T._pow2_chunks(11, 10, 1000) == [slice(0, 8), slice(8, 11)]
         assert T._pow2_chunks(9, 10, 45) == [slice(0, 9)]  # 90 fits twice 45
+        assert T._pow2_chunks(16, 10, 1000) == [slice(0, 16)]  # 160 is four times 40
+        assert T._pow2_chunks(17, 10, 1000) == [slice(0, 17)]  # 16 + 1: the single joins
+        assert T._pow2_chunks(20, 10, 1000) == [slice(0, 16), slice(16, 20)]
 
-    @pytest.mark.parametrize("share", [1, 2])
-    def test_dw_runs_are_powers_of_two_within_the_budget(self, monkeypatch, share):
+    def test_dw_runs_are_powers_of_two_within_the_budget(self, monkeypatch):
         """dW's runs of a split block are one power of two of at least 2
-        channels that fits ``_cols_budget()``, and a last run of at most
-        one channel more, for every split of the budget between the lanes."""
-        monkeypatch.setattr(T, "_COLS_BUDGET", 1 << 12)
-        monkeypatch.setattr(T, "_PIECE_BUDGET", 1 << 9)
-
-        def check():
-            budget = T._cols_budget()
-            for c, n, g in itertools.product([2, 3, 5, 17, 64, 100], [1, 7, 64, 250, budget // 2],
-                                             [0, 100, 1000, 1 << 14]):
-                runs = T._pow2_chunks(c, n, g)
-                sizes = [r.stop - r.start for r in runs]
-                assert runs[0].start == 0 and sum(sizes) == c
-                if len(runs) > 1:
-                    step = sizes[0]
-                    assert step >= 2 and step & (step - 1) == 0 and step * n <= budget
-                    assert sizes[:-1] == [step] * (len(runs) - 1) and 2 <= sizes[-1] <= step + 1
-
-        context = contextvars.copy_context()
-        context.run(T._lanes.SHARE.set, share)
-        context.run(check)
+        channels, the largest whose run fits twice the output gradient, held
+        to one to four times ``_PIECE_BUDGET``, and a last run of at most
+        one channel more."""
+        piece = 1 << 9
+        monkeypatch.setattr(T, "_PIECE_BUDGET", piece)
+        for c, n, g in itertools.product([2, 3, 5, 17, 64, 100], [1, 7, 64, 250, 2 * piece],
+                                         [0, 100, 1000, 1 << 14]):
+            budget = min(4 * piece, max(piece, 2 * g))
+            runs = T._pow2_chunks(c, n, g)
+            sizes = [r.stop - r.start for r in runs]
+            assert runs[0].start == 0 and sum(sizes) == c
+            if len(runs) == 1:
+                assert c * n <= budget or c <= 3
+            else:
+                step = sizes[0]
+                assert step >= 2 and step & (step - 1) == 0
+                assert step * n <= budget < 2 * step * n or step == 2
+                assert sizes[:-1] == [step] * (len(runs) - 1) and 2 <= sizes[-1] <= step + 1
 
 
 def plain_block(x, w, bias=None, gamma=None, beta=None, training=False, stats=None):
@@ -988,7 +985,7 @@ class TestBackward:
 
     def test_backward_frees_as_it_replays(self, monkeypatch, rng):
         """A 3-block conv_block chain whose blocks build im2col matrices of
-        at most ~2 activations (``_COLS_BUDGET``; a whole one is 9
+        at most ~2 activations (``_PIECE_BUDGET``; a whole one is 9
         activations for 3x3 taps). Backward may rise above its starting size
         by less than one whole im2col matrix (8 activations): the popped
         rules free the later blocks' buffers and gradients before the first
@@ -999,7 +996,7 @@ class TestBackward:
         x = Tensor(rng.uniform(-1, 1, (b, c, h, h)))
         blocks = [(rt(rng, c, c, 3, 3), rt(rng, c), rt(rng, c), rt(rng, c)) for _ in range(3)]
         activation = x.data.nbytes
-        monkeypatch.setattr(T, "_COLS_BUDGET", 2 * x.data.size)
+        monkeypatch.setattr(T, "_PIECE_BUDGET", 2 * x.data.size)
         tracemalloc.start()
         try:
             begin = tracemalloc.get_traced_memory()[0]
